@@ -1,10 +1,10 @@
 """Riemannian geometry of the positive definite cone: distance, geodesics,
 the two-matrix geometric mean, and the weighted Karcher mean.
 
-The Karcher mean is computed in two phases: a cyclic inductive walk that
-contracts towards the minimizer, followed by a fixed-point polish of the
-barycenter equation sum_j w_j log(X^{1/2} A_j^{-1} X^{1/2}) = 0 whose residual
-is the reported convergence certificate.
+The Karcher mean starts at A_0 #_{w_1} A_1 (m = 2) or at the log-Euclidean
+mean exp(sum_j w_j log A_j) (m >= 3), then polishes the barycenter equation
+sum_j w_j log(X^{1/2} A_j^{-1} X^{1/2}) = 0 by a fixed-point iteration whose
+residual is the reported convergence certificate.
 """
 
 from dataclasses import dataclass
@@ -86,6 +86,11 @@ def geodesic(A: np.ndarray, B: np.ndarray, t: float, symtol: float = SYMTOL) -> 
     B = _validate_spd(B, symtol)
     if A.shape != B.shape:
         raise InputError(f"order mismatch: {A.shape[0]} vs {B.shape[0]}")
+    return _geodesic(A, B, t)
+
+
+def _geodesic(A: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
+    """A #_t B for validated positive definite A, B of equal order."""
     if t == 0.0:
         return A
     if t == 1.0:
@@ -146,20 +151,17 @@ def karcher_mean(
     weights=None,
     tol: float | None = None,
     max_iter: int = 200,
-    walk_steps: int | None = None,
     symtol: float = SYMTOL,
 ) -> KarcherResult:
     """Weighted Karcher (Riemannian barycenter) mean of positive definite
     matrices.
 
-    Phase 1 runs the cyclic inductive walk S <- S #_t A_j with step
-    t = w_j / (weight seen so far including the current visit), which reduces
-    to the classical 1/(k+1) stepping for uniform weights, for
-    ``walk_steps`` visits (default 30 m). Phase 2 polishes with the fixed
-    point iteration X <- X^{1/2} exp(-theta * grad) X^{1/2} where grad is the
-    weighted log-sum, starting at theta = 1, halving theta whenever the
-    residual would increase and growing it gently after accepted steps
-    (spread-out inputs are badly under-relaxed at theta = 1).
+    The start is the exact mean A_0 #_{w_1} A_1 for m = 2 and the
+    log-Euclidean mean exp(sum_j w_j log A_j), exact for commuting inputs,
+    for m >= 3. The polish X <- X^{1/2} exp(-theta * grad) X^{1/2}, grad the
+    weighted log-sum, starts at theta = 1, halves theta whenever the residual
+    would increase and grows it gently after accepted steps (spread-out
+    inputs are badly under-relaxed at theta = 1).
 
     Parameters
     ----------
@@ -188,14 +190,10 @@ def karcher_mean(
     if m == 1:
         return KarcherResult(mean=mats[0], residual=0.0, iterations=0, converged=True)
 
-    steps = 30 * m if walk_steps is None else walk_steps
-    X = mats[0]
-    seen = w[0]
-    for k in range(1, steps):
-        j = k % m
-        t = w[j] / (seen + w[j])
-        X = geodesic(X, mats[j], t, symtol)
-        seen += w[j]
+    if m == 2:
+        X = _geodesic(mats[0], mats[1], w[1])
+    else:
+        X = _sym_exp(sum(wj * _sym_log(A) for wj, A in zip(w, mats)))
 
     invs = [np.linalg.inv(A) for A in mats]
 

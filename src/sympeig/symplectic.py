@@ -173,23 +173,25 @@ def is_doubly_superstochastic(B: np.ndarray, tol: float = 1e-9) -> Superstochast
     if np.min(B) < -tol:
         return SuperstochasticCheck(ok=False, flow_value=0.0, witness=None)
     n = B.shape[0]
+    # Integer labels: string hashes, and so networkx's visiting order, vary per process.
+    source, sink = 2 * n, 2 * n + 1
     graph = nx.DiGraph()
     for i in range(n):
-        graph.add_edge("s", ("r", i), capacity=1.0)
-        graph.add_edge(("c", i), "t", capacity=1.0)
+        graph.add_edge(source, i, capacity=1.0)
+        graph.add_edge(n + i, sink, capacity=1.0)
     for i in range(n):
         for j in range(n):
             cap = B[i, j] + tol
             if cap > 0.0:
-                graph.add_edge(("r", i), ("c", j), capacity=cap)
-    flow_value, flow = nx.maximum_flow(graph, "s", "t")
+                graph.add_edge(i, n + j, capacity=cap)
+    flow_value, flow = nx.maximum_flow(graph, source, sink)
     ok = flow_value >= n - 1e-9 * max(1, n)
     witness = None
     if ok:
         witness = np.zeros((n, n))
         for i in range(n):
-            for node, amount in flow[("r", i)].items():
-                witness[i, node[1]] = amount
+            for node, amount in flow[i].items():
+                witness[i, node - n] = amount
     return SuperstochasticCheck(ok=bool(ok), flow_value=float(flow_value), witness=witness)
 
 

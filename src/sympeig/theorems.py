@@ -619,8 +619,8 @@ def run_suite(cfg: SuiteConfig) -> list[TheoremReport]:
     per-instance generators seeded by (suite seed, theorem index, trial), so
     the full report list is deterministic in the seed. Every fifth instance
     plants a spectrum with duplicate entries to exercise degeneracy.
-    Individual numerical failures are recorded as inconclusive reports and
-    the suite continues.
+    An instance that raises a SympeigError is recorded as a failure (NaN
+    margin, message in quantities) and the suite continues.
     """
     reports = []
     for theorem_id in cfg.theorems:
@@ -640,7 +640,6 @@ def run_suite(cfg: SuiteConfig) -> list[TheoremReport]:
                         margin=float("nan"),
                         tolerance=cfg.tolerance_for(theorem_id),
                         holds=False,
-                        inconclusive=True,
                         trial=trial,
                         n=None,
                     )

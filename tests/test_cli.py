@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sympeig
 from sympeig import geometric_mean, random_posdef, random_symplectic, symplectic_spectrum
 from sympeig.cli import main
 from sympeig.matio import load_matrix, save_matrix
@@ -244,6 +249,32 @@ class TestVerifyCommand:
         code, out = run(capsys, "verify", "--theorem", "all", "--trials", "5", "--nmax", "3")
         assert code == 0
         assert "theorem" in out
+
+    def test_breakdown_counts_as_failure(self, workdir, capsys, monkeypatch):
+        from sympeig.errors import NumericalError
+
+        def broken(A):
+            raise NumericalError("eigensolver did not converge")
+
+        monkeypatch.setattr("sympeig.theorems.symplectic_spectrum", broken)
+        code, out = run(capsys, "verify", "--theorem", "11", "--trials", "3", "--json")
+        assert code == 1
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert all(not r["holds"] and not r["inconclusive"] and r["margin"] is None for r in records)
+
+    def test_output_independent_of_hash_seed(self):
+        src = str(Path(sympeig.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "sympeig.cli", "verify", "--theorem", "6", "--json"],
+                env=env,
+                capture_output=True,
+                check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_unknown_theorem_exits_2(self, workdir, capsys):
         code, _ = run(capsys, "verify", "--theorem", "nope")

@@ -13,6 +13,7 @@ from sympeig import (
     riemannian_distance,
 )
 from sympeig.matfun import sym_log, sym_pow
+from sympeig.symplectic import random_posdef_rng
 
 
 def spd(seed, n=2, cs=1.0):
@@ -164,10 +165,31 @@ class TestKarcherMean:
 
     def test_budget_exhaustion_returns_best(self):
         mats = [spd(33), spd(34), spd(35)]
-        res = karcher_mean(mats, walk_steps=1, max_iter=1)
-        assert not res.converged
+        res = karcher_mean(mats, max_iter=1)
+        assert not res.converged and res.iterations == 1
         assert np.isfinite(res.residual)
         assert np.min(np.linalg.eigvalsh(res.mean)) > 0
+
+    @pytest.mark.parametrize("weights", [None, [0.3, 0.7]])
+    def test_pair_is_closed_form(self, weights):
+        A, B = spd(44, 3, 1.5), spd(45, 3, 1.5)
+        res = karcher_mean([A, B], weights)
+        assert res.converged and res.iterations == 0
+        point = geodesic(A, B, 0.5 if weights is None else weights[1])
+        assert np.linalg.norm(res.mean - point) <= 1e-12 * np.linalg.norm(point)
+
+    def test_commuting_triple_needs_no_polish(self):
+        mats = [np.diag([1.0, 8.0, 3.0]), np.diag([2.0, 1.0, 5.0]), np.diag([4.0, 1.0, 0.5])]
+        res = karcher_mean(mats, [0.2, 0.3, 0.5])
+        assert res.converged and res.iterations == 0
+
+    def test_spread_out_inputs_converge(self):
+        rng = np.random.default_rng(46)
+        mats = [random_posdef_rng(rng, 16, condition_spread=4.0, spread=3.0)[0] for _ in range(10)]
+        res = karcher_mean(mats)
+        assert res.converged
+        opnorm = float(np.linalg.eigvalsh(res.mean)[-1])
+        assert karcher_residual(res.mean, mats) <= 1e-9 * opnorm
 
     def test_weight_degeneration(self):
         mats = [spd(36), spd(37), spd(38)]
