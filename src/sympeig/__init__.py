@@ -16,9 +16,7 @@ from .majorization import (
 from .matfun import (
     NormTriple,
     SpectralDecomposition,
-    matrix_abs,
     norms,
-    polar,
     sym_eig,
     sym_exp,
     sym_log,

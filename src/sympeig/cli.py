@@ -125,13 +125,7 @@ def cmd_mean(args) -> int:
     mats = [matio.load_matrix(path, expect_kind="posdef").data for path in args.inputs]
     if len(mats) < 2:
         raise InputError("mean needs at least two input files")
-    for A in mats[1:]:
-        if A.shape != mats[0].shape:
-            raise InputError(f"order mismatch: {A.shape[0]} vs {mats[0].shape[0]}")
-    weights = args.weights
-    if weights is not None and len(weights) != len(mats):
-        raise InputError(f"got {len(weights)} weights for {len(mats)} matrices")
-    result = means.karcher_mean(mats, weights, tol=args.tol, max_iter=args.max_iter)
+    result = means.karcher_mean(mats, args.weights, tol=args.tol, max_iter=args.max_iter)
     if args.output is not None:
         matio.save_matrix(args.output, result.mean, kind="posdef")
     record = {

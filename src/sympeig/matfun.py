@@ -1,9 +1,11 @@
 """Functional calculus for real symmetric matrices and basic matrix norms.
 
-Every operation validates and symmetrizes its input once, then works with the
-eigendecomposition. Fractional powers and logarithms refuse near-singular
-input instead of regularizing it, so that downstream inequality margins are
-never silently corrupted.
+The one place that decides positive definiteness and forms f(S) = Q f(L) Q^T:
+``_posdef`` is the gate for outside input, ``_eigh`` the eigen-kernel, and
+the other underscore helpers trust their inputs. The refusing operations
+(fractional powers, logarithms, symplectic spectra) reject near-singular
+input instead of regularizing it, so inequality margins are never silently
+corrupted.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from .errors import DomainError, InputError, NumericalError
 RTOL = 1e-9
 # Allowed relative asymmetry of "symmetric" inputs before they are rejected.
 SYMTOL = 1e-8
-# Fractional powers refuse matrices with lambda_min <= PD_RELCUT * lambda_max.
+# The refusing operations reject lambda_min <= PD_RELCUT * lambda_max.
 PD_RELCUT = 1e-12
 
 
@@ -83,6 +85,59 @@ def symmetrize(S: np.ndarray, symtol: float = SYMTOL, name: str = "matrix") -> n
     return (S + S.T) / 2.0
 
 
+def _eigh(S: np.ndarray, values_only: bool = False):
+    """Ascending eigenvalues of the trusted symmetric or Hermitian S (lower
+    triangle read), with eigenvectors as ``(w, Q)`` unless ``values_only``.
+    Solver failure raises NumericalError."""
+    try:
+        return np.linalg.eigvalsh(S) if values_only else np.linalg.eigh(S)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed: {exc}") from exc
+
+
+def _check_posdef(w: np.ndarray, refuse_near_singular: bool = False) -> None:
+    """Raise DomainError unless the ascending spectrum w is positive and, with
+    ``refuse_near_singular``, lambda_min > PD_RELCUT * lambda_max."""
+    wmin, wmax = w[0], w[-1]
+    if wmin <= 0.0:
+        raise DomainError(f"matrix is not positive definite: lambda_min = {wmin:.6e}")
+    if refuse_near_singular and wmin <= PD_RELCUT * wmax:
+        raise DomainError(
+            f"near-singular input refused: lambda_min = {wmin:.6e} <= "
+            f"{PD_RELCUT:.0e} * lambda_max = {PD_RELCUT * wmax:.6e}"
+        )
+
+
+def _posdef(S: np.ndarray, symtol: float = SYMTOL, refuse_near_singular: bool = False, values_only: bool = True):
+    """Symmetrize outside input, decompose it once and check the spectrum;
+    returns ``(S, _eigh(S, values_only))`` for the symmetrized S."""
+    S = symmetrize(S, symtol, name="positive definite matrix")
+    spectrum = _eigh(S, values_only)
+    _check_posdef(spectrum if values_only else spectrum[0], refuse_near_singular)
+    return S, spectrum
+
+
+def _sqrt_pair(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(A^{1/2}, A^{-1/2}, operator norm of A) for a trusted symmetric A."""
+    w, Q = _eigh(A)
+    _check_posdef(w)
+    root = np.sqrt(w)
+    return (Q * root) @ Q.T, (Q * (1.0 / root)) @ Q.T, float(w[-1])
+
+
+def _sym_log(S: np.ndarray) -> np.ndarray:
+    """log S for a trusted, nearly symmetric S, symmetrized first."""
+    w, Q = _eigh((S + S.T) / 2.0)
+    _check_posdef(w)
+    return (Q * np.log(w)) @ Q.T
+
+
+def _sym_exp(S: np.ndarray) -> np.ndarray:
+    """exp S for a trusted, nearly symmetric S, symmetrized first."""
+    w, Q = _eigh((S + S.T) / 2.0)
+    return (Q * np.exp(w)) @ Q.T
+
+
 def sym_eig(S: np.ndarray, symtol: float = SYMTOL) -> SpectralDecomposition:
     """Eigendecomposition of a real symmetric matrix.
 
@@ -104,26 +159,8 @@ def sym_eig(S: np.ndarray, symtol: float = SYMTOL) -> SpectralDecomposition:
     NumericalError
         If the underlying eigensolver fails to converge.
     """
-    S = symmetrize(S, symtol)
-    try:
-        w, Q = np.linalg.eigh(S)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
+    w, Q = _eigh(symmetrize(S, symtol))
     return SpectralDecomposition(eigenvalues=w, eigenvectors=Q)
-
-
-def _positive_spectrum(S: np.ndarray, symtol: float, op: str) -> SpectralDecomposition:
-    dec = sym_eig(S, symtol)
-    w = dec.eigenvalues
-    wmin, wmax = w[0], w[-1]
-    if wmin <= 0.0:
-        raise DomainError(f"{op} requires a positive definite matrix; lambda_min = {wmin:.6e}")
-    if wmin <= PD_RELCUT * wmax:
-        raise DomainError(
-            f"{op} refuses near-singular input: lambda_min = {wmin:.6e} <= "
-            f"{PD_RELCUT:.0e} * lambda_max = {PD_RELCUT * wmax:.6e}"
-        )
-    return dec
 
 
 def sym_pow(S: np.ndarray, t: float, symtol: float = SYMTOL) -> np.ndarray:
@@ -138,53 +175,20 @@ def sym_pow(S: np.ndarray, t: float, symtol: float = SYMTOL) -> np.ndarray:
         If S is not positive definite, or lambda_min <= 1e-12 * lambda_max
         (near-singular input is refused rather than regularized).
     """
-    dec = _positive_spectrum(S, symtol, "sym_pow")
-    w, Q = dec.eigenvalues, dec.eigenvectors
+    _, (w, Q) = _posdef(S, symtol, refuse_near_singular=True, values_only=False)
     return (Q * w**t) @ Q.T
 
 
 def sym_log(S: np.ndarray, symtol: float = SYMTOL) -> np.ndarray:
-    """Matrix logarithm of a symmetric positive definite matrix."""
-    dec = _positive_spectrum(S, symtol, "sym_log")
-    w, Q = dec.eigenvalues, dec.eigenvectors
+    """Matrix logarithm of a symmetric positive definite matrix; refuses
+    near-singular input like :func:`sym_pow`."""
+    _, (w, Q) = _posdef(S, symtol, refuse_near_singular=True, values_only=False)
     return (Q * np.log(w)) @ Q.T
 
 
 def sym_exp(S: np.ndarray, symtol: float = SYMTOL) -> np.ndarray:
     """Matrix exponential of a symmetric matrix (always positive definite)."""
-    dec = sym_eig(S, symtol)
-    w, Q = dec.eigenvalues, dec.eigenvectors
-    return (Q * np.exp(w)) @ Q.T
-
-
-def polar(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Polar decomposition M = O P with O orthogonal and P = (M^T M)^{1/2}.
-
-    Returns
-    -------
-    (O, P) : pair of ndarray
-        Orthogonal factor and symmetric positive definite factor.
-
-    Raises
-    ------
-    DomainError
-        If M is singular (smallest singular value at relative tolerance 0).
-    """
-    M = require_square(M, "polar input")
-    U, s, Vt = np.linalg.svd(M)
-    if s[-1] <= PD_RELCUT * s[0]:
-        raise DomainError(f"polar requires an invertible matrix; smallest singular value {s[-1]:.6e}")
-    O = U @ Vt
-    P = (Vt.T * s) @ Vt
-    return O, (P + P.T) / 2.0
-
-
-def matrix_abs(X: np.ndarray) -> np.ndarray:
-    """Matrix absolute value |X| = (X^T X)^{1/2}, positive semidefinite."""
-    X = require_square(X, "matrix_abs input")
-    _, s, Vt = np.linalg.svd(X)
-    A = (Vt.T * s) @ Vt
-    return (A + A.T) / 2.0
+    return _sym_exp(symmetrize(S, symtol))
 
 
 def norms(X: np.ndarray) -> NormTriple:

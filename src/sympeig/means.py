@@ -5,55 +5,27 @@ The Karcher mean starts at A_0 #_{w_1} A_1 (m = 2) or at the log-Euclidean
 mean exp(sum_j w_j log A_j) (m >= 3), then polishes the barycenter equation
 sum_j w_j log(X^{1/2} A_j^{-1} X^{1/2}) = 0 by a fixed-point iteration whose
 residual is the reported convergence certificate.
+
+Geodesics and distances go through A^{-1/2} B A^{-1/2}, with A^{-1/2} from one
+eigendecomposition of A; their relative accuracy degrades with
+kappa(A) * kappa(B), the distance's far less (see riemannian_distance).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DomainError, InputError
-from .matfun import SYMTOL, symmetrize
-
-
-def _validate_spd(A: np.ndarray, symtol: float = SYMTOL) -> np.ndarray:
-    """Symmetric positive definite validation (any order; the even-order
-    requirement is a property of symplectic inputs, not of the geometry)."""
-    A = symmetrize(A, symtol, name="positive definite matrix")
-    wmin = float(np.linalg.eigvalsh(A)[0])
-    if wmin <= 0.0:
-        raise DomainError(f"matrix is not positive definite: lambda_min = {wmin:.6e}")
-    return A
-
-
-def _sqrt_pair(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """(A^{1/2}, A^{-1/2}, operator norm of A) from one eigendecomposition."""
-    w, Q = np.linalg.eigh(A)
-    if w[0] <= 0.0:
-        raise DomainError(f"matrix is not positive definite: lambda_min = {w[0]:.6e}")
-    root = np.sqrt(w)
-    return (Q * root) @ Q.T, (Q * (1.0 / root)) @ Q.T, float(w[-1])
-
-
-def _sym_log(S: np.ndarray) -> np.ndarray:
-    w, Q = np.linalg.eigh((S + S.T) / 2.0)
-    if w[0] <= 0.0:
-        raise DomainError(f"logarithm of a non positive definite matrix: lambda_min = {w[0]:.6e}")
-    return (Q * np.log(w)) @ Q.T
-
-
-def _sym_exp(S: np.ndarray) -> np.ndarray:
-    w, Q = np.linalg.eigh((S + S.T) / 2.0)
-    return (Q * np.exp(w)) @ Q.T
+from .errors import InputError, NumericalError
+from .matfun import SYMTOL, _eigh, _posdef, _sqrt_pair, _sym_exp, _sym_log
 
 
 def validate_weights(w, m: int) -> np.ndarray:
-    """Positive weights of length m summing to 1 within 1e-12."""
+    """Positive finite weights of length m summing to 1 within 1e-12."""
     w = np.asarray(w, dtype=float)
     if w.shape != (m,):
         raise InputError(f"expected {m} weights, got shape {w.shape}")
-    if np.any(w <= 0.0):
-        raise InputError("weights must all be positive")
+    if not np.all(np.isfinite(w) & (w > 0.0)):
+        raise InputError("weights must all be positive and finite")
     if abs(float(w.sum()) - 1.0) > 1e-12:
         raise InputError(f"weights must sum to 1, got {float(w.sum()):.17g}")
     return w
@@ -61,12 +33,22 @@ def validate_weights(w, m: int) -> np.ndarray:
 
 def riemannian_distance(A: np.ndarray, B: np.ndarray, symtol: float = SYMTOL) -> float:
     """Affine-invariant Riemannian distance
-    delta(A, B) = (sum_i log^2 lambda_i(A^{-1} B))^{1/2}."""
-    A = _validate_spd(A, symtol)
-    B = _validate_spd(B, symtol)
+    delta(A, B) = ||log(A^{-1/2} B A^{-1/2})||_F.
+
+    With A = Q D Q^T it decomposes the similar D^{-1/2} Q^T B Q D^{-1/2}:
+    forming A^{-1/2} explicitly would lose accuracy in proportion to
+    kappa(A) * kappa(B), the scaled form far less. NumericalError when that
+    matrix is not numerically positive definite.
+    """
+    A, (w, Q) = _posdef(A, symtol, values_only=False)
+    B = _posdef(B, symtol)[0]
     if A.shape != B.shape:
         raise InputError(f"order mismatch: {A.shape[0]} vs {B.shape[0]}")
-    lam = scipy.linalg.eigh(B, A, eigvals_only=True)
+    r = 1.0 / np.sqrt(w)
+    C = (Q.T @ B @ Q) * np.outer(r, r)
+    lam = _eigh((C + C.T) / 2.0, values_only=True)
+    if lam[0] <= 0.0:
+        raise NumericalError(f"A^-1/2 B A^-1/2 is not numerically positive definite: lambda_min = {lam[0]:.6e}")
     return float(np.sqrt(np.sum(np.log(lam) ** 2)))
 
 
@@ -82,8 +64,8 @@ def geodesic(A: np.ndarray, B: np.ndarray, t: float, symtol: float = SYMTOL) -> 
     """
     if not 0.0 <= t <= 1.0:
         raise InputError(f"geodesic parameter must lie in [0, 1], got {t}")
-    A = _validate_spd(A, symtol)
-    B = _validate_spd(B, symtol)
+    A = _posdef(A, symtol)[0]
+    B = _posdef(B, symtol)[0]
     if A.shape != B.shape:
         raise InputError(f"order mismatch: {A.shape[0]} vs {B.shape[0]}")
     return _geodesic(A, B, t)
@@ -97,7 +79,7 @@ def _geodesic(A: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
         return B
     Ah, Aih, _ = _sqrt_pair(A)
     mid = Aih @ B @ Aih
-    w, Q = np.linalg.eigh((mid + mid.T) / 2.0)
+    w, Q = _eigh((mid + mid.T) / 2.0)
     powed = (Q * np.maximum(w, 0.0) ** t) @ Q.T
     out = Ah @ powed @ Ah
     return (out + out.T) / 2.0
@@ -126,8 +108,10 @@ class KarcherResult:
 
 def karcher_residual(X: np.ndarray, mats, weights=None, symtol: float = SYMTOL) -> float:
     """Frobenius norm of sum_j w_j log(X^{1/2} A_j^{-1} X^{1/2})."""
-    X = _validate_spd(X, symtol)
-    mats = [_validate_spd(A, symtol) for A in mats]
+    X = _posdef(X, symtol)[0]
+    mats = [_posdef(A, symtol)[0] for A in mats]
+    if not mats:
+        raise InputError("need at least one matrix")
     for A in mats:
         if A.shape != X.shape:
             raise InputError(f"order mismatch: {A.shape[0]} vs {X.shape[0]}")
@@ -179,7 +163,7 @@ def karcher_mean(
         With ``converged=False`` and the best iterate when the budget of
         ``max_iter`` polish iterations is exhausted.
     """
-    mats = [_validate_spd(A, symtol) for A in mats]
+    mats = [_posdef(A, symtol)[0] for A in mats]
     if not mats:
         raise InputError("need at least one matrix")
     for A in mats[1:]:
@@ -198,7 +182,7 @@ def karcher_mean(
     invs = [np.linalg.inv(A) for A in mats]
 
     def _state(X):
-        Xh, Xih, opnorm = _sqrt_pair(X)
+        Xh, _, opnorm = _sqrt_pair(X)
         grad = _weighted_log_sum(Xh, invs, w)
         return Xh, grad, float(np.linalg.norm(grad)), opnorm
 

@@ -7,17 +7,11 @@ definiteness) intact.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError
 from .matfun import SYMTOL, require_square
 from .symplectic import validate_symplectic
 from .williamson import validate_posdef
-
-
-def _quadrants(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    n = A.shape[0] // 2
-    return A[:n, :n], A[:n, n:], A[n:, :n], A[n:, n:]
 
 
 def validate_partition(sizes, n: int) -> tuple[int, ...]:
@@ -50,13 +44,15 @@ def s_direct_sum(mats, kind: str = "posdef") -> np.ndarray:
     mats = [_validate_kind(require_square(A, "s-direct sum input"), kind) for A in mats]
     if not mats:
         raise InputError("need at least one matrix")
-    quads = [_quadrants(A) for A in mats]
-    return np.block(
-        [
-            [scipy.linalg.block_diag(*(q[0] for q in quads)), scipy.linalg.block_diag(*(q[1] for q in quads))],
-            [scipy.linalg.block_diag(*(q[2] for q in quads)), scipy.linalg.block_diag(*(q[3] for q in quads))],
-        ]
-    )
+    n = sum(A.shape[0] // 2 for A in mats)
+    out = np.zeros((2 * n, 2 * n))
+    start = 0
+    for A in mats:
+        k = A.shape[0] // 2
+        idx = np.r_[start : start + k, n + start : n + start + k]
+        out[np.ix_(idx, idx)] = A
+        start += k
+    return out
 
 
 def _partition_mask(sizes: tuple[int, ...], n: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import networkx as nx
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .matfun import require_square
+from .matfun import _eigh, require_square
 
 # Symplecticity defect ||M^T J M - J||_F is compared to tol * (1 + ||M||_F^2).
 SYMPLECTIC_TOL = 1e-9
@@ -261,7 +261,7 @@ def euler_decompose(M: np.ndarray, tol: float = SYMPLECTIC_TOL) -> EulerForm:
     J = standard_J(n)
     G = M.T @ M
     G = (G + G.T) / 2.0
-    lam, X = np.linalg.eigh(G)
+    lam, X = _eigh(G)
     if lam[0] <= 0:
         raise NumericalError(f"M^T M has non-positive eigenvalue {lam[0]:.3e}")
 

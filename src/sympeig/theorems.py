@@ -23,7 +23,7 @@ import numpy as np
 
 from . import majorization, means, sops
 from .errors import InputError, SympeigError
-from .matfun import norms, sym_pow
+from .matfun import _eigh, norms, sym_pow
 from .symplectic import (
     associated_matrix,
     is_doubly_stochastic,
@@ -478,7 +478,7 @@ def check_theorem11(A: np.ndarray, tol: float | None = None) -> TheoremReport:
     A = validate_posdef(A)
     n = A.shape[0] // 2
     d = symplectic_spectrum(A)
-    lam = np.linalg.eigvalsh(A)
+    lam = _eigh(A, values_only=True)
     verdict = majorization.log_majorizes(y=lam, x=d.d_hat, tol=tol)
     scale = max(1.0, float(lam[-1]))
     margins = [verdict.worst_margin]

@@ -14,9 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InputError, NumericalError
-from .matfun import PD_RELCUT, SYMTOL, symmetrize
+from .errors import InputError, NumericalError
+from .matfun import SYMTOL, _eigh, _posdef, require_square
 from .symplectic import standard_J
+
+
+def _even_order(A: np.ndarray) -> np.ndarray:
+    A = require_square(A, "positive definite matrix")
+    if A.shape[0] % 2 != 0 or A.shape[0] == 0:
+        raise InputError(f"positive definite input must have even order >= 2, got {A.shape[0]}")
+    return A
 
 
 def validate_posdef(A: np.ndarray, symtol: float = SYMTOL) -> np.ndarray:
@@ -30,13 +37,7 @@ def validate_posdef(A: np.ndarray, symtol: float = SYMTOL) -> np.ndarray:
     DomainError
         Not positive definite (smallest eigenvalue reported).
     """
-    A = symmetrize(A, symtol, name="positive definite matrix")
-    if A.shape[0] % 2 != 0 or A.shape[0] == 0:
-        raise InputError(f"positive definite input must have even order >= 2, got {A.shape[0]}")
-    wmin = float(np.linalg.eigvalsh(A)[0])
-    if wmin <= 0.0:
-        raise DomainError(f"matrix is not positive definite: lambda_min = {wmin:.6e}")
-    return A
+    return _posdef(_even_order(A), symtol)[0]
 
 
 @dataclass(frozen=True)
@@ -82,26 +83,16 @@ class SymplecticEigenbasis:
         return [(self.u[:, j], self.v[:, j]) for j in range(self.u.shape[1])]
 
 
-def _pd_spectral(A: np.ndarray, symtol: float) -> tuple[np.ndarray, np.ndarray]:
-    A = validate_posdef(A, symtol)
-    w, Q = np.linalg.eigh(A)
-    if w[0] <= PD_RELCUT * w[-1]:
-        raise DomainError(
-            f"matrix is numerically singular: lambda_min = {w[0]:.6e} <= "
-            f"{PD_RELCUT:.0e} * lambda_max"
-        )
-    return w, Q
-
-
-def _skew_core(A: np.ndarray, symtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (K, A^{1/2}, A^{-1/2}) with K = A^{1/2} J A^{1/2} exactly skew."""
-    w, Q = _pd_spectral(A, symtol)
+def _skew_core(A: np.ndarray, symtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Return (K, A^{-1/2}) with K = A^{1/2} J A^{1/2} exactly skew, from the
+    one eigendecomposition of A that also validates it."""
+    A, (w, Q) = _posdef(_even_order(A), symtol, refuse_near_singular=True, values_only=False)
     root = np.sqrt(w)
     Ah = (Q * root) @ Q.T
     Aih = (Q * (1.0 / root)) @ Q.T
     J = standard_J(A.shape[0] // 2)
     K = Ah @ J @ Ah
-    return (K - K.T) / 2.0, Ah, Aih
+    return (K - K.T) / 2.0, Aih
 
 
 def symplectic_spectrum(A: np.ndarray, symtol: float = SYMTOL) -> SymplecticSpectrum:
@@ -111,13 +102,9 @@ def symplectic_spectrum(A: np.ndarray, symtol: float = SYMTOL) -> SymplecticSpec
     moduli d_j are reported once each, ascending, together with the doubled
     descending vector. The product of the d_j^2 equals det A.
     """
-    K, _, _ = _skew_core(A, symtol)
+    K, _ = _skew_core(A, symtol)
     n = K.shape[0] // 2
-    try:
-        w = np.linalg.eigvalsh(1j * K)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Hermitian eigensolver failed: {exc}") from exc
-    d = w[n:]
+    d = _eigh(1j * K, values_only=True)[n:]
     if d[0] <= 0:
         raise NumericalError(f"non-positive symplectic eigenvalue {d[0]:.6e} on positive definite input")
     return SymplecticSpectrum.from_ascending(d)
@@ -139,12 +126,9 @@ def williamson_form(A: np.ndarray, symtol: float = SYMTOL) -> WilliamsonForm:
     near-degenerate spectrum (gap below 1e-10 * d_n) is flagged in
     ``warnings`` but still succeeds.
     """
-    K, _, Aih = _skew_core(A, symtol)
+    K, Aih = _skew_core(A, symtol)
     n = K.shape[0] // 2
-    try:
-        w, Z = np.linalg.eigh(1j * K)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Hermitian eigensolver failed: {exc}") from exc
+    w, Z = _eigh(1j * K)
     d = w[n:]
     if d[0] <= 0:
         raise NumericalError(f"non-positive symplectic eigenvalue {d[0]:.6e} on positive definite input")

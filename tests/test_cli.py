@@ -163,6 +163,12 @@ class TestMeanCommand:
         code, _ = run(capsys, "mean", pa, pb)
         assert code == 3
 
+    def test_nan_weights_exit_3(self, workdir, capsys):
+        pa = write(workdir, "a.json", random_posdef(26, 2, 1.0)[0])
+        pb = write(workdir, "b.json", random_posdef(27, 2, 1.0)[0])
+        code, _ = run(capsys, "mean", pa, pb, "--weights", "nan,nan")
+        assert code == 3
+
 
 class TestDistanceGeodesic:
     def test_distance(self, workdir, capsys):
@@ -322,3 +328,16 @@ class TestMatrixFiles:
         path.write_text(json.dumps({"kind": "symplectic", "data": np.diag([2.0, 2.0]).tolist()}))
         with pytest.raises(InputError, match="not symplectic"):
             load_matrix(str(path))
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(sympeig.__file__).resolve().parents[1])
+    code = "import sys, sympeig; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -99,48 +99,6 @@ class TestSymLogExp:
         assert np.linalg.norm(back - S) <= 1e-9 * np.linalg.norm(S)
 
 
-class TestPolar:
-    def test_orthogonal_input(self):
-        rng = np.random.default_rng(5)
-        Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        O, P = matfun.polar(Q)
-        assert np.allclose(O, Q)
-        assert np.allclose(P, np.eye(4))
-
-    def test_diagonal_input(self):
-        O, P = matfun.polar(np.diag([2.0, 3.0]))
-        assert np.allclose(O, np.eye(2))
-        assert np.allclose(P, np.diag([2.0, 3.0]))
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(6)
-        M = rng.standard_normal((4, 4)) + 2.0 * np.eye(4)
-        O, P = matfun.polar(M)
-        assert np.linalg.norm(O @ P - M) <= 1e-9 * np.linalg.norm(M)
-        assert np.linalg.norm(O.T @ O - np.eye(4)) <= 1e-9
-        assert np.allclose(P, P.T)
-        assert np.min(np.linalg.eigvalsh(P)) > 0
-
-    def test_rejects_singular(self):
-        with pytest.raises(DomainError, match="invertible"):
-            matfun.polar(np.diag([1.0, 0.0]))
-
-
-class TestMatrixAbs:
-    def test_diagonal(self):
-        assert np.allclose(matfun.matrix_abs(np.diag([-2.0, 3.0])), np.diag([2.0, 3.0]))
-
-    def test_zero(self):
-        assert np.allclose(matfun.matrix_abs(np.zeros((3, 3))), np.zeros((3, 3)))
-
-    def test_eigenvalues_are_singular_values(self):
-        rng = np.random.default_rng(7)
-        X = rng.standard_normal((5, 5))
-        sv = np.sort(np.linalg.svd(X, compute_uv=False))
-        ev = np.sort(np.linalg.eigvalsh(matfun.matrix_abs(X)))
-        assert np.max(np.abs(ev - sv)) <= 1e-10 * sv[-1]
-
-
 class TestNorms:
     def test_identity(self):
         m = 4

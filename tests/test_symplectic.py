@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from sympeig import (
     InputError,
@@ -48,7 +47,7 @@ class TestConventionPermutation:
 
     def test_n2_maps_interleaved_to_block(self):
         J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        interleaved = scipy.linalg.block_diag(J2, J2)
+        interleaved = np.kron(np.eye(2), J2)
         P = convention_permutation(2)
         assert np.array_equal(P.T @ interleaved @ P, standard_J(2))
 
