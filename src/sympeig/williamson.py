@@ -4,8 +4,9 @@ form of a real positive definite matrix of even order.
 For positive definite A of order 2n there is a symplectic M with
 M^T A M = diag(d, d), where d_1 <= ... <= d_n are the symplectic eigenvalues.
 They are computed here as the moduli of the (purely imaginary, paired)
-eigenvalues of the skew-symmetric matrix A^{1/2} J A^{1/2}, and M is built as
-A^{-1/2} O diag(d, d)^{1/2} from the orthogonal O that brings that matrix to
+eigenvalues of K = L^T J L, A = L L^T the Cholesky factorization (K is
+orthogonally similar to A^{1/2} J A^{1/2}), and M is built without a solve as
+J L [V, -U] diag(d, d)^{-1/2} from the orthogonal [U, V] that brings K to
 canonical skew form.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .matfun import SYMTOL, _eigh, _posdef, require_square
+from .matfun import SYMTOL, _eigh, _posdef, _posdef_cholesky, require_square
 from .symplectic import standard_J
 
 
@@ -84,23 +85,21 @@ class SymplecticEigenbasis:
 
 
 def _skew_core(A: np.ndarray, symtol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Return (K, A^{-1/2}) with K = A^{1/2} J A^{1/2} exactly skew, from the
-    one eigendecomposition of A that also validates it."""
-    A, (w, Q) = _posdef(_even_order(A), symtol, refuse_near_singular=True, values_only=False)
-    root = np.sqrt(w)
-    Ah = (Q * root) @ Q.T
-    Aih = (Q * (1.0 / root)) @ Q.T
-    J = standard_J(A.shape[0] // 2)
-    K = Ah @ J @ Ah
-    return (K - K.T) / 2.0, Aih
+    """Return (K, J L) with K = L^T J L exactly skew, from the Cholesky factor
+    A = L L^T that also validates A; J L is a row swap and sign flip of L."""
+    L = _posdef_cholesky(_even_order(A), symtol)[1]
+    n = L.shape[0] // 2
+    JL = np.concatenate([L[n:], -L[:n]])
+    K = L.T @ JL
+    return (K - K.T) / 2.0, JL
 
 
 def symplectic_spectrum(A: np.ndarray, symtol: float = SYMTOL) -> SymplecticSpectrum:
     """Symplectic eigenvalues of a positive definite matrix of order 2n.
 
-    The eigenvalues of the skew-symmetric A^{1/2} J A^{1/2} are +-i d_j; the
-    moduli d_j are reported once each, ascending, together with the doubled
-    descending vector. The product of the d_j^2 equals det A.
+    The eigenvalues of the skew-symmetric K = L^T J L, A = L L^T, are +-i d_j;
+    the moduli d_j are reported once each, ascending, together with the
+    doubled descending vector. The product of the d_j^2 equals det A.
     """
     K, _ = _skew_core(A, symtol)
     n = K.shape[0] // 2
@@ -113,20 +112,21 @@ def symplectic_spectrum(A: np.ndarray, symtol: float = SYMTOL) -> SymplecticSpec
 def williamson_form(A: np.ndarray, symtol: float = SYMTOL) -> WilliamsonForm:
     """Williamson normal form: symplectic M with M^T A M = diag(d, d).
 
-    Construction: with K = A^{1/2} J A^{1/2}, each unit eigenvector x of the
+    Construction: with K = L^T J L, A = L L^T, each unit eigenvector x of the
     Hermitian matrix iK for eigenvalue d_j > 0 yields the real orthonormal
     pair u = sqrt(2) Re x, v = -sqrt(2) Im x satisfying K u = -d_j v and
     K v = d_j u. Stacking O = [u_1..u_n | v_1..v_n] gives the canonical skew
-    form O^T K O = [[0, D], [-D, 0]], and M = A^{-1/2} O diag(d, d)^{1/2} is
-    symplectic with M^T A M = diag(d, d). Conjugate eigenvectors of iK live in
-    the opposite-sign eigenspace, so the pairs stay orthonormal even for
-    repeated symplectic eigenvalues.
+    form O^T K O = [[0, D], [-D, 0]] = Omega, and M = L^{-T} O diag(d, d)^{1/2}
+    is symplectic with M^T A M = diag(d, d); K O = O Omega turns it into
+    M = J L [V, -U] diag(d, d)^{-1/2}, formed without a solve. Conjugate
+    eigenvectors of iK live in the opposite-sign eigenspace, so the pairs stay
+    orthonormal even for repeated symplectic eigenvalues.
 
     M is not unique; only the defining invariants are promised. A
     near-degenerate spectrum (gap below 1e-10 * d_n) is flagged in
     ``warnings`` but still succeeds.
     """
-    K, Aih = _skew_core(A, symtol)
+    K, JL = _skew_core(A, symtol)
     n = K.shape[0] // 2
     w, Z = _eigh(1j * K)
     d = w[n:]
@@ -139,8 +139,7 @@ def williamson_form(A: np.ndarray, symtol: float = SYMTOL) -> WilliamsonForm:
     cross = np.einsum("ij,ij->j", U, K @ V)
     if np.any(cross <= 0):
         raise NumericalError("eigenvector pairing produced an inverted sign; eigensolver output inconsistent")
-    O = np.hstack([U, V])
-    M = Aih @ (O * np.sqrt(np.concatenate([d, d])))
+    M = JL @ (np.hstack([V, -U]) / np.sqrt(np.concatenate([d, d])))
 
     warnings: tuple[str, ...] = ()
     if n >= 2:

@@ -14,6 +14,7 @@ from sympeig import (
     geodesic,
     karcher_mean,
     karcher_residual,
+    random_posdef,
     random_symplectic,
     riemannian_distance,
     s_pinching,
@@ -24,6 +25,9 @@ from sympeig import (
     validate_posdef,
     williamson_form,
 )
+from sympeig.cli import main
+from sympeig.matfun import PD_RELCUT, _check_posdef
+from sympeig.matio import save_matrix
 
 I4 = np.eye(4)
 
@@ -72,3 +76,68 @@ def test_solver_failure_is_numerical_error(name, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     with pytest.raises(NumericalError, match="eigensolver failed"):
         call(X)
+
+
+def _spd_with_ratio(m, ratio, seed=0):
+    """Exactly symmetric S = Q diag(lam) Q^T with lambda_max = 1 and
+    lambda_min = ratio, eigenvalues log-spaced (linear when ratio <= 0)."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    lam = np.geomspace(ratio, 1.0, m) if ratio > 0 else np.linspace(ratio, 1.0, m)
+    S = (Q * lam) @ Q.T
+    return (S + S.T) / 2.0
+
+
+REFUSAL_RATIOS = [f * PD_RELCUT for f in (0.5, 0.9, 1.1, 2.0, 10.0, 1e3)] + [-1e-3, 0.0]
+
+
+@pytest.mark.parametrize("m", [4, 64, 256])
+@pytest.mark.parametrize("ratio", REFUSAL_RATIOS)
+def test_refusal_matches_spectrum_rule(m, ratio):
+    S = _spd_with_ratio(m, ratio)
+    try:
+        _check_posdef(np.linalg.eigvalsh(S), True)
+        expected = None
+    except DomainError as exc:
+        expected = str(exc)
+    for call in (symplectic_spectrum, williamson_form):
+        if expected is None:
+            call(S)
+        else:
+            with pytest.raises(DomainError) as info:
+                call(S)
+            assert str(info.value) == expected
+
+
+def test_well_conditioned_input_skips_real_eigensolve(monkeypatch):
+    real_calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def spy(a, *args, _original=original, _name=name, **kwargs):
+            if not np.iscomplexobj(a):
+                real_calls.append(_name)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    A, _ = random_posdef(5, 6, condition_spread=1.5)
+    symplectic_spectrum(A)
+    williamson_form(A)
+    assert real_calls == []
+    with pytest.raises(DomainError, match="near-singular"):
+        symplectic_spectrum(np.diag([1.0, 1.0, 1.0, 1e-14]))
+    assert real_calls == ["eigvalsh"]
+
+
+def test_cholesky_failure_is_numerical_error(monkeypatch, tmp_path, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    for call in (symplectic_spectrum, williamson_form):
+        with pytest.raises(NumericalError, match="Cholesky factorization failed"):
+            call(2.0 * I4)
+    path = tmp_path / "a.json"
+    save_matrix(str(path), 2.0 * I4, kind="posdef")
+    assert main(["williamson", str(path), "--form"]) == 4
+    assert "Cholesky factorization failed" in capsys.readouterr().err

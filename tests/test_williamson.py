@@ -202,3 +202,61 @@ class TestIsGaussian:
 
     def test_boundary(self):
         assert is_gaussian(0.5 * np.eye(4), tol=0.0)
+
+
+EPS = np.finfo(float).eps
+
+
+def _normalized_residuals(A, form):
+    """Symplecticity and congruence residuals of a Williamson form, normalized
+    by 1 + ||M||_F^2 and by ||A||_2 ||M||_2^2."""
+    M = form.M
+    J = standard_J(form.d.size)
+    sympl = np.linalg.norm(M.T @ J @ M - J) / (1.0 + np.sum(M * M))
+    dd = np.diag(np.concatenate([form.d, form.d]))
+    congr = np.linalg.norm(M.T @ A @ M - dd) / (np.linalg.norm(A, 2) * np.linalg.norm(M, 2) ** 2)
+    return sympl, congr
+
+
+class TestAccuracy:
+    """Planted A = S^T diag(d, d) S with kappa(A) up to 1e10 and n up to 64.
+    The spectrum is held to 1024 eps kappa(A) d_n everywhere. Residuals are
+    pinned for d_n / d_1 up to 2e6 only: the symplecticity residual grows
+    with d_n / d_1 and exceeds 1e-10 from about 1e8 (at 7.7e7 it read
+    1.5e-10), where only the spectrum is checked."""
+
+    # (n, condition_spread, spread): kappa(A) from ~10 to ~5e9.
+    CASES = [(1, 0.5, 5.5), (2, 1.0, 5.5), (8, 1.0, 5.5), (16, 3.0, 4.5), (64, 1.0, 5.5), (64, 5.0, 3.5), (16, 9.0, 1.0)]
+
+    @pytest.mark.parametrize("n, condition_spread, spread", CASES)
+    def test_planted_spectrum_and_residuals(self, n, condition_spread, spread):
+        for seed in range(2):
+            A, d = random_posdef(seed=seed, n=n, condition_spread=condition_spread, spread=spread)
+            kappa = np.linalg.cond(A)
+            assert kappa <= 1e10
+            assert np.max(np.abs(symplectic_spectrum(A).d - d)) <= 1024 * EPS * kappa * d[-1]
+            form = williamson_form(A)
+            assert np.max(np.abs(form.d - d)) <= 1024 * EPS * kappa * d[-1]
+            assert max(_normalized_residuals(A, form)) <= 1e-10
+
+    def test_cases_reach_kappa_1e9(self):
+        kappas = [np.linalg.cond(random_posdef(seed=0, n=n, condition_spread=c, spread=s)[0]) for n, c, s in self.CASES]
+        assert max(kappas) >= 1e9
+
+    def test_spectrum_wide_symplectic_spread(self):
+        # d_n / d_1 up to e^22: the spectrum still meets its bound.
+        for n in (8, 32):
+            A, d = random_posdef(seed=0, n=n, condition_spread=11.0, spread=0.5)
+            kappa = np.linalg.cond(A)
+            assert np.max(np.abs(symplectic_spectrum(A).d - d)) <= 1024 * EPS * kappa * d[-1]
+
+    @pytest.mark.parametrize("d", [[0.5, 0.5, 0.5, 2.0, 2.0, 7.0], [1.3] * 16])
+    def test_repeated_values_give_orthonormal_pairs(self, d):
+        d = np.array(d)
+        A, _ = random_posdef_rng(np.random.default_rng(21), d.size, spread=2.0, d=d)
+        form = williamson_form(A)
+        assert np.max(np.abs(form.d - d)) <= 1e-10 * d[-1]
+        assert max(_normalized_residuals(A, form)) <= 1e-10
+        # Columns of M diag(d, d)^{-1/2} are orthonormal in the A inner product.
+        W = form.M / np.sqrt(np.concatenate([form.d, form.d]))
+        assert np.linalg.norm(W.T @ A @ W - np.eye(2 * d.size)) <= 1e-9
