@@ -228,8 +228,6 @@ def cmd_verify(args) -> int:
         trials=args.trials,
         nmin=args.nmin,
         nmax=args.nmax,
-        condition_spread=args.condition_spread,
-        spread=args.spread,
         tolerances=overrides,
         theorems=selected,
     )
@@ -307,8 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--nmin", type=int, default=1)
     p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--condition-spread", type=float, default=1.5, help="log d_j of planted spectra in [-x, x]")
-    p.add_argument("--spread", type=float, default=1.0, help="log squeeze of random symplectic congruences in [0, x]")
     p.add_argument("--tol", type=float, default=None, help="tolerance override for the selected theorems")
     _add_common(p)
     p.set_defaults(func=cmd_verify)

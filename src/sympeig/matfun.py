@@ -117,37 +117,29 @@ def _posdef(S: np.ndarray, symtol: float = SYMTOL, refuse_near_singular: bool = 
     return S, spectrum
 
 
-def _posdef_cholesky(S: np.ndarray, symtol: float) -> tuple[np.ndarray, np.ndarray]:
-    """``_posdef(S, symtol, refuse_near_singular=True)`` returning (S, L) with
-    S = L L^T. A factor of S - tau I, tau = (PD_RELCUT + m^2 eps) ||S||_F,
-    certifies lambda_min > PD_RELCUT * lambda_max (m^2 eps absorbs Cholesky's
-    backward error, Higham ASNA 10.1); else the spectrum decides. Only the
-    diagonal is shifted, so an overflowing tau cannot produce NaN."""
+def _posdef_cholesky(S: np.ndarray, symtol: float) -> np.ndarray:
+    """Cholesky factor of the symmetrized S, deciding as ``_posdef(S, symtol,
+    refuse_near_singular=True)``. A factor of S - tau I, tau = (PD_RELCUT + m^2
+    eps) s ||S / s||_F, s = max|S_ij| (m^2 eps: Cholesky's backward error, Higham
+    ASNA 10.1), certifies lambda_min > PD_RELCUT * lambda_max; else the spectrum decides."""
     S = symmetrize(S, symtol, name="positive definite matrix")
-    tau = (PD_RELCUT + S.size * np.finfo(float).eps) * np.linalg.norm(S)
+    scale = np.max(np.abs(S)) or 1.0
+    tau = (PD_RELCUT + S.size * np.finfo(float).eps) * scale * np.linalg.norm(S / scale)
     try:
         np.linalg.cholesky(S - np.diag(np.full(len(S), tau)))
     except np.linalg.LinAlgError:
         _check_posdef(_eigh(S, values_only=True), refuse_near_singular=True)
     try:
-        return S, np.linalg.cholesky(S)
+        return np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
 
 
-def _sqrt_pair(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A^{1/2}, A^{-1/2}) for a trusted symmetric A."""
+def _sqrt_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A^{1/2}, w, Q) with A = Q diag(w) Q^T for a trusted symmetric A."""
     w, Q = _eigh(A)
     _check_posdef(w)
-    root = np.sqrt(w)
-    return (Q * root) @ Q.T, (Q * (1.0 / root)) @ Q.T
-
-
-def _sqrt_norm(A: np.ndarray) -> tuple[np.ndarray, float]:
-    """(A^{1/2}, operator norm of A) for a trusted symmetric A."""
-    w, Q = _eigh(A)
-    _check_posdef(w)
-    return (Q * np.sqrt(w)) @ Q.T, float(w[-1])
+    return (Q * np.sqrt(w)) @ Q.T, w, Q
 
 
 def _sym_log(S: np.ndarray) -> np.ndarray:

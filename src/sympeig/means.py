@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .matfun import SYMTOL, _eigh, _posdef, _sqrt_norm, _sqrt_pair, _sym_exp, _sym_log
+from .matfun import SYMTOL, _eigh, _posdef, _sqrt_eig, _sym_exp, _sym_log
 
 
 def validate_weights(w, m: int) -> np.ndarray:
@@ -77,7 +77,8 @@ def _geodesic(A: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
         return A
     if t == 1.0:
         return B
-    Ah, Aih = _sqrt_pair(A)
+    Ah, w, Q = _sqrt_eig(A)
+    Aih = (Q * (1.0 / np.sqrt(w))) @ Q.T
     mid = Aih @ B @ Aih
     w, Q = _eigh((mid + mid.T) / 2.0)
     powed = (Q * np.maximum(w, 0.0) ** t) @ Q.T
@@ -118,7 +119,7 @@ def karcher_residual(X: np.ndarray, mats, weights=None, symtol: float = SYMTOL) 
     m = len(mats)
     w = np.full(m, 1.0 / m) if weights is None else validate_weights(weights, m)
     invs = [np.linalg.inv(A) for A in mats]
-    Xh, _ = _sqrt_norm(X)
+    Xh = _sqrt_eig(X)[0]
     grad = _weighted_log_sum(Xh, invs, w)
     return float(np.linalg.norm(grad))
 
@@ -182,9 +183,9 @@ def karcher_mean(
     invs = [np.linalg.inv(A) for A in mats]
 
     def _state(X):
-        Xh, opnorm = _sqrt_norm(X)
+        Xh, lam, _ = _sqrt_eig(X)
         grad = _weighted_log_sum(Xh, invs, w)
-        return Xh, grad, float(np.linalg.norm(grad)), opnorm
+        return Xh, grad, float(np.linalg.norm(grad)), float(lam[-1])
 
     Xh, grad, resid, opnorm = _state(X)
     target = (1e-9 * opnorm) if tol is None else tol

@@ -129,8 +129,6 @@ class SuiteConfig:
             raise InputError(f"trials must be >= 1, got {self.trials}")
         if self.nmin < 1 or self.nmax < self.nmin:
             raise InputError(f"need 1 <= nmin <= nmax, got [{self.nmin}, {self.nmax}]")
-        if not all(math.isfinite(x) and x >= 0 for x in (self.condition_spread, self.spread)):
-            raise InputError(f"spreads must be finite and >= 0, got {self.condition_spread}, {self.spread}")
         unknown = [t for t in self.theorems if t not in THEOREM_IDS]
         if unknown:
             raise InputError(f"unknown theorem ids: {unknown}; known: {list(THEOREM_IDS)}")

@@ -4,10 +4,9 @@ form of a real positive definite matrix of even order.
 For positive definite A of order 2n there is a symplectic M with
 M^T A M = diag(d, d), where d_1 <= ... <= d_n are the symplectic eigenvalues.
 They are computed here as the moduli of the (purely imaginary, paired)
-eigenvalues of K = L^T J L, A = L L^T the Cholesky factorization (K is
-orthogonally similar to A^{1/2} J A^{1/2}), and M is built without a solve as
-J L [V, -U] diag(d, d)^{-1/2} from the orthogonal [U, V] that brings K to
-canonical skew form.
+eigenvalues of K = L^T J L, A = L L^T (K is orthogonally similar to
+A^{1/2} J A^{1/2}), and M = J L [V, -U] diag(d, d)^{-1/2}, with no solve, from
+the orthogonal [U, V] that brings K to canonical skew form.
 """
 
 import math
@@ -87,7 +86,7 @@ class SymplecticEigenbasis:
 def _skew_core(A: np.ndarray, symtol: float) -> tuple[np.ndarray, np.ndarray]:
     """Return (K, J L) with K = L^T J L exactly skew, from the Cholesky factor
     A = L L^T that also validates A; J L is a row swap and sign flip of L."""
-    L = _posdef_cholesky(_even_order(A), symtol)[1]
+    L = _posdef_cholesky(_even_order(A), symtol)
     n = L.shape[0] // 2
     JL = np.concatenate([L[n:], -L[:n]])
     K = L.T @ JL
@@ -116,11 +115,10 @@ def williamson_form(A: np.ndarray, symtol: float = SYMTOL) -> WilliamsonForm:
     Hermitian matrix iK for eigenvalue d_j > 0 yields the real orthonormal
     pair u = sqrt(2) Re x, v = -sqrt(2) Im x satisfying K u = -d_j v and
     K v = d_j u. Stacking O = [u_1..u_n | v_1..v_n] gives the canonical skew
-    form O^T K O = [[0, D], [-D, 0]] = Omega, and M = L^{-T} O diag(d, d)^{1/2}
-    is symplectic with M^T A M = diag(d, d); K O = O Omega turns it into
-    M = J L [V, -U] diag(d, d)^{-1/2}, formed without a solve. Conjugate
-    eigenvectors of iK live in the opposite-sign eigenspace, so the pairs stay
-    orthonormal even for repeated symplectic eigenvalues.
+    form O^T K O = [[0, D], [-D, 0]] = Omega. M = L^{-T} O diag(d, d)^{1/2} is
+    symplectic with M^T A M = diag(d, d); K O = O Omega gives it, with no
+    solve, as J L [V, -U] diag(d, d)^{-1/2}. Conjugate eigenvectors of iK live
+    in the opposite-sign eigenspace, so pairs stay orthonormal for repeated d_j.
 
     M is not unique; only the defining invariants are promised. A
     near-degenerate spectrum (gap below 1e-10 * d_n) is flagged in

@@ -268,19 +268,6 @@ class TestVerifyCommand:
         records = [json.loads(line) for line in out.strip().splitlines()]
         assert all(not r["holds"] and not r["inconclusive"] and r["margin"] is None for r in records)
 
-    def test_stress_flags_reach_suite_config(self, workdir, capsys):
-        from sympeig import theorems
-
-        base = ["verify", "--theorem", "1", "--trials", "6", "--seed", "2", "--json"]
-        default = run(capsys, *base)
-        assert run(capsys, *base, "--condition-spread", "1.5", "--spread", "1.0") == default
-        code, out = run(capsys, *base, "--condition-spread", "3", "--spread", "2")
-        cfg = theorems.SuiteConfig(seed=2, trials=6, condition_spread=3.0, spread=2.0, theorems=("1",))
-        assert out.strip().splitlines() == [rep.to_json_line() for rep in theorems.run_suite(cfg)]
-        assert out != default[1]
-        assert main(["verify", "--spread", "-1"]) == 3
-        assert "spreads must be finite" in capsys.readouterr().err
-
     def test_output_independent_of_hash_seed(self):
         src = str(Path(sympeig.__file__).resolve().parents[1])
         outputs = []

@@ -91,10 +91,12 @@ def _spd_with_ratio(m, ratio, seed=0):
 REFUSAL_RATIOS = [f * PD_RELCUT for f in (0.5, 0.9, 1.1, 2.0, 10.0, 1e3)] + [-1e-3, 0.0]
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-170, 1e150])
 @pytest.mark.parametrize("m", [4, 64, 256])
 @pytest.mark.parametrize("ratio", REFUSAL_RATIOS)
-def test_refusal_matches_spectrum_rule(m, ratio):
-    S = _spd_with_ratio(m, ratio)
+def test_refusal_matches_spectrum_rule(m, ratio, scale):
+    # Scales at which ||S||_F, summed unscaled, would underflow or overflow.
+    S = scale * _spd_with_ratio(m, ratio)
     try:
         _check_posdef(np.linalg.eigvalsh(S), True)
         expected = None

@@ -250,6 +250,14 @@ class TestAccuracy:
             kappa = np.linalg.cond(A)
             assert np.max(np.abs(symplectic_spectrum(A).d - d)) <= 1024 * EPS * kappa * d[-1]
 
+    def test_residuals_wide_symplectic_spread(self):
+        # d_n / d_1 = 2.4e9, kappa(A) = 4.1e9: symplecticity reads 8.6e-8 here
+        # (1e-10 is not met); the bound keeps it from growing unnoticed.
+        A, _ = random_posdef(seed=0, n=8, condition_spread=11.0, spread=0.5)
+        sympl, congr = _normalized_residuals(A, williamson_form(A))
+        assert sympl <= 2e-7
+        assert congr <= 1e-10
+
     @pytest.mark.parametrize("d", [[0.5, 0.5, 0.5, 2.0, 2.0, 7.0], [1.3] * 16])
     def test_repeated_values_give_orthonormal_pairs(self, d):
         d = np.array(d)
