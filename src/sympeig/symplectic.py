@@ -1,11 +1,11 @@
 """Symplectic-group utilities.
 
 Covers the standard form J, symplecticity testing, the block decomposition of
-a symplectic matrix and its associated nonnegative matrix, doubly
-(super)stochastic checks, the Euler decomposition into orthogonal-symplectic
-factors and a squeezing diagonal, the correspondence between
-orthogonal-symplectic matrices and complex unitaries, and seeded random
-generators used by the property suites.
+a symplectic matrix and its associated nonnegative matrix, the doubly
+stochastic test and a dense numpy max-flow for the doubly superstochastic one,
+the Euler decomposition into orthogonal-symplectic factors and a squeezing
+diagonal, the correspondence between orthogonal-symplectic matrices and
+complex unitaries, and seeded random generators used by the property suites.
 
 Block convention throughout: J = [[0, I], [-I, 0]]. Data in the interleaved
 convention (J_2 + ... + J_2 on the diagonal) can be mapped to this one with
@@ -15,7 +15,6 @@ convention (J_2 + ... + J_2 on the diagonal) can be mapped to this one with
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .errors import InputError, NumericalError
@@ -136,6 +135,8 @@ def is_doubly_stochastic(B: np.ndarray, tol: float = 1e-8) -> bool:
     """True when all entries are >= -tol and every row and column sums to 1
     within tol."""
     B = require_square(B, "doubly stochastic candidate")
+    if B.size == 0:
+        raise InputError("doubly stochastic candidate must be nonempty")
     if np.min(B) < -tol:
         return False
     return bool(
@@ -163,36 +164,50 @@ class SuperstochasticCheck:
 def is_doubly_superstochastic(B: np.ndarray, tol: float = 1e-9) -> SuperstochasticCheck:
     """Decide whether B dominates some doubly stochastic matrix entrywise.
 
-    Solved as a bipartite transportation feasibility problem: a source feeds
-    each row with capacity 1, row i connects to column j with capacity
-    b_ij + tol, and each column drains into a sink with capacity 1. B is
-    doubly superstochastic iff the maximum flow equals n; the witness is read
-    off the flow, so it satisfies p_ij <= b_ij + tol by construction.
+    Max-flow on one dense (2n+2) x (2n+2) residual-capacity matrix: source 2n
+    feeds rows 0..n-1 with capacity 1, row i feeds column n+j with b_ij + tol,
+    columns drain into sink 2n+1 with capacity 1, and B is doubly
+    superstochastic iff the flow reaches n. A greedy start fills rows in order,
+    columns left to right; breadth-first searches, one numpy step per level
+    keeping the lowest-index parent, then add shortest augmenting paths. No
+    hashing and index-order choices make the result depend on B and tol alone.
+    The witness is the reverse row-to-column residual: p_ij <= b_ij + tol.
     """
     B = require_square(B, "doubly superstochastic candidate")
+    n = B.shape[0]
+    if n == 0:
+        raise InputError("doubly superstochastic candidate must be nonempty")
     if np.min(B) < -tol:
         return SuperstochasticCheck(ok=False, flow_value=0.0, witness=None)
-    n = B.shape[0]
-    # Integer labels: string hashes, and so networkx's visiting order, vary per process.
     source, sink = 2 * n, 2 * n + 1
-    graph = nx.DiGraph()
-    for i in range(n):
-        graph.add_edge(source, i, capacity=1.0)
-        graph.add_edge(n + i, sink, capacity=1.0)
-    for i in range(n):
-        for j in range(n):
-            cap = B[i, j] + tol
-            if cap > 0.0:
-                graph.add_edge(i, n + j, capacity=cap)
-    flow_value, flow = nx.maximum_flow(graph, source, sink)
+    R = np.zeros((2 * n + 2, 2 * n + 2))
+    supply, demand = [1.0] * n, [1.0] * n
+    for i, row in enumerate((B + tol).tolist()):
+        for j, cap in enumerate(row):
+            R[n + j, i] = push = min(supply[i], demand[j], cap)
+            R[i, n + j] = cap - push
+            supply[i], demand[j] = supply[i] - push, demand[j] - push
+    R[source, :n], R[:n, source] = supply, np.subtract(1.0, supply)
+    R[n:source, sink], R[sink, n:source] = demand, np.subtract(1.0, demand)
+    while True:
+        parent = np.where(np.arange(2 * n + 2) == source, source, -1)
+        frontier = np.array([source])
+        while frontier.size and parent[sink] < 0:
+            reach = (R[frontier] > 0.0) & (parent < 0)
+            frontier, level = np.logical_or.reduce(reach).nonzero()[0], frontier
+            parent[frontier] = level[reach[:, frontier].argmax(axis=0)]
+        if parent[sink] < 0:
+            break
+        path = [sink]
+        while path[-1] != source:
+            path.append(parent[path[-1]])
+        u, v = np.array(path[1:]), np.array(path[:-1])
+        push = np.minimum.reduce(R[u, v])
+        R[u, v] -= push
+        R[v, u] += push
+    flow_value = float(R[:n, source].sum())
     ok = flow_value >= n - 1e-9 * max(1, n)
-    witness = None
-    if ok:
-        witness = np.zeros((n, n))
-        for i in range(n):
-            for node, amount in flow[i].items():
-                witness[i, node - n] = amount
-    return SuperstochasticCheck(ok=bool(ok), flow_value=float(flow_value), witness=witness)
+    return SuperstochasticCheck(ok=bool(ok), flow_value=flow_value, witness=R[n:source, :n].T.copy() if ok else None)
 
 
 @dataclass(frozen=True)

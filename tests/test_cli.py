@@ -330,9 +330,10 @@ class TestMatrixFiles:
             load_matrix(str(path))
 
 
-def test_import_loads_no_scipy():
+@pytest.mark.parametrize("package", ["scipy", "networkx"])
+def test_import_loads_no(package):
     src = str(Path(sympeig.__file__).resolve().parents[1])
-    code = "import sys, sympeig; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = f"import sys, sympeig; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=src),

@@ -137,6 +137,10 @@ class TestDoublyStochastic:
     def test_negative_entry(self):
         assert not is_doubly_stochastic(np.array([[1.5, -0.5], [-0.5, 1.5]]))
 
+    def test_empty_rejected(self):
+        with pytest.raises(InputError, match="nonempty"):
+            is_doubly_stochastic(np.zeros((0, 0)))
+
 
 class TestDoublySuperstochastic:
     def test_scalar_two(self):
@@ -167,6 +171,74 @@ class TestDoublySuperstochastic:
             check = is_doubly_superstochastic(associated_matrix(M))
             assert check.ok
             assert is_doubly_stochastic(check.witness, tol=1e-6)
+
+    def test_empty_rejected(self):
+        with pytest.raises(InputError, match="nonempty"):
+            is_doubly_superstochastic(np.zeros((0, 0)))
+
+
+def _brute_force_min_cut(B, tol):
+    """Least capacity over every source side {source} + rows X + columns Y."""
+    n = B.shape[0]
+    best = np.inf
+    for mask in range(1 << (2 * n)):
+        bits = np.array([(mask >> k) & 1 for k in range(2 * n)], dtype=bool)
+        rows, cols = bits[:n], bits[n:]
+        cut = np.sum(~rows) + np.sum(cols) + np.sum((B + tol)[np.ix_(rows, ~cols)])
+        best = min(best, cut)
+    return best
+
+
+def _oracle_instances():
+    """Seeded nonnegative B at n <= 4 with zero entries, zero rows, and both
+    feasible and infeasible cases."""
+    rng = np.random.default_rng(70)
+    cases = []
+    for k in range(60):
+        n = 1 + k % 4
+        B = rng.uniform(0.0, 4.0 / n, size=(n, n)) * (rng.random((n, n)) > 0.3)
+        if k % 10 == 9:
+            B[rng.integers(n)] = 0.0
+        cases.append(B)
+    return cases
+
+
+class TestMaxFlowOracle:
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    def test_flow_value_is_min_cut(self, tol):
+        outcomes = set()
+        for B in _oracle_instances():
+            check = is_doubly_superstochastic(B, tol=tol)
+            assert abs(check.flow_value - _brute_force_min_cut(B, tol)) <= 1e-12
+            assert (check.witness is None) == (not check.ok)
+            outcomes.add(check.ok)
+        assert outcomes == {True, False}
+
+    def test_witness_when_feasible(self):
+        tol = 1e-9
+        feasible = 0
+        for B in _oracle_instances():
+            check = is_doubly_superstochastic(B, tol=tol)
+            if not check.ok:
+                continue
+            feasible += 1
+            P = check.witness
+            assert np.all(P >= 0.0)
+            assert np.all(P <= B + tol)
+            assert np.max(np.abs(P.sum(axis=0) - 1.0)) <= 1e-9
+            assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-9
+        assert feasible >= 10
+
+    @pytest.mark.parametrize("seed,n", [(71, 1), (72, 3), (73, 6)])
+    def test_permutation_witness(self, seed, n):
+        P = np.eye(n)[np.random.default_rng(seed).permutation(n)]
+        exact = is_doubly_superstochastic(P, tol=0.0)
+        assert exact.ok
+        assert exact.flow_value == n
+        assert np.array_equal(exact.witness, P)
+        padded = is_doubly_superstochastic(P)
+        assert padded.ok
+        assert np.allclose(padded.witness, P, rtol=0.0, atol=n * 1e-9)
 
 
 class TestEulerDecompose:
