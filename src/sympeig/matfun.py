@@ -58,29 +58,22 @@ def require_square(X: np.ndarray, name: str = "matrix") -> np.ndarray:
     return X
 
 
-def symmetrize(S: np.ndarray, symtol: float = SYMTOL, name: str = "matrix") -> np.ndarray:
+def symmetrize(S: np.ndarray, *, name: str = "matrix") -> np.ndarray:
     """Validate that S is symmetric within tolerance and return (S + S^T)/2.
-
-    Parameters
-    ----------
-    S : array_like, shape (m, m)
-        The candidate symmetric matrix.
-    symtol : float
-        Maximum allowed asymmetry, relative to max|S_ij|.
 
     Raises
     ------
     InputError
         If S is not square, not finite, or max|S_ij - S_ji| exceeds
-        symtol * max|S_ij|.
+        SYMTOL * max|S_ij|.
     """
     S = require_square(S, name)
     scale = np.max(np.abs(S)) if S.size else 0.0
     asym = np.max(np.abs(S - S.T)) if S.size else 0.0
-    if asym > symtol * max(scale, np.finfo(float).tiny):
+    if asym > SYMTOL * max(scale, np.finfo(float).tiny):
         raise InputError(
             f"{name} is not symmetric: max asymmetry {asym:.3e} exceeds "
-            f"{symtol:.1e} * max|entry| = {symtol * scale:.3e}"
+            f"{SYMTOL:.1e} * max|entry| = {SYMTOL * scale:.3e}"
         )
     return (S + S.T) / 2.0
 
@@ -108,21 +101,23 @@ def _check_posdef(w: np.ndarray, refuse_near_singular: bool = False) -> None:
         )
 
 
-def _posdef(S: np.ndarray, symtol: float = SYMTOL, refuse_near_singular: bool = False, values_only: bool = True):
-    """Symmetrize outside input, decompose it once and check the spectrum;
-    returns ``(S, _eigh(S, values_only))`` for the symmetrized S."""
-    S = symmetrize(S, symtol, name="positive definite matrix")
+def _posdef(S: np.ndarray, refuse_near_singular: bool = False, values_only: bool = True):
+    """Symmetrize nonempty outside input, decompose it once and check the
+    spectrum; returns ``(S, _eigh(S, values_only))`` for the symmetrized S."""
+    S = symmetrize(S, name="positive definite matrix")
+    if not S.size:
+        raise InputError("positive definite matrix must be nonempty")
     spectrum = _eigh(S, values_only)
     _check_posdef(spectrum if values_only else spectrum[0], refuse_near_singular)
     return S, spectrum
 
 
-def _posdef_cholesky(S: np.ndarray, symtol: float) -> np.ndarray:
-    """Cholesky factor of the symmetrized S, deciding as ``_posdef(S, symtol,
+def _posdef_cholesky(S: np.ndarray) -> np.ndarray:
+    """Cholesky factor of the symmetrized S, deciding as ``_posdef(S,
     refuse_near_singular=True)``. A factor of S - tau I, tau = (PD_RELCUT + m^2
     eps) s ||S / s||_F, s = max|S_ij| (m^2 eps: Cholesky's backward error, Higham
     ASNA 10.1), certifies lambda_min > PD_RELCUT * lambda_max; else the spectrum decides."""
-    S = symmetrize(S, symtol, name="positive definite matrix")
+    S = symmetrize(S, name="positive definite matrix")
     scale = np.max(np.abs(S)) or 1.0
     tau = (PD_RELCUT + S.size * np.finfo(float).eps) * scale * np.linalg.norm(S / scale)
     try:
@@ -155,13 +150,13 @@ def _sym_exp(S: np.ndarray) -> np.ndarray:
     return (Q * np.exp(w)) @ Q.T
 
 
-def sym_eig(S: np.ndarray, symtol: float = SYMTOL) -> SpectralDecomposition:
+def sym_eig(S: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a real symmetric matrix.
 
     Parameters
     ----------
     S : array_like, shape (m, m)
-        Symmetric matrix (asymmetry up to ``symtol`` relative is symmetrized
+        Symmetric matrix (asymmetry up to SYMTOL relative is symmetrized
         away; more raises InputError).
 
     Returns
@@ -176,11 +171,11 @@ def sym_eig(S: np.ndarray, symtol: float = SYMTOL) -> SpectralDecomposition:
     NumericalError
         If the underlying eigensolver fails to converge.
     """
-    w, Q = _eigh(symmetrize(S, symtol))
+    w, Q = _eigh(symmetrize(S))
     return SpectralDecomposition(eigenvalues=w, eigenvectors=Q)
 
 
-def sym_pow(S: np.ndarray, t: float, symtol: float = SYMTOL) -> np.ndarray:
+def sym_pow(S: np.ndarray, t: float) -> np.ndarray:
     """Fractional power S^t of a symmetric positive definite matrix.
 
     Computed as Q diag(lambda^t) Q^T. ``sym_pow(S, 1) == S`` and
@@ -192,20 +187,20 @@ def sym_pow(S: np.ndarray, t: float, symtol: float = SYMTOL) -> np.ndarray:
         If S is not positive definite, or lambda_min <= 1e-12 * lambda_max
         (near-singular input is refused rather than regularized).
     """
-    _, (w, Q) = _posdef(S, symtol, refuse_near_singular=True, values_only=False)
+    _, (w, Q) = _posdef(S, refuse_near_singular=True, values_only=False)
     return (Q * w**t) @ Q.T
 
 
-def sym_log(S: np.ndarray, symtol: float = SYMTOL) -> np.ndarray:
+def sym_log(S: np.ndarray) -> np.ndarray:
     """Matrix logarithm of a symmetric positive definite matrix; refuses
     near-singular input like :func:`sym_pow`."""
-    _, (w, Q) = _posdef(S, symtol, refuse_near_singular=True, values_only=False)
+    _, (w, Q) = _posdef(S, refuse_near_singular=True, values_only=False)
     return (Q * np.log(w)) @ Q.T
 
 
-def sym_exp(S: np.ndarray, symtol: float = SYMTOL) -> np.ndarray:
+def sym_exp(S: np.ndarray) -> np.ndarray:
     """Matrix exponential of a symmetric matrix (always positive definite)."""
-    return _sym_exp(symmetrize(S, symtol))
+    return _sym_exp(symmetrize(S))
 
 
 def norms(X: np.ndarray) -> NormTriple:
@@ -215,6 +210,8 @@ def norms(X: np.ndarray) -> NormTriple:
     of all singular values.
     """
     X = require_square(X, "norms input")
+    if not X.size:
+        raise InputError("norms input must be nonempty")
     s = np.linalg.svd(X, compute_uv=False)
     return NormTriple(
         operator=float(s[0]),

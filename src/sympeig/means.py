@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .matfun import SYMTOL, _eigh, _posdef, _sqrt_eig, _sym_exp, _sym_log
+from .matfun import _eigh, _posdef, _sqrt_eig, _sym_exp, _sym_log
 
 
 def validate_weights(w, m: int) -> np.ndarray:
@@ -31,7 +31,7 @@ def validate_weights(w, m: int) -> np.ndarray:
     return w
 
 
-def riemannian_distance(A: np.ndarray, B: np.ndarray, symtol: float = SYMTOL) -> float:
+def riemannian_distance(A: np.ndarray, B: np.ndarray) -> float:
     """Affine-invariant Riemannian distance
     delta(A, B) = ||log(A^{-1/2} B A^{-1/2})||_F.
 
@@ -40,8 +40,8 @@ def riemannian_distance(A: np.ndarray, B: np.ndarray, symtol: float = SYMTOL) ->
     kappa(A) * kappa(B), the scaled form far less. NumericalError when that
     matrix is not numerically positive definite.
     """
-    A, (w, Q) = _posdef(A, symtol, values_only=False)
-    B = _posdef(B, symtol)[0]
+    A, (w, Q) = _posdef(A, values_only=False)
+    B = _posdef(B)[0]
     if A.shape != B.shape:
         raise InputError(f"order mismatch: {A.shape[0]} vs {B.shape[0]}")
     r = 1.0 / np.sqrt(w)
@@ -52,7 +52,7 @@ def riemannian_distance(A: np.ndarray, B: np.ndarray, symtol: float = SYMTOL) ->
     return float(np.sqrt(np.sum(np.log(lam) ** 2)))
 
 
-def geodesic(A: np.ndarray, B: np.ndarray, t: float, symtol: float = SYMTOL) -> np.ndarray:
+def geodesic(A: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
     """Point A #_t B = A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2} on the geodesic
     from A (t = 0) to B (t = 1).
 
@@ -64,8 +64,8 @@ def geodesic(A: np.ndarray, B: np.ndarray, t: float, symtol: float = SYMTOL) -> 
     """
     if not 0.0 <= t <= 1.0:
         raise InputError(f"geodesic parameter must lie in [0, 1], got {t}")
-    A = _posdef(A, symtol)[0]
-    B = _posdef(B, symtol)[0]
+    A = _posdef(A)[0]
+    B = _posdef(B)[0]
     if A.shape != B.shape:
         raise InputError(f"order mismatch: {A.shape[0]} vs {B.shape[0]}")
     return _geodesic(A, B, t)
@@ -86,9 +86,9 @@ def _geodesic(A: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def geometric_mean(A: np.ndarray, B: np.ndarray, symtol: float = SYMTOL) -> np.ndarray:
+def geometric_mean(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Geometric mean A # B, the midpoint of the geodesic from A to B."""
-    return geodesic(A, B, 0.5, symtol)
+    return geodesic(A, B, 0.5)
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,10 @@ class KarcherResult:
     converged: bool
 
 
-def karcher_residual(X: np.ndarray, mats, weights=None, symtol: float = SYMTOL) -> float:
+def karcher_residual(X: np.ndarray, mats, weights=None) -> float:
     """Frobenius norm of sum_j w_j log(X^{1/2} A_j^{-1} X^{1/2})."""
-    X = _posdef(X, symtol)[0]
-    mats = [_posdef(A, symtol)[0] for A in mats]
+    X = _posdef(X)[0]
+    mats = [_posdef(A)[0] for A in mats]
     if not mats:
         raise InputError("need at least one matrix")
     for A in mats:
@@ -131,13 +131,7 @@ def _weighted_log_sum(Xh: np.ndarray, invs, w: np.ndarray) -> np.ndarray:
     return total
 
 
-def karcher_mean(
-    mats,
-    weights=None,
-    tol: float | None = None,
-    max_iter: int = 200,
-    symtol: float = SYMTOL,
-) -> KarcherResult:
+def karcher_mean(mats, weights=None, tol: float | None = None, max_iter: int = 200) -> KarcherResult:
     """Weighted Karcher (Riemannian barycenter) mean of positive definite
     matrices.
 
@@ -164,7 +158,7 @@ def karcher_mean(
         With ``converged=False`` and the best iterate when the budget of
         ``max_iter`` polish iterations is exhausted.
     """
-    mats = [_posdef(A, symtol)[0] for A in mats]
+    mats = [_posdef(A)[0] for A in mats]
     if not mats:
         raise InputError("need at least one matrix")
     for A in mats[1:]:

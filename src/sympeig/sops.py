@@ -9,7 +9,7 @@ definiteness) intact.
 import numpy as np
 
 from .errors import InputError
-from .matfun import SYMTOL, require_square
+from .matfun import require_square
 from .symplectic import validate_symplectic
 from .williamson import validate_posdef
 
@@ -64,14 +64,14 @@ def _partition_mask(sizes: tuple[int, ...], n: int) -> np.ndarray:
     return mask
 
 
-def s_pinching(A: np.ndarray, sizes, symtol: float = SYMTOL) -> np.ndarray:
+def s_pinching(A: np.ndarray, sizes) -> np.ndarray:
     """Apply the block-diagonal pinching along ``sizes`` to each quadrant.
 
     Idempotent for a fixed partition; the result equals the s-direct sum of
     the s-principal submatrices along the partition and is positive definite
     whenever A is.
     """
-    A = validate_posdef(A, symtol)
+    A = validate_posdef(A)
     n = A.shape[0] // 2
     sizes = validate_partition(sizes, n)
     mask = _partition_mask(sizes, n)
@@ -79,14 +79,14 @@ def s_pinching(A: np.ndarray, sizes, symtol: float = SYMTOL) -> np.ndarray:
     return np.where(full, A, 0.0)
 
 
-def s_principal_submatrix(A: np.ndarray, keep, symtol: float = SYMTOL) -> np.ndarray:
+def s_principal_submatrix(A: np.ndarray, keep) -> np.ndarray:
     """Keep the rows/columns i and n+i for i in ``keep`` (0-based), deleting
     both members of every dropped index pair.
 
     The result is positive definite of half-order len(keep). The CLI exposes
     this with 1-based indices.
     """
-    A = validate_posdef(A, symtol)
+    A = validate_posdef(A)
     n = A.shape[0] // 2
     idx = sorted(set(int(i) for i in keep))
     if not idx:

@@ -73,6 +73,8 @@ DEFAULT_TOLERANCES = {
 
 # Orthogonality threshold used by the theorem-6 cross-check.
 ORTHOGONALITY_TOL = 1e-7
+# Random restrictions sampled by the theorem-5 check when no M is given.
+THEOREM5_SAMPLES = 20
 
 
 @dataclass(frozen=True)
@@ -129,6 +131,10 @@ class SuiteConfig:
             raise InputError(f"trials must be >= 1, got {self.trials}")
         if self.nmin < 1 or self.nmax < self.nmin:
             raise InputError(f"need 1 <= nmin <= nmax, got [{self.nmin}, {self.nmax}]")
+        for name in ("condition_spread", "spread"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InputError(f"{name} must be finite and >= 0, got {value}")
         unknown = [t for t in self.theorems if t not in THEOREM_IDS]
         if unknown:
             raise InputError(f"unknown theorem ids: {unknown}; known: {list(THEOREM_IDS)}")
@@ -137,7 +143,8 @@ class SuiteConfig:
         return self.tolerances.get(theorem_id, DEFAULT_TOLERANCES[theorem_id])
 
 
-def _report(theorem_id, quantities, margin, tol, digest="", inconclusive=False):
+def _report(theorem_id, quantities, margin, tol=None, digest="", inconclusive=False):
+    tol = DEFAULT_TOLERANCES[theorem_id] if tol is None else tol
     margin = float(margin)
     holds = bool(math.isfinite(margin) and margin >= -tol) and not inconclusive
     return TheoremReport(
@@ -164,13 +171,12 @@ def check_theorem1(A: np.ndarray, t: float, tol: float | None = None) -> Theorem
     for the plain (ascending) spectra."""
     if t < 0:
         raise InputError(f"power must be >= 0, got {t}")
-    tol = DEFAULT_TOLERANCES["1"] if tol is None else tol
     spec_a = symplectic_spectrum(A)
     spec_t = symplectic_spectrum(sym_pow(A, t))
     if t <= 1.0:
-        verdict = majorization.log_majorizes(y=spec_a.d_hat**t, x=spec_t.d_hat, tol=tol)
+        verdict = majorization.log_majorizes(y=spec_a.d_hat**t, x=spec_t.d_hat)
     else:
-        verdict = majorization.log_majorizes(y=spec_t.d_hat, x=spec_a.d_hat**t, tol=tol)
+        verdict = majorization.log_majorizes(y=spec_t.d_hat, x=spec_a.d_hat**t)
     bottom_t = np.cumsum(np.log(spec_t.d))
     bottom_a = np.cumsum(t * np.log(spec_a.d))
     corollary = bottom_t - bottom_a if t <= 1.0 else bottom_a - bottom_t
@@ -188,12 +194,11 @@ def check_theorem3(A: np.ndarray, B: np.ndarray, t: float, tol: float | None = N
     coordinatewise product d_hat(A)^(1-t) * d_hat(B)^t."""
     if not 0.0 <= t <= 1.0:
         raise InputError(f"geodesic parameter must lie in [0, 1], got {t}")
-    tol = DEFAULT_TOLERANCES["3"] if tol is None else tol
     lhs = symplectic_spectrum(means.geodesic(A, B, t))
     da = symplectic_spectrum(A).d_hat
     db = symplectic_spectrum(B).d_hat
     rhs = da ** (1.0 - t) * db**t
-    verdict = majorization.log_majorizes(y=rhs, x=lhs.d_hat, tol=tol)
+    verdict = majorization.log_majorizes(y=rhs, x=lhs.d_hat)
     quantities = {
         "t": t,
         "dhat_geodesic": lhs.d_hat.tolist(),
@@ -206,7 +211,6 @@ def check_theorem4(mats, weights=None, tol: float | None = None) -> TheoremRepor
     """Doubled spectrum of the weighted Karcher mean is log-majorized by the
     weighted coordinatewise product of the inputs' doubled spectra. A
     non-converged mean yields an inconclusive report, never a failure."""
-    tol = DEFAULT_TOLERANCES["4"] if tol is None else tol
     mats = [validate_posdef(A) for A in mats]
     if len(mats) < 2:
         raise InputError("need at least two matrices")
@@ -220,7 +224,7 @@ def check_theorem4(mats, weights=None, tol: float | None = None) -> TheoremRepor
     rhs = np.ones_like(lhs)
     for wj, A in zip(w, mats):
         rhs *= symplectic_spectrum(A).d_hat ** wj
-    verdict = majorization.log_majorizes(y=rhs, x=lhs, tol=tol)
+    verdict = majorization.log_majorizes(y=rhs, x=lhs)
     quantities = {
         "weights": w.tolist(),
         "dhat_mean": lhs.tolist(),
@@ -240,7 +244,6 @@ def check_theorem5(
     k: int,
     M: np.ndarray | None = None,
     tol: float | None = None,
-    samples: int = 20,
     rng: np.random.Generator | None = None,
 ) -> TheoremReport:
     """Extremal characterization of spectral sums and products: over 2n x 2k
@@ -250,10 +253,10 @@ def check_theorem5(
 
     With an explicit M the two inequalities are checked. Without one, the
     minimizer built from the symplectic eigenbasis must attain both bounds
-    with equality, and ``samples`` random restrictions (first k columns of
-    each block of a random symplectic matrix) must satisfy the inequalities.
+    with equality, and THEOREM5_SAMPLES random restrictions (first k columns
+    of each block of a random symplectic matrix) must satisfy the
+    inequalities.
     """
-    tol = DEFAULT_TOLERANCES["5"] if tol is None else tol
     A = validate_posdef(A)
     n = A.shape[0] // 2
     if not 1 <= k <= n:
@@ -292,7 +295,7 @@ def check_theorem5(
         -abs(logdet_min - target_logdet),
     ]
     sampled = []
-    for _ in range(samples):
+    for _ in range(THEOREM5_SAMPLES):
         L = random_symplectic_rng(rng, n, spread=1.0)
         tr_val, logdet_val = _values(L[:, cols])
         sampled.append((tr_val, logdet_val))
@@ -313,7 +316,6 @@ def check_superadditivity(A: np.ndarray, B: np.ndarray, k: int | None = None, to
     symplectic eigenvalues of A + B dominate, in sum and squared product, the
     corresponding quantities of A and B added. Checks one k or, when k is
     None, all of them."""
-    tol = DEFAULT_TOLERANCES["superadditivity"] if tol is None else tol
     A = validate_posdef(A)
     B = validate_posdef(B)
     if A.shape != B.shape:
@@ -375,7 +377,6 @@ def check_theorem7(A: np.ndarray, B: np.ndarray, tol: float | None = None) -> Th
     """Perturbation bounds: symplectic eigenvalue differences are controlled
     by (||A||^1/2 + ||B||^1/2) times square roots of norms of A - B, in the
     operator and Frobenius/trace norm versions."""
-    tol = DEFAULT_TOLERANCES["7"] if tol is None else tol
     A = validate_posdef(A)
     B = validate_posdef(B)
     if A.shape != B.shape:
@@ -407,17 +408,14 @@ def check_interlacing(A: np.ndarray, drop_index: int, tol: float | None = None) 
     """Cauchy-type interlacing for the s-principal submatrix obtained by
     deleting one index pair: d_j(A) <= d_j(B) <= d_{j+2}(A), with the
     convention that d_{n+1}(A) is infinite."""
-    tol = DEFAULT_TOLERANCES["interlacing"] if tol is None else tol
-    A = validate_posdef(A)
-    n = A.shape[0] // 2
+    da = symplectic_spectrum(A).d
+    n = da.shape[0]
     if n < 2:
         raise InputError("interlacing needs half-order n >= 2")
     if not 0 <= drop_index < n:
         raise InputError(f"drop index must lie in [0, {n - 1}], got {drop_index}")
     keep = [i for i in range(n) if i != drop_index]
-    B = sops.s_principal_submatrix(A, keep)
-    da = symplectic_spectrum(A).d
-    db = symplectic_spectrum(B).d
+    db = symplectic_spectrum(sops.s_principal_submatrix(A, keep)).d
     scale = max(1.0, float(da[-1]))
     margins = [(db[j] - da[j]) / scale for j in range(n - 1)]
     margins += [(da[j + 2] - db[j]) / scale for j in range(n - 2)]
@@ -442,12 +440,10 @@ def check_pinching(A: np.ndarray, sizes, tol: float | None = None) -> TheoremRep
     increasing function of the plain spectrum does not decrease (elementary
     symmetric polynomials and their roots, sum of x/(1+x), sum of logs,
     power means with exponent below 1)."""
-    tol = DEFAULT_TOLERANCES["pinching"] if tol is None else tol
-    A = validate_posdef(A)
     C = sops.s_pinching(A, sizes)
     sa = symplectic_spectrum(A)
     sc = symplectic_spectrum(C)
-    verdict = majorization.supermajorizes(y=sa.d_hat, x=sc.d_hat, tol=tol)
+    verdict = majorization.supermajorizes(y=sa.d_hat, x=sc.d_hat)
     margins = [_lin(verdict.worst_margin, float(np.sum(sa.d_hat)))]
 
     dc, da = sc.d, sa.d
@@ -474,12 +470,11 @@ def check_theorem11(A: np.ndarray, tol: float | None = None) -> TheoremReport:
     """Symplectic versus ordinary eigenvalues: the doubled symplectic spectrum
     is log-majorized by the eigenvalue vector, and each d_j is bracketed by
     the j-th and (n+j)-th smallest eigenvalues."""
-    tol = DEFAULT_TOLERANCES["11"] if tol is None else tol
     A = validate_posdef(A)
     n = A.shape[0] // 2
     d = symplectic_spectrum(A)
     lam = _eigh(A, values_only=True)
-    verdict = majorization.log_majorizes(y=lam, x=d.d_hat, tol=tol)
+    verdict = majorization.log_majorizes(y=lam, x=d.d_hat)
     scale = max(1.0, float(lam[-1]))
     margins = [verdict.worst_margin]
     margins += [(d.d[j] - lam[j]) / scale for j in range(n)]
@@ -495,8 +490,6 @@ def check_corollary8(A: np.ndarray, B: np.ndarray, t: float, tol: float | None =
     if not 0.0 <= t <= 1.0:
         raise InputError(f"power/geodesic parameter must lie in [0, 1], got {t}")
     tol = DEFAULT_TOLERANCES["corollary8"] if tol is None else tol
-    A = validate_posdef(A)
-    B = validate_posdef(B)
     if not is_gaussian(A, tol):
         raise InputError("first input is not Gaussian (d_1 < 1/2)")
     if not is_gaussian(B, tol):
@@ -516,8 +509,6 @@ def check_corollary8(A: np.ndarray, B: np.ndarray, t: float, tol: float | None =
 def check_minmax(A: np.ndarray, tol: float | None = None) -> TheoremReport:
     """Minmax principle, verified through the equivalent eigenvalue statement:
     the spectrum of i A^{-1} J must equal {+-1/d_j(A)} as a multiset."""
-    tol = DEFAULT_TOLERANCES["minmax"] if tol is None else tol
-    A = validate_posdef(A)
     observed = sharp_spectrum(A)
     d = symplectic_spectrum(A).d
     expected = np.concatenate([1.0 / d, -1.0 / d[::-1]])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .matfun import SYMTOL, _eigh, _posdef, _posdef_cholesky, require_square
+from .matfun import _eigh, _posdef, _posdef_cholesky, require_square
 from .symplectic import standard_J
 
 
@@ -26,18 +26,19 @@ def _even_order(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def validate_posdef(A: np.ndarray, symtol: float = SYMTOL) -> np.ndarray:
+def validate_posdef(A: np.ndarray) -> np.ndarray:
     """Validate a real symmetric positive definite matrix of even order 2n
     and return its symmetrized copy.
 
     Raises
     ------
     InputError
-        Not square, odd order, non-finite, or asymmetric beyond symtol.
+        Not square, odd order, non-finite, or asymmetric beyond
+        ``matfun.SYMTOL`` (1e-8) relative to max|A_ij|.
     DomainError
         Not positive definite (smallest eigenvalue reported).
     """
-    return _posdef(_even_order(A), symtol)[0]
+    return _posdef(_even_order(A))[0]
 
 
 @dataclass(frozen=True)
@@ -83,24 +84,24 @@ class SymplecticEigenbasis:
         return [(self.u[:, j], self.v[:, j]) for j in range(self.u.shape[1])]
 
 
-def _skew_core(A: np.ndarray, symtol: float) -> tuple[np.ndarray, np.ndarray]:
+def _skew_core(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return (K, J L) with K = L^T J L exactly skew, from the Cholesky factor
     A = L L^T that also validates A; J L is a row swap and sign flip of L."""
-    L = _posdef_cholesky(_even_order(A), symtol)
+    L = _posdef_cholesky(_even_order(A))
     n = L.shape[0] // 2
     JL = np.concatenate([L[n:], -L[:n]])
     K = L.T @ JL
     return (K - K.T) / 2.0, JL
 
 
-def symplectic_spectrum(A: np.ndarray, symtol: float = SYMTOL) -> SymplecticSpectrum:
+def symplectic_spectrum(A: np.ndarray) -> SymplecticSpectrum:
     """Symplectic eigenvalues of a positive definite matrix of order 2n.
 
     The eigenvalues of the skew-symmetric K = L^T J L, A = L L^T, are +-i d_j;
     the moduli d_j are reported once each, ascending, together with the
     doubled descending vector. The product of the d_j^2 equals det A.
     """
-    K, _ = _skew_core(A, symtol)
+    K, _ = _skew_core(A)
     n = K.shape[0] // 2
     d = _eigh(1j * K, values_only=True)[n:]
     if d[0] <= 0:
@@ -108,7 +109,7 @@ def symplectic_spectrum(A: np.ndarray, symtol: float = SYMTOL) -> SymplecticSpec
     return SymplecticSpectrum.from_ascending(d)
 
 
-def williamson_form(A: np.ndarray, symtol: float = SYMTOL) -> WilliamsonForm:
+def williamson_form(A: np.ndarray) -> WilliamsonForm:
     """Williamson normal form: symplectic M with M^T A M = diag(d, d).
 
     Construction: with K = L^T J L, A = L L^T, each unit eigenvector x of the
@@ -124,7 +125,7 @@ def williamson_form(A: np.ndarray, symtol: float = SYMTOL) -> WilliamsonForm:
     near-degenerate spectrum (gap below 1e-10 * d_n) is flagged in
     ``warnings`` but still succeeds.
     """
-    K, JL = _skew_core(A, symtol)
+    K, JL = _skew_core(A)
     n = K.shape[0] // 2
     w, Z = _eigh(1j * K)
     d = w[n:]
@@ -150,19 +151,19 @@ def williamson_form(A: np.ndarray, symtol: float = SYMTOL) -> WilliamsonForm:
     return WilliamsonForm(M=M, d=d, warnings=warnings)
 
 
-def symplectic_eigenbasis(A: np.ndarray, symtol: float = SYMTOL) -> SymplecticEigenbasis:
+def symplectic_eigenbasis(A: np.ndarray) -> SymplecticEigenbasis:
     """Symplectic eigenvector pairs of A, normalized so <u_j, J v_j> = 1.
 
     The pairs are the columns of the Williamson M: u_j = M[:, j],
     v_j = M[:, n + j]. The residual sign freedom (u, v) -> (-u, -v) is not
     fixed.
     """
-    form = williamson_form(A, symtol)
+    form = williamson_form(A)
     n = form.d.shape[0]
     return SymplecticEigenbasis(u=form.M[:, :n], v=form.M[:, n:], d=form.d)
 
 
-def sharp_spectrum(A: np.ndarray, symtol: float = SYMTOL) -> np.ndarray:
+def sharp_spectrum(A: np.ndarray) -> np.ndarray:
     """Eigenvalues, descending, of i A^{-1} J.
 
     That operator is Hermitian in the inner product weighted by A, so its
@@ -171,7 +172,7 @@ def sharp_spectrum(A: np.ndarray, symtol: float = SYMTOL) -> np.ndarray:
     spectrum independent of :func:`symplectic_spectrum`, which is how the
     minmax principle is verified.
     """
-    A = validate_posdef(A, symtol)
+    A = validate_posdef(A)
     n = A.shape[0] // 2
     W = np.linalg.solve(A, standard_J(n))
     ev = np.linalg.eigvals(1j * W)
@@ -181,7 +182,7 @@ def sharp_spectrum(A: np.ndarray, symtol: float = SYMTOL) -> np.ndarray:
     return np.sort(ev.real)[::-1]
 
 
-def is_gaussian(A: np.ndarray, tol: float = 1e-9, symtol: float = SYMTOL) -> bool:
+def is_gaussian(A: np.ndarray, tol: float = 1e-9) -> bool:
     """True when d_1(A) >= 1/2 - tol, i.e. A is a valid Gaussian-state
     covariance matrix (equivalently A + (i/2) J >= 0)."""
-    return bool(symplectic_spectrum(A, symtol).d[0] >= 0.5 - tol)
+    return bool(symplectic_spectrum(A).d[0] >= 0.5 - tol)

@@ -119,3 +119,7 @@ class TestNorms:
         triple = matfun.norms(X)
         assert triple.operator <= triple.frobenius + 1e-12
         assert triple.frobenius <= triple.trace + 1e-12
+
+    def test_rejects_empty(self):
+        with pytest.raises(InputError, match="nonempty"):
+            matfun.norms(np.zeros((0, 0)))

@@ -410,6 +410,14 @@ class TestRunSuite:
         with pytest.raises(InputError, match="unknown theorem"):
             SuiteConfig(theorems=("nope",))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("condition_spread", math.nan), ("condition_spread", -2.0), ("spread", math.inf), ("spread", -1.0)],
+    )
+    def test_bad_spread_rejected(self, field, value):
+        with pytest.raises(InputError, match=f"{field} must be finite and >= 0"):
+            SuiteConfig(**{field: value})
+
     def test_tolerance_override(self):
         cfg = SuiteConfig(seed=3, trials=1, theorems=("7",), tolerances={"7": 0.123})
         (rep,) = run_suite(cfg)

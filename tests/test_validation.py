@@ -26,7 +26,7 @@ from sympeig import (
     williamson_form,
 )
 from sympeig.cli import main
-from sympeig.matfun import PD_RELCUT, _check_posdef
+from sympeig.matfun import PD_RELCUT, SYMTOL, _check_posdef
 from sympeig.matio import save_matrix
 
 I4 = np.eye(4)
@@ -54,6 +54,15 @@ def test_gate_contract(name):
     asymmetric[0, 1] = 0.5
     with pytest.raises(InputError, match="not symmetric"):
         call(asymmetric)
+    # The symmetry tolerance is SYMTOL * max|entry|, with max|entry| = 2 here.
+    nearly_symmetric = 2.0 * I4
+    nearly_symmetric[0, 1] = 0.5 * SYMTOL * 2.0
+    call(nearly_symmetric)
+    nearly_symmetric[0, 1] = 2.0 * SYMTOL * 2.0
+    with pytest.raises(InputError, match="not symmetric"):
+        call(nearly_symmetric)
+    with pytest.raises(InputError):
+        call(np.zeros((0, 0)))
     with pytest.raises(DomainError, match="lambda_min"):
         call(np.diag([1.0, 1.0, -1.0, 1.0]))
     near_singular = np.diag([1.0, 1.0, 1.0, 1e-14])
