@@ -19,6 +19,7 @@ import numpy as np
 
 from . import matio, means, sops, theorems
 from .errors import DomainError, FormatError, InputError, NumericalError
+from .matfun import require_nonnegative
 from .symplectic import euler_decompose, standard_J
 from .williamson import symplectic_spectrum, williamson_form
 
@@ -173,6 +174,7 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_gaussian(args) -> int:
+    require_nonnegative(args.tol, "tol")
     mf = matio.load_matrix(args.input, expect_kind="posdef")
     d1 = float(symplectic_spectrum(mf.data).d[0])
     gaussian = d1 >= 0.5 - args.tol

@@ -58,6 +58,12 @@ def require_square(X: np.ndarray, name: str = "matrix") -> np.ndarray:
     return X
 
 
+def require_nonnegative(value: float, name: str) -> None:
+    """Raise InputError unless value (a tolerance, spread or budget) is finite and >= 0."""
+    if not (np.isfinite(value) and value >= 0.0):
+        raise InputError(f"{name} must be finite and >= 0, got {value}")
+
+
 def symmetrize(S: np.ndarray, *, name: str = "matrix") -> np.ndarray:
     """Validate that S is symmetric within tolerance and return (S + S^T)/2.
 
@@ -128,13 +134,6 @@ def _posdef_cholesky(S: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
-
-
-def _sqrt_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A^{1/2}, w, Q) with A = Q diag(w) Q^T for a trusted symmetric A."""
-    w, Q = _eigh(A)
-    _check_posdef(w)
-    return (Q * np.sqrt(w)) @ Q.T, w, Q
 
 
 def _sym_log(S: np.ndarray) -> np.ndarray:

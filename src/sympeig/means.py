@@ -1,14 +1,13 @@
 """Riemannian geometry of the positive definite cone: distance, geodesics,
 the two-matrix geometric mean, and the weighted Karcher mean.
 
-The Karcher mean starts at A_0 #_{w_1} A_1 (m = 2) or at the log-Euclidean
-mean exp(sum_j w_j log A_j) (m >= 3), then polishes the barycenter equation
-sum_j w_j log(X^{1/2} A_j^{-1} X^{1/2}) = 0 by a fixed-point iteration whose
-residual is the reported convergence certificate.
-
-Geodesics and distances go through A^{-1/2} B A^{-1/2}, with A^{-1/2} from one
-eigendecomposition of A; their relative accuracy degrades with
-kappa(A) * kappa(B), the distance's far less (see riemannian_distance).
+All whiten by one A = Q D Q^T: with G = Q D^{-1/2} and F = Q D^{1/2}, G^T B G
+is orthogonally similar to A^{-1/2} B A^{-1/2}, delta(A, B) = ||log G^T B G||_F
+and A #_t B = F (G^T B G)^t F^T. No A^{-1/2} or inverse is formed, so accuracy
+degrades far less with kappa(A) * kappa(B). The Karcher mean starts at
+A_0 #_{w_1} A_1 (m = 2) or at exp(sum_j w_j log A_j) (m >= 3) and polishes
+sum_j w_j log(G^T A_j G) = 0, G whitening the iterate; the norm of that sum is
+the reported certificate.
 """
 
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .matfun import _eigh, _posdef, _sqrt_eig, _sym_exp, _sym_log
+from .matfun import _eigh, _posdef, _sym_exp, _sym_log, require_nonnegative
 
 
 def validate_weights(w, m: int) -> np.ndarray:
@@ -31,25 +30,25 @@ def validate_weights(w, m: int) -> np.ndarray:
     return w
 
 
-def riemannian_distance(A: np.ndarray, B: np.ndarray) -> float:
-    """Affine-invariant Riemannian distance
-    delta(A, B) = ||log(A^{-1/2} B A^{-1/2})||_F.
+def _whitened_eig(G: np.ndarray, B: np.ndarray):
+    """``(mu, V)`` with G^T B G = V diag(mu) V^T, G = Q diag(w)^{-1/2} for
+    A = Q diag(w) Q^T; NumericalError unless it is numerically positive definite."""
+    C = G.T @ B @ G
+    mu, V = _eigh((C + C.T) / 2.0)
+    if mu[0] <= 0.0:
+        raise NumericalError(f"A^-1/2 B A^-1/2 is not numerically positive definite: lambda_min = {mu[0]:.6e}")
+    return mu, V
 
-    With A = Q D Q^T it decomposes the similar D^{-1/2} Q^T B Q D^{-1/2}:
-    forming A^{-1/2} explicitly would lose accuracy in proportion to
-    kappa(A) * kappa(B), the scaled form far less. NumericalError when that
-    matrix is not numerically positive definite.
-    """
+
+def riemannian_distance(A: np.ndarray, B: np.ndarray) -> float:
+    """Affine-invariant Riemannian distance ||log(A^{-1/2} B A^{-1/2})||_F;
+    NumericalError when that matrix is not numerically positive definite."""
     A, (w, Q) = _posdef(A, values_only=False)
     B = _posdef(B)[0]
     if A.shape != B.shape:
         raise InputError(f"order mismatch: {A.shape[0]} vs {B.shape[0]}")
-    r = 1.0 / np.sqrt(w)
-    C = (Q.T @ B @ Q) * np.outer(r, r)
-    lam = _eigh((C + C.T) / 2.0, values_only=True)
-    if lam[0] <= 0.0:
-        raise NumericalError(f"A^-1/2 B A^-1/2 is not numerically positive definite: lambda_min = {lam[0]:.6e}")
-    return float(np.sqrt(np.sum(np.log(lam) ** 2)))
+    mu = _whitened_eig(Q / np.sqrt(w), B)[0]
+    return float(np.sqrt(np.sum(np.log(mu) ** 2)))
 
 
 def geodesic(A: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
@@ -61,29 +60,25 @@ def geodesic(A: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
     InputError
         If t is outside [0, 1] (extrapolation is out of scope) or the orders
         differ.
+    NumericalError
+        If A^{-1/2} B A^{-1/2} is not numerically positive definite.
     """
     if not 0.0 <= t <= 1.0:
         raise InputError(f"geodesic parameter must lie in [0, 1], got {t}")
-    A = _posdef(A)[0]
+    A, (w, Q) = _posdef(A, values_only=False)
     B = _posdef(B)[0]
     if A.shape != B.shape:
         raise InputError(f"order mismatch: {A.shape[0]} vs {B.shape[0]}")
-    return _geodesic(A, B, t)
+    if t in (0.0, 1.0):
+        return B if t else A
+    return _geodesic(w, Q, B, t)
 
 
-def _geodesic(A: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
-    """A #_t B for validated positive definite A, B of equal order."""
-    if t == 0.0:
-        return A
-    if t == 1.0:
-        return B
-    Ah, w, Q = _sqrt_eig(A)
-    Aih = (Q * (1.0 / np.sqrt(w))) @ Q.T
-    mid = Aih @ B @ Aih
-    w, Q = _eigh((mid + mid.T) / 2.0)
-    powed = (Q * np.maximum(w, 0.0) ** t) @ Q.T
-    out = Ah @ powed @ Ah
-    return (out + out.T) / 2.0
+def _geodesic(w: np.ndarray, Q: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
+    """A #_t B = P P^T, P = F V diag(mu^{t/2}), for validated A = Q diag(w) Q^T, B."""
+    mu, V = _whitened_eig(Q / np.sqrt(w), B)
+    P = ((Q * np.sqrt(w)) @ V) * mu ** (t / 2.0)
+    return P @ P.T
 
 
 def geometric_mean(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -107,28 +102,34 @@ class KarcherResult:
     converged: bool
 
 
-def karcher_residual(X: np.ndarray, mats, weights=None) -> float:
-    """Frobenius norm of sum_j w_j log(X^{1/2} A_j^{-1} X^{1/2})."""
-    X = _posdef(X)[0]
+def _karcher_inputs(mats, weights, order: int | None = None):
+    """Validated matrices of one order (``order``, else the first's) and weights."""
     mats = [_posdef(A)[0] for A in mats]
     if not mats:
         raise InputError("need at least one matrix")
+    order = mats[0].shape[0] if order is None else order
     for A in mats:
-        if A.shape != X.shape:
-            raise InputError(f"order mismatch: {A.shape[0]} vs {X.shape[0]}")
+        if A.shape[0] != order:
+            raise InputError(f"order mismatch: {A.shape[0]} vs {order}")
     m = len(mats)
-    w = np.full(m, 1.0 / m) if weights is None else validate_weights(weights, m)
-    invs = [np.linalg.inv(A) for A in mats]
-    Xh = _sqrt_eig(X)[0]
-    grad = _weighted_log_sum(Xh, invs, w)
-    return float(np.linalg.norm(grad))
+    return mats, np.full(m, 1.0 / m) if weights is None else validate_weights(weights, m)
 
 
-def _weighted_log_sum(Xh: np.ndarray, invs, w: np.ndarray) -> np.ndarray:
-    total = np.zeros_like(Xh)
-    for wj, inv in zip(w, invs):
-        total += wj * _sym_log(Xh @ inv @ Xh)
+def _log_sum(G: np.ndarray, mats, w: np.ndarray) -> np.ndarray:
+    """S = sum_j w_j log(G^T A_j G) for X = Q diag(lam) Q^T, G = Q diag(lam)^{-1/2};
+    S = -Q^T grad Q for grad = sum_j w_j log(X^{1/2} A_j^{-1} X^{1/2})."""
+    total = np.zeros_like(G)
+    for wj, A in zip(w, mats):
+        mu, V = _whitened_eig(G, A)
+        total += wj * ((V * np.log(mu)) @ V.T)
     return total
+
+
+def karcher_residual(X: np.ndarray, mats, weights=None) -> float:
+    """Frobenius norm of sum_j w_j log(X^{1/2} A_j^{-1} X^{1/2})."""
+    X, (lam, Q) = _posdef(X, values_only=False)
+    mats, w = _karcher_inputs(mats, weights, X.shape[0])
+    return float(np.linalg.norm(_log_sum(Q / np.sqrt(lam), mats, w)))
 
 
 def karcher_mean(mats, weights=None, tol: float | None = None, max_iter: int = 200) -> KarcherResult:
@@ -137,10 +138,11 @@ def karcher_mean(mats, weights=None, tol: float | None = None, max_iter: int = 2
 
     The start is the exact mean A_0 #_{w_1} A_1 for m = 2 and the
     log-Euclidean mean exp(sum_j w_j log A_j), exact for commuting inputs,
-    for m >= 3. The polish X <- X^{1/2} exp(-theta * grad) X^{1/2}, grad the
-    weighted log-sum, starts at theta = 1, halves theta whenever the residual
-    would increase and grows it gently after accepted steps (spread-out
-    inputs are badly under-relaxed at theta = 1).
+    for m >= 3. The polish X <- F exp(theta * S) F^T, X = F F^T with
+    F = Q diag(lam)^{1/2} and S the whitened log-sum (the step
+    X^{1/2} exp(-theta * grad) X^{1/2} for grad = -Q S Q^T), halves theta from
+    1 whenever the residual would increase and grows it gently after accepted
+    steps (spread-out inputs are badly under-relaxed at theta = 1).
 
     Parameters
     ----------
@@ -149,8 +151,10 @@ def karcher_mean(mats, weights=None, tol: float | None = None, max_iter: int = 2
     weights : sequence of float, optional
         Positive weights summing to 1; uniform when omitted.
     tol : float, optional
-        Residual target. Defaults to 1e-9 times the operator norm of the
-        current iterate.
+        Finite residual target >= 0. Defaults to 1e-9 times the operator norm
+        of the current iterate.
+    max_iter : int
+        Polish iteration budget, finite and >= 0.
 
     Returns
     -------
@@ -158,41 +162,33 @@ def karcher_mean(mats, weights=None, tol: float | None = None, max_iter: int = 2
         With ``converged=False`` and the best iterate when the budget of
         ``max_iter`` polish iterations is exhausted.
     """
-    mats = [_posdef(A)[0] for A in mats]
-    if not mats:
-        raise InputError("need at least one matrix")
-    for A in mats[1:]:
-        if A.shape != mats[0].shape:
-            raise InputError(f"order mismatch: {A.shape[0]} vs {mats[0].shape[0]}")
-    m = len(mats)
-    w = np.full(m, 1.0 / m) if weights is None else validate_weights(weights, m)
-    if m == 1:
+    require_nonnegative(max_iter, "max_iter")
+    require_nonnegative(0.0 if tol is None else tol, "tol")
+    mats, w = _karcher_inputs(mats, weights)
+    if len(mats) == 1:
         return KarcherResult(mean=mats[0], residual=0.0, iterations=0, converged=True)
-
-    if m == 2:
-        X = _geodesic(mats[0], mats[1], w[1])
+    if len(mats) == 2:
+        X = _geodesic(*_eigh(mats[0]), mats[1], w[1])
     else:
         X = _sym_exp(sum(wj * _sym_log(A) for wj, A in zip(w, mats)))
 
-    invs = [np.linalg.inv(A) for A in mats]
-
     def _state(X):
-        Xh, lam, _ = _sqrt_eig(X)
-        grad = _weighted_log_sum(Xh, invs, w)
-        return Xh, grad, float(np.linalg.norm(grad)), float(lam[-1])
+        lam, Q = _eigh(X)
+        S = _log_sum(Q / np.sqrt(lam), mats, w)
+        return Q * np.sqrt(lam), S, float(np.linalg.norm(S)), float(lam[-1])
 
-    Xh, grad, resid, opnorm = _state(X)
+    F, S, resid, opnorm = _state(X)
     target = (1e-9 * opnorm) if tol is None else tol
     theta = 1.0
     iterations = 0
     while resid > target and iterations < max_iter:
-        step = Xh @ _sym_exp(-theta * grad) @ Xh
+        step = F @ _sym_exp(theta * S) @ F.T
         step = (step + step.T) / 2.0
-        new_Xh, new_grad, new_resid, new_opnorm = _state(step)
+        new_F, new_S, new_resid, new_opnorm = _state(step)
         if new_resid >= resid and theta > 1e-8:
             theta /= 2.0
         else:
-            X, Xh, grad, resid, opnorm = step, new_Xh, new_grad, new_resid, new_opnorm
+            X, F, S, resid, opnorm = step, new_F, new_S, new_resid, new_opnorm
             theta = min(theta * 1.2, 8.0)
             if tol is None:
                 target = 1e-9 * opnorm

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import majorization, means, sops
 from .errors import InputError, SympeigError
-from .matfun import _eigh, norms, sym_pow
+from .matfun import _eigh, norms, require_nonnegative, sym_pow
 from .symplectic import (
     associated_matrix,
     is_doubly_stochastic,
@@ -132,9 +132,9 @@ class SuiteConfig:
         if self.nmin < 1 or self.nmax < self.nmin:
             raise InputError(f"need 1 <= nmin <= nmax, got [{self.nmin}, {self.nmax}]")
         for name in ("condition_spread", "spread"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise InputError(f"{name} must be finite and >= 0, got {value}")
+            require_nonnegative(getattr(self, name), name)
+        for tol in self.tolerances.values():
+            require_nonnegative(tol, "tolerances")
         unknown = [t for t in self.theorems if t not in THEOREM_IDS]
         if unknown:
             raise InputError(f"unknown theorem ids: {unknown}; known: {list(THEOREM_IDS)}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .matfun import _eigh, _posdef, _posdef_cholesky, require_square
+from .matfun import _eigh, _posdef, _posdef_cholesky, require_nonnegative, require_square
 from .symplectic import standard_J
 
 
@@ -183,6 +183,7 @@ def sharp_spectrum(A: np.ndarray) -> np.ndarray:
 
 
 def is_gaussian(A: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when d_1(A) >= 1/2 - tol, i.e. A is a valid Gaussian-state
-    covariance matrix (equivalently A + (i/2) J >= 0)."""
+    """True when d_1(A) >= 1/2 - tol (tol finite, >= 0), i.e. A is a valid
+    Gaussian-state covariance matrix (equivalently A + (i/2) J >= 0)."""
+    require_nonnegative(tol, "tol")
     return bool(symplectic_spectrum(A).d[0] >= 0.5 - tol)

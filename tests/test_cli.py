@@ -295,6 +295,29 @@ class TestVerifyCommand:
         assert len(lines) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["mean", "--tol", "inf"], 3),
+        (["mean", "--tol", "nan"], 3),
+        (["mean", "--tol", "-1"], 3),
+        (["mean", "--max-iter", "-3"], 3),
+        (["mean", "--tol", "0", "--max-iter", "0"], 5),
+        (["gaussian", "--tol", "nan"], 3),
+        (["gaussian", "--tol", "inf"], 3),
+        (["gaussian", "--tol", "0"], 0),
+        (["verify", "--tol", "nan"], 3),
+        (["verify", "--tol", "-1"], 3),
+    ],
+)
+def test_tolerance_and_budget_validated(workdir, capsys, argv, expected):
+    inputs = {"mean": 3, "gaussian": 1, "verify": 0}[argv[0]]
+    paths = [write(workdir, f"m{i}.json", random_posdef(18 + i, 2, 1.5)[0] + np.eye(4)) for i in range(inputs)]
+    code, out = run(capsys, argv[0], *paths, *argv[1:])
+    assert code == expected
+    assert (out == "") == (expected == 3)
+
+
 class TestMatrixFiles:
     def test_round_trip_exact(self, workdir):
         A, _ = random_posdef(24, 3, 2.0)

@@ -13,12 +13,23 @@ from sympeig import (
     random_posdef,
     riemannian_distance,
 )
+from sympeig.cli import main
 from sympeig.matfun import sym_log, sym_pow
+from sympeig.matio import save_matrix
 from sympeig.symplectic import random_posdef_rng
 
 
 def spd(seed, n=2, cs=1.0):
     return random_posdef(seed, n, condition_spread=cs)[0]
+
+
+BREAKDOWNS = {
+    "riemannian_distance": riemannian_distance,
+    "geodesic": lambda A, B: geodesic(A, B, 0.5),
+    "karcher_mean": lambda A, B: karcher_mean([A, B]),
+    "karcher_residual": lambda A, B: karcher_residual(A, [B]),
+}
+CLI_BREAKDOWNS = {"cli_distance": ["distance"], "cli_geodesic": ["geodesic", "--t", "0.5"], "cli_mean": ["mean"]}
 
 
 class TestRiemannianDistance:
@@ -45,15 +56,25 @@ class TestRiemannianDistance:
         with pytest.raises(InputError, match="order mismatch"):
             riemannian_distance(np.eye(2), np.eye(4))
 
-    def test_numerically_singular_pair_is_a_breakdown(self):
+    @pytest.mark.parametrize("name", sorted(BREAKDOWNS) + sorted(CLI_BREAKDOWNS))
+    def test_numerically_singular_pair_is_a_breakdown(self, name, tmp_path, capsys):
         # B passes the gate (lambda_min = 1e-20 > 0), but its small direction is
-        # below roundoff relative to A: D^{-1/2} Q^T B Q D^{-1/2} comes out
-        # singular, so no distance (truly 46.76) can be resolved.
+        # below roundoff relative to A: the whitened D^{-1/2} Q^T B Q D^{-1/2}
+        # comes out singular, so no distance (truly 46.76), geodesic point or
+        # mean can be resolved.
         c, s = np.cos(1.5), np.sin(1.5)
         R = np.array([[c, -s], [s, c]])
         A = R @ np.diag([2.0, 3.0]) @ R.T
-        with pytest.raises(NumericalError, match="not numerically positive definite"):
-            riemannian_distance((A + A.T) / 2.0, np.diag([1.0, 1e-20]))
+        A, B = (A + A.T) / 2.0, np.diag([1.0, 1e-20])
+        if name in CLI_BREAKDOWNS:
+            paths = [str(tmp_path / f"{label}.json") for label in "ab"]
+            for path, X in zip(paths, (A, B)):
+                save_matrix(path, X, kind="posdef")
+            assert main(CLI_BREAKDOWNS[name] + paths) == 4
+            assert "not numerically positive definite" in capsys.readouterr().err
+        else:
+            with pytest.raises(NumericalError, match="not numerically positive definite"):
+                BREAKDOWNS[name](A, B)
 
     def test_congruence_invariance(self):
         rng = np.random.default_rng(5)
@@ -97,6 +118,25 @@ class TestGeodesic:
         left = T.T @ geodesic(A, B, t) @ T
         right = geodesic(T.T @ A @ T, T.T @ B @ T, t)
         assert np.linalg.norm(left - right) <= 1e-8 * np.linalg.norm(right)
+
+    @pytest.mark.parametrize("seed", [47, 48])
+    def test_accurate_at_kappa_1e8(self, seed):
+        # A and B share the eigenvectors T, so A #_t B = T diag(a^{1-t} b^t) T^T
+        # exactly; a and b are log-uniform on [1, 1e8], where an explicit
+        # A^{-1/2} loses up to ~1e-5 relative accuracy.
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            T = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+            a, b = 10.0 ** rng.uniform(0.0, 8.0, (2, 6))
+            t = rng.uniform(0.1, 0.9)
+            A, B = (T * a) @ T.T, (T * b) @ T.T
+            exact = (T * (a ** (1.0 - t) * b**t)) @ T.T
+            points = [geodesic(A, B, t)]
+            res = karcher_mean([A, B], [1.0 - t, t])
+            if res.converged:
+                points.append(res.mean)
+            for point in points:
+                assert np.linalg.norm(point - exact) <= 1e-10 * np.linalg.norm(exact)
 
 
 class TestGeometricMean:
@@ -226,3 +266,19 @@ class TestKarcherMean:
     def test_order_mismatch(self):
         with pytest.raises(InputError, match="order mismatch"):
             karcher_mean([np.eye(2), np.eye(4)])
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"tol": np.inf}, "tol must be finite"),
+            ({"tol": np.nan}, "tol must be finite"),
+            ({"tol": -1e-9}, "tol must be finite and >= 0"),
+            ({"max_iter": -3}, "max_iter must be finite and >= 0"),
+        ],
+    )
+    def test_bad_tol_or_budget_rejected(self, kwargs, message):
+        mats = [spd(33), spd(34), spd(35)]
+        with pytest.raises(InputError, match=message):
+            karcher_mean(mats, **kwargs)
+        res = karcher_mean(mats, tol=0.0, max_iter=0)
+        assert not res.converged and res.iterations == 0

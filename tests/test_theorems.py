@@ -412,7 +412,15 @@ class TestRunSuite:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("condition_spread", math.nan), ("condition_spread", -2.0), ("spread", math.inf), ("spread", -1.0)],
+        [
+            ("condition_spread", math.nan),
+            ("condition_spread", -2.0),
+            ("spread", math.inf),
+            ("spread", -1.0),
+            ("tolerances", {"7": math.nan}),
+            ("tolerances", {"1": math.inf}),
+            ("tolerances", {"4": -1e-9}),
+        ],
     )
     def test_bad_spread_rejected(self, field, value):
         with pytest.raises(InputError, match=f"{field} must be finite and >= 0"):

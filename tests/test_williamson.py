@@ -203,6 +203,11 @@ class TestIsGaussian:
     def test_boundary(self):
         assert is_gaussian(0.5 * np.eye(4), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(InputError, match="tol must be finite and >= 0"):
+            is_gaussian(np.eye(4), tol=tol)
+
 
 EPS = np.finfo(float).eps
 
