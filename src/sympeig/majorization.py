@@ -16,7 +16,7 @@ DEFAULT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class MajorizationVerdict:
-    """holds is equivalent to worst_margin >= -tol; failing_index is the
+    """holds is equivalent to worst_margin >= -DEFAULT_TOL; failing_index is the
     1-based prefix length of the worst violated inequality (None when the
     relation holds)."""
 
@@ -47,10 +47,10 @@ def _pair(y, x, positive: bool = False) -> tuple[np.ndarray, np.ndarray]:
     return y, x
 
 
-def _verdict(margins: np.ndarray, tol: float) -> MajorizationVerdict:
+def _verdict(margins: np.ndarray) -> MajorizationVerdict:
     worst = int(np.argmin(margins))
     worst_margin = float(margins[worst])
-    holds = worst_margin >= -tol
+    holds = worst_margin >= -DEFAULT_TOL
     return MajorizationVerdict(
         holds=holds,
         worst_margin=worst_margin,
@@ -58,40 +58,40 @@ def _verdict(margins: np.ndarray, tol: float) -> MajorizationVerdict:
     )
 
 
-def log_majorizes(y, x, tol: float = DEFAULT_TOL) -> MajorizationVerdict:
+def log_majorizes(y, x) -> MajorizationVerdict:
     """Test x ≺_log y: every top-k product of x is at most that of y, and the
     full products agree.
 
     Margins are differences of cumulative logs; the final coordinate carries
     the equality constraint as -(absolute log-product gap), so worst_margin
-    is 0 for x = y and the verdict holds iff worst_margin >= -tol.
+    is 0 for x = y and the verdict holds iff worst_margin >= -DEFAULT_TOL.
     """
     y, x = _pair(y, x, positive=True)
     cx = np.cumsum(np.log(np.sort(x)[::-1]))
     cy = np.cumsum(np.log(np.sort(y)[::-1]))
     margins = cy - cx
     margins[-1] = -abs(margins[-1])
-    return _verdict(margins, tol)
+    return _verdict(margins)
 
 
-def weakly_majorizes(y, x, tol: float = DEFAULT_TOL) -> MajorizationVerdict:
+def weakly_majorizes(y, x) -> MajorizationVerdict:
     """Test x ≺_w y: every top-k sum of x is at most that of y."""
     y, x = _pair(y, x)
     margins = np.cumsum(np.sort(y)[::-1]) - np.cumsum(np.sort(x)[::-1])
-    return _verdict(margins, tol)
+    return _verdict(margins)
 
 
-def supermajorizes(y, x, tol: float = DEFAULT_TOL) -> MajorizationVerdict:
+def supermajorizes(y, x) -> MajorizationVerdict:
     """Test x ≺^w y: every bottom-k sum of x is at least that of y."""
     y, x = _pair(y, x)
     margins = np.cumsum(np.sort(x)) - np.cumsum(np.sort(y))
-    return _verdict(margins, tol)
+    return _verdict(margins)
 
 
-def logmaj_implies_weakmaj_check(x, y, tol: float = DEFAULT_TOL) -> bool:
+def logmaj_implies_weakmaj_check(x, y) -> bool:
     """Self-test of the predicates: whenever x ≺_log y holds, x ≺_w y must
     hold as well (Weyl/Polya). Returns True when the implication is
     satisfied, vacuously or not."""
-    if not log_majorizes(y, x, tol).holds:
+    if not log_majorizes(y, x).holds:
         return True
-    return weakly_majorizes(y, x, tol).holds
+    return weakly_majorizes(y, x).holds

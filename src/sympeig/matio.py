@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InputError
-from .symplectic import convention_permutation, validate_symplectic
-from .williamson import validate_posdef
+from .errors import FormatError
+from .sops import _validate_kind
+from .symplectic import convention_permutation
 
 KINDS = ("posdef", "symplectic")
 CONVENTIONS = ("block", "interleaved")
@@ -80,15 +80,9 @@ def load_matrix(path: str, expect_kind: str | None = None) -> MatrixFile:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     mf = _parse(obj, path)
     kind = expect_kind or mf.kind
-    if kind == "posdef":
-        data = validate_posdef(mf.data)
-        return MatrixFile(n=mf.n, data=data, kind="posdef", convention=mf.convention)
-    if kind == "symplectic":
-        data = validate_symplectic(mf.data)
-        return MatrixFile(n=mf.n, data=data, kind="symplectic", convention=mf.convention)
     if kind is None:
         return mf
-    raise InputError(f"unknown kind {kind!r}")
+    return MatrixFile(n=mf.n, data=_validate_kind(mf.data, kind), kind=kind, convention=mf.convention)
 
 
 def matrix_record(A: np.ndarray, kind: str | None = None) -> dict:

@@ -25,6 +25,7 @@ def validate_partition(sizes, n: int) -> tuple[int, ...]:
 
 
 def _validate_kind(A: np.ndarray, kind: str) -> np.ndarray:
+    """A through the validator of its ``kind``, "posdef" or "symplectic"."""
     if kind == "posdef":
         return validate_posdef(A)
     if kind == "symplectic":

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .matfun import _eigh, require_square
+from .matfun import _eigh, require_nonnegative, require_square
 
-# Symplecticity defect ||M^T J M - J||_F is compared to tol * (1 + ||M||_F^2).
+# The one symplecticity threshold, relative to 1 + ||M||_F^2; the unitary
+# correspondence's orthogonality, block and unitarity tests use it too.
 SYMPLECTIC_TOL = 1e-9
 # Eigenvalues gamma of the squeezing factor within this distance of 1 are
 # treated as a single unit block in the Euler decomposition.
@@ -65,10 +66,10 @@ class SymplecticCheck:
         return self.ok
 
 
-def is_symplectic(M: np.ndarray, tol: float = SYMPLECTIC_TOL) -> SymplecticCheck:
+def is_symplectic(M: np.ndarray) -> SymplecticCheck:
     """Test M^T J M = J, reporting the Frobenius residual.
 
-    The matrix passes when ``||M^T J M - J||_F <= tol * (1 + ||M||_F^2)``.
+    The matrix passes when ``||M^T J M - J||_F <= SYMPLECTIC_TOL * (1 + ||M||_F^2)``.
 
     Raises
     ------
@@ -81,16 +82,15 @@ def is_symplectic(M: np.ndarray, tol: float = SYMPLECTIC_TOL) -> SymplecticCheck
     J = standard_J(M.shape[0] // 2)
     residual = float(np.linalg.norm(M.T @ J @ M - J))
     scale = 1.0 + float(np.sum(M * M))
-    return SymplecticCheck(ok=residual <= tol * scale, residual=residual)
+    return SymplecticCheck(ok=residual <= SYMPLECTIC_TOL * scale, residual=residual)
 
 
-def validate_symplectic(M: np.ndarray, tol: float = SYMPLECTIC_TOL) -> np.ndarray:
+def validate_symplectic(M: np.ndarray) -> np.ndarray:
     """Return M as an array, raising InputError if it fails ``is_symplectic``."""
-    M = require_square(M, "symplectic candidate")
-    check = is_symplectic(M, tol)
+    check = is_symplectic(M)
     if not check.ok:
         raise InputError(f"matrix is not symplectic: residual {check.residual:.3e} exceeds tolerance")
-    return M
+    return np.asarray(M, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,9 @@ class BlockDecomposition:
     residuals: tuple[float, float, float]
 
 
-def blocks(M: np.ndarray, tol: float = SYMPLECTIC_TOL) -> BlockDecomposition:
+def blocks(M: np.ndarray) -> BlockDecomposition:
     """Split a symplectic matrix into its four blocks in reading order."""
-    M = validate_symplectic(M, tol)
+    M = validate_symplectic(M)
     n = M.shape[0] // 2
     a, b = M[:n, :n], M[:n, n:]
     c, g = M[n:, :n], M[n:, n:]
@@ -120,15 +120,20 @@ def blocks(M: np.ndarray, tol: float = SYMPLECTIC_TOL) -> BlockDecomposition:
     return BlockDecomposition(a=a, b=b, c=c, g=g, residuals=residuals)
 
 
-def associated_matrix(M: np.ndarray, tol: float = SYMPLECTIC_TOL) -> np.ndarray:
+def associated_matrix(M: np.ndarray) -> np.ndarray:
     """The nonnegative n x n matrix with entries (a_ij^2 + b_ij^2 + c_ij^2 +
     g_ij^2) / 2 built from the blocks of a symplectic M.
 
     Every row and column sum is >= 1; the matrix is doubly stochastic exactly
     when M is orthogonal.
     """
-    dec = blocks(M, tol)
-    return 0.5 * (dec.a**2 + dec.b**2 + dec.c**2 + dec.g**2)
+    return _associated(validate_symplectic(M))
+
+
+def _associated(M: np.ndarray) -> np.ndarray:
+    """:func:`associated_matrix` of the trusted symplectic M."""
+    n = M.shape[0] // 2
+    return 0.5 * (M[:n, :n] ** 2 + M[:n, n:] ** 2 + M[n:, :n] ** 2 + M[n:, n:] ** 2)
 
 
 def is_doubly_stochastic(B: np.ndarray, tol: float = 1e-8) -> bool:
@@ -251,7 +256,7 @@ def _symplectic_gram_schmidt(W: np.ndarray, J: np.ndarray) -> list[tuple[np.ndar
     return pairs
 
 
-def euler_decompose(M: np.ndarray, tol: float = SYMPLECTIC_TOL) -> EulerForm:
+def euler_decompose(M: np.ndarray) -> EulerForm:
     """Euler (Bloch-Messiah) decomposition of a symplectic matrix.
 
     Returns orthogonal-symplectic o1, o2 and gamma_1 >= ... >= gamma_n >= 1
@@ -267,11 +272,11 @@ def euler_decompose(M: np.ndarray, tol: float = SYMPLECTIC_TOL) -> EulerForm:
     Raises
     ------
     InputError
-        If M is not symplectic within tol.
+        If M fails ``is_symplectic``.
     NumericalError
         If the eigenvalues of M^T M fail to match up in reciprocal pairs.
     """
-    M = validate_symplectic(M, tol)
+    M = validate_symplectic(M)
     n = M.shape[0] // 2
     J = standard_J(n)
     G = M.T @ M
@@ -314,7 +319,7 @@ def euler_decompose(M: np.ndarray, tol: float = SYMPLECTIC_TOL) -> EulerForm:
     return EulerForm(o1=o1, gamma=gamma, o2=o2)
 
 
-def orthosymplectic_to_unitary(O: np.ndarray, tol: float = SYMPLECTIC_TOL) -> tuple[np.ndarray, np.ndarray]:
+def orthosymplectic_to_unitary(O: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts (X, Y) of the unitary U = X + iY corresponding
     to an orthogonal-symplectic O = [[X, -Y], [Y, X]].
 
@@ -324,28 +329,24 @@ def orthosymplectic_to_unitary(O: np.ndarray, tol: float = SYMPLECTIC_TOL) -> tu
     Raises
     ------
     InputError
-        If O is not orthogonal-symplectic of the required block form within tol.
+        If O is not orthogonal-symplectic of the required block form.
     """
-    O = require_square(O, "orthogonal-symplectic matrix")
-    if O.shape[0] % 2 != 0:
-        raise InputError(f"orthogonal-symplectic matrices have even order, got {O.shape[0]}")
+    O = validate_symplectic(O)
     n = O.shape[0] // 2
-    scale = 1.0 + float(np.sum(O * O))
     orth = np.linalg.norm(O.T @ O - np.eye(2 * n))
-    if orth > tol * scale:
+    if orth > SYMPLECTIC_TOL * (1.0 + float(np.sum(O * O))):
         raise InputError(f"matrix is not orthogonal: ||O^T O - I||_F = {orth:.3e}")
-    validate_symplectic(O, tol)
     X, Y = O[:n, :n], O[n:, :n]
     block_dev = max(
         float(np.max(np.abs(O[:n, n:] + Y))),
         float(np.max(np.abs(O[n:, n:] - X))),
     )
-    if block_dev > tol * max(1.0, float(np.max(np.abs(O)))):
+    if block_dev > SYMPLECTIC_TOL * max(1.0, float(np.max(np.abs(O)))):
         raise InputError(f"matrix lacks the [[X, -Y], [Y, X]] block structure: deviation {block_dev:.3e}")
     return X, Y
 
 
-def unitary_to_orthosymplectic(X: np.ndarray, Y: np.ndarray, tol: float = SYMPLECTIC_TOL) -> np.ndarray:
+def unitary_to_orthosymplectic(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Inverse of :func:`orthosymplectic_to_unitary`: assemble
     [[X, -Y], [Y, X]] from the parts of a unitary X + iY."""
     X = require_square(X, "unitary real part")
@@ -354,12 +355,17 @@ def unitary_to_orthosymplectic(X: np.ndarray, Y: np.ndarray, tol: float = SYMPLE
         raise InputError("real and imaginary parts must have matching shape")
     U = X + 1j * Y
     dev = np.linalg.norm(U.conj().T @ U - np.eye(X.shape[0]))
-    if dev > tol * (1.0 + float(np.sum(np.abs(U) ** 2))):
+    if dev > SYMPLECTIC_TOL * (1.0 + float(np.sum(np.abs(U) ** 2))):
         raise InputError(f"X + iY is not unitary: ||U*U - I||_F = {dev:.3e}")
+    return _orthosymplectic(X, Y)
+
+
+def _orthosymplectic(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The real form [[X, -Y], [Y, X]] of the unitary X + iY."""
     return np.block([[X, -Y], [Y, X]])
 
 
-def mtilde_identity_check(M: np.ndarray, tol: float = SYMPLECTIC_TOL) -> float:
+def mtilde_identity_check(M: np.ndarray) -> float:
     """Maximum entrywise deviation between the associated matrix of M and its
     closed form in terms of the Euler factors.
 
@@ -367,19 +373,19 @@ def mtilde_identity_check(M: np.ndarray, tol: float = SYMPLECTIC_TOL) -> float:
     d = (gamma - 1/gamma)/2, each entry of the associated matrix equals
     |(U diag(d) V^T)_ij|^2 + |(U diag(s) V^*)_ij|^2. Serves as an internal
     consistency test tying together the Euler decomposition, the unitary
-    correspondence and the associated matrix.
+    correspondence and the associated matrix. The decomposition validates M;
+    its factors are trusted, so U and V are read from their left blocks.
     """
-    form = euler_decompose(M, tol)
-    x1, y1 = orthosymplectic_to_unitary(form.o1, tol)
-    x2, y2 = orthosymplectic_to_unitary(form.o2, tol)
-    U = x1 + 1j * y1
-    V = x2 + 1j * y2
+    form = euler_decompose(M)
+    n = form.gamma.size
+    U = form.o1[:n, :n] + 1j * form.o1[n:, :n]
+    V = form.o2[:n, :n] + 1j * form.o2[n:, :n]
     half_sum = (form.gamma + 1.0 / form.gamma) / 2.0
     half_diff = (form.gamma - 1.0 / form.gamma) / 2.0
     t1 = (U * half_diff) @ V.T
     t2 = (U * half_sum) @ V.conj().T
     rhs = np.abs(t1) ** 2 + np.abs(t2) ** 2
-    lhs = associated_matrix(M, tol)
+    lhs = _associated(np.asarray(M, dtype=float))
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -396,13 +402,12 @@ def random_orthosymplectic_rng(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random orthogonal-symplectic matrix drawn through the unitary
     correspondence, so both structures hold by construction."""
     U = _haar_unitary(rng, n)
-    return np.block([[U.real, -U.imag], [U.imag, U.real]])
+    return _orthosymplectic(U.real, U.imag)
 
 
 def random_symplectic_rng(rng: np.random.Generator, n: int, spread: float = 1.0) -> np.ndarray:
     """rng-driven body of :func:`random_symplectic`."""
-    if not np.isfinite(spread) or spread < 0:
-        raise InputError(f"spread must be finite and >= 0, got {spread}")
+    require_nonnegative(spread, "spread")
     o1 = random_orthosymplectic_rng(rng, n)
     o2 = random_orthosymplectic_rng(rng, n)
     gamma = np.sort(np.exp(rng.uniform(0.0, spread, size=n)))[::-1]
@@ -428,8 +433,7 @@ def random_posdef_rng(
 ) -> tuple[np.ndarray, np.ndarray]:
     """rng-driven body of :func:`random_posdef`; ``d`` overrides the planted
     symplectic spectrum when given."""
-    if not np.isfinite(condition_spread) or condition_spread < 0:
-        raise InputError(f"condition_spread must be finite and >= 0, got {condition_spread}")
+    require_nonnegative(condition_spread, "condition_spread")
     S = random_symplectic_rng(rng, n, spread)
     if d is None:
         d = np.exp(rng.uniform(-condition_spread, condition_spread, size=n))

@@ -211,7 +211,7 @@ def check_theorem4(mats, weights=None, tol: float | None = None) -> TheoremRepor
     """Doubled spectrum of the weighted Karcher mean is log-majorized by the
     weighted coordinatewise product of the inputs' doubled spectra. A
     non-converged mean yields an inconclusive report, never a failure."""
-    mats = [validate_posdef(A) for A in mats]
+    mats = list(mats)
     if len(mats) < 2:
         raise InputError("need at least two matrices")
     m = len(mats)
@@ -353,7 +353,7 @@ def check_theorem6(M: np.ndarray, tol: float | None = None) -> TheoremReport:
     n = mt.shape[0]
     row_min = float(np.min(mt.sum(axis=1)))
     col_min = float(np.min(mt.sum(axis=0)))
-    super_check = is_doubly_superstochastic(mt, tol=1e-9)
+    super_check = is_doubly_superstochastic(mt)
     stochastic = is_doubly_stochastic(mt, tol=tol)
     orth_residual = float(np.linalg.norm(np.asarray(M, dtype=float).T @ np.asarray(M, dtype=float) - np.eye(2 * n)))
     consistent = stochastic == (orth_residual <= ORTHOGONALITY_TOL)

@@ -1,0 +1,67 @@
+"""Guard on the public API: tolerance knobs exist only where a caller sets them."""
+
+import importlib
+import inspect
+import pkgutil
+import re
+
+import sympeig
+
+KNOB = re.compile(r"^(tol|symtol|samples|.*_tol)$")
+
+# Each entry is set by a library caller or a CLI flag. Every other threshold
+# is a fixed module constant (SYMPLECTIC_TOL, majorization.DEFAULT_TOL,
+# matfun.SYMTOL, THEOREM5_SAMPLES, ...).
+ALLOWED = {
+    "sympeig.means.karcher_mean": {"tol"},
+    "sympeig.symplectic.is_doubly_stochastic": {"tol"},
+    "sympeig.symplectic.is_doubly_superstochastic": {"tol"},
+    "sympeig.williamson.is_gaussian": {"tol"},
+    **{
+        f"sympeig.theorems.check_{name}": {"tol"}
+        for name in (
+            "theorem1",
+            "theorem3",
+            "theorem4",
+            "theorem5",
+            "superadditivity",
+            "theorem6",
+            "theorem7",
+            "interlacing",
+            "pinching",
+            "theorem11",
+            "corollary8",
+            "minmax",
+        )
+    },
+}
+
+
+def _public_functions():
+    """Every public function and public-class method defined in sympeig."""
+    for info in pkgutil.iter_modules(sympeig.__path__):
+        module = importlib.import_module(f"sympeig.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, fn in vars(obj).items():
+                    if inspect.isfunction(fn) and not attr.startswith("_"):
+                        yield f"{module.__name__}.{name}.{attr}", fn
+
+
+def test_tolerance_knobs_only_on_allow_list():
+    found = {}
+    for qualname, fn in _public_functions():
+        knobs = {p for p in inspect.signature(fn).parameters if KNOB.match(p)}
+        if knobs:
+            found[qualname] = knobs
+    assert found == ALLOWED
+
+
+def test_theorem5_keeps_explicit_restriction_and_rng():
+    # The sample count stays the module constant THEOREM5_SAMPLES.
+    params = list(inspect.signature(sympeig.check_theorem5).parameters)
+    assert params == ["A", "k", "M", "tol", "rng"]

@@ -40,7 +40,7 @@ class TestSDirectSum:
         M1 = random_symplectic(2, 1, 1.0)
         M2 = random_symplectic(3, 2, 1.0)
         out = s_direct_sum([M1, M2], kind="symplectic")
-        assert is_symplectic(out, tol=1e-9).ok
+        assert is_symplectic(out).ok
 
     def test_kind_mismatch_rejected(self):
         A, _ = random_posdef(4, 1, 1.0)

@@ -325,6 +325,20 @@ class TestMtildeIdentity:
         M = random_symplectic(seed=seed, n=n, spread=1.2)
         assert mtilde_identity_check(M) <= 1e-8
 
+    def test_wide_spread_trusts_euler_factors(self):
+        # gamma up to e^8. Euler's o1 = M o2 diag(1/gamma, gamma) loses
+        # orthogonality roughly as u * gamma_max^2 (7.6e-7 at worst here), far
+        # past the 1e-9 input threshold, so the identity check must trust the
+        # factors; the bound keeps that loss from growing unnoticed.
+        worst_orth = 0.0
+        for seed in range(40):
+            for n in (1, 2, 3, 5):
+                M = random_symplectic(seed=seed, n=n, spread=8.0)
+                assert mtilde_identity_check(M) <= 1e-12 * np.max(np.abs(associated_matrix(M)))
+                o1 = euler_decompose(M).o1
+                worst_orth = max(worst_orth, np.linalg.norm(o1.T @ o1 - np.eye(2 * n)))
+        assert worst_orth <= 2e-6
+
 
 class TestRandomGenerators:
     def test_zero_spread_is_orthogonal(self):
@@ -334,7 +348,7 @@ class TestRandomGenerators:
     def test_always_symplectic(self):
         for seed in range(5):
             M = random_symplectic(seed=seed, n=4, spread=1.5)
-            assert is_symplectic(M, tol=1e-9).ok
+            assert is_symplectic(M).ok
 
     def test_deterministic(self):
         assert np.array_equal(random_symplectic(81, 3, 1.0), random_symplectic(81, 3, 1.0))
@@ -361,7 +375,7 @@ class TestRandomGenerators:
         rng = np.random.default_rng(85)
         O = random_orthosymplectic_rng(rng, 3)
         assert np.linalg.norm(O.T @ O - np.eye(6)) <= 1e-12
-        assert is_symplectic(O, tol=1e-12).ok
+        assert is_symplectic(O).residual <= 1e-12 * (1 + np.sum(O * O))
 
 
 class TestTheoremSixCharacterization:

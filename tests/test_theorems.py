@@ -357,14 +357,16 @@ class TestMinmax:
 class TestReports:
     def test_margin_recomputable_theorem3(self):
         from sympeig import log_majorizes
+        from sympeig.majorization import DEFAULT_TOL
 
         rep = check_theorem3(spd(63, 3), spd(64, 3), 0.4)
         verdict = log_majorizes(
             y=np.array(rep.quantities["rhs_vector"]),
             x=np.array(rep.quantities["dhat_geodesic"]),
-            tol=rep.tolerance,
         )
         assert verdict.worst_margin == pytest.approx(rep.margin, abs=1e-15)
+        # The predicate judges at DEFAULT_TOL, theorem 3's default tolerance.
+        assert rep.tolerance == DEFAULT_TOL
         assert verdict.holds == rep.holds
 
     def test_holds_iff_margin_within_tolerance(self):
