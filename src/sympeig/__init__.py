@@ -6,38 +6,15 @@ seeded verification suite for the inequality theorems relating all of these.
 """
 
 from .errors import DomainError, FormatError, InputError, NumericalError, SympeigError
-from .majorization import (
-    MajorizationVerdict,
-    log_majorizes,
-    logmaj_implies_weakmaj_check,
-    supermajorizes,
-    weakly_majorizes,
-)
-from .matfun import (
-    NormTriple,
-    SpectralDecomposition,
-    norms,
-    sym_eig,
-    sym_exp,
-    sym_log,
-    sym_pow,
-)
-from .means import (
-    KarcherResult,
-    geodesic,
-    geometric_mean,
-    karcher_mean,
-    karcher_residual,
-    riemannian_distance,
-)
+from .majorization import MajorizationVerdict, log_majorizes, supermajorizes
+from .matfun import NormTriple, norms, sym_log, sym_pow
+from .means import KarcherResult, geodesic, karcher_mean, karcher_residual, riemannian_distance
 from .sops import s_direct_sum, s_pinching, s_principal_submatrix
 from .symplectic import (
-    BlockDecomposition,
     EulerForm,
     SuperstochasticCheck,
     SymplecticCheck,
     associated_matrix,
-    blocks,
     convention_permutation,
     euler_decompose,
     is_doubly_stochastic,
@@ -71,12 +48,10 @@ from .theorems import (
     summarize,
 )
 from .williamson import (
-    SymplecticEigenbasis,
     SymplecticSpectrum,
     WilliamsonForm,
     is_gaussian,
     sharp_spectrum,
-    symplectic_eigenbasis,
     symplectic_spectrum,
     validate_posdef,
     williamson_form,

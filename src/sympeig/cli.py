@@ -21,7 +21,7 @@ from . import matio, means, sops, theorems
 from .errors import DomainError, FormatError, InputError, NumericalError
 from .matfun import require_nonnegative
 from .symplectic import euler_decompose, standard_J
-from .williamson import symplectic_spectrum, williamson_form
+from .williamson import SymplecticSpectrum, symplectic_spectrum, williamson_form
 
 
 def _fmt(x: float) -> str:
@@ -64,10 +64,11 @@ def cmd_williamson(args) -> int:
     if args.output is not None and not args.form:
         raise InputError("--output stores the congruence matrix and needs --form")
     mf = matio.load_matrix(args.input, expect_kind="posdef")
-    spec = symplectic_spectrum(mf.data)
+    # With --form, d is the one M diagonalizes: one gate and one eigensolve.
+    form = williamson_form(mf.data) if args.form else None
+    spec = SymplecticSpectrum.from_ascending(form.d) if args.form else symplectic_spectrum(mf.data)
     result = {"n": mf.n, "d": spec.d.tolist(), "d_hat": spec.d_hat.tolist()}
     if args.form:
-        form = williamson_form(mf.data)
         J = standard_J(mf.n)
         dd = np.diag(np.concatenate([form.d, form.d]))
         res_sympl = float(np.linalg.norm(form.M.T @ J @ form.M - J))
@@ -80,7 +81,7 @@ def cmd_williamson(args) -> int:
                 "warnings": list(form.warnings),
             }
         )
-    if args.output is not None and args.form:
+    if args.output is not None:
         matio.save_matrix(args.output, np.asarray(result["M"]), kind="symplectic")
     if args.json:
         print(json.dumps(result, sort_keys=True))

@@ -1,5 +1,5 @@
-"""Vector pre-order predicates: log-majorization, weak majorization and
-supermajorization, with signed margins.
+"""Vector pre-order predicates: log-majorization and supermajorization, with
+signed margins.
 
 All log-majorization arithmetic happens in log space so that products of many
 entries cannot overflow; its tolerance is therefore absolute in log space.
@@ -74,24 +74,9 @@ def log_majorizes(y, x) -> MajorizationVerdict:
     return _verdict(margins)
 
 
-def weakly_majorizes(y, x) -> MajorizationVerdict:
-    """Test x ≺_w y: every top-k sum of x is at most that of y."""
-    y, x = _pair(y, x)
-    margins = np.cumsum(np.sort(y)[::-1]) - np.cumsum(np.sort(x)[::-1])
-    return _verdict(margins)
-
-
 def supermajorizes(y, x) -> MajorizationVerdict:
     """Test x ≺^w y: every bottom-k sum of x is at least that of y."""
     y, x = _pair(y, x)
     margins = np.cumsum(np.sort(x)) - np.cumsum(np.sort(y))
     return _verdict(margins)
 
-
-def logmaj_implies_weakmaj_check(x, y) -> bool:
-    """Self-test of the predicates: whenever x ≺_log y holds, x ≺_w y must
-    hold as well (Weyl/Polya). Returns True when the implication is
-    satisfied, vacuously or not."""
-    if not log_majorizes(y, x).holds:
-        return True
-    return weakly_majorizes(y, x).holds

@@ -8,35 +8,16 @@ input instead of regularizing it, so inequality margins are never silently
 corrupted.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, InputError, NumericalError
 
-# Default relative tolerance for reconstruction residuals.
-RTOL = 1e-9
 # Allowed relative asymmetry of "symmetric" inputs before they are rejected.
 SYMTOL = 1e-8
 # The refusing operations reject lambda_min <= PD_RELCUT * lambda_max.
 PD_RELCUT = 1e-12
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigendecomposition S = Q diag(eigenvalues) Q^T of a symmetric matrix.
-
-    Attributes
-    ----------
-    eigenvalues : ndarray, shape (m,)
-        Real eigenvalues in ascending order.
-    eigenvectors : ndarray, shape (m, m)
-        Orthogonal matrix whose columns are the matching eigenvectors.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 class NormTriple(NamedTuple):
@@ -149,31 +130,6 @@ def _sym_exp(S: np.ndarray) -> np.ndarray:
     return (Q * np.exp(w)) @ Q.T
 
 
-def sym_eig(S: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a real symmetric matrix.
-
-    Parameters
-    ----------
-    S : array_like, shape (m, m)
-        Symmetric matrix (asymmetry up to SYMTOL relative is symmetrized
-        away; more raises InputError).
-
-    Returns
-    -------
-    SpectralDecomposition
-        Ascending eigenvalues and an orthogonal eigenvector matrix.
-
-    Raises
-    ------
-    InputError
-        Non-symmetric or non-finite input.
-    NumericalError
-        If the underlying eigensolver fails to converge.
-    """
-    w, Q = _eigh(symmetrize(S))
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=Q)
-
-
 def sym_pow(S: np.ndarray, t: float) -> np.ndarray:
     """Fractional power S^t of a symmetric positive definite matrix.
 
@@ -195,11 +151,6 @@ def sym_log(S: np.ndarray) -> np.ndarray:
     near-singular input like :func:`sym_pow`."""
     _, (w, Q) = _posdef(S, refuse_near_singular=True, values_only=False)
     return (Q * np.log(w)) @ Q.T
-
-
-def sym_exp(S: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix (always positive definite)."""
-    return _sym_exp(symmetrize(S))
 
 
 def norms(X: np.ndarray) -> NormTriple:

@@ -1,5 +1,5 @@
-"""Riemannian geometry of the positive definite cone: distance, geodesics,
-the two-matrix geometric mean, and the weighted Karcher mean.
+"""Riemannian geometry of the positive definite cone: distance, geodesics
+(the geometric mean A # B is the midpoint t = 1/2), and the weighted Karcher mean.
 
 All whiten by one A = Q D Q^T: with G = Q D^{-1/2} and F = Q D^{1/2}, G^T B G
 is orthogonally similar to A^{-1/2} B A^{-1/2}, delta(A, B) = ||log G^T B G||_F
@@ -79,11 +79,6 @@ def _geodesic(w: np.ndarray, Q: np.ndarray, B: np.ndarray, t: float) -> np.ndarr
     mu, V = _whitened_eig(Q / np.sqrt(w), B)
     P = ((Q * np.sqrt(w)) @ V) * mu ** (t / 2.0)
     return P @ P.T
-
-
-def geometric_mean(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Geometric mean A # B, the midpoint of the geodesic from A to B."""
-    return geodesic(A, B, 0.5)
 
 
 @dataclass(frozen=True)

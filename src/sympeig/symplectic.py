@@ -1,11 +1,11 @@
 """Symplectic-group utilities.
 
-Covers the standard form J, symplecticity testing, the block decomposition of
-a symplectic matrix and its associated nonnegative matrix, the doubly
-stochastic test and a dense numpy max-flow for the doubly superstochastic one,
-the Euler decomposition into orthogonal-symplectic factors and a squeezing
-diagonal, the correspondence between orthogonal-symplectic matrices and
-complex unitaries, and seeded random generators used by the property suites.
+Covers the standard form J, symplecticity testing, the associated nonnegative
+matrix of a symplectic matrix, the doubly stochastic test and a dense numpy
+max-flow for the doubly superstochastic one, the Euler decomposition into
+orthogonal-symplectic factors and a squeezing diagonal, the correspondence
+between orthogonal-symplectic matrices and complex unitaries, and seeded
+random generators used by the property suites.
 
 Block convention throughout: J = [[0, I], [-I, 0]]. Data in the interleaved
 convention (J_2 + ... + J_2 on the diagonal) can be mapped to this one with
@@ -91,33 +91,6 @@ def validate_symplectic(M: np.ndarray) -> np.ndarray:
     if not check.ok:
         raise InputError(f"matrix is not symplectic: residual {check.residual:.3e} exceeds tolerance")
     return np.asarray(M, dtype=float)
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """The four n x n blocks [[a, b], [c, g]] of a symplectic matrix, plus the
-    Frobenius residuals of the three structural identities
-    a g^T - b c^T = I, a b^T - b a^T = 0, c g^T - g c^T = 0."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    g: np.ndarray
-    residuals: tuple[float, float, float]
-
-
-def blocks(M: np.ndarray) -> BlockDecomposition:
-    """Split a symplectic matrix into its four blocks in reading order."""
-    M = validate_symplectic(M)
-    n = M.shape[0] // 2
-    a, b = M[:n, :n], M[:n, n:]
-    c, g = M[n:, :n], M[n:, n:]
-    residuals = (
-        float(np.linalg.norm(a @ g.T - b @ c.T - np.eye(n))),
-        float(np.linalg.norm(a @ b.T - b @ a.T)),
-        float(np.linalg.norm(c @ g.T - g @ c.T)),
-    )
-    return BlockDecomposition(a=a, b=b, c=c, g=g, residuals=residuals)
 
 
 def associated_matrix(M: np.ndarray) -> np.ndarray:

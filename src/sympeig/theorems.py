@@ -36,24 +36,9 @@ from .symplectic import (
 from .williamson import (
     is_gaussian,
     sharp_spectrum,
-    symplectic_eigenbasis,
     symplectic_spectrum,
     validate_posdef,
-)
-
-THEOREM_IDS = (
-    "1",
-    "3",
-    "4",
-    "5",
-    "superadditivity",
-    "6",
-    "7",
-    "interlacing",
-    "pinching",
-    "11",
-    "corollary8",
-    "minmax",
+    williamson_form,
 )
 
 DEFAULT_TOLERANCES = {
@@ -70,6 +55,7 @@ DEFAULT_TOLERANCES = {
     "corollary8": 1e-8,
     "minmax": 1e-8,
 }
+THEOREM_IDS = tuple(DEFAULT_TOLERANCES)
 
 # Orthogonality threshold used by the theorem-6 cross-check.
 ORTHOGONALITY_TOL = 1e-7
@@ -252,17 +238,17 @@ def check_theorem5(
     at the squared product.
 
     With an explicit M the two inequalities are checked. Without one, the
-    minimizer built from the symplectic eigenbasis must attain both bounds
-    with equality, and THEOREM5_SAMPLES random restrictions (first k columns
-    of each block of a random symplectic matrix) must satisfy the
-    inequalities.
+    minimizer formed by the first k eigenvector pairs (columns of the
+    Williamson M) must attain both bounds with equality, and
+    THEOREM5_SAMPLES random restrictions (first k columns of each block of a
+    random symplectic matrix) must satisfy the inequalities.
     """
     A = validate_posdef(A)
     n = A.shape[0] // 2
     if not 1 <= k <= n:
         raise InputError(f"k must lie in [1, {n}], got {k}")
-    basis = symplectic_eigenbasis(A)
-    d = basis.d
+    form = williamson_form(A)
+    d = form.d
     target_tr = 2.0 * float(np.sum(d[:k]))
     target_logdet = 2.0 * float(np.sum(np.log(d[:k])))
 
@@ -288,7 +274,7 @@ def check_theorem5(
 
     rng = np.random.default_rng(0) if rng is None else rng
     cols = list(range(k)) + list(range(n, n + k))
-    minimizer = np.hstack([basis.u[:, :k], basis.v[:, :k]])
+    minimizer = form.M[:, cols]
     tr_min, logdet_min = _values(minimizer)
     margins = [
         -abs(_lin(tr_min - target_tr, tr_min, target_tr)),

@@ -1,5 +1,6 @@
-"""Symplectic eigenvalues, symplectic eigenbases, and the Williamson normal
-form of a real positive definite matrix of even order.
+"""Symplectic eigenvalues and the Williamson normal form of a real positive
+definite matrix of even order; the columns of the Williamson M are its
+symplectic eigenvector pairs.
 
 For positive definite A of order 2n there is a symplectic M with
 M^T A M = diag(d, d), where d_1 <= ... <= d_n are the symplectic eigenvalues.
@@ -69,21 +70,6 @@ class WilliamsonForm:
     warnings: tuple[str, ...] = field(default=())
 
 
-@dataclass(frozen=True)
-class SymplecticEigenbasis:
-    """Columns u[:, j], v[:, j] form the eigenvector pair of d[j]:
-    A u_j = d_j J v_j,  A v_j = -d_j J u_j,  <u_i, J v_j> = delta_ij,
-    <u_i, J u_j> = <v_i, J v_j> = 0."""
-
-    u: np.ndarray
-    v: np.ndarray
-    d: np.ndarray
-
-    @property
-    def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(self.u[:, j], self.v[:, j]) for j in range(self.u.shape[1])]
-
-
 def _skew_core(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return (K, J L) with K = L^T J L exactly skew, from the Cholesky factor
     A = L L^T that also validates A; J L is a row swap and sign flip of L."""
@@ -121,6 +107,10 @@ def williamson_form(A: np.ndarray) -> WilliamsonForm:
     solve, as J L [V, -U] diag(d, d)^{-1/2}. Conjugate eigenvectors of iK live
     in the opposite-sign eigenspace, so pairs stay orthonormal for repeated d_j.
 
+    The columns u_j = M[:, j], v_j = M[:, n + j] are the symplectic eigenvector
+    pairs of d_j: A u_j = d_j J v_j, A v_j = -d_j J u_j, <u_i, J v_j> = delta_ij,
+    <u_i, J u_j> = <v_i, J v_j> = 0.
+
     M is not unique; only the defining invariants are promised. A
     near-degenerate spectrum (gap below 1e-10 * d_n) is flagged in
     ``warnings`` but still succeeds.
@@ -149,18 +139,6 @@ def williamson_form(A: np.ndarray) -> WilliamsonForm:
                 f"below 1e-10 * d_max = {1e-10 * d[-1]:.3e}",
             )
     return WilliamsonForm(M=M, d=d, warnings=warnings)
-
-
-def symplectic_eigenbasis(A: np.ndarray) -> SymplecticEigenbasis:
-    """Symplectic eigenvector pairs of A, normalized so <u_j, J v_j> = 1.
-
-    The pairs are the columns of the Williamson M: u_j = M[:, j],
-    v_j = M[:, n + j]. The residual sign freedom (u, v) -> (-u, -v) is not
-    fixed.
-    """
-    form = williamson_form(A)
-    n = form.d.shape[0]
-    return SymplecticEigenbasis(u=form.M[:, :n], v=form.M[:, n:], d=form.d)
 
 
 def sharp_spectrum(A: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from sympeig import (
     associated_matrix,
-    geometric_mean,
+    geodesic,
     is_doubly_stochastic,
     is_doubly_superstochastic,
     karcher_mean,
@@ -185,7 +185,7 @@ def test_criterion_6_karcher_correctness():
         A, _ = random_posdef_rng(rng, 2, condition_spread=1.0)
         B, _ = random_posdef_rng(rng, 2, condition_spread=1.0)
         result = karcher_mean([A, B])
-        G = geometric_mean(A, B)
+        G = geodesic(A, B, 0.5)
         worst_pair = max(
             worst_pair, float(np.linalg.norm(result.mean - G) / np.linalg.norm(G))
         )

@@ -1,4 +1,5 @@
-"""Guard on the public API: tolerance knobs exist only where a caller sets them."""
+"""Guards on the public API: the exported names are pinned, and tolerance
+knobs exist only where a caller sets them."""
 
 import importlib
 import inspect
@@ -6,6 +7,71 @@ import pkgutil
 import re
 
 import sympeig
+
+# Every name sympeig exports besides its submodules. A new export is added
+# here on purpose, and a removal is a public-API break.
+PUBLIC_NAMES = [
+    "DEFAULT_TOLERANCES",
+    "DomainError",
+    "EulerForm",
+    "FormatError",
+    "InputError",
+    "KarcherResult",
+    "MajorizationVerdict",
+    "NormTriple",
+    "NumericalError",
+    "SuiteConfig",
+    "SuperstochasticCheck",
+    "SympeigError",
+    "SymplecticCheck",
+    "SymplecticSpectrum",
+    "THEOREM_IDS",
+    "TheoremReport",
+    "WilliamsonForm",
+    "associated_matrix",
+    "check_corollary8",
+    "check_interlacing",
+    "check_minmax",
+    "check_pinching",
+    "check_superadditivity",
+    "check_theorem1",
+    "check_theorem11",
+    "check_theorem3",
+    "check_theorem4",
+    "check_theorem5",
+    "check_theorem6",
+    "check_theorem7",
+    "convention_permutation",
+    "euler_decompose",
+    "geodesic",
+    "is_doubly_stochastic",
+    "is_doubly_superstochastic",
+    "is_gaussian",
+    "is_symplectic",
+    "karcher_mean",
+    "karcher_residual",
+    "log_majorizes",
+    "mtilde_identity_check",
+    "norms",
+    "orthosymplectic_to_unitary",
+    "random_posdef",
+    "random_symplectic",
+    "riemannian_distance",
+    "run_suite",
+    "s_direct_sum",
+    "s_pinching",
+    "s_principal_submatrix",
+    "sharp_spectrum",
+    "standard_J",
+    "summarize",
+    "supermajorizes",
+    "sym_log",
+    "sym_pow",
+    "symplectic_spectrum",
+    "unitary_to_orthosymplectic",
+    "validate_posdef",
+    "williamson_form",
+]
 
 KNOB = re.compile(r"^(tol|symtol|samples|.*_tol)$")
 
@@ -50,6 +116,13 @@ def _public_functions():
                 for attr, fn in vars(obj).items():
                     if inspect.isfunction(fn) and not attr.startswith("_"):
                         yield f"{module.__name__}.{name}.{attr}", fn
+
+
+def test_public_names_are_pinned():
+    exported = sorted(
+        name for name, obj in vars(sympeig).items() if not name.startswith("_") and not inspect.ismodule(obj)
+    )
+    assert exported == PUBLIC_NAMES
 
 
 def test_tolerance_knobs_only_on_allow_list():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sympeig
-from sympeig import geometric_mean, random_posdef, random_symplectic, symplectic_spectrum
+from sympeig import geodesic, random_posdef, random_symplectic, symplectic_spectrum
 from sympeig.cli import main
 from sympeig.matio import load_matrix, save_matrix
 from sympeig.symplectic import convention_permutation
@@ -66,6 +66,26 @@ class TestWilliamsonCommand:
         assert code == 0
         mf = load_matrix(out_path)
         assert mf.kind == "symplectic"
+
+    def test_form_gates_once_and_reports_the_d_of_m(self, workdir, capsys, monkeypatch):
+        A, _ = random_posdef(9, 3, condition_spread=1.5)
+        path = write(workdir, "a.json", A, kind="posdef")
+        calls = []
+        original = sympeig.williamson._posdef_cholesky
+
+        def counting(S):
+            calls.append(1)
+            return original(S)
+
+        monkeypatch.setattr(sympeig.williamson, "_posdef_cholesky", counting)
+        code, out = run(capsys, "williamson", path, "--form", "--json")
+        assert code == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        rec = json.loads(out)
+        d = sympeig.williamson_form(load_matrix(path).data).d
+        assert np.array_equal(np.array(rec["d"]), d)
+        assert rec["d_hat"] == np.repeat(d[::-1], 2).tolist()
 
     def test_not_posdef_exits_3(self, workdir, capsys):
         path = write(workdir, "bad.json", np.diag([1.0, -1.0]))
@@ -126,7 +146,7 @@ class TestMeanCommand:
         pa, pb = write(workdir, "a.json", A), write(workdir, "b.json", B)
         code, out = run(capsys, "mean", pa, pb, "--json")
         assert code == 0
-        G = geometric_mean(A, B)
+        G = geodesic(A, B, 0.5)
         assert np.linalg.norm(np.array(json.loads(out)["mean"]) - G) <= 1e-7 * np.linalg.norm(G)
 
     def test_three_files_residual_and_output(self, workdir, capsys):
@@ -145,8 +165,6 @@ class TestMeanCommand:
         pa, pb = write(workdir, "a.json", A), write(workdir, "b.json", B)
         code, out = run(capsys, "mean", pa, pb, "--weights", "0.7,0.3", "--json")
         assert code == 0
-        from sympeig import geodesic
-
         expected = geodesic(A, B, 0.3)
         got = np.array(json.loads(out)["mean"])
         assert np.linalg.norm(got - expected) <= 1e-7 * np.linalg.norm(expected)

