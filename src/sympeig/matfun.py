@@ -117,13 +117,6 @@ def _posdef_cholesky(S: np.ndarray) -> np.ndarray:
         raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
 
 
-def _sym_log(S: np.ndarray) -> np.ndarray:
-    """log S for a trusted, nearly symmetric S, symmetrized first."""
-    w, Q = _eigh((S + S.T) / 2.0)
-    _check_posdef(w)
-    return (Q * np.log(w)) @ Q.T
-
-
 def _sym_exp(S: np.ndarray) -> np.ndarray:
     """exp S for a trusted, nearly symmetric S, symmetrized first."""
     w, Q = _eigh((S + S.T) / 2.0)

@@ -1,7 +1,8 @@
 """Matrix file format: one JSON object per file with explicit fields.
 
 Fields: ``n`` (half-order), ``data`` (2n x 2n row-major array), optional
-``kind`` ("posdef" | "symplectic", validated on load) and ``convention``
+``kind`` ("posdef" | "symplectic"; it records what the file holds, and each
+command validates the matrices it uses) and ``convention``
 ("block", the default, or "interleaved"; interleaved data is converted to the
 block convention on load). Floats survive a write/read round trip exactly:
 Python serializes them with the shortest representation that reconstructs the
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError
-from .sops import _validate_kind
 from .symplectic import convention_permutation
 
 KINDS = ("posdef", "symplectic")
@@ -46,10 +46,10 @@ def _parse(obj: dict, source: str) -> MatrixFile:
         raise FormatError(f"{source}: matrix order must be even and positive, got {data.shape[0]}")
     n = data.shape[0] // 2
     if "n" in obj:
-        try:
-            declared = int(obj["n"])
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{source}: 'n' must be an integer, got {obj['n']!r}") from exc
+        declared = obj["n"]
+        # A JSON number (bool is an int subclass); a non-integral one never equals n.
+        if isinstance(declared, bool) or not isinstance(declared, (int, float)):
+            raise FormatError(f"{source}: 'n' must be an integer, got {declared!r}")
         if declared != n:
             raise FormatError(f"{source}: declared half-order {declared} does not match data order {2 * n}")
     kind = obj.get("kind")
@@ -64,12 +64,11 @@ def _parse(obj: dict, source: str) -> MatrixFile:
     return MatrixFile(n=n, data=data, kind=kind, convention=convention)
 
 
-def load_matrix(path: str, expect_kind: str | None = None) -> MatrixFile:
-    """Load and validate a matrix file.
+def load_matrix(path: str) -> MatrixFile:
+    """Parse a matrix file, raising FormatError on a malformed one.
 
-    ``expect_kind`` overrides/validates the declared kind; whichever kind
-    applies is structurally validated (positive definiteness respectively
-    symplecticity), raising InputError/DomainError on violation.
+    The declared ``kind`` records what the file holds and is not checked
+    against the data; each command validates the matrices it uses.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -78,11 +77,7 @@ def load_matrix(path: str, expect_kind: str | None = None) -> MatrixFile:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    mf = _parse(obj, path)
-    kind = expect_kind or mf.kind
-    if kind is None:
-        return mf
-    return MatrixFile(n=mf.n, data=_validate_kind(mf.data, kind), kind=kind, convention=mf.convention)
+    return _parse(obj, path)
 
 
 def matrix_record(A: np.ndarray, kind: str | None = None) -> dict:

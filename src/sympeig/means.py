@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .matfun import _eigh, _posdef, _sym_exp, _sym_log, require_nonnegative
+from .matfun import _eigh, _posdef, _sym_exp, require_nonnegative
 
 
 def validate_weights(w, m: int) -> np.ndarray:
@@ -98,16 +98,19 @@ class KarcherResult:
 
 
 def _karcher_inputs(mats, weights, order: int | None = None):
-    """Validated matrices of one order (``order``, else the first's) and weights."""
-    mats = [_posdef(A)[0] for A in mats]
-    if not mats:
+    """Validated matrices of one order (``order``, else the first's), weights,
+    and the ``(w, Q)`` eigendecomposition the gate computed for each matrix."""
+    gated = [_posdef(A, values_only=False) for A in mats]
+    if not gated:
         raise InputError("need at least one matrix")
+    mats = [A for A, _ in gated]
     order = mats[0].shape[0] if order is None else order
     for A in mats:
         if A.shape[0] != order:
             raise InputError(f"order mismatch: {A.shape[0]} vs {order}")
     m = len(mats)
-    return mats, np.full(m, 1.0 / m) if weights is None else validate_weights(weights, m)
+    w = np.full(m, 1.0 / m) if weights is None else validate_weights(weights, m)
+    return mats, w, [eig for _, eig in gated]
 
 
 def _log_sum(G: np.ndarray, mats, w: np.ndarray) -> np.ndarray:
@@ -123,7 +126,7 @@ def _log_sum(G: np.ndarray, mats, w: np.ndarray) -> np.ndarray:
 def karcher_residual(X: np.ndarray, mats, weights=None) -> float:
     """Frobenius norm of sum_j w_j log(X^{1/2} A_j^{-1} X^{1/2})."""
     X, (lam, Q) = _posdef(X, values_only=False)
-    mats, w = _karcher_inputs(mats, weights, X.shape[0])
+    mats, w, _ = _karcher_inputs(mats, weights, X.shape[0])
     return float(np.linalg.norm(_log_sum(Q / np.sqrt(lam), mats, w)))
 
 
@@ -159,13 +162,13 @@ def karcher_mean(mats, weights=None, tol: float | None = None, max_iter: int = 2
     """
     require_nonnegative(max_iter, "max_iter")
     require_nonnegative(0.0 if tol is None else tol, "tol")
-    mats, w = _karcher_inputs(mats, weights)
+    mats, w, eigs = _karcher_inputs(mats, weights)
     if len(mats) == 1:
         return KarcherResult(mean=mats[0], residual=0.0, iterations=0, converged=True)
     if len(mats) == 2:
-        X = _geodesic(*_eigh(mats[0]), mats[1], w[1])
+        X = _geodesic(*eigs[0], mats[1], w[1])
     else:
-        X = _sym_exp(sum(wj * _sym_log(A) for wj, A in zip(w, mats)))
+        X = _sym_exp(sum(wj * ((Q * np.log(lam)) @ Q.T) for wj, (lam, Q) in zip(w, eigs)))
 
     def _state(X):
         lam, Q = _eigh(X)

@@ -113,6 +113,8 @@ class SuiteConfig:
     theorems: tuple[str, ...] = THEOREM_IDS
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise InputError(f"trials must be >= 1, got {self.trials}")
         if self.nmin < 1 or self.nmax < self.nmin:

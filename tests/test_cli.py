@@ -156,7 +156,7 @@ class TestMeanCommand:
         assert code == 0
         rec = json.loads(out)
         assert rec["converged"] is True
-        mean = load_matrix(out_path, expect_kind="posdef").data
+        mean = load_matrix(out_path).data
         assert rec["residual"] <= 1e-9 * np.linalg.eigvalsh(mean)[-1]
 
     def test_weights_flag(self, workdir, capsys):
@@ -180,6 +180,13 @@ class TestMeanCommand:
         pb = write(workdir, "b.json", np.eye(4))
         code, _ = run(capsys, "mean", pa, pb)
         assert code == 3
+
+    def test_parse_errors_come_before_validation(self, workdir, capsys):
+        bad = write(workdir, "bad.json", -np.eye(4), kind="posdef")
+        broken = workdir / "broken.json"
+        broken.write_text("{not json")
+        code, _ = run(capsys, "mean", bad, str(broken))
+        assert code == 2
 
     def test_nan_weights_exit_3(self, workdir, capsys):
         pa = write(workdir, "a.json", random_posdef(26, 2, 1.0)[0])
@@ -313,6 +320,65 @@ class TestVerifyCommand:
         assert len(lines) == 3
 
 
+# Each subcommand that reads matrix files: the number of files and its flags.
+GATED = [
+    ("williamson", 1, []),
+    ("williamson", 1, ["--form"]),
+    ("gaussian", 1, []),
+    ("spinch", 1, ["--partition", "2"]),
+    ("sprincipal", 1, ["--keep", "1"]),
+    ("distance", 2, []),
+    ("geodesic", 2, ["--t", "0.5"]),
+    ("mean", 2, []),
+    ("mean", 3, []),
+    ("euler", 1, []),
+]
+# Invalid order-4 files and the gate's message for a posdef and for a symplectic input.
+NAN = np.eye(4)
+NAN[0, 1] = np.nan
+FAULTS = {
+    "not_posdef": (np.diag([1.0, -1.0, 1.0, 1.0]), "matrix is not positive definite", "matrix is not symplectic"),
+    "asymmetric": (np.eye(4) + np.triu(np.ones((4, 4)), 1), "matrix is not symmetric", "matrix is not symplectic"),
+    "nan": (NAN, "has non-finite entries", "has non-finite entries"),
+}
+
+
+def valid_inputs(workdir, command, count):
+    if command == "euler":
+        return [write(workdir, "m.json", random_symplectic(30, 2, spread=1.2), kind="symplectic")]
+    return [write(workdir, f"a{i}.json", random_posdef(30 + i, 2, 1.0)[0], kind="posdef") for i in range(count)]
+
+
+@pytest.mark.parametrize("command, count, flags", GATED)
+def test_one_gate_per_file(workdir, capsys, monkeypatch, command, count, flags):
+    paths = valid_inputs(workdir, command, count)
+    calls = {"symmetrize": 0, "is_symplectic": 0}
+    for module, name in ((sympeig.matfun, "symmetrize"), (sympeig.symplectic, "is_symplectic")):
+
+        def spy(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    code, _ = run(capsys, command, *paths, *flags)
+    assert code in (0, 1)  # gaussian's verdict on a random matrix may be 1
+    gate = "is_symplectic" if command == "euler" else "symmetrize"
+    assert calls == {"symmetrize": 0, "is_symplectic": 0, gate: count}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("command, count, flags", GATED)
+def test_invalid_file_exits_3_with_the_gate_message(workdir, capsys, command, count, flags, fault):
+    A, posdef_message, symplectic_message = FAULTS[fault]
+    bad = write(workdir, "bad.json", A, kind="symplectic" if command == "euler" else "posdef")
+    paths = valid_inputs(workdir, command, count)[:-1] + [bad]
+    code = main([command, *paths, *flags])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert (symplectic_message if command == "euler" else posdef_message) in captured.err
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -326,6 +392,7 @@ class TestVerifyCommand:
         (["gaussian", "--tol", "0"], 0),
         (["verify", "--tol", "nan"], 3),
         (["verify", "--tol", "-1"], 3),
+        (["verify", "--seed", "-1"], 3),
     ],
 )
 def test_tolerance_and_budget_validated(workdir, capsys, argv, expected):
@@ -356,19 +423,21 @@ class TestMatrixFiles:
         expected = symplectic_spectrum(A).d
         assert np.max(np.abs(np.array(json.loads(out)["d"]) - expected)) <= 1e-10
 
-    def test_wrong_half_order_exits_2(self, workdir, capsys):
-        path = workdir / "wrong.json"
-        path.write_text(json.dumps({"n": 3, "data": np.eye(4).tolist()}))
+    def test_kind_is_parsed_not_validated(self, workdir, capsys):
+        path = workdir / "claimed.json"
+        path.write_text(json.dumps({"kind": "symplectic", "data": np.diag([2.0, 2.0]).tolist()}))
+        assert load_matrix(str(path)).kind == "symplectic"
+        path.write_text(json.dumps({"kind": "hermitian", "data": np.eye(2).tolist()}))
         code, _ = run(capsys, "williamson", str(path))
         assert code == 2
 
-    def test_declared_kind_validated_on_load(self, workdir):
-        from sympeig.errors import InputError
-
-        path = workdir / "claimed.json"
-        path.write_text(json.dumps({"kind": "symplectic", "data": np.diag([2.0, 2.0]).tolist()}))
-        with pytest.raises(InputError, match="not symplectic"):
-            load_matrix(str(path))
+    # A declared n must be a JSON number, not a bool, equal to the half-order.
+    @pytest.mark.parametrize("n, order", [(3, 4), (2.9, 4), ("2", 4), (True, 2)])
+    def test_wrong_half_order_exits_2(self, workdir, capsys, n, order):
+        path = workdir / "wrong.json"
+        path.write_text(json.dumps({"n": n, "data": np.eye(order).tolist()}))
+        code, _ = run(capsys, "williamson", str(path))
+        assert code == 2
 
 
 @pytest.mark.parametrize("package", ["scipy", "networkx"])

@@ -253,6 +253,20 @@ class TestKarcherMean:
         assert res.converged
         assert riemannian_distance(res.mean, mats[0]) <= 1e-4
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_gate_eigendecompositions_are_reused(self, m, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+
+            def spy(*args, _original=getattr(np.linalg, name), **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        karcher_mean([spd(40 + j) for j in range(m)], max_iter=0)
+        # m at the gate, one for the start, one for the iterate, m whitened inputs.
+        assert len(calls) == 2 * m + 2
+
     def test_weight_validation(self):
         A, B = spd(42), spd(43)
         with pytest.raises(InputError, match="sum to 1"):
