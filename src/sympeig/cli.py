@@ -2,6 +2,8 @@
 
 One command per computation, machine-readable output via --json, matrices
 exchanged through the JSON matrix-file format of :mod:`sympeig.matio`.
+Each matrix command only computes: it returns its JSON record, its text items
+and what --output stores, and one runner prints and writes them.
 
 Exit codes: 0 success (for ``gaussian``: the matrix is Gaussian; for
 ``verify``: zero failures), 1 negative verdict (non-Gaussian input, or
@@ -14,11 +16,12 @@ best iterate is still emitted).
 import argparse
 import json
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from . import matio, means, sops, theorems
-from .errors import DomainError, FormatError, InputError, NumericalError
+from .errors import DomainError, FormatError, InputError, NumericalError, SympeigError
 from .matfun import require_nonnegative
 from .symplectic import euler_decompose, standard_J
 from .williamson import SymplecticSpectrum, symplectic_spectrum, williamson_form
@@ -54,168 +57,130 @@ def _csv_ints(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _print_matrix(name: str, A: np.ndarray, lines: list[str]) -> None:
-    lines.append(f"{name}:")
-    for row in np.asarray(A):
-        lines.append("  " + _fmt_vector(row))
+class _Outcome(NamedTuple):
+    """What a matrix command computed: its JSON record, its text items as
+    (label, value) pairs in print order, the (matrix, kind) that --output
+    stores (None: the record itself) and its exit code."""
+
+    record: dict
+    items: list
+    stored: tuple | None = None
+    code: int = 0
 
 
-def cmd_williamson(args) -> int:
+def _text(items) -> str:
+    """A matrix prints as ``label:`` and rows indented two spaces, a vector on
+    the label's line, a float with ``.17g`` and any other value with ``str``."""
+    lines = []
+    for label, value in items:
+        if np.ndim(value) == 2:
+            lines.append(f"{label}:")
+            lines += ["  " + _fmt_vector(row) for row in value]
+        elif np.ndim(value) == 1:
+            lines.append(f"{label}: {_fmt_vector(value)}")
+        else:
+            lines.append(f"{label}: {_fmt(value) if isinstance(value, float) else value}")
+    return "\n".join(lines)
+
+
+def _run(args) -> int:
+    """Run a matrix command, write its --output, then print JSON or text."""
+    out = args.compute(args)
+    line = json.dumps(out.record, sort_keys=True)
+    if getattr(args, "output", None) is not None:
+        if out.stored is None:
+            _emit(line, args.output)
+        else:
+            matio.save_matrix(args.output, *out.stored)
+    print(line if args.json else _text(out.items))
+    return out.code
+
+
+def cmd_williamson(args) -> _Outcome:
     if args.output is not None and not args.form:
         raise InputError("--output stores the congruence matrix and needs --form")
     mf = matio.load_matrix(args.input)
     # With --form, d is the one M diagonalizes: one gate and one eigensolve.
     form = williamson_form(mf.data) if args.form else None
     spec = SymplecticSpectrum.from_ascending(form.d) if args.form else symplectic_spectrum(mf.data)
-    result = {"n": mf.n, "d": spec.d.tolist(), "d_hat": spec.d_hat.tolist()}
-    if args.form:
-        J = standard_J(mf.n)
-        dd = np.diag(np.concatenate([form.d, form.d]))
-        res_sympl = float(np.linalg.norm(form.M.T @ J @ form.M - J))
-        # Against the symmetrized matrix williamson_form factors, not the file's asymmetry.
-        res_congr = float(np.linalg.norm(form.M.T @ ((mf.data + mf.data.T) / 2.0) @ form.M - dd))
-        result.update(
-            {
-                "M": form.M.tolist(),
-                "residual_symplectic": res_sympl,
-                "residual_congruence": res_congr,
-                "warnings": list(form.warnings),
-            }
-        )
-    if args.output is not None:
-        matio.save_matrix(args.output, np.asarray(result["M"]), kind="symplectic")
-    if args.json:
-        print(json.dumps(result, sort_keys=True))
-    else:
-        lines = [f"d: {_fmt_vector(result['d'])}", f"d_hat: {_fmt_vector(result['d_hat'])}"]
-        if args.form:
-            _print_matrix("M", result["M"], lines)
-            lines.append(f"residual_symplectic: {_fmt(result['residual_symplectic'])}")
-            lines.append(f"residual_congruence: {_fmt(result['residual_congruence'])}")
-            for w in result["warnings"]:
-                lines.append(f"warning: {w}")
-        print("\n".join(lines))
-    return 0
+    record = {"n": mf.n, "d": spec.d.tolist(), "d_hat": spec.d_hat.tolist()}
+    if not args.form:
+        return _Outcome(record, [(k, v) for k, v in record.items() if k != "n"])
+    J = standard_J(mf.n)
+    dd = np.diag(np.concatenate([form.d, form.d]))
+    record["M"] = form.M.tolist()
+    record["residual_symplectic"] = float(np.linalg.norm(form.M.T @ J @ form.M - J))
+    # Against the symmetrized matrix williamson_form factors, not the file's asymmetry.
+    record["residual_congruence"] = float(np.linalg.norm(form.M.T @ ((mf.data + mf.data.T) / 2.0) @ form.M - dd))
+    record["warnings"] = list(form.warnings)
+    items = [(k, v) for k, v in record.items() if k not in ("n", "warnings")]
+    return _Outcome(record, items + [("warning", w) for w in form.warnings], (form.M, "symplectic"))
 
 
-def cmd_euler(args) -> int:
+def cmd_euler(args) -> _Outcome:
     mf = matio.load_matrix(args.input)
     form = euler_decompose(mf.data)
     residual = float(np.linalg.norm(form.reconstruct() - mf.data))
-    result = {
+    record = {
         "n": mf.n,
         "gamma": form.gamma.tolist(),
         "o1": form.o1.tolist(),
         "o2": form.o2.tolist(),
         "residual": residual,
     }
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, sort_keys=True)
-            fh.write("\n")
-    if args.json:
-        print(json.dumps(result, sort_keys=True))
-    else:
-        lines = [f"gamma: {_fmt_vector(form.gamma)}"]
-        _print_matrix("o1", form.o1, lines)
-        _print_matrix("o2", form.o2, lines)
-        lines.append(f"residual: {_fmt(residual)}")
-        print("\n".join(lines))
-    return 0
+    return _Outcome(record, [(k, v) for k, v in record.items() if k != "n"])
 
 
-def cmd_mean(args) -> int:
+def cmd_mean(args) -> _Outcome:
     mats = [matio.load_matrix(path).data for path in args.inputs]
     if len(mats) < 2:
         raise InputError("mean needs at least two input files")
     result = means.karcher_mean(mats, args.weights, tol=args.tol, max_iter=args.max_iter)
-    if args.output is not None:
-        matio.save_matrix(args.output, result.mean, kind="posdef")
     record = {
         "mean": result.mean.tolist(),
         "residual": result.residual,
         "iterations": result.iterations,
         "converged": result.converged,
     }
-    if args.json:
-        print(json.dumps(record, sort_keys=True))
-    else:
-        lines: list[str] = []
-        _print_matrix("mean", result.mean, lines)
-        lines.append(f"residual: {_fmt(result.residual)}")
-        lines.append(f"iterations: {result.iterations}")
-        lines.append(f"converged: {result.converged}")
-        print("\n".join(lines))
-    return 0 if result.converged else 5
+    return _Outcome(record, list(record.items()), (result.mean, "posdef"), 0 if result.converged else 5)
 
 
-def cmd_distance(args) -> int:
+def cmd_distance(args) -> _Outcome:
     A = matio.load_matrix(args.input_a).data
     B = matio.load_matrix(args.input_b).data
     dist = means.riemannian_distance(A, B)
-    if args.json:
-        print(json.dumps({"distance": dist}))
-    else:
-        print(f"distance: {_fmt(dist)}")
-    return 0
+    return _Outcome({"distance": dist}, [("distance", dist)])
 
 
-def cmd_geodesic(args) -> int:
+def cmd_geodesic(args) -> _Outcome:
     A = matio.load_matrix(args.input_a).data
     B = matio.load_matrix(args.input_b).data
     point = means.geodesic(A, B, args.t)
-    if args.output is not None:
-        matio.save_matrix(args.output, point, kind="posdef")
-    if args.json:
-        print(json.dumps({"t": args.t, "point": point.tolist()}, sort_keys=True))
-    else:
-        lines: list[str] = []
-        _print_matrix(f"geodesic point t={_fmt(args.t)}", point, lines)
-        print("\n".join(lines))
-    return 0
+    return _Outcome(
+        {"t": args.t, "point": point.tolist()}, [(f"geodesic point t={_fmt(args.t)}", point)], (point, "posdef")
+    )
 
 
-def cmd_gaussian(args) -> int:
+def cmd_gaussian(args) -> _Outcome:
     require_nonnegative(args.tol, "tol")
     mf = matio.load_matrix(args.input)
     d1 = float(symplectic_spectrum(mf.data).d[0])
     gaussian = d1 >= 0.5 - args.tol
-    if args.json:
-        print(json.dumps({"d1": d1, "gaussian": gaussian}, sort_keys=True))
-    else:
-        print(f"d1: {_fmt(d1)}")
-        print(f"gaussian: {gaussian}")
-    return 0 if gaussian else 1
+    return _Outcome({"d1": d1, "gaussian": gaussian}, [("d1", d1), ("gaussian", gaussian)], code=0 if gaussian else 1)
 
 
-def cmd_spinch(args) -> int:
+def cmd_spinch(args) -> _Outcome:
     mf = matio.load_matrix(args.input)
     out = sops.s_pinching(mf.data, args.partition)
-    if args.output is not None:
-        matio.save_matrix(args.output, out, kind="posdef")
-    if args.json:
-        print(json.dumps({"partition": args.partition, "matrix": out.tolist()}, sort_keys=True))
-    else:
-        lines: list[str] = []
-        _print_matrix("s-pinching", out, lines)
-        print("\n".join(lines))
-    return 0
+    return _Outcome({"partition": args.partition, "matrix": out.tolist()}, [("s-pinching", out)], (out, "posdef"))
 
 
-def cmd_sprincipal(args) -> int:
+def cmd_sprincipal(args) -> _Outcome:
     mf = matio.load_matrix(args.input)
     if any(i < 1 for i in args.keep):
         raise InputError(f"keep indices are 1-based, got {args.keep}")
     out = sops.s_principal_submatrix(mf.data, [i - 1 for i in args.keep])
-    if args.output is not None:
-        matio.save_matrix(args.output, out, kind="posdef")
-    if args.json:
-        print(json.dumps({"keep": args.keep, "matrix": out.tolist()}, sort_keys=True))
-    else:
-        lines: list[str] = []
-        _print_matrix("s-principal submatrix", out, lines)
-        print("\n".join(lines))
-    return 0
+    return _Outcome({"keep": args.keep, "matrix": out.tolist()}, [("s-principal submatrix", out)], (out, "posdef"))
 
 
 def cmd_verify(args) -> int:
@@ -258,10 +223,11 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _add_common(sub, output: bool = True) -> None:
+def _add_matrix_command(sub, compute, output: bool = True) -> None:
     sub.add_argument("--json", action="store_true", help="machine-readable JSON output")
     if output:
         sub.add_argument("--output", help="also write the result to this file")
+    sub.set_defaults(func=_run, compute=compute)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -274,34 +240,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("williamson", help="symplectic spectrum and Williamson normal form")
     p.add_argument("input", help="positive definite matrix file")
     p.add_argument("--form", action="store_true", help="also compute the symplectic congruence M")
-    _add_common(p)
-    p.set_defaults(func=cmd_williamson)
+    _add_matrix_command(p, cmd_williamson)
 
     p = sub.add_parser("euler", help="Euler decomposition of a symplectic matrix")
     p.add_argument("input", help="symplectic matrix file")
-    _add_common(p)
-    p.set_defaults(func=cmd_euler)
+    _add_matrix_command(p, cmd_euler)
 
     p = sub.add_parser("mean", help="Karcher mean of two or more positive definite matrices")
     p.add_argument("inputs", nargs="+", help="positive definite matrix files")
     p.add_argument("--weights", type=_csv_floats, help="comma-separated positive weights summing to 1")
     p.add_argument("--tol", type=float, default=None, help="residual target (default 1e-9 * operator norm)")
     p.add_argument("--max-iter", type=int, default=200, help="polish iteration budget")
-    _add_common(p)
-    p.set_defaults(func=cmd_mean)
+    _add_matrix_command(p, cmd_mean)
 
     p = sub.add_parser("distance", help="Riemannian distance between two positive definite matrices")
     p.add_argument("input_a")
     p.add_argument("input_b")
-    _add_common(p, output=False)
-    p.set_defaults(func=cmd_distance)
+    _add_matrix_command(p, cmd_distance, output=False)
 
     p = sub.add_parser("geodesic", help="point on the Riemannian geodesic between two matrices")
     p.add_argument("input_a")
     p.add_argument("input_b")
     p.add_argument("--t", type=float, required=True, help="geodesic parameter in [0, 1]")
-    _add_common(p)
-    p.set_defaults(func=cmd_geodesic)
+    _add_matrix_command(p, cmd_geodesic)
 
     p = sub.add_parser("verify", help="run the seeded theorem verification suite")
     p.add_argument("--theorem", default="all", help="theorem id or 'all' (default)")
@@ -310,28 +271,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmin", type=int, default=1)
     p.add_argument("--nmax", type=int, default=6)
     p.add_argument("--tol", type=float, default=None, help="tolerance override for the selected theorems")
-    _add_common(p)
+    p.add_argument("--json", action="store_true", help="machine-readable JSON output")
+    p.add_argument("--output", help="write the report to this file instead of stdout")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gaussian", help="test whether d_1 >= 1/2 (Gaussian covariance matrix)")
     p.add_argument("input")
     p.add_argument("--tol", type=float, default=1e-9)
-    _add_common(p, output=False)
-    p.set_defaults(func=cmd_gaussian)
+    _add_matrix_command(p, cmd_gaussian, output=False)
 
     p = sub.add_parser("spinch", help="s-pinching along a partition of the half-order")
     p.add_argument("input")
     p.add_argument("--partition", type=_csv_ints, required=True, help="comma-separated block sizes")
-    _add_common(p)
-    p.set_defaults(func=cmd_spinch)
+    _add_matrix_command(p, cmd_spinch)
 
     p = sub.add_parser("sprincipal", help="s-principal submatrix keeping the given 1-based indices")
     p.add_argument("input")
     p.add_argument("--keep", type=_csv_ints, required=True, help="comma-separated 1-based indices")
-    _add_common(p)
-    p.set_defaults(func=cmd_sprincipal)
+    _add_matrix_command(p, cmd_sprincipal)
 
     return parser
+
+
+# The exit code of each error class; see the module docstring.
+_EXIT_CODES = {FormatError: 2, InputError: 3, DomainError: 3, NumericalError: 4}
 
 
 def main(argv=None) -> int:
@@ -339,15 +302,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
+    except SympeigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InputError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return _EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

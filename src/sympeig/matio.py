@@ -44,6 +44,9 @@ def _parse(obj: dict, source: str) -> MatrixFile:
         raise FormatError(f"{source}: 'data' must be a square matrix, got shape {data.shape}")
     if data.shape[0] % 2 != 0 or data.shape[0] == 0:
         raise FormatError(f"{source}: matrix order must be even and positive, got {data.shape[0]}")
+    # Every entry a JSON number, as for 'n' below (bool is an int subclass).
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for row in obj["data"] for x in row):
+        raise FormatError(f"{source}: 'data' entries must be JSON numbers")
     n = data.shape[0] // 2
     if "n" in obj:
         declared = obj["n"]

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import majorization, means, sops
 from .errors import InputError, SympeigError
-from .matfun import _eigh, norms, require_nonnegative, sym_pow
+from .matfun import _posdef, norms, require_nonnegative, sym_pow
 from .symplectic import (
     associated_matrix,
     is_doubly_stochastic,
@@ -34,6 +34,7 @@ from .symplectic import (
     standard_J,
 )
 from .williamson import (
+    _even_order,
     is_gaussian,
     sharp_spectrum,
     symplectic_spectrum,
@@ -458,10 +459,9 @@ def check_theorem11(A: np.ndarray, tol: float | None = None) -> TheoremReport:
     """Symplectic versus ordinary eigenvalues: the doubled symplectic spectrum
     is log-majorized by the eigenvalue vector, and each d_j is bracketed by
     the j-th and (n+j)-th smallest eigenvalues."""
-    A = validate_posdef(A)
+    A, lam = _posdef(_even_order(A))
     n = A.shape[0] // 2
     d = symplectic_spectrum(A)
-    lam = _eigh(A, values_only=True)
     verdict = majorization.log_majorizes(y=lam, x=d.d_hat)
     scale = max(1.0, float(lam[-1]))
     margins = [verdict.worst_margin]

@@ -313,11 +313,112 @@ class TestVerifyCommand:
 
     def test_output_file(self, workdir, capsys):
         out_path = str(workdir / "report.jsonl")
-        code, _ = run(capsys, "verify", "--theorem", "minmax", "--trials", "3", "--json", "--output", out_path)
+        code, out = run(capsys, "verify", "--theorem", "minmax", "--trials", "3", "--json", "--output", out_path)
         assert code == 0
+        assert out == ""
         with open(out_path) as fh:
             lines = fh.read().strip().splitlines()
         assert len(lines) == 3
+
+
+
+def _numbers(values) -> str:
+    return " ".join(format(x, ".17g") for x in values)
+
+
+def text_layout(items) -> str:
+    """The text form of (label, JSON value) pairs: a list of lists prints as
+    ``label:`` and two-space indented rows, a list on the label's line, a
+    float with ``.17g`` and any other value with ``str``."""
+    lines = []
+    for label, value in items:
+        if isinstance(value, list) and isinstance(value[0], list):
+            lines += [f"{label}:"] + ["  " + _numbers(row) for row in value]
+        elif isinstance(value, list):
+            lines.append(f"{label}: {_numbers(value)}")
+        elif isinstance(value, float):
+            lines.append(f"{label}: {format(value, '.17g')}")
+        else:
+            lines.append(f"{label}: {value}")
+    return "\n".join(lines) + "\n"
+
+
+def _williamson_items(rec):
+    return [("d", rec["d"]), ("d_hat", rec["d_hat"])]
+
+
+def _form_items(rec):
+    return _williamson_items(rec) + [
+        ("M", rec["M"]),
+        ("residual_symplectic", rec["residual_symplectic"]),
+        ("residual_congruence", rec["residual_congruence"]),
+    ] + [("warning", w) for w in rec["warnings"]]
+
+
+def _mean_items(rec):
+    return [(k, rec[k]) for k in ("mean", "residual", "iterations", "converged")]
+
+
+# Per case: matrices to write (posdef unless "symplectic"), the command and
+# flags, its exit code, and the text items built from its JSON record.
+LAYOUTS = {
+    "williamson": ([random_posdef(40, 3, 1.5)[0]], ["williamson"], 0, _williamson_items),
+    "williamson_form": ([random_posdef(41, 2, 1.5)[0]], ["williamson", "--form"], 0, _form_items),
+    "williamson_form_warning": ([np.eye(4)], ["williamson", "--form"], 0, _form_items),
+    "euler": (
+        ["symplectic"],
+        ["euler"],
+        0,
+        lambda rec: [("gamma", rec["gamma"]), ("o1", rec["o1"]), ("o2", rec["o2"]), ("residual", rec["residual"])],
+    ),
+    "distance": (
+        [random_posdef(42, 2, 1.0)[0], random_posdef(43, 2, 1.0)[0]],
+        ["distance"],
+        0,
+        lambda rec: [("distance", rec["distance"])],
+    ),
+    "mean": ([random_posdef(44 + i, 2, 1.0)[0] for i in range(3)], ["mean"], 0, _mean_items),
+    "mean_budget": ([random_posdef(18 + i, 2, 1.5)[0] for i in range(3)], ["mean", "--max-iter", "1"], 5, _mean_items),
+    "geodesic": (
+        [random_posdef(47, 2, 1.0)[0], random_posdef(48, 2, 1.0)[0]],
+        ["geodesic", "--t", "0.3"],
+        0,
+        lambda rec: [(f"geodesic point t={format(rec['t'], '.17g')}", rec["point"])],
+    ),
+    "gaussian": ([np.eye(2)], ["gaussian"], 0, lambda rec: [("d1", rec["d1"]), ("gaussian", rec["gaussian"])]),
+    "not_gaussian": ([0.25 * np.eye(2)], ["gaussian"], 1, lambda rec: [("d1", rec["d1"]), ("gaussian", rec["gaussian"])]),
+    "spinch": (
+        [random_posdef(49, 3, 1.0)[0]],
+        ["spinch", "--partition", "1,2"],
+        0,
+        lambda rec: [("s-pinching", rec["matrix"])],
+    ),
+    "sprincipal": (
+        [random_posdef(50, 3, 1.0)[0]],
+        ["sprincipal", "--keep", "1,3"],
+        0,
+        lambda rec: [("s-principal submatrix", rec["matrix"])],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUTS))
+def test_text_layout_matches_the_json_record(workdir, capsys, case):
+    matrices, argv, expected_code, items = LAYOUTS[case]
+    paths = [
+        write(workdir, f"in{i}.json", random_symplectic(51, 2, spread=1.2), kind="symplectic")
+        if isinstance(A, str)
+        else write(workdir, f"in{i}.json", A, kind="posdef")
+        for i, A in enumerate(matrices)
+    ]
+    command = [argv[0], *paths, *argv[1:]]
+    code_json, out_json = run(capsys, *command, "--json")
+    code_text, out_text = run(capsys, *command)
+    assert code_json == code_text == expected_code
+    rec = json.loads(out_json)
+    assert out_text == text_layout(items(rec))
+    if case == "williamson_form_warning":
+        assert rec["warnings"]
 
 
 # Each subcommand that reads matrix files: the number of files and its flags.
@@ -438,6 +539,21 @@ class TestMatrixFiles:
         path.write_text(json.dumps({"n": n, "data": np.eye(order).tolist()}))
         code, _ = run(capsys, "williamson", str(path))
         assert code == 2
+
+    # Every data entry must be a JSON number: strings and bools are refused,
+    # also a bool among numbers, which numpy would read as an integer array.
+    @pytest.mark.parametrize(
+        "data",
+        [[["4", "0"], ["0", "1"]], [[True, False], [False, True]], [[True, 0], [0, 1]], [[4.0, 0.0], [0.0, "1"]]],
+    )
+    def test_non_number_data_exits_2(self, workdir, capsys, data):
+        path = workdir / "strings.json"
+        path.write_text(json.dumps({"data": data}))
+        code = main(["williamson", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "'data' entries must be JSON numbers" in captured.err
 
 
 @pytest.mark.parametrize("package", ["scipy", "networkx"])
