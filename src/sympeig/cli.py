@@ -7,10 +7,10 @@ and what --output stores, and one runner prints and writes them.
 
 Exit codes: 0 success (for ``gaussian``: the matrix is Gaussian; for
 ``verify``: zero failures), 1 negative verdict (non-Gaussian input, or
-verification failures), 2 parse errors (files or flags), 3 validation errors
-(not positive definite / not symmetric / not symplectic / dimension
-mismatch), 4 numerical failures, 5 iteration budget exhausted (``mean``; the
-best iterate is still emitted).
+verification failures), 2 parse errors (files or flags) and --output files
+that cannot be written, 3 validation errors (not positive definite / not
+symmetric / not symplectic / dimension mismatch), 4 numerical failures, 5
+iteration budget exhausted (``mean``; the best iterate is still emitted).
 """
 
 import argparse
@@ -39,8 +39,7 @@ def _emit(text: str, path: str | None) -> None:
     if path is None:
         print(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        matio._write(path, text)
 
 
 def _csv_floats(text: str) -> list[float]:

@@ -21,4 +21,4 @@ class NumericalError(SympeigError, RuntimeError):
 
 
 class FormatError(SympeigError, ValueError):
-    """A matrix file could not be parsed or is missing required fields."""
+    """A matrix file could not be read, parsed or written, or lacks required fields."""

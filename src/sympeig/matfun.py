@@ -1,11 +1,11 @@
 """Functional calculus for real symmetric matrices and basic matrix norms.
 
 The one place that decides positive definiteness and forms f(S) = Q f(L) Q^T:
-``_posdef`` is the gate for outside input, ``_eigh`` the eigen-kernel, and
-the other underscore helpers trust their inputs. The refusing operations
-(fractional powers, logarithms, symplectic spectra) reject near-singular
-input instead of regularizing it, so inequality margins are never silently
-corrupted.
+``_posdef`` and ``_posdef_cholesky`` are the gates for outside input, ``_eigh``
+the eigen-kernel, and the other underscore helpers trust their inputs. The
+refusing operations (fractional powers, logarithms, symplectic spectra) reject
+near-singular input instead of regularizing it, so inequality margins are
+never silently corrupted.
 """
 
 from typing import NamedTuple
@@ -99,8 +99,8 @@ def _posdef(S: np.ndarray, refuse_near_singular: bool = False, values_only: bool
     return S, spectrum
 
 
-def _posdef_cholesky(S: np.ndarray) -> np.ndarray:
-    """Cholesky factor of the symmetrized S, deciding as ``_posdef(S,
+def _posdef_cholesky(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(S, L)``: the symmetrized S and its Cholesky factor, deciding as ``_posdef(S,
     refuse_near_singular=True)``. A factor of S - tau I, tau = (PD_RELCUT + m^2
     eps) s ||S / s||_F, s = max|S_ij| (m^2 eps: Cholesky's backward error, Higham
     ASNA 10.1), certifies lambda_min > PD_RELCUT * lambda_max; else the spectrum decides."""
@@ -112,7 +112,7 @@ def _posdef_cholesky(S: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         _check_posdef(_eigh(S, values_only=True), refuse_near_singular=True)
     try:
-        return np.linalg.cholesky(S)
+        return S, np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
 

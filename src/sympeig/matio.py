@@ -92,8 +92,15 @@ def matrix_record(A: np.ndarray, kind: str | None = None) -> dict:
     return record
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to path, raising FormatError on a path that cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc
+
+
 def save_matrix(path: str, A: np.ndarray, kind: str | None = None) -> None:
     """Write a matrix file (block convention)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_record(A, kind), fh)
-        fh.write("\n")
+    _write(path, json.dumps(matrix_record(A, kind)))

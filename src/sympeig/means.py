@@ -69,13 +69,13 @@ def geodesic(A: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
     B = _posdef(B)[0]
     if A.shape != B.shape:
         raise InputError(f"order mismatch: {A.shape[0]} vs {B.shape[0]}")
+    return _geodesic(A, w, Q, B, t)
+
+
+def _geodesic(A: np.ndarray, w: np.ndarray, Q: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
+    """A #_t B = P P^T, P = F V diag(mu^{t/2}), for validated A = Q diag(w) Q^T, B; at t in {0, 1} the endpoint."""
     if t in (0.0, 1.0):
         return B if t else A
-    return _geodesic(w, Q, B, t)
-
-
-def _geodesic(w: np.ndarray, Q: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
-    """A #_t B = P P^T, P = F V diag(mu^{t/2}), for validated A = Q diag(w) Q^T, B."""
     mu, V = _whitened_eig(Q / np.sqrt(w), B)
     P = ((Q * np.sqrt(w)) @ V) * mu ** (t / 2.0)
     return P @ P.T
@@ -162,11 +162,15 @@ def karcher_mean(mats, weights=None, tol: float | None = None, max_iter: int = 2
     """
     require_nonnegative(max_iter, "max_iter")
     require_nonnegative(0.0 if tol is None else tol, "tol")
-    mats, w, eigs = _karcher_inputs(mats, weights)
+    return _karcher(*_karcher_inputs(mats, weights), tol, max_iter)
+
+
+def _karcher(mats, w: np.ndarray, eigs, tol: float | None = None, max_iter: int = 200) -> KarcherResult:
+    """:func:`karcher_mean` of validated matrices of one order, weights w and each one's ``(lam, Q)``."""
     if len(mats) == 1:
         return KarcherResult(mean=mats[0], residual=0.0, iterations=0, converged=True)
     if len(mats) == 2:
-        X = _geodesic(*eigs[0], mats[1], w[1])
+        X = _geodesic(mats[0], *eigs[0], mats[1], w[1])
     else:
         X = _sym_exp(sum(wj * ((Q * np.log(lam)) @ Q.T) for wj, (lam, Q) in zip(w, eigs)))
 

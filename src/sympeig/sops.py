@@ -72,12 +72,16 @@ def s_pinching(A: np.ndarray, sizes) -> np.ndarray:
     the s-principal submatrices along the partition and is positive definite
     whenever A is.
     """
-    A = validate_posdef(A)
-    n = A.shape[0] // 2
+    return _s_pinching(validate_posdef(A), sizes)
+
+
+def _s_pinching(S: np.ndarray, sizes) -> np.ndarray:
+    """:func:`s_pinching` of the gated S."""
+    n = S.shape[0] // 2
     sizes = validate_partition(sizes, n)
     mask = _partition_mask(sizes, n)
     full = np.block([[mask, mask], [mask, mask]])
-    return np.where(full, A, 0.0)
+    return np.where(full, S, 0.0)
 
 
 def s_principal_submatrix(A: np.ndarray, keep) -> np.ndarray:
@@ -87,12 +91,16 @@ def s_principal_submatrix(A: np.ndarray, keep) -> np.ndarray:
     The result is positive definite of half-order len(keep). The CLI exposes
     this with 1-based indices.
     """
-    A = validate_posdef(A)
-    n = A.shape[0] // 2
+    return _s_principal(validate_posdef(A), keep)
+
+
+def _s_principal(S: np.ndarray, keep) -> np.ndarray:
+    """:func:`s_principal_submatrix` of the gated S."""
+    n = S.shape[0] // 2
     idx = sorted(set(int(i) for i in keep))
     if not idx:
         raise InputError("keep must contain at least one index")
     if idx[0] < 0 or idx[-1] >= n:
         raise InputError(f"keep indices must lie in [0, {n - 1}], got {idx}")
     sel = idx + [n + i for i in idx]
-    return A[np.ix_(sel, sel)]
+    return S[np.ix_(sel, sel)]

@@ -12,7 +12,8 @@ quantities. Margin conventions:
 
 A report holds exactly when margin >= -tolerance. A checker that depends on
 an iterative solve (the Karcher mean) reports ``inconclusive`` instead of
-failing when the solve did not converge.
+failing when the solve did not converge. Each input passes one gate; the
+kernels behind the public functions then use its symmetrized matrix and factor.
 """
 
 import json
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import majorization, means, sops
 from .errors import InputError, SympeigError
-from .matfun import _posdef, norms, require_nonnegative, sym_pow
+from .matfun import _eigh, _posdef_cholesky, norms, require_nonnegative
 from .symplectic import (
     associated_matrix,
     is_doubly_stochastic,
@@ -33,14 +34,7 @@ from .symplectic import (
     random_symplectic_rng,
     standard_J,
 )
-from .williamson import (
-    _even_order,
-    is_gaussian,
-    sharp_spectrum,
-    symplectic_spectrum,
-    validate_posdef,
-    williamson_form,
-)
+from .williamson import _even_order, _sharp, _spectrum, _williamson, symplectic_spectrum
 
 DEFAULT_TOLERANCES = {
     "1": 1e-9,
@@ -153,6 +147,16 @@ def _lin(margin: float, *scale_values: float) -> float:
     return float(margin) / scale
 
 
+def _gate(*mats, mismatch: str = "order mismatch: {first} vs {other}"):
+    """``(S, L)``, the symmetrized matrix and its Cholesky factor, of each input; InputError on mixed orders."""
+    gated = [_posdef_cholesky(_even_order(A)) for A in mats]
+    first = len(gated[0][0])
+    for S, _ in gated:
+        if len(S) != first:
+            raise InputError(mismatch.format(first=first, other=len(S)))
+    return gated
+
+
 def check_theorem1(A: np.ndarray, t: float, tol: float | None = None) -> TheoremReport:
     """Symplectic spectrum of a matrix power: for 0 <= t <= 1 the doubled
     spectrum of A^t is log-majorized by the t-th power of that of A, and the
@@ -160,8 +164,10 @@ def check_theorem1(A: np.ndarray, t: float, tol: float | None = None) -> Theorem
     for the plain (ascending) spectra."""
     if t < 0:
         raise InputError(f"power must be >= 0, got {t}")
-    spec_a = symplectic_spectrum(A)
-    spec_t = symplectic_spectrum(sym_pow(A, t))
+    [(A, L)] = _gate(A)
+    spec_a = _spectrum(L)
+    w, Q = _eigh(A)
+    spec_t = symplectic_spectrum((Q * w**t) @ Q.T)
     if t <= 1.0:
         verdict = majorization.log_majorizes(y=spec_a.d_hat**t, x=spec_t.d_hat)
     else:
@@ -183,9 +189,10 @@ def check_theorem3(A: np.ndarray, B: np.ndarray, t: float, tol: float | None = N
     coordinatewise product d_hat(A)^(1-t) * d_hat(B)^t."""
     if not 0.0 <= t <= 1.0:
         raise InputError(f"geodesic parameter must lie in [0, 1], got {t}")
-    lhs = symplectic_spectrum(means.geodesic(A, B, t))
-    da = symplectic_spectrum(A).d_hat
-    db = symplectic_spectrum(B).d_hat
+    (A, LA), (B, LB) = _gate(A, B)
+    lhs = symplectic_spectrum(means._geodesic(A, *_eigh(A), B, t))
+    da = _spectrum(LA).d_hat
+    db = _spectrum(LB).d_hat
     rhs = da ** (1.0 - t) * db**t
     verdict = majorization.log_majorizes(y=rhs, x=lhs.d_hat)
     quantities = {
@@ -205,14 +212,15 @@ def check_theorem4(mats, weights=None, tol: float | None = None) -> TheoremRepor
         raise InputError("need at least two matrices")
     m = len(mats)
     w = np.full(m, 1.0 / m) if weights is None else means.validate_weights(weights, m)
-    result = means.karcher_mean(mats, w)
+    gated = _gate(*mats, mismatch="order mismatch: {other} vs {first}")
+    result = means._karcher([S for S, _ in gated], w, [_eigh(S) for S, _ in gated])
     if not result.converged:
         quantities = {"residual": result.residual, "iterations": result.iterations}
         return _report("4", quantities, float("nan"), tol, inconclusive=True)
     lhs = symplectic_spectrum(result.mean).d_hat
     rhs = np.ones_like(lhs)
-    for wj, A in zip(w, mats):
-        rhs *= symplectic_spectrum(A).d_hat ** wj
+    for wj, (_, L) in zip(w, gated):
+        rhs *= _spectrum(L).d_hat ** wj
     verdict = majorization.log_majorizes(y=rhs, x=lhs)
     quantities = {
         "weights": w.tolist(),
@@ -246,11 +254,11 @@ def check_theorem5(
     THEOREM5_SAMPLES random restrictions (first k columns of each block of a
     random symplectic matrix) must satisfy the inequalities.
     """
-    A = validate_posdef(A)
+    [(A, L)] = _gate(A)
     n = A.shape[0] // 2
     if not 1 <= k <= n:
         raise InputError(f"k must lie in [1, {n}], got {k}")
-    form = williamson_form(A)
+    form = _williamson(L)
     d = form.d
     target_tr = 2.0 * float(np.sum(d[:k]))
     target_logdet = 2.0 * float(np.sum(np.log(d[:k])))
@@ -305,12 +313,9 @@ def check_superadditivity(A: np.ndarray, B: np.ndarray, k: int | None = None, to
     symplectic eigenvalues of A + B dominate, in sum and squared product, the
     corresponding quantities of A and B added. Checks one k or, when k is
     None, all of them."""
-    A = validate_posdef(A)
-    B = validate_posdef(B)
-    if A.shape != B.shape:
-        raise InputError(f"order mismatch: {A.shape[0]} vs {B.shape[0]}")
-    da = symplectic_spectrum(A).d
-    db = symplectic_spectrum(B).d
+    (A, LA), (B, LB) = _gate(A, B)
+    da = _spectrum(LA).d
+    db = _spectrum(LB).d
     ds = symplectic_spectrum(A + B).d
     n = da.shape[0]
     ks = range(1, n + 1) if k is None else [int(k)]
@@ -366,12 +371,9 @@ def check_theorem7(A: np.ndarray, B: np.ndarray, tol: float | None = None) -> Th
     """Perturbation bounds: symplectic eigenvalue differences are controlled
     by (||A||^1/2 + ||B||^1/2) times square roots of norms of A - B, in the
     operator and Frobenius/trace norm versions."""
-    A = validate_posdef(A)
-    B = validate_posdef(B)
-    if A.shape != B.shape:
-        raise InputError(f"order mismatch: {A.shape[0]} vs {B.shape[0]}")
-    da = symplectic_spectrum(A).d
-    db = symplectic_spectrum(B).d
+    (A, LA), (B, LB) = _gate(A, B)
+    da = _spectrum(LA).d
+    db = _spectrum(LB).d
     diff_norms = norms(A - B)
     factor = math.sqrt(norms(A).operator) + math.sqrt(norms(B).operator)
     lhs_op = float(np.max(np.abs(da - db)))
@@ -397,14 +399,15 @@ def check_interlacing(A: np.ndarray, drop_index: int, tol: float | None = None) 
     """Cauchy-type interlacing for the s-principal submatrix obtained by
     deleting one index pair: d_j(A) <= d_j(B) <= d_{j+2}(A), with the
     convention that d_{n+1}(A) is infinite."""
-    da = symplectic_spectrum(A).d
+    [(A, L)] = _gate(A)
+    da = _spectrum(L).d
     n = da.shape[0]
     if n < 2:
         raise InputError("interlacing needs half-order n >= 2")
     if not 0 <= drop_index < n:
         raise InputError(f"drop index must lie in [0, {n - 1}], got {drop_index}")
     keep = [i for i in range(n) if i != drop_index]
-    db = symplectic_spectrum(sops.s_principal_submatrix(A, keep)).d
+    db = symplectic_spectrum(sops._s_principal(A, keep)).d
     scale = max(1.0, float(da[-1]))
     margins = [(db[j] - da[j]) / scale for j in range(n - 1)]
     margins += [(da[j + 2] - db[j]) / scale for j in range(n - 2)]
@@ -429,8 +432,9 @@ def check_pinching(A: np.ndarray, sizes, tol: float | None = None) -> TheoremRep
     increasing function of the plain spectrum does not decrease (elementary
     symmetric polynomials and their roots, sum of x/(1+x), sum of logs,
     power means with exponent below 1)."""
-    C = sops.s_pinching(A, sizes)
-    sa = symplectic_spectrum(A)
+    [(A, L)] = _gate(A)
+    C = sops._s_pinching(A, sizes)
+    sa = _spectrum(L)
     sc = symplectic_spectrum(C)
     verdict = majorization.supermajorizes(y=sa.d_hat, x=sc.d_hat)
     margins = [_lin(verdict.worst_margin, float(np.sum(sa.d_hat)))]
@@ -459,9 +463,10 @@ def check_theorem11(A: np.ndarray, tol: float | None = None) -> TheoremReport:
     """Symplectic versus ordinary eigenvalues: the doubled symplectic spectrum
     is log-majorized by the eigenvalue vector, and each d_j is bracketed by
     the j-th and (n+j)-th smallest eigenvalues."""
-    A, lam = _posdef(_even_order(A))
+    [(A, L)] = _gate(A)
+    lam = _eigh(A, values_only=True)
     n = A.shape[0] // 2
-    d = symplectic_spectrum(A)
+    d = _spectrum(L)
     verdict = majorization.log_majorizes(y=lam, x=d.d_hat)
     scale = max(1.0, float(lam[-1]))
     margins = [verdict.worst_margin]
@@ -478,13 +483,16 @@ def check_corollary8(A: np.ndarray, B: np.ndarray, t: float, tol: float | None =
     if not 0.0 <= t <= 1.0:
         raise InputError(f"power/geodesic parameter must lie in [0, 1], got {t}")
     tol = DEFAULT_TOLERANCES["corollary8"] if tol is None else tol
-    if not is_gaussian(A, tol):
+    require_nonnegative(tol, "tol")
+    (A, LA), (B, LB) = _gate(A, B)
+    if _spectrum(LA).d[0] < 0.5 - tol:
         raise InputError("first input is not Gaussian (d_1 < 1/2)")
-    if not is_gaussian(B, tol):
+    if _spectrum(LB).d[0] < 0.5 - tol:
         raise InputError("second input is not Gaussian (d_1 < 1/2)")
-    d1_pow = float(symplectic_spectrum(sym_pow(A, t)).d[0])
-    d1_geo = float(symplectic_spectrum(means.geodesic(A, B, t)).d[0])
-    result = means.karcher_mean([A, B])
+    w, Q = _eigh(A)
+    d1_pow = float(symplectic_spectrum((Q * w**t) @ Q.T).d[0])
+    d1_geo = float(symplectic_spectrum(means._geodesic(A, w, Q, B, t)).d[0])
+    result = means._karcher([A, B], np.full(2, 0.5), [(w, Q), _eigh(B)])
     if not result.converged:
         quantities = {"t": t, "d1_power": d1_pow, "d1_geodesic": d1_geo}
         return _report("corollary8", quantities, float("nan"), tol, inconclusive=True)
@@ -497,8 +505,9 @@ def check_corollary8(A: np.ndarray, B: np.ndarray, t: float, tol: float | None =
 def check_minmax(A: np.ndarray, tol: float | None = None) -> TheoremReport:
     """Minmax principle, verified through the equivalent eigenvalue statement:
     the spectrum of i A^{-1} J must equal {+-1/d_j(A)} as a multiset."""
-    observed = sharp_spectrum(A)
-    d = symplectic_spectrum(A).d
+    [(A, L)] = _gate(A)
+    observed = _sharp(A)
+    d = _spectrum(L).d
     expected = np.concatenate([1.0 / d, -1.0 / d[::-1]])
     scale = float(np.max(np.abs(expected)))
     margin = -float(np.max(np.abs(observed - expected))) / scale

@@ -70,10 +70,9 @@ class WilliamsonForm:
     warnings: tuple[str, ...] = field(default=())
 
 
-def _skew_core(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (K, J L) with K = L^T J L exactly skew, from the Cholesky factor
-    A = L L^T that also validates A; J L is a row swap and sign flip of L."""
-    L = _posdef_cholesky(_even_order(A))
+def _skew(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Return (K, J L) with K = L^T J L exactly skew, for the Cholesky factor
+    A = L L^T of a gated A; J L is a row swap and sign flip of L."""
     n = L.shape[0] // 2
     JL = np.concatenate([L[n:], -L[:n]])
     K = L.T @ JL
@@ -87,7 +86,12 @@ def symplectic_spectrum(A: np.ndarray) -> SymplecticSpectrum:
     the moduli d_j are reported once each, ascending, together with the
     doubled descending vector. The product of the d_j^2 equals det A.
     """
-    K, _ = _skew_core(A)
+    return _spectrum(_posdef_cholesky(_even_order(A))[1])
+
+
+def _spectrum(L: np.ndarray) -> SymplecticSpectrum:
+    """:func:`symplectic_spectrum` of the gated A = L L^T."""
+    K, _ = _skew(L)
     n = K.shape[0] // 2
     d = _eigh(1j * K, values_only=True)[n:]
     if d[0] <= 0:
@@ -115,7 +119,12 @@ def williamson_form(A: np.ndarray) -> WilliamsonForm:
     near-degenerate spectrum (gap below 1e-10 * d_n) is flagged in
     ``warnings`` but still succeeds.
     """
-    K, JL = _skew_core(A)
+    return _williamson(_posdef_cholesky(_even_order(A))[1])
+
+
+def _williamson(L: np.ndarray) -> WilliamsonForm:
+    """:func:`williamson_form` of the gated A = L L^T."""
+    K, JL = _skew(L)
     n = K.shape[0] // 2
     w, Z = _eigh(1j * K)
     d = w[n:]
@@ -150,9 +159,13 @@ def sharp_spectrum(A: np.ndarray) -> np.ndarray:
     spectrum independent of :func:`symplectic_spectrum`, which is how the
     minmax principle is verified.
     """
-    A = validate_posdef(A)
-    n = A.shape[0] // 2
-    W = np.linalg.solve(A, standard_J(n))
+    return _sharp(validate_posdef(A))
+
+
+def _sharp(S: np.ndarray) -> np.ndarray:
+    """:func:`sharp_spectrum` of the gated S."""
+    n = S.shape[0] // 2
+    W = np.linalg.solve(S, standard_J(n))
     ev = np.linalg.eigvals(1j * W)
     scale = float(np.max(np.abs(ev)))
     if float(np.max(np.abs(ev.imag))) > 1e-6 * scale:

@@ -98,11 +98,36 @@ class TestWilliamsonCommand:
         code, _ = run(capsys, "williamson", str(path))
         assert code == 2
 
-    def test_missing_data_field_exits_2(self, workdir, capsys):
-        path = workdir / "nodata.json"
-        path.write_text(json.dumps({"n": 1}))
-        code, _ = run(capsys, "williamson", str(path))
+    # Malformed files: the JSON content (None: no file) and the loader's
+    # message, in which {path} is the file's path.
+    MALFORMED = {
+        "missing_data": ({"n": 1}, "{path}: missing required field 'data'"),
+        "not_an_object": ([1, 2], "{path}: expected a JSON object with a 'data' field"),
+        "ragged": ({"data": [[1.0, 0.0], [0.0]]}, "{path}: 'data' is not a numeric array: "),
+        "not_square": (
+            {"data": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+            "{path}: 'data' must be a square matrix, got shape (2, 3)",
+        ),
+        "odd_order": ({"data": np.eye(3).tolist()}, "{path}: matrix order must be even and positive, got 3"),
+        "unknown_convention": (
+            {"convention": "rowmajor", "data": np.eye(2).tolist()},
+            "{path}: unknown convention 'rowmajor'; expected one of ('block', 'interleaved')",
+        ),
+        "unreadable": (None, "cannot read {path}: "),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_missing_data_field_exits_2(self, workdir, capsys, case):
+        content, message = self.MALFORMED[case]
+        path = workdir / f"{case}.json"
+        if content is not None:
+            path.write_text(json.dumps(content))
+        code = main(["williamson", str(path)])
+        captured = capsys.readouterr()
         assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message.format(path=path))
+        assert captured.err.count("\n") == 1
 
 
 class TestEulerCommand:
@@ -284,10 +309,10 @@ class TestVerifyCommand:
     def test_breakdown_counts_as_failure(self, workdir, capsys, monkeypatch):
         from sympeig.errors import NumericalError
 
-        def broken(A):
+        def broken(L):
             raise NumericalError("eigensolver did not converge")
 
-        monkeypatch.setattr("sympeig.theorems.symplectic_spectrum", broken)
+        monkeypatch.setattr("sympeig.theorems._spectrum", broken)
         code, out = run(capsys, "verify", "--theorem", "11", "--trials", "3", "--json")
         assert code == 1
         records = [json.loads(line) for line in out.strip().splitlines()]
@@ -478,6 +503,54 @@ def test_invalid_file_exits_3_with_the_gate_message(workdir, capsys, command, co
     assert code == 3
     assert captured.out == ""
     assert (symplectic_message if command == "euler" else posdef_message) in captured.err
+
+
+# Each command that takes --output: its input files and flags.
+OUTPUT_COMMANDS = [
+    ("williamson", 1, ["--form"]),
+    ("euler", 1, []),
+    ("mean", 2, []),
+    ("geodesic", 2, ["--t", "0.5"]),
+    ("spinch", 1, ["--partition", "2"]),
+    ("sprincipal", 1, ["--keep", "1"]),
+    ("verify", 0, ["--theorem", "6", "--trials", "2"]),
+]
+
+
+@pytest.mark.parametrize("command, count, flags", OUTPUT_COMMANDS)
+def test_unwritable_output_exits_2(workdir, capsys, command, count, flags):
+    target = workdir / "nodir" / "out.json"
+    code = main([command, *valid_inputs(workdir, command, count), *flags, "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+
+
+# Flags and file counts rejected before any output: the arguments after the
+# input files, the number of files, the exit code and the message.
+@pytest.mark.parametrize(
+    "argv, files, expected, message",
+    [
+        (["mean", "--weights", "a,b"], 2, 2, "argument --weights: expected comma-separated numbers, got 'a,b'"),
+        (["spinch", "--partition", "x"], 1, 2, "argument --partition: expected comma-separated integers, got 'x'"),
+        (["williamson", "--output", "m.json"], 1, 3, "error: --output stores the congruence matrix and needs --form"),
+        (["mean"], 1, 3, "error: mean needs at least two input files"),
+    ],
+)
+def test_rejected_flags_and_file_counts(workdir, capsys, monkeypatch, argv, files, expected, message):
+    monkeypatch.chdir(workdir)
+    paths = valid_inputs(workdir, argv[0], files)
+    try:
+        code = main([argv[0], *paths, *argv[1:]])
+    except SystemExit as exc:  # argparse exits on a malformed flag value
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == expected
+    assert captured.out == ""
+    assert message in captured.err
+    assert not (workdir / "m.json").exists()
 
 
 @pytest.mark.parametrize(
