@@ -10,11 +10,15 @@ Exit codes: 0 success (for ``gaussian``: the matrix is Gaussian; for
 verification failures), 2 parse errors (files or flags) and --output files
 that cannot be written, 3 validation errors (not positive definite / not
 symmetric / not symplectic / dimension mismatch), 4 numerical failures, 5
-iteration budget exhausted (``mean``; the best iterate is still emitted).
+iteration budget exhausted (``mean``; the best iterate is still emitted),
+141 stdout closed before the output was written (as in ``| head``; 128 +
+SIGPIPE, what a shell reports for a command a closed pipe stopped), with
+nothing on stderr.
 """
 
 import argparse
 import json
+import os
 import sys
 from typing import NamedTuple
 
@@ -294,16 +298,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # The exit code of each error class; see the module docstring.
 _EXIT_CODES = {FormatError: 2, InputError: 3, DomainError: 3, NumericalError: 4}
+_EXIT_BROKEN_PIPE = 141
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = parser.parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except SympeigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES[type(exc)]
+    except BrokenPipeError:
+        # The reader closed stdout; point it at devnull so that the flush at
+        # interpreter shutdown does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

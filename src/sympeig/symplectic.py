@@ -334,8 +334,14 @@ def unitary_to_orthosymplectic(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _orthosymplectic(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The real form [[X, -Y], [Y, X]] of the unitary X + iY."""
-    return np.block([[X, -Y], [Y, X]])
+    """The real form [[X, -Y], [Y, X]] of the unitary X + iY, for one n x n
+    pair or a stack of them along the leading axes."""
+    n = X.shape[-1]
+    O = np.empty(X.shape[:-2] + (2 * n, 2 * n))
+    O[..., :n, :n] = O[..., n:, n:] = X
+    O[..., :n, n:] = -Y
+    O[..., n:, :n] = Y
+    return O
 
 
 def mtilde_identity_check(M: np.ndarray) -> float:
@@ -362,27 +368,32 @@ def mtilde_identity_check(M: np.ndarray) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-distributed n x n unitary via QR of a complex Gaussian matrix."""
-    Z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
-    Q, R = np.linalg.qr(Z)
-    phases = np.diagonal(R).copy()
+def _haar_orthosymplectic(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """``count`` independent random orthogonal-symplectic matrices, stacked.
+
+    Each is the real form of a Haar unitary, the QR factor of a complex
+    Gaussian matrix with its phases fixed by the diagonal of R. The normals
+    come from one draw of shape (count, 2, n, n), real then imaginary part of
+    each matrix in turn, which is the stream of ``count`` draws one by one.
+    """
+    N = rng.standard_normal((count, 2, n, n))
+    Q, R = np.linalg.qr((N[:, 0] + 1j * N[:, 1]) / math.sqrt(2.0))
+    phases = np.diagonal(R, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return Q * phases
+    U = Q * phases[:, None, :]
+    return _orthosymplectic(U.real, U.imag)
 
 
 def random_orthosymplectic_rng(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random orthogonal-symplectic matrix drawn through the unitary
     correspondence, so both structures hold by construction."""
-    U = _haar_unitary(rng, n)
-    return _orthosymplectic(U.real, U.imag)
+    return _haar_orthosymplectic(rng, n, 1)[0]
 
 
 def random_symplectic_rng(rng: np.random.Generator, n: int, spread: float = 1.0) -> np.ndarray:
     """rng-driven body of :func:`random_symplectic`."""
     require_nonnegative(spread, "spread")
-    o1 = random_orthosymplectic_rng(rng, n)
-    o2 = random_orthosymplectic_rng(rng, n)
+    o1, o2 = _haar_orthosymplectic(rng, n, 2)
     gamma = np.sort(np.exp(rng.uniform(0.0, spread, size=n)))[::-1]
     return (o1 * np.concatenate([gamma, 1.0 / gamma])) @ o2.T
 

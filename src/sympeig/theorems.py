@@ -26,6 +26,7 @@ from . import majorization, means, sops
 from .errors import InputError, SympeigError
 from .matfun import _eigh, _posdef_cholesky, norms, require_nonnegative
 from .symplectic import (
+    _haar_orthosymplectic,
     associated_matrix,
     is_doubly_stochastic,
     is_doubly_superstochastic,
@@ -34,7 +35,7 @@ from .symplectic import (
     random_symplectic_rng,
     standard_J,
 )
-from .williamson import _even_order, _sharp, _spectrum, _williamson, symplectic_spectrum
+from .williamson import _even_order, _sharp, _skew, _spectrum, _williamson, symplectic_spectrum
 
 DEFAULT_TOLERANCES = {
     "1": 1e-9,
@@ -148,10 +149,11 @@ def _lin(margin: float, *scale_values: float) -> float:
 
 
 def _gate(*mats, mismatch: str = "order mismatch: {first} vs {other}"):
-    """``(S, L)``, the symmetrized matrix and its Cholesky factor, of each input; InputError on mixed orders."""
-    gated = [_posdef_cholesky(_even_order(A)) for A in mats]
+    """``(S, K, J L)`` of each input: the symmetrized S = L L^T, K = L^T J L and
+    J L, what the spectrum and Williamson kernels read; InputError on mixed orders."""
+    gated = [(S, *_skew(L)) for S, L in (_posdef_cholesky(_even_order(A)) for A in mats)]
     first = len(gated[0][0])
-    for S, _ in gated:
+    for S, _, _ in gated:
         if len(S) != first:
             raise InputError(mismatch.format(first=first, other=len(S)))
     return gated
@@ -164,8 +166,8 @@ def check_theorem1(A: np.ndarray, t: float, tol: float | None = None) -> Theorem
     for the plain (ascending) spectra."""
     if t < 0:
         raise InputError(f"power must be >= 0, got {t}")
-    [(A, L)] = _gate(A)
-    spec_a = _spectrum(L)
+    [(A, K, _)] = _gate(A)
+    spec_a = _spectrum(K)
     w, Q = _eigh(A)
     spec_t = symplectic_spectrum((Q * w**t) @ Q.T)
     if t <= 1.0:
@@ -189,10 +191,10 @@ def check_theorem3(A: np.ndarray, B: np.ndarray, t: float, tol: float | None = N
     coordinatewise product d_hat(A)^(1-t) * d_hat(B)^t."""
     if not 0.0 <= t <= 1.0:
         raise InputError(f"geodesic parameter must lie in [0, 1], got {t}")
-    (A, LA), (B, LB) = _gate(A, B)
+    (A, KA, _), (B, KB, _) = _gate(A, B)
     lhs = symplectic_spectrum(means._geodesic(A, *_eigh(A), B, t))
-    da = _spectrum(LA).d_hat
-    db = _spectrum(LB).d_hat
+    da = _spectrum(KA).d_hat
+    db = _spectrum(KB).d_hat
     rhs = da ** (1.0 - t) * db**t
     verdict = majorization.log_majorizes(y=rhs, x=lhs.d_hat)
     quantities = {
@@ -213,14 +215,14 @@ def check_theorem4(mats, weights=None, tol: float | None = None) -> TheoremRepor
     m = len(mats)
     w = np.full(m, 1.0 / m) if weights is None else means.validate_weights(weights, m)
     gated = _gate(*mats, mismatch="order mismatch: {other} vs {first}")
-    result = means._karcher([S for S, _ in gated], w, [_eigh(S) for S, _ in gated])
+    result = means._karcher([S for S, _, _ in gated], w, [_eigh(S) for S, _, _ in gated])
     if not result.converged:
         quantities = {"residual": result.residual, "iterations": result.iterations}
         return _report("4", quantities, float("nan"), tol, inconclusive=True)
     lhs = symplectic_spectrum(result.mean).d_hat
     rhs = np.ones_like(lhs)
-    for wj, (_, L) in zip(w, gated):
-        rhs *= _spectrum(L).d_hat ** wj
+    for wj, (_, K, _) in zip(w, gated):
+        rhs *= _spectrum(K).d_hat ** wj
     verdict = majorization.log_majorizes(y=rhs, x=lhs)
     quantities = {
         "weights": w.tolist(),
@@ -254,11 +256,11 @@ def check_theorem5(
     THEOREM5_SAMPLES random restrictions (first k columns of each block of a
     random symplectic matrix) must satisfy the inequalities.
     """
-    [(A, L)] = _gate(A)
+    [(A, K, JL)] = _gate(A)
     n = A.shape[0] // 2
     if not 1 <= k <= n:
         raise InputError(f"k must lie in [1, {n}], got {k}")
-    form = _williamson(L)
+    form = _williamson(K, JL)
     d = form.d
     target_tr = 2.0 * float(np.sum(d[:k]))
     target_logdet = 2.0 * float(np.sum(np.log(d[:k])))
@@ -313,9 +315,9 @@ def check_superadditivity(A: np.ndarray, B: np.ndarray, k: int | None = None, to
     symplectic eigenvalues of A + B dominate, in sum and squared product, the
     corresponding quantities of A and B added. Checks one k or, when k is
     None, all of them."""
-    (A, LA), (B, LB) = _gate(A, B)
-    da = _spectrum(LA).d
-    db = _spectrum(LB).d
+    (A, KA, _), (B, KB, _) = _gate(A, B)
+    da = _spectrum(KA).d
+    db = _spectrum(KB).d
     ds = symplectic_spectrum(A + B).d
     n = da.shape[0]
     ks = range(1, n + 1) if k is None else [int(k)]
@@ -371,9 +373,9 @@ def check_theorem7(A: np.ndarray, B: np.ndarray, tol: float | None = None) -> Th
     """Perturbation bounds: symplectic eigenvalue differences are controlled
     by (||A||^1/2 + ||B||^1/2) times square roots of norms of A - B, in the
     operator and Frobenius/trace norm versions."""
-    (A, LA), (B, LB) = _gate(A, B)
-    da = _spectrum(LA).d
-    db = _spectrum(LB).d
+    (A, KA, _), (B, KB, _) = _gate(A, B)
+    da = _spectrum(KA).d
+    db = _spectrum(KB).d
     diff_norms = norms(A - B)
     factor = math.sqrt(norms(A).operator) + math.sqrt(norms(B).operator)
     lhs_op = float(np.max(np.abs(da - db)))
@@ -399,8 +401,8 @@ def check_interlacing(A: np.ndarray, drop_index: int, tol: float | None = None) 
     """Cauchy-type interlacing for the s-principal submatrix obtained by
     deleting one index pair: d_j(A) <= d_j(B) <= d_{j+2}(A), with the
     convention that d_{n+1}(A) is infinite."""
-    [(A, L)] = _gate(A)
-    da = _spectrum(L).d
+    [(A, K, _)] = _gate(A)
+    da = _spectrum(K).d
     n = da.shape[0]
     if n < 2:
         raise InputError("interlacing needs half-order n >= 2")
@@ -432,9 +434,9 @@ def check_pinching(A: np.ndarray, sizes, tol: float | None = None) -> TheoremRep
     increasing function of the plain spectrum does not decrease (elementary
     symmetric polynomials and their roots, sum of x/(1+x), sum of logs,
     power means with exponent below 1)."""
-    [(A, L)] = _gate(A)
+    [(A, K, _)] = _gate(A)
     C = sops._s_pinching(A, sizes)
-    sa = _spectrum(L)
+    sa = _spectrum(K)
     sc = symplectic_spectrum(C)
     verdict = majorization.supermajorizes(y=sa.d_hat, x=sc.d_hat)
     margins = [_lin(verdict.worst_margin, float(np.sum(sa.d_hat)))]
@@ -463,10 +465,10 @@ def check_theorem11(A: np.ndarray, tol: float | None = None) -> TheoremReport:
     """Symplectic versus ordinary eigenvalues: the doubled symplectic spectrum
     is log-majorized by the eigenvalue vector, and each d_j is bracketed by
     the j-th and (n+j)-th smallest eigenvalues."""
-    [(A, L)] = _gate(A)
+    [(A, K, _)] = _gate(A)
     lam = _eigh(A, values_only=True)
     n = A.shape[0] // 2
-    d = _spectrum(L)
+    d = _spectrum(K)
     verdict = majorization.log_majorizes(y=lam, x=d.d_hat)
     scale = max(1.0, float(lam[-1]))
     margins = [verdict.worst_margin]
@@ -484,10 +486,10 @@ def check_corollary8(A: np.ndarray, B: np.ndarray, t: float, tol: float | None =
         raise InputError(f"power/geodesic parameter must lie in [0, 1], got {t}")
     tol = DEFAULT_TOLERANCES["corollary8"] if tol is None else tol
     require_nonnegative(tol, "tol")
-    (A, LA), (B, LB) = _gate(A, B)
-    if _spectrum(LA).d[0] < 0.5 - tol:
+    (A, KA, _), (B, KB, _) = _gate(A, B)
+    if _spectrum(KA).d[0] < 0.5 - tol:
         raise InputError("first input is not Gaussian (d_1 < 1/2)")
-    if _spectrum(LB).d[0] < 0.5 - tol:
+    if _spectrum(KB).d[0] < 0.5 - tol:
         raise InputError("second input is not Gaussian (d_1 < 1/2)")
     w, Q = _eigh(A)
     d1_pow = float(symplectic_spectrum((Q * w**t) @ Q.T).d[0])
@@ -505,9 +507,9 @@ def check_corollary8(A: np.ndarray, B: np.ndarray, t: float, tol: float | None =
 def check_minmax(A: np.ndarray, tol: float | None = None) -> TheoremReport:
     """Minmax principle, verified through the equivalent eigenvalue statement:
     the spectrum of i A^{-1} J must equal {+-1/d_j(A)} as a multiset."""
-    [(A, L)] = _gate(A)
+    [(A, K, _)] = _gate(A)
     observed = _sharp(A)
-    d = _spectrum(L).d
+    d = _spectrum(K).d
     expected = np.concatenate([1.0 / d, -1.0 / d[::-1]])
     scale = float(np.max(np.abs(expected)))
     margin = -float(np.max(np.abs(observed - expected))) / scale
@@ -567,8 +569,7 @@ def _run_instance(theorem_id: str, trial: int, rng, cfg: SuiteConfig) -> tuple[T
             # A planted squeezing floor keeps the instance decisively outside
             # the tolerance band of the stochastic/orthogonal cross-check.
             gamma = np.sort(np.exp(rng.uniform(0.2, 0.2 + cfg.spread, size=n)))[::-1]
-            o1 = random_orthosymplectic_rng(rng, n)
-            o2 = random_orthosymplectic_rng(rng, n)
+            o1, o2 = _haar_orthosymplectic(rng, n, 2)
             M = (o1 * np.concatenate([gamma, 1.0 / gamma])) @ o2.T
         return check_theorem6(M, tol), n
     if theorem_id == "7":

@@ -72,7 +72,8 @@ class WilliamsonForm:
 
 def _skew(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return (K, J L) with K = L^T J L exactly skew, for the Cholesky factor
-    A = L L^T of a gated A; J L is a row swap and sign flip of L."""
+    A = L L^T of a gated A; J L is a row swap and sign flip of L. The kernels
+    take these, not L, so L is freed before their eigensolve."""
     n = L.shape[0] // 2
     JL = np.concatenate([L[n:], -L[:n]])
     K = L.T @ JL
@@ -86,12 +87,11 @@ def symplectic_spectrum(A: np.ndarray) -> SymplecticSpectrum:
     the moduli d_j are reported once each, ascending, together with the
     doubled descending vector. The product of the d_j^2 equals det A.
     """
-    return _spectrum(_posdef_cholesky(_even_order(A))[1])
+    return _spectrum(_skew(_posdef_cholesky(_even_order(A))[1])[0])
 
 
-def _spectrum(L: np.ndarray) -> SymplecticSpectrum:
-    """:func:`symplectic_spectrum` of the gated A = L L^T."""
-    K, _ = _skew(L)
+def _spectrum(K: np.ndarray) -> SymplecticSpectrum:
+    """:func:`symplectic_spectrum` from K = L^T J L of the gated A = L L^T."""
     n = K.shape[0] // 2
     d = _eigh(1j * K, values_only=True)[n:]
     if d[0] <= 0:
@@ -119,12 +119,11 @@ def williamson_form(A: np.ndarray) -> WilliamsonForm:
     near-degenerate spectrum (gap below 1e-10 * d_n) is flagged in
     ``warnings`` but still succeeds.
     """
-    return _williamson(_posdef_cholesky(_even_order(A))[1])
+    return _williamson(*_skew(_posdef_cholesky(_even_order(A))[1]))
 
 
-def _williamson(L: np.ndarray) -> WilliamsonForm:
-    """:func:`williamson_form` of the gated A = L L^T."""
-    K, JL = _skew(L)
+def _williamson(K: np.ndarray, JL: np.ndarray) -> WilliamsonForm:
+    """:func:`williamson_form` from ``(K, J L)`` of the gated A = L L^T."""
     n = K.shape[0] // 2
     w, Z = _eigh(1j * K)
     d = w[n:]

@@ -641,3 +641,24 @@ def test_import_loads_no(package):
         check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_closed_stdout_exits_141_without_a_traceback(workdir):
+    # The read end is closed before the child starts, so its first write to
+    # stdout fails as it does under `| head` once head has exited.
+    path = write(workdir, "A.json", random_posdef(0, 3)[0], kind="posdef")
+    src = str(Path(sympeig.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sympeig.cli", "williamson", path, "--form"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""

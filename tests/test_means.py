@@ -16,6 +16,7 @@ from sympeig.cli import main
 from sympeig.matfun import sym_log, sym_pow
 from sympeig.matio import save_matrix
 from sympeig.symplectic import random_posdef_rng
+from sympeig.theorems import SuiteConfig, run_suite
 
 
 def spd(seed, n=2, cs=1.0):
@@ -221,8 +222,32 @@ class TestKarcherMean:
         mats = [spd(33), spd(34), spd(35)]
         res = karcher_mean(mats, max_iter=1)
         assert not res.converged and res.iterations == 1
-        assert np.isfinite(res.residual)
+        assert len(res.residual_history) == 2
+        assert res.residual == min(res.residual_history)
+        assert karcher_residual(res.mean, mats) == pytest.approx(res.residual, rel=1e-6)
         assert np.min(np.linalg.eigvalsh(res.mean)) > 0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_newton_solves_suite_triples_in_few_iterations(self, seed):
+        reports = run_suite(SuiteConfig(seed=seed, theorems=("4",)))
+        assert not any(rep.inconclusive for rep in reports)
+        assert max(rep.quantities["iterations"] for rep in reports) <= 6
+
+    @pytest.mark.parametrize("cs, spread", [(1.5, 1.0), (4.0, 3.0)])
+    def test_accepted_residuals_do_not_increase(self, cs, spread):
+        rng = np.random.default_rng(49)
+        for m in (3, 5):
+            mats = [random_posdef_rng(rng, 4, condition_spread=cs, spread=spread)[0] for _ in range(m)]
+            res = karcher_mean(mats)
+            history = res.residual_history
+            assert res.converged and len(history) == res.iterations + 1
+            # Replay the step rule: a trial point is kept when it lowers the residual.
+            accepted = [history[0]]
+            for value in history[1:]:
+                if value < accepted[-1]:
+                    accepted.append(value)
+            assert res.residual == accepted[-1] == min(history)
+            assert karcher_residual(res.mean, mats) == pytest.approx(res.residual, rel=1e-3, abs=1e-12)
 
     @pytest.mark.parametrize("weights", [None, [0.3, 0.7]])
     def test_pair_is_closed_form(self, weights):
@@ -264,8 +289,9 @@ class TestKarcherMean:
 
             monkeypatch.setattr(np.linalg, name, spy)
         karcher_mean([spd(40 + j) for j in range(m)], max_iter=0)
-        # m at the gate, one for the start, one for the iterate, m whitened inputs.
-        assert len(calls) == 2 * m + 2
+        # m at the gate, one for the start, one for the iterate, one stacked
+        # whitening of the m inputs.
+        assert len(calls) == m + 3
 
     def test_weight_validation(self):
         A, B = spd(42), spd(43)

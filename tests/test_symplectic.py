@@ -352,6 +352,43 @@ class TestRandomGenerators:
         assert is_symplectic(O).residual <= 1e-12 * (1 + np.sum(O * O))
 
 
+def _reference_orthosymplectic(rng, n):
+    """One Haar unitary's real form, drawn matrix by matrix and assembled with
+    np.block: the reference the stacked draw must reproduce bit for bit."""
+    Z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    Q, R = np.linalg.qr(Z)
+    phases = np.diagonal(R).copy()
+    phases /= np.abs(phases)
+    U = Q * phases
+    return np.block([[U.real, -U.imag], [U.imag, U.real]])
+
+
+def _reference_symplectic(rng, n, spread):
+    o1 = _reference_orthosymplectic(rng, n)
+    o2 = _reference_orthosymplectic(rng, n)
+    gamma = np.sort(np.exp(rng.uniform(0.0, spread, size=n)))[::-1]
+    return (o1 * np.concatenate([gamma, 1.0 / gamma])) @ o2.T
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_generators_match_the_matrix_by_matrix_reference(n):
+    # The stacked draw keeps both the rng stream and every bit of the output.
+    for seed in range(50):
+        for spread in (0.0, 1.0, 8.0):
+            reference = _reference_symplectic(np.random.default_rng(seed), n, spread)
+            assert np.array_equal(random_symplectic(seed, n, spread), reference)
+            rng = np.random.default_rng(seed)
+            S = _reference_symplectic(rng, n, spread)
+            d = np.sort(np.exp(rng.uniform(-1.0, 1.0, size=n)))
+            B = S.T @ np.diag(np.concatenate([d, d])) @ S
+            A, got_d = random_posdef(seed, n, 1.0, spread)
+            assert np.array_equal(got_d, d)
+            assert np.array_equal(A, (B + B.T) / 2.0)
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(random_orthosymplectic_rng(ours, n), _reference_orthosymplectic(reference, n))
+        assert ours.random() == reference.random()
+
+
 class TestTheoremSixCharacterization:
     """Doubly stochastic iff orthogonal, on generated matrices clear of the
     tolerance band."""
