@@ -111,8 +111,13 @@ def _posdef_cholesky(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.linalg.cholesky(S - np.diag(np.full(len(S), tau)))
     except np.linalg.LinAlgError:
         _check_posdef(_eigh(S, values_only=True), refuse_near_singular=True)
+    return S, _cholesky(S)
+
+
+def _cholesky(S: np.ndarray) -> np.ndarray:
+    """Cholesky factor L, S = L L^T, of the trusted S; failure raises NumericalError."""
     try:
-        return S, np.linalg.cholesky(S)
+        return np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
 

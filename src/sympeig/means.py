@@ -71,16 +71,16 @@ def geodesic(A: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
     B = _posdef(B)[0]
     if A.shape != B.shape:
         raise InputError(f"order mismatch: {A.shape[0]} vs {B.shape[0]}")
-    return _geodesic(A, w, Q, B, t)
-
-
-def _geodesic(A: np.ndarray, w: np.ndarray, Q: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
-    """A #_t B = P P^T, P = F V diag(mu^{t/2}), for validated A = Q diag(w) Q^T, B; at t in {0, 1} the endpoint."""
     if t in (0.0, 1.0):
         return B if t else A
-    mu, V = _whitened_eig(Q / np.sqrt(w), B)
-    P = ((Q * np.sqrt(w)) @ V) * mu ** (t / 2.0)
+    P = _geodesic(w, Q, B, t)
     return P @ P.T
+
+
+def _geodesic(w: np.ndarray, Q: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
+    """Factor P = F V diag(mu^{t/2}) of A #_t B = P P^T for validated A = Q diag(w) Q^T, B."""
+    mu, V = _whitened_eig(Q / np.sqrt(w), B)
+    return ((Q * np.sqrt(w)) @ V) * mu ** (t / 2.0)
 
 
 @dataclass(frozen=True)
@@ -206,8 +206,11 @@ def _karcher(mats, w: np.ndarray, eigs, tol: float | None = None, max_iter: int 
     """:func:`karcher_mean` of validated matrices of one order, weights w and each one's ``(lam, Q)``."""
     if len(mats) == 1:
         return KarcherResult(mean=mats[0], residual=0.0, iterations=0, converged=True, residual_history=(0.0,))
-    if len(mats) == 2:
-        X = _geodesic(mats[0], *eigs[0], mats[1], w[1])
+    if len(mats) == 2 and w[1] == 1.0:
+        X = mats[1]
+    elif len(mats) == 2:
+        P = _geodesic(*eigs[0], mats[1], w[1])
+        X = P @ P.T
     else:
         X = _sym_exp(sum(wj * ((Q * np.log(lam)) @ Q.T) for wj, (lam, Q) in zip(w, eigs)))
     stack = np.array(mats)

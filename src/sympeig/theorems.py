@@ -14,6 +14,8 @@ A report holds exactly when margin >= -tolerance. A checker that depends on
 an iterative solve (the Karcher mean) reports ``inconclusive`` instead of
 failing when the solve did not converge. Each input passes one gate; the
 kernels behind the public functions then use its symmetrized matrix and factor.
+A matrix X derived from the inputs passes no second gate: its symplectic
+spectrum is read from a square factor X = F F^T.
 """
 
 import json
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import majorization, means, sops
 from .errors import InputError, SympeigError
-from .matfun import _eigh, _posdef_cholesky, norms, require_nonnegative
+from .matfun import _cholesky, _eigh, _posdef_cholesky, norms, require_nonnegative
 from .symplectic import (
     _haar_orthosymplectic,
     associated_matrix,
@@ -35,7 +37,7 @@ from .symplectic import (
     random_symplectic_rng,
     standard_J,
 )
-from .williamson import _even_order, _sharp, _skew, _spectrum, _williamson, symplectic_spectrum
+from .williamson import _even_order, _sharp, _skew, _spectrum, _williamson
 
 DEFAULT_TOLERANCES = {
     "1": 1e-9,
@@ -127,13 +129,13 @@ class SuiteConfig:
         return self.tolerances.get(theorem_id, DEFAULT_TOLERANCES[theorem_id])
 
 
-def _report(theorem_id, quantities, margin, tol=None, digest="", inconclusive=False):
+def _report(theorem_id, quantities, margin, tol=None, inconclusive=False):
     tol = DEFAULT_TOLERANCES[theorem_id] if tol is None else tol
     margin = float(margin)
     holds = bool(math.isfinite(margin) and margin >= -tol) and not inconclusive
     return TheoremReport(
         theorem_id=theorem_id,
-        digest=digest,
+        digest="",
         quantities=quantities,
         margin=margin,
         tolerance=float(tol),
@@ -149,14 +151,19 @@ def _lin(margin: float, *scale_values: float) -> float:
 
 
 def _gate(*mats, mismatch: str = "order mismatch: {first} vs {other}"):
-    """``(S, K, J L)`` of each input: the symmetrized S = L L^T, K = L^T J L and
-    J L, what the spectrum and Williamson kernels read; InputError on mixed orders."""
-    gated = [(S, *_skew(L)) for S, L in (_posdef_cholesky(_even_order(A)) for A in mats)]
+    """``(S, L)`` of each input: the symmetrized S and its Cholesky factor
+    S = L L^T; InputError on mixed orders."""
+    gated = [_posdef_cholesky(_even_order(A)) for A in mats]
     first = len(gated[0][0])
-    for S, _, _ in gated:
+    for S, _ in gated:
         if len(S) != first:
             raise InputError(mismatch.format(first=first, other=len(S)))
     return gated
+
+
+def _factor_spectrum(F: np.ndarray):
+    """Symplectic spectrum of F F^T for a square F of even order (see :func:`_skew`)."""
+    return _spectrum(_skew(F)[0])
 
 
 def check_theorem1(A: np.ndarray, t: float, tol: float | None = None) -> TheoremReport:
@@ -166,10 +173,10 @@ def check_theorem1(A: np.ndarray, t: float, tol: float | None = None) -> Theorem
     for the plain (ascending) spectra."""
     if t < 0:
         raise InputError(f"power must be >= 0, got {t}")
-    [(A, K, _)] = _gate(A)
-    spec_a = _spectrum(K)
+    [(A, L)] = _gate(A)
+    spec_a = _factor_spectrum(L)
     w, Q = _eigh(A)
-    spec_t = symplectic_spectrum((Q * w**t) @ Q.T)
+    spec_t = _factor_spectrum(Q * w ** (t / 2.0))
     if t <= 1.0:
         verdict = majorization.log_majorizes(y=spec_a.d_hat**t, x=spec_t.d_hat)
     else:
@@ -191,10 +198,10 @@ def check_theorem3(A: np.ndarray, B: np.ndarray, t: float, tol: float | None = N
     coordinatewise product d_hat(A)^(1-t) * d_hat(B)^t."""
     if not 0.0 <= t <= 1.0:
         raise InputError(f"geodesic parameter must lie in [0, 1], got {t}")
-    (A, KA, _), (B, KB, _) = _gate(A, B)
-    lhs = symplectic_spectrum(means._geodesic(A, *_eigh(A), B, t))
-    da = _spectrum(KA).d_hat
-    db = _spectrum(KB).d_hat
+    (A, LA), (B, LB) = _gate(A, B)
+    lhs = _factor_spectrum(means._geodesic(*_eigh(A), B, t))
+    da = _factor_spectrum(LA).d_hat
+    db = _factor_spectrum(LB).d_hat
     rhs = da ** (1.0 - t) * db**t
     verdict = majorization.log_majorizes(y=rhs, x=lhs.d_hat)
     quantities = {
@@ -215,14 +222,14 @@ def check_theorem4(mats, weights=None, tol: float | None = None) -> TheoremRepor
     m = len(mats)
     w = np.full(m, 1.0 / m) if weights is None else means.validate_weights(weights, m)
     gated = _gate(*mats, mismatch="order mismatch: {other} vs {first}")
-    result = means._karcher([S for S, _, _ in gated], w, [_eigh(S) for S, _, _ in gated])
+    result = means._karcher([S for S, _ in gated], w, [_eigh(S) for S, _ in gated])
     if not result.converged:
         quantities = {"residual": result.residual, "iterations": result.iterations}
         return _report("4", quantities, float("nan"), tol, inconclusive=True)
-    lhs = symplectic_spectrum(result.mean).d_hat
+    lhs = _factor_spectrum(_cholesky(result.mean)).d_hat
     rhs = np.ones_like(lhs)
-    for wj, (_, K, _) in zip(w, gated):
-        rhs *= _spectrum(K).d_hat ** wj
+    for wj, (_, L) in zip(w, gated):
+        rhs *= _factor_spectrum(L).d_hat ** wj
     verdict = majorization.log_majorizes(y=rhs, x=lhs)
     quantities = {
         "weights": w.tolist(),
@@ -232,10 +239,6 @@ def check_theorem4(mats, weights=None, tol: float | None = None) -> TheoremRepor
         "iterations": result.iterations,
     }
     return _report("4", quantities, verdict.worst_margin, tol)
-
-
-def _restriction_residual(M: np.ndarray, n: int, k: int) -> float:
-    return float(np.linalg.norm(M.T @ standard_J(n) @ M - standard_J(k)))
 
 
 def check_theorem5(
@@ -256,11 +259,11 @@ def check_theorem5(
     THEOREM5_SAMPLES random restrictions (first k columns of each block of a
     random symplectic matrix) must satisfy the inequalities.
     """
-    [(A, K, JL)] = _gate(A)
+    [(A, L)] = _gate(A)
     n = A.shape[0] // 2
     if not 1 <= k <= n:
         raise InputError(f"k must lie in [1, {n}], got {k}")
-    form = _williamson(K, JL)
+    form = _williamson(*_skew(L))
     d = form.d
     target_tr = 2.0 * float(np.sum(d[:k]))
     target_logdet = 2.0 * float(np.sum(np.log(d[:k])))
@@ -277,7 +280,7 @@ def check_theorem5(
         M = np.asarray(M, dtype=float)
         if M.shape != (2 * n, 2 * k):
             raise InputError(f"restriction must be {2 * n} x {2 * k}, got {M.shape}")
-        residual = _restriction_residual(M, n, k)
+        residual = float(np.linalg.norm(M.T @ standard_J(n) @ M - standard_J(k)))
         if residual > 1e-8 * (1.0 + float(np.sum(M * M))):
             raise InputError(f"matrix fails the restriction condition: residual {residual:.3e}")
         tr_val, logdet_val = _values(M)
@@ -315,10 +318,10 @@ def check_superadditivity(A: np.ndarray, B: np.ndarray, k: int | None = None, to
     symplectic eigenvalues of A + B dominate, in sum and squared product, the
     corresponding quantities of A and B added. Checks one k or, when k is
     None, all of them."""
-    (A, KA, _), (B, KB, _) = _gate(A, B)
-    da = _spectrum(KA).d
-    db = _spectrum(KB).d
-    ds = symplectic_spectrum(A + B).d
+    (A, LA), (B, LB) = _gate(A, B)
+    da = _factor_spectrum(LA).d
+    db = _factor_spectrum(LB).d
+    ds = _factor_spectrum(_cholesky(A + B)).d
     n = da.shape[0]
     ks = range(1, n + 1) if k is None else [int(k)]
     margins = []
@@ -373,9 +376,9 @@ def check_theorem7(A: np.ndarray, B: np.ndarray, tol: float | None = None) -> Th
     """Perturbation bounds: symplectic eigenvalue differences are controlled
     by (||A||^1/2 + ||B||^1/2) times square roots of norms of A - B, in the
     operator and Frobenius/trace norm versions."""
-    (A, KA, _), (B, KB, _) = _gate(A, B)
-    da = _spectrum(KA).d
-    db = _spectrum(KB).d
+    (A, LA), (B, LB) = _gate(A, B)
+    da = _factor_spectrum(LA).d
+    db = _factor_spectrum(LB).d
     diff_norms = norms(A - B)
     factor = math.sqrt(norms(A).operator) + math.sqrt(norms(B).operator)
     lhs_op = float(np.max(np.abs(da - db)))
@@ -401,15 +404,15 @@ def check_interlacing(A: np.ndarray, drop_index: int, tol: float | None = None) 
     """Cauchy-type interlacing for the s-principal submatrix obtained by
     deleting one index pair: d_j(A) <= d_j(B) <= d_{j+2}(A), with the
     convention that d_{n+1}(A) is infinite."""
-    [(A, K, _)] = _gate(A)
-    da = _spectrum(K).d
+    [(A, L)] = _gate(A)
+    da = _factor_spectrum(L).d
     n = da.shape[0]
     if n < 2:
         raise InputError("interlacing needs half-order n >= 2")
     if not 0 <= drop_index < n:
         raise InputError(f"drop index must lie in [0, {n - 1}], got {drop_index}")
     keep = [i for i in range(n) if i != drop_index]
-    db = symplectic_spectrum(sops._s_principal(A, keep)).d
+    db = _factor_spectrum(_cholesky(sops._s_principal(A, keep))).d
     scale = max(1.0, float(da[-1]))
     margins = [(db[j] - da[j]) / scale for j in range(n - 1)]
     margins += [(da[j + 2] - db[j]) / scale for j in range(n - 2)]
@@ -434,10 +437,9 @@ def check_pinching(A: np.ndarray, sizes, tol: float | None = None) -> TheoremRep
     increasing function of the plain spectrum does not decrease (elementary
     symmetric polynomials and their roots, sum of x/(1+x), sum of logs,
     power means with exponent below 1)."""
-    [(A, K, _)] = _gate(A)
-    C = sops._s_pinching(A, sizes)
-    sa = _spectrum(K)
-    sc = symplectic_spectrum(C)
+    [(A, L)] = _gate(A)
+    sc = _factor_spectrum(_cholesky(sops._s_pinching(A, sizes)))
+    sa = _factor_spectrum(L)
     verdict = majorization.supermajorizes(y=sa.d_hat, x=sc.d_hat)
     margins = [_lin(verdict.worst_margin, float(np.sum(sa.d_hat)))]
 
@@ -465,10 +467,10 @@ def check_theorem11(A: np.ndarray, tol: float | None = None) -> TheoremReport:
     """Symplectic versus ordinary eigenvalues: the doubled symplectic spectrum
     is log-majorized by the eigenvalue vector, and each d_j is bracketed by
     the j-th and (n+j)-th smallest eigenvalues."""
-    [(A, K, _)] = _gate(A)
+    [(A, L)] = _gate(A)
     lam = _eigh(A, values_only=True)
     n = A.shape[0] // 2
-    d = _spectrum(K)
+    d = _factor_spectrum(L)
     verdict = majorization.log_majorizes(y=lam, x=d.d_hat)
     scale = max(1.0, float(lam[-1]))
     margins = [verdict.worst_margin]
@@ -486,19 +488,19 @@ def check_corollary8(A: np.ndarray, B: np.ndarray, t: float, tol: float | None =
         raise InputError(f"power/geodesic parameter must lie in [0, 1], got {t}")
     tol = DEFAULT_TOLERANCES["corollary8"] if tol is None else tol
     require_nonnegative(tol, "tol")
-    (A, KA, _), (B, KB, _) = _gate(A, B)
-    if _spectrum(KA).d[0] < 0.5 - tol:
+    (A, LA), (B, LB) = _gate(A, B)
+    if _factor_spectrum(LA).d[0] < 0.5 - tol:
         raise InputError("first input is not Gaussian (d_1 < 1/2)")
-    if _spectrum(KB).d[0] < 0.5 - tol:
+    if _factor_spectrum(LB).d[0] < 0.5 - tol:
         raise InputError("second input is not Gaussian (d_1 < 1/2)")
     w, Q = _eigh(A)
-    d1_pow = float(symplectic_spectrum((Q * w**t) @ Q.T).d[0])
-    d1_geo = float(symplectic_spectrum(means._geodesic(A, w, Q, B, t)).d[0])
+    d1_pow = float(_factor_spectrum(Q * w ** (t / 2.0)).d[0])
+    d1_geo = float(_factor_spectrum(means._geodesic(w, Q, B, t)).d[0])
     result = means._karcher([A, B], np.full(2, 0.5), [(w, Q), _eigh(B)])
     if not result.converged:
         quantities = {"t": t, "d1_power": d1_pow, "d1_geodesic": d1_geo}
         return _report("corollary8", quantities, float("nan"), tol, inconclusive=True)
-    d1_mean = float(symplectic_spectrum(result.mean).d[0])
+    d1_mean = float(_factor_spectrum(_cholesky(result.mean)).d[0])
     margin = min(d1_pow, d1_geo, d1_mean) - 0.5
     quantities = {"t": t, "d1_power": d1_pow, "d1_geodesic": d1_geo, "d1_mean": d1_mean}
     return _report("corollary8", quantities, margin, tol)
@@ -507,9 +509,9 @@ def check_corollary8(A: np.ndarray, B: np.ndarray, t: float, tol: float | None =
 def check_minmax(A: np.ndarray, tol: float | None = None) -> TheoremReport:
     """Minmax principle, verified through the equivalent eigenvalue statement:
     the spectrum of i A^{-1} J must equal {+-1/d_j(A)} as a multiset."""
-    [(A, K, _)] = _gate(A)
+    [(A, L)] = _gate(A)
     observed = _sharp(A)
-    d = _spectrum(K).d
+    d = _factor_spectrum(L).d
     expected = np.concatenate([1.0 / d, -1.0 / d[::-1]])
     scale = float(np.max(np.abs(expected)))
     margin = -float(np.max(np.abs(observed - expected))) / scale
@@ -621,18 +623,8 @@ def run_suite(cfg: SuiteConfig) -> list[TheoremReport]:
                 rep, n = _run_instance(theorem_id, trial, rng, cfg)
                 reports.append(replace(rep, digest=f"{digest};n={n}", trial=trial, n=n))
             except SympeigError as exc:
-                reports.append(
-                    TheoremReport(
-                        theorem_id=theorem_id,
-                        digest=digest,
-                        quantities={"error": str(exc)},
-                        margin=float("nan"),
-                        tolerance=cfg.tolerance_for(theorem_id),
-                        holds=False,
-                        trial=trial,
-                        n=None,
-                    )
-                )
+                rep = _report(theorem_id, {"error": str(exc)}, float("nan"), cfg.tolerance_for(theorem_id))
+                reports.append(replace(rep, digest=digest, trial=trial))
     return reports
 
 

@@ -71,9 +71,9 @@ class WilliamsonForm:
 
 
 def _skew(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (K, J L) with K = L^T J L exactly skew, for the Cholesky factor
-    A = L L^T of a gated A; J L is a row swap and sign flip of L. The kernels
-    take these, not L, so L is freed before their eigensolve."""
+    """Return (K, J L) with K = L^T J L exactly skew, for any square A = L L^T (each
+    such K is orthogonally similar to the Cholesky one); J L is a row swap and sign
+    flip of L. The kernels take these, not L, so L is freed before their eigensolve."""
     n = L.shape[0] // 2
     JL = np.concatenate([L[n:], -L[:n]])
     K = L.T @ JL
@@ -91,7 +91,7 @@ def symplectic_spectrum(A: np.ndarray) -> SymplecticSpectrum:
 
 
 def _spectrum(K: np.ndarray) -> SymplecticSpectrum:
-    """:func:`symplectic_spectrum` from K = L^T J L of the gated A = L L^T."""
+    """:func:`symplectic_spectrum` from K = L^T J L of A = L L^T, L square."""
     n = K.shape[0] // 2
     d = _eigh(1j * K, values_only=True)[n:]
     if d[0] <= 0:

@@ -316,7 +316,19 @@ class TestVerifyCommand:
         code, out = run(capsys, "verify", "--theorem", "11", "--trials", "3", "--json")
         assert code == 1
         records = [json.loads(line) for line in out.strip().splitlines()]
-        assert all(not r["holds"] and not r["inconclusive"] and r["margin"] is None for r in records)
+        assert records == [
+            {
+                "theorem_id": "11",
+                "trial": trial,
+                "n": None,
+                "holds": False,
+                "inconclusive": False,
+                "margin": None,
+                "tolerance": 1e-9,
+                "digest": f"seed=0;theorem=11;trial={trial}",
+            }
+            for trial in range(3)
+        ]
 
     def test_output_independent_of_hash_seed(self):
         src = str(Path(sympeig.__file__).resolve().parents[1])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sympeig.means
+import sympeig.theorems
 from sympeig import (
     InputError,
     SuiteConfig,
@@ -24,6 +25,7 @@ from sympeig import (
     random_posdef,
     random_symplectic,
     run_suite,
+    standard_J,
     summarize,
 )
 from sympeig.means import KarcherResult
@@ -36,6 +38,11 @@ def spd(seed, n=2, cs=1.0):
 def diagonal(d):
     d = np.asarray(d, dtype=float)
     return np.diag(np.concatenate([d, d]))
+
+
+# Wide planted spectra and strong squeezing: kappa(A^t) for t up to 3 is far
+# beyond what an explicitly formed A^t keeps accurate.
+STRESS = {"condition_spread": 4.0, "spread": 3.0, "trials": 20, "theorems": ("1",)}
 
 
 class TestTheorem1:
@@ -57,6 +64,35 @@ class TestTheorem1:
             rep = check_theorem1(spd(seed, 3, 1.5), t)
             assert rep.holds
             assert rep.margin >= -1e-9
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stress_regime_holds(self, seed):
+        reports = run_suite(SuiteConfig(seed=seed, **STRESS))
+        assert len(reports) == 20
+        assert all(r.holds and "error" not in r.quantities for r in reports)
+
+    def test_stress_power_spectrum_matches_mpmath(self, monkeypatch):
+        mp = pytest.importorskip("mpmath")
+        seen = []
+
+        def spy(A, t, tol):
+            seen.append((A, t))
+            return check_theorem1(A, t, tol)
+
+        monkeypatch.setattr(sympeig.theorems, "check_theorem1", spy)
+        run_suite(SuiteConfig(seed=0, **STRESS))
+        powers = [(A, t) for A, t in seen if t > 1.0]
+        assert len(powers) == 10
+        for A, t in powers:
+            d = np.array(check_theorem1(A, t).quantities["d_of_A_pow_t"])
+            with mp.workdps(60):
+                # The moduli of the eigenvalues of i A^{t/2} J A^{t/2}.
+                w, Q = mp.eigsy(mp.matrix(A.tolist()))
+                half = Q * mp.diag([x ** (mp.mpf(t) / 2) for x in w]) * Q.T
+                K = half * mp.matrix(standard_J(len(d)).tolist()) * half
+                ev = mp.eighe(mp.mpc(0, 1) * K, eigvals_only=True)
+                exact = sorted(float(mp.log(x)) for x in ev if x > 0)
+            assert np.max(np.abs(np.log(d) - exact)) <= 1e-9
 
     def test_rejects_negative_power(self):
         with pytest.raises(InputError, match=">= 0"):
