@@ -19,6 +19,7 @@ nothing on stderr.
 import argparse
 import json
 import os
+import re
 import sys
 from typing import NamedTuple
 
@@ -188,42 +189,28 @@ def cmd_sprincipal(args) -> _Outcome:
 
 def cmd_verify(args) -> int:
     if args.theorem != "all" and args.theorem not in theorems.THEOREM_IDS:
-        print(
-            f"unknown theorem id {args.theorem!r}; known: all, {', '.join(theorems.THEOREM_IDS)}",
-            file=sys.stderr,
-        )
+        known = ", ".join(theorems.THEOREM_IDS)
+        print(f"unknown theorem id {args.theorem!r}; known: all, {known}", file=sys.stderr)
         return 2
     selected = theorems.THEOREM_IDS if args.theorem == "all" else (args.theorem,)
-    overrides = {tid: args.tol for tid in selected} if args.tol is not None else {}
+    tols = {tid: args.tol for tid in selected} if args.tol is not None else {}
     cfg = theorems.SuiteConfig(
-        seed=args.seed,
-        trials=args.trials,
-        nmin=args.nmin,
-        nmax=args.nmax,
-        tolerances=overrides,
-        theorems=selected,
+        seed=args.seed, trials=args.trials, nmin=args.nmin, nmax=args.nmax, tolerances=tols, theorems=selected
     )
     reports = theorems.run_suite(cfg)
-    output_lines: list[str] = []
     if args.json:
-        output_lines = [rep.to_json_line() for rep in reports]
+        lines = [rep.to_json_line() for rep in reports]
     else:
-        summary = theorems.summarize(reports)
-        header = f"{'theorem':>16} {'trials':>7} {'pass':>6} {'fail':>6} {'inconcl':>8} {'worst margin':>22}"
-        output_lines.append(header)
-        for tid in selected:
-            entry = summary[tid]
+        lines = [f"{'theorem':>16} {'trials':>7} {'pass':>6} {'fail':>6} {'inconcl':>8} {'worst margin':>22}"]
+        for tid, entry in theorems.summarize(reports).items():
             passed = entry["trials"] - entry["failures"] - entry["inconclusive"]
-            worst = entry["worst_margin"]
-            worst_text = _fmt(worst) if np.isfinite(worst) else "n/a"
-            output_lines.append(
+            worst = _fmt(entry["worst_margin"]) if np.isfinite(entry["worst_margin"]) else "n/a"
+            lines.append(
                 f"{tid:>16} {entry['trials']:>7} {passed:>6} {entry['failures']:>6} "
-                f"{entry['inconclusive']:>8} {worst_text:>22}"
+                f"{entry['inconclusive']:>8} {worst:>22}"
             )
-    text = "\n".join(output_lines)
-    _emit(text, args.output)
-    failures = sum(1 for rep in reports if not rep.holds and not rep.inconclusive)
-    return 0 if failures == 0 else 1
+    _emit("\n".join(lines), args.output)
+    return 0 if all(rep.holds or rep.inconclusive for rep in reports) else 1
 
 
 def _add_matrix_command(sub, compute, output: bool = True) -> None:
@@ -303,6 +290,12 @@ _EXIT_BROKEN_PIPE = 141
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads -0.5 as a number but -1e-9 as a flag: join such a value
+    # to the float option before it, as in --tol=-1e-9.
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] in ("--t", "--tol") and re.fullmatch(r"-[\d.]+(e[-+]?\d+)?", argv[i], re.I):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
         code = args.func(args)

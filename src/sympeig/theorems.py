@@ -20,6 +20,9 @@ spectrum is read from a square factor X = F F^T.
 
 import json
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -59,6 +62,8 @@ THEOREM_IDS = tuple(DEFAULT_TOLERANCES)
 ORTHOGONALITY_TOL = 1e-7
 # Random restrictions sampled by the theorem-5 check when no M is given.
 THEOREM5_SAMPLES = 20
+# Fewest suite instances per process; on two CPUs, forking gains from about 400.
+SUITE_TASKS_PER_PROCESS = 200
 
 
 @dataclass(frozen=True)
@@ -603,6 +608,54 @@ def _run_instance(theorem_id: str, trial: int, rng, cfg: SuiteConfig) -> tuple[T
     raise InputError(f"unknown theorem id {theorem_id!r}")
 
 
+def _suite_task(cfg: SuiteConfig, theorem_id: str, trial: int) -> TheoremReport:
+    """One suite instance, seeded by (suite seed, theorem index, trial) alone."""
+    rng = np.random.default_rng([cfg.seed, THEOREM_IDS.index(theorem_id), trial])
+    digest = f"seed={cfg.seed};theorem={theorem_id};trial={trial}"
+    try:
+        rep, n = _run_instance(theorem_id, trial, rng, cfg)
+        return replace(rep, digest=f"{digest};n={n}", trial=trial, n=n)
+    except SympeigError as exc:
+        rep = _report(theorem_id, {"error": str(exc)}, float("nan"), cfg.tolerance_for(theorem_id))
+        return replace(rep, digest=digest, trial=trial)
+
+
+def _forked_suite(cfg: SuiteConfig, tasks: list, workers: int) -> list[TheoremReport]:
+    """Process k runs tasks[k::workers]; forked children pickle theirs into a pipe."""
+    pids, pipes = [], []
+    try:
+        for k in range(1, workers):
+            fd_read, fd_write = os.pipe()
+            pipes.append(open(fd_read, "rb"))
+            pids.append(os.fork())
+            if pids[-1] == 0:  # the child sends its slice and exits here
+                try:
+                    for pipe in pipes:
+                        pipe.close()
+                    try:
+                        part = [_suite_task(cfg, *task) for task in tasks[k::workers]]
+                    except Exception as exc:
+                        part = exc
+                    with open(fd_write, "wb") as pipe:
+                        pipe.write(pickle.dumps(part))
+                finally:
+                    os._exit(0)
+            os.close(fd_write)
+        parts = [[_suite_task(cfg, *task) for task in tasks[::workers]]]
+        for pipe in pipes:
+            data = pipe.read()  # empty when the child died before sending
+            parts.append(pickle.loads(data) if data else ChildProcessError("a forked suite process sent no reports"))
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+    for part in parts:
+        if isinstance(part, Exception):
+            raise part
+    return [parts[i % workers][i // workers] for i in range(len(tasks))]
+
+
 def run_suite(cfg: SuiteConfig) -> list[TheoremReport]:
     """Run the seeded verification suite.
 
@@ -611,21 +664,15 @@ def run_suite(cfg: SuiteConfig) -> list[TheoremReport]:
     the full report list is deterministic in the seed. Every fifth instance
     plants a spectrum with duplicate entries to exercise degeneracy.
     An instance that raises a SympeigError is recorded as a failure (NaN
-    margin, message in quantities) and the suite continues.
+    margin, message in quantities) and the suite continues. Large suites fork
+    one process per usable CPU (see SUITE_TASKS_PER_PROCESS), with the same reports.
     """
-    reports = []
-    for theorem_id in cfg.theorems:
-        index = THEOREM_IDS.index(theorem_id)
-        for trial in range(cfg.trials):
-            rng = np.random.default_rng([cfg.seed, index, trial])
-            digest = f"seed={cfg.seed};theorem={theorem_id};trial={trial}"
-            try:
-                rep, n = _run_instance(theorem_id, trial, rng, cfg)
-                reports.append(replace(rep, digest=f"{digest};n={n}", trial=trial, n=n))
-            except SympeigError as exc:
-                rep = _report(theorem_id, {"error": str(exc)}, float("nan"), cfg.tolerance_for(theorem_id))
-                reports.append(replace(rep, digest=digest, trial=trial))
-    return reports
+    tasks = [(theorem_id, trial) for theorem_id in cfg.theorems for trial in range(cfg.trials)]
+    forkable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1
+    workers = min(len(os.sched_getaffinity(0)), len(tasks) // SUITE_TASKS_PER_PROCESS) if forkable else 1
+    if workers < 2:
+        return [_suite_task(cfg, *task) for task in tasks]
+    return _forked_suite(cfg, tasks, workers)
 
 
 def summarize(reports) -> dict:

@@ -241,6 +241,13 @@ class TestDistanceGeodesic:
         code, _ = run(capsys, "geodesic", pa, pa, "--t", "2.0")
         assert code == 3
 
+    @pytest.mark.parametrize("t", [["--t", "-5e-1"], ["--t=-5e-1"], ["--t", "-.5"], ["--t", "-5E-1"]])
+    def test_negative_exponent_t_reaches_the_check(self, workdir, capsys, t):
+        # argparse alone reads "-5e-1" as an option flag and exits 2.
+        pa = write(workdir, "a.json", np.eye(2))
+        assert main(["geodesic", pa, pa, *t]) == 3
+        assert "geodesic parameter must lie in [0, 1], got -0.5" in capsys.readouterr().err
+
 
 class TestGaussianCommand:
     def test_identity_is_gaussian(self, workdir, capsys):
@@ -578,10 +585,16 @@ def test_rejected_flags_and_file_counts(workdir, capsys, monkeypatch, argv, file
         (["gaussian", "--tol", "0"], 0),
         (["verify", "--tol", "nan"], 3),
         (["verify", "--tol", "-1"], 3),
+        (["verify", "--tol", "-1e-9"], 3),
+        (["verify", "--tol=-1e-9"], 3),
+        (["mean", "--tol", "-1e-9"], 3),
+        (["gaussian", "--tol", "-1E-3"], 3),
         (["verify", "--seed", "-1"], 3),
     ],
 )
 def test_tolerance_and_budget_validated(workdir, capsys, argv, expected):
+    # A negative exponent-form value must reach the library check (exit 3),
+    # not stop in argparse as a missing argument (exit 2).
     inputs = {"mean": 3, "gaussian": 1, "verify": 0}[argv[0]]
     paths = [write(workdir, f"m{i}.json", random_posdef(18 + i, 2, 1.5)[0] + np.eye(4)) for i in range(inputs)]
     code, out = run(capsys, argv[0], *paths, *argv[1:])

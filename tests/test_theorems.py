@@ -1,6 +1,8 @@
 """Tests for the theorem checkers and the verification suite."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -80,6 +82,8 @@ class TestTheorem1:
             return check_theorem1(A, t, tol)
 
         monkeypatch.setattr(sympeig.theorems, "check_theorem1", spy)
+        # A forked child's calls would never reach the spy: run serially.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         run_suite(SuiteConfig(seed=0, **STRESS))
         powers = [(A, t) for A, t in seen if t > 1.0]
         assert len(powers) == 10
@@ -417,10 +421,38 @@ class TestReports:
         assert rep.holds == (rep.margin >= 0.0)
 
 
+def cpus(monkeypatch, count):
+    """Make run_suite see `count` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the processes run_suite forks."""
+    forked = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or real_fork())
+    return forked
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the suite forks only where os.fork exists")
+# 5 trials of all 12 theorems: 60 tasks, which 3 CPUs split in 3 when a
+# process needs at least 20.
+FORK_CFG = SuiteConfig(seed=9, trials=5, nmax=4)
+
+
+def allow_three_processes(monkeypatch):
+    cpus(monkeypatch, 3)
+    monkeypatch.setattr(sympeig.theorems, "SUITE_TASKS_PER_PROCESS", 20)
+
+
 class TestRunSuite:
     def test_deterministic(self):
-        import json
-
         cfg = SuiteConfig(seed=5, trials=2, nmax=3)
         first = run_suite(cfg)
         second = run_suite(cfg)
@@ -468,3 +500,59 @@ class TestRunSuite:
         cfg = SuiteConfig(seed=3, trials=1, theorems=("7",), tolerances={"7": 0.123})
         (rep,) = run_suite(cfg)
         assert rep.tolerance == 0.123
+
+
+    @needs_fork
+    def test_forked_reports_equal_serial(self, monkeypatch, forks):
+        allow_three_processes(monkeypatch)
+        parallel = run_suite(FORK_CFG)
+        assert len(forks) == 2
+        assert_no_child_left()
+        cpus(monkeypatch, 1)
+        serial = run_suite(FORK_CFG)
+        assert len(forks) == 2
+        assert [r.to_json_line() for r in parallel] == [r.to_json_line() for r in serial]
+        q_parallel = [json.dumps(r.quantities, sort_keys=True) for r in parallel]
+        assert q_parallel == [json.dumps(r.quantities, sort_keys=True) for r in serial]
+
+    @needs_fork
+    def test_small_suite_stays_serial(self, monkeypatch, forks):
+        cpus(monkeypatch, 64)
+        cfg = SuiteConfig(trials=1)
+        assert len(cfg.theorems) < 2 * sympeig.theorems.SUITE_TASKS_PER_PROCESS
+        assert len(run_suite(cfg)) == len(cfg.theorems)
+        assert forks == []
+
+    @needs_fork
+    @pytest.mark.parametrize("raiser", ["child", "parent"])
+    def test_exception_propagates_and_children_are_reaped(self, monkeypatch, forks, raiser):
+        allow_three_processes(monkeypatch)
+        parent = os.getpid()
+        real = sympeig.theorems.check_theorem7
+
+        def checker(*args):
+            if (os.getpid() == parent) == (raiser == "parent"):
+                raise RuntimeError(f"checker broke in the {raiser}")
+            return real(*args)
+
+        monkeypatch.setattr(sympeig.theorems, "check_theorem7", checker)
+        with pytest.raises(RuntimeError, match=f"checker broke in the {raiser}"):
+            run_suite(FORK_CFG)
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    @needs_fork
+    def test_child_that_dies_is_reported_and_reaped(self, monkeypatch, forks):
+        allow_three_processes(monkeypatch)
+        parent = os.getpid()
+        real = sympeig.theorems.check_theorem7
+
+        def checker(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(*args)
+
+        monkeypatch.setattr(sympeig.theorems, "check_theorem7", checker)
+        with pytest.raises(ChildProcessError, match="sent no reports"):
+            run_suite(FORK_CFG)
+        assert_no_child_left()
