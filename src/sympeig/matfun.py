@@ -1,13 +1,15 @@
 """Functional calculus for real symmetric matrices and basic matrix norms.
 
 The one place that decides positive definiteness and forms f(S) = Q f(L) Q^T:
-``_posdef`` and ``_posdef_cholesky`` are the gates for outside input, ``_eigh``
-the eigen-kernel, and the other underscore helpers trust their inputs. The
-refusing operations (fractional powers, logarithms, symplectic spectra) reject
-near-singular input instead of regularizing it, so inequality margins are
-never silently corrupted.
+``_posdef`` is the gate for outside input, a shifted-Cholesky certificate with
+the spectrum as its fallback, ``_same_order`` the one rule for inputs that must
+share an order, ``_eigh`` the eigen-kernel, and the other underscore helpers
+trust their inputs. The refusing operations (fractional powers, logarithms,
+symplectic spectra) reject near-singular input instead of regularizing it, so
+inequality margins are never silently corrupted.
 """
 
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +47,15 @@ def require_nonnegative(value: float, name: str) -> None:
         raise InputError(f"{name} must be finite and >= 0, got {value}")
 
 
-def symmetrize(S: np.ndarray, *, name: str = "matrix") -> np.ndarray:
+def require_integer(value, name: str) -> int:
+    """value as an int, raising InputError unless it is one (numpy integers included)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value}") from None
+
+
+def symmetrize(S: np.ndarray) -> np.ndarray:
     """Validate that S is symmetric within tolerance and return (S + S^T)/2.
 
     Raises
@@ -54,12 +64,12 @@ def symmetrize(S: np.ndarray, *, name: str = "matrix") -> np.ndarray:
         If S is not square, not finite, or max|S_ij - S_ji| exceeds
         SYMTOL * max|S_ij|.
     """
-    S = require_square(S, name)
+    S = require_square(S, "positive definite matrix")
     scale = np.max(np.abs(S)) if S.size else 0.0
     asym = np.max(np.abs(S - S.T)) if S.size else 0.0
     if asym > SYMTOL * max(scale, np.finfo(float).tiny):
         raise InputError(
-            f"{name} is not symmetric: max asymmetry {asym:.3e} exceeds "
+            f"positive definite matrix is not symmetric: max asymmetry {asym:.3e} exceeds "
             f"{SYMTOL:.1e} * max|entry| = {SYMTOL * scale:.3e}"
         )
     return (S + S.T) / 2.0
@@ -88,30 +98,36 @@ def _check_posdef(w: np.ndarray, refuse_near_singular: bool = False) -> None:
         )
 
 
-def _posdef(S: np.ndarray, refuse_near_singular: bool = False, values_only: bool = True):
-    """Symmetrize nonempty outside input, decompose it once and check the
-    spectrum; returns ``(S, _eigh(S, values_only))`` for the symmetrized S."""
-    S = symmetrize(S, name="positive definite matrix")
+def _posdef(S: np.ndarray, refuse_near_singular: bool = False) -> np.ndarray:
+    """The symmetrized S of nonempty outside input, once it is certified positive
+    definite (with ``refuse_near_singular``: lambda_min > PD_RELCUT * lambda_max).
+
+    A Cholesky factor of S - tau I, tau = (cut + m^2 eps) s ||S / s||_F with
+    s = max|S_ij| and cut = PD_RELCUT or 0 (m^2 eps: Cholesky's backward error,
+    Higham ASNA 10.1), certifies lambda_min > cut * lambda_max; when S - tau I
+    does not factor, the spectrum decides. Callers that need a factor or an
+    eigendecomposition compute it afterwards.
+    """
+    S = symmetrize(S)
     if not S.size:
         raise InputError("positive definite matrix must be nonempty")
-    spectrum = _eigh(S, values_only)
-    _check_posdef(spectrum if values_only else spectrum[0], refuse_near_singular)
-    return S, spectrum
-
-
-def _posdef_cholesky(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(S, L)``: the symmetrized S and its Cholesky factor, deciding as ``_posdef(S,
-    refuse_near_singular=True)``. A factor of S - tau I, tau = (PD_RELCUT + m^2
-    eps) s ||S / s||_F, s = max|S_ij| (m^2 eps: Cholesky's backward error, Higham
-    ASNA 10.1), certifies lambda_min > PD_RELCUT * lambda_max; else the spectrum decides."""
-    S = symmetrize(S, name="positive definite matrix")
     scale = np.max(np.abs(S)) or 1.0
-    tau = (PD_RELCUT + S.size * np.finfo(float).eps) * scale * np.linalg.norm(S / scale)
+    cut = PD_RELCUT if refuse_near_singular else 0.0
+    tau = (cut + S.size * np.finfo(float).eps) * scale * np.linalg.norm(S / scale)
     try:
         np.linalg.cholesky(S - np.diag(np.full(len(S), tau)))
     except np.linalg.LinAlgError:
-        _check_posdef(_eigh(S, values_only=True), refuse_near_singular=True)
-    return S, _cholesky(S)
+        _check_posdef(_eigh(S, values_only=True), refuse_near_singular)
+    return S
+
+
+def _same_order(mats: list) -> list:
+    """The gated matrices, after an InputError unless all have the first one's order."""
+    first = len(mats[0])
+    for S in mats:
+        if len(S) != first:
+            raise InputError(f"order mismatch: {first} vs {len(S)}")
+    return mats
 
 
 def _cholesky(S: np.ndarray) -> np.ndarray:
@@ -140,14 +156,14 @@ def sym_pow(S: np.ndarray, t: float) -> np.ndarray:
         If S is not positive definite, or lambda_min <= 1e-12 * lambda_max
         (near-singular input is refused rather than regularized).
     """
-    _, (w, Q) = _posdef(S, refuse_near_singular=True, values_only=False)
+    w, Q = _eigh(_posdef(S, refuse_near_singular=True))
     return (Q * w**t) @ Q.T
 
 
 def sym_log(S: np.ndarray) -> np.ndarray:
     """Matrix logarithm of a symmetric positive definite matrix; refuses
     near-singular input like :func:`sym_pow`."""
-    _, (w, Q) = _posdef(S, refuse_near_singular=True, values_only=False)
+    w, Q = _eigh(_posdef(S, refuse_near_singular=True))
     return (Q * np.log(w)) @ Q.T
 
 

@@ -15,11 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .matfun import _eigh, _posdef, _sym_exp, require_nonnegative
+from .matfun import _eigh, _posdef, _same_order, _sym_exp, require_integer, require_nonnegative
 
 
 def validate_weights(w, m: int) -> np.ndarray:
-    """Positive finite weights of length m summing to 1 within 1e-12."""
+    """Positive finite weights of length m summing to 1 within 1e-12; uniform when None."""
+    if w is None:
+        return np.full(m, 1.0 / m)
     w = np.asarray(w, dtype=float)
     if w.shape != (m,):
         raise InputError(f"expected {m} weights, got shape {w.shape}")
@@ -42,13 +44,20 @@ def _whitened_eig(G: np.ndarray, B: np.ndarray):
     return mu, V
 
 
+def _spd_eigh(S: np.ndarray):
+    """``(w, Q)`` of the gated S, whose eigensolve may still put w_min <= 0 when S
+    is singular to working precision: NumericalError then, before any sqrt or log."""
+    w, Q = _eigh(S)
+    if w[0] <= 0.0:
+        raise NumericalError(f"matrix is not numerically positive definite: lambda_min = {w[0]:.6e}")
+    return w, Q
+
+
 def riemannian_distance(A: np.ndarray, B: np.ndarray) -> float:
     """Affine-invariant Riemannian distance ||log(A^{-1/2} B A^{-1/2})||_F;
     NumericalError when that matrix is not numerically positive definite."""
-    A, (w, Q) = _posdef(A, values_only=False)
-    B = _posdef(B)[0]
-    if A.shape != B.shape:
-        raise InputError(f"order mismatch: {A.shape[0]} vs {B.shape[0]}")
+    A, B = _same_order([_posdef(A), _posdef(B)])
+    w, Q = _spd_eigh(A)
     mu = _whitened_eig(Q / np.sqrt(w), B)[0]
     return float(np.sqrt(np.sum(np.log(mu) ** 2)))
 
@@ -67,13 +76,10 @@ def geodesic(A: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
     """
     if not 0.0 <= t <= 1.0:
         raise InputError(f"geodesic parameter must lie in [0, 1], got {t}")
-    A, (w, Q) = _posdef(A, values_only=False)
-    B = _posdef(B)[0]
-    if A.shape != B.shape:
-        raise InputError(f"order mismatch: {A.shape[0]} vs {B.shape[0]}")
+    A, B = _same_order([_posdef(A), _posdef(B)])
     if t in (0.0, 1.0):
         return B if t else A
-    P = _geodesic(w, Q, B, t)
+    P = _geodesic(*_spd_eigh(A), B, t)
     return P @ P.T
 
 
@@ -102,22 +108,6 @@ class KarcherResult:
     residual_history: tuple[float, ...] = ()
 
 
-def _karcher_inputs(mats, weights, order: int | None = None):
-    """Validated matrices of one order (``order``, else the first's), weights,
-    and the ``(w, Q)`` eigendecomposition the gate computed for each matrix."""
-    gated = [_posdef(A, values_only=False) for A in mats]
-    if not gated:
-        raise InputError("need at least one matrix")
-    mats = [A for A, _ in gated]
-    order = mats[0].shape[0] if order is None else order
-    for A in mats:
-        if A.shape[0] != order:
-            raise InputError(f"order mismatch: {A.shape[0]} vs {order}")
-    m = len(mats)
-    w = np.full(m, 1.0 / m) if weights is None else validate_weights(weights, m)
-    return mats, w, [eig for _, eig in gated]
-
-
 def _log_sum(G: np.ndarray, stack: np.ndarray, w: np.ndarray):
     """``(S, ell, V)``: S = sum_j w_j log(G^T A_j G) for the stacked A_j, with
     G^T A_j G = V_j diag(exp ell_j) V_j^T. For X = Q diag(lam) Q^T and
@@ -130,8 +120,11 @@ def _log_sum(G: np.ndarray, stack: np.ndarray, w: np.ndarray):
 
 def karcher_residual(X: np.ndarray, mats, weights=None) -> float:
     """Frobenius norm of sum_j w_j log(X^{1/2} A_j^{-1} X^{1/2})."""
-    X, (lam, Q) = _posdef(X, values_only=False)
-    mats, w, _ = _karcher_inputs(mats, weights, X.shape[0])
+    X, *mats = _same_order([_posdef(S) for S in (X, *mats)])
+    if not mats:
+        raise InputError("need at least one matrix")
+    w = validate_weights(weights, len(mats))
+    lam, Q = _spd_eigh(X)
     return float(np.linalg.norm(_log_sum(Q / np.sqrt(lam), np.array(mats), w)[0]))
 
 
@@ -189,7 +182,7 @@ def karcher_mean(mats, weights=None, tol: float | None = None, max_iter: int = 2
         Finite residual target >= 0. Defaults to 1e-9 times the operator norm
         of the current iterate.
     max_iter : int
-        Newton iteration budget, finite and >= 0.
+        Newton iteration budget, an integer >= 0.
 
     Returns
     -------
@@ -198,25 +191,29 @@ def karcher_mean(mats, weights=None, tol: float | None = None, max_iter: int = 2
         ``max_iter`` Newton iterations is exhausted.
     """
     require_nonnegative(max_iter, "max_iter")
+    require_integer(max_iter, "max_iter")
     require_nonnegative(0.0 if tol is None else tol, "tol")
-    return _karcher(*_karcher_inputs(mats, weights), tol, max_iter)
+    mats = [_posdef(A) for A in mats]
+    if not mats:
+        raise InputError("need at least one matrix")
+    return _karcher(_same_order(mats), validate_weights(weights, len(mats)), tol, max_iter)
 
 
-def _karcher(mats, w: np.ndarray, eigs, tol: float | None = None, max_iter: int = 200) -> KarcherResult:
-    """:func:`karcher_mean` of validated matrices of one order, weights w and each one's ``(lam, Q)``."""
+def _karcher(mats, w: np.ndarray, tol: float | None = None, max_iter: int = 200) -> KarcherResult:
+    """:func:`karcher_mean` of validated matrices of one order and weights w."""
     if len(mats) == 1:
         return KarcherResult(mean=mats[0], residual=0.0, iterations=0, converged=True, residual_history=(0.0,))
     if len(mats) == 2 and w[1] == 1.0:
         X = mats[1]
     elif len(mats) == 2:
-        P = _geodesic(*eigs[0], mats[1], w[1])
+        P = _geodesic(*_spd_eigh(mats[0]), mats[1], w[1])
         X = P @ P.T
     else:
-        X = _sym_exp(sum(wj * ((Q * np.log(lam)) @ Q.T) for wj, (lam, Q) in zip(w, eigs)))
+        X = _sym_exp(sum(wj * ((Q * np.log(lam)) @ Q.T) for wj, (lam, Q) in zip(w, map(_spd_eigh, mats))))
     stack = np.array(mats)
 
     def _state(X):
-        lam, Q = _eigh(X)
+        lam, Q = _spd_eigh(X)
         S, ell, V = _log_sum(Q / np.sqrt(lam), stack, w)
         return Q * np.sqrt(lam), S, ell, V, float(np.linalg.norm(S)), float(lam[-1])
 

@@ -9,14 +9,14 @@ definiteness) intact.
 import numpy as np
 
 from .errors import InputError
-from .matfun import require_square
+from .matfun import require_integer, require_square
 from .symplectic import validate_symplectic
 from .williamson import validate_posdef
 
 
 def validate_partition(sizes, n: int) -> tuple[int, ...]:
     """Positive block sizes summing to the half-order n."""
-    sizes = tuple(int(s) for s in sizes)
+    sizes = tuple(require_integer(s, "partition size") for s in sizes)
     if not sizes or any(s < 1 for s in sizes):
         raise InputError(f"partition sizes must be positive integers, got {sizes}")
     if sum(sizes) != n:
@@ -97,7 +97,7 @@ def s_principal_submatrix(A: np.ndarray, keep) -> np.ndarray:
 def _s_principal(S: np.ndarray, keep) -> np.ndarray:
     """:func:`s_principal_submatrix` of the gated S."""
     n = S.shape[0] // 2
-    idx = sorted(set(int(i) for i in keep))
+    idx = sorted(set(require_integer(i, "keep index") for i in keep))
     if not idx:
         raise InputError("keep must contain at least one index")
     if idx[0] < 0 or idx[-1] >= n:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import majorization, means, sops
 from .errors import InputError, SympeigError
-from .matfun import _cholesky, _eigh, _posdef_cholesky, norms, require_nonnegative
+from .matfun import _cholesky, _eigh, _posdef, _same_order, norms, require_integer, require_nonnegative
 from .symplectic import (
     _haar_orthosymplectic,
     associated_matrix,
@@ -116,6 +116,8 @@ class SuiteConfig:
     theorems: tuple[str, ...] = THEOREM_IDS
 
     def __post_init__(self):
+        for name in ("seed", "trials", "nmin", "nmax"):
+            require_integer(getattr(self, name), name)
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
@@ -126,16 +128,26 @@ class SuiteConfig:
             require_nonnegative(getattr(self, name), name)
         for tol in self.tolerances.values():
             require_nonnegative(tol, "tolerances")
-        unknown = [t for t in self.theorems if t not in THEOREM_IDS]
+        if isinstance(self.theorems, str):
+            raise InputError(f"theorems must be a sequence of theorem ids, got the string {self.theorems!r}")
+        unknown = [t for t in (*self.theorems, *self.tolerances) if t not in THEOREM_IDS]
         if unknown:
             raise InputError(f"unknown theorem ids: {unknown}; known: {list(THEOREM_IDS)}")
+        if len(set(self.theorems)) != len(self.theorems):
+            raise InputError(f"duplicate theorem ids: {list(self.theorems)}")
 
     def tolerance_for(self, theorem_id: str) -> float:
         return self.tolerances.get(theorem_id, DEFAULT_TOLERANCES[theorem_id])
 
 
-def _report(theorem_id, quantities, margin, tol=None, inconclusive=False):
+def _tolerance(theorem_id: str, tol: float | None) -> float:
+    """A checker's tol, its theorem's default when None; InputError unless finite and >= 0."""
     tol = DEFAULT_TOLERANCES[theorem_id] if tol is None else tol
+    require_nonnegative(tol, "tol")
+    return float(tol)
+
+
+def _report(theorem_id, quantities, margin, tol, inconclusive=False):
     margin = float(margin)
     holds = bool(math.isfinite(margin) and margin >= -tol) and not inconclusive
     return TheoremReport(
@@ -155,15 +167,11 @@ def _lin(margin: float, *scale_values: float) -> float:
     return float(margin) / scale
 
 
-def _gate(*mats, mismatch: str = "order mismatch: {first} vs {other}"):
-    """``(S, L)`` of each input: the symmetrized S and its Cholesky factor
-    S = L L^T; InputError on mixed orders."""
-    gated = [_posdef_cholesky(_even_order(A)) for A in mats]
-    first = len(gated[0][0])
-    for S, _ in gated:
-        if len(S) != first:
-            raise InputError(mismatch.format(first=first, other=len(S)))
-    return gated
+def _gate(*mats):
+    """``(S, L)`` of each input: the symmetrized S, refused when near-singular, and
+    its Cholesky factor S = L L^T; InputError on mixed orders."""
+    gated = _same_order([_posdef(_even_order(A), refuse_near_singular=True) for A in mats])
+    return [(S, _cholesky(S)) for S in gated]
 
 
 def _factor_spectrum(F: np.ndarray):
@@ -176,8 +184,8 @@ def check_theorem1(A: np.ndarray, t: float, tol: float | None = None) -> Theorem
     spectrum of A^t is log-majorized by the t-th power of that of A, and the
     order reverses for t >= 1. Also checks the bottom-k product inequalities
     for the plain (ascending) spectra."""
-    if t < 0:
-        raise InputError(f"power must be >= 0, got {t}")
+    tol = _tolerance("1", tol)
+    require_nonnegative(t, "power")
     [(A, L)] = _gate(A)
     spec_a = _factor_spectrum(L)
     w, Q = _eigh(A)
@@ -201,6 +209,7 @@ def check_theorem1(A: np.ndarray, t: float, tol: float | None = None) -> Theorem
 def check_theorem3(A: np.ndarray, B: np.ndarray, t: float, tol: float | None = None) -> TheoremReport:
     """Doubled spectrum of the geodesic point A #_t B is log-majorized by the
     coordinatewise product d_hat(A)^(1-t) * d_hat(B)^t."""
+    tol = _tolerance("3", tol)
     if not 0.0 <= t <= 1.0:
         raise InputError(f"geodesic parameter must lie in [0, 1], got {t}")
     (A, LA), (B, LB) = _gate(A, B)
@@ -221,13 +230,13 @@ def check_theorem4(mats, weights=None, tol: float | None = None) -> TheoremRepor
     """Doubled spectrum of the weighted Karcher mean is log-majorized by the
     weighted coordinatewise product of the inputs' doubled spectra. A
     non-converged mean yields an inconclusive report, never a failure."""
+    tol = _tolerance("4", tol)
     mats = list(mats)
     if len(mats) < 2:
         raise InputError("need at least two matrices")
-    m = len(mats)
-    w = np.full(m, 1.0 / m) if weights is None else means.validate_weights(weights, m)
-    gated = _gate(*mats, mismatch="order mismatch: {other} vs {first}")
-    result = means._karcher([S for S, _ in gated], w, [_eigh(S) for S, _ in gated])
+    w = means.validate_weights(weights, len(mats))
+    gated = _gate(*mats)
+    result = means._karcher([S for S, _ in gated], w)
     if not result.converged:
         quantities = {"residual": result.residual, "iterations": result.iterations}
         return _report("4", quantities, float("nan"), tol, inconclusive=True)
@@ -264,8 +273,10 @@ def check_theorem5(
     THEOREM5_SAMPLES random restrictions (first k columns of each block of a
     random symplectic matrix) must satisfy the inequalities.
     """
+    tol = _tolerance("5", tol)
     [(A, L)] = _gate(A)
     n = A.shape[0] // 2
+    k = require_integer(k, "k")
     if not 1 <= k <= n:
         raise InputError(f"k must lie in [1, {n}], got {k}")
     form = _williamson(*_skew(L))
@@ -323,12 +334,13 @@ def check_superadditivity(A: np.ndarray, B: np.ndarray, k: int | None = None, to
     symplectic eigenvalues of A + B dominate, in sum and squared product, the
     corresponding quantities of A and B added. Checks one k or, when k is
     None, all of them."""
+    tol = _tolerance("superadditivity", tol)
     (A, LA), (B, LB) = _gate(A, B)
     da = _factor_spectrum(LA).d
     db = _factor_spectrum(LB).d
     ds = _factor_spectrum(_cholesky(A + B)).d
     n = da.shape[0]
-    ks = range(1, n + 1) if k is None else [int(k)]
+    ks = range(1, n + 1) if k is None else [require_integer(k, "k")]
     margins = []
     for kk in ks:
         if not 1 <= kk <= n:
@@ -352,7 +364,7 @@ def check_theorem6(M: np.ndarray, tol: float | None = None) -> TheoremReport:
     """The associated matrix of a symplectic M has row and column sums >= 1,
     is doubly superstochastic (with a transportation-flow witness), and is
     doubly stochastic exactly when M is orthogonal."""
-    tol = DEFAULT_TOLERANCES["6"] if tol is None else tol
+    tol = _tolerance("6", tol)
     mt = associated_matrix(M)
     n = mt.shape[0]
     row_min = float(np.min(mt.sum(axis=1)))
@@ -381,6 +393,7 @@ def check_theorem7(A: np.ndarray, B: np.ndarray, tol: float | None = None) -> Th
     """Perturbation bounds: symplectic eigenvalue differences are controlled
     by (||A||^1/2 + ||B||^1/2) times square roots of norms of A - B, in the
     operator and Frobenius/trace norm versions."""
+    tol = _tolerance("7", tol)
     (A, LA), (B, LB) = _gate(A, B)
     da = _factor_spectrum(LA).d
     db = _factor_spectrum(LB).d
@@ -409,11 +422,13 @@ def check_interlacing(A: np.ndarray, drop_index: int, tol: float | None = None) 
     """Cauchy-type interlacing for the s-principal submatrix obtained by
     deleting one index pair: d_j(A) <= d_j(B) <= d_{j+2}(A), with the
     convention that d_{n+1}(A) is infinite."""
+    tol = _tolerance("interlacing", tol)
     [(A, L)] = _gate(A)
     da = _factor_spectrum(L).d
     n = da.shape[0]
     if n < 2:
         raise InputError("interlacing needs half-order n >= 2")
+    drop_index = require_integer(drop_index, "drop index")
     if not 0 <= drop_index < n:
         raise InputError(f"drop index must lie in [0, {n - 1}], got {drop_index}")
     keep = [i for i in range(n) if i != drop_index]
@@ -442,6 +457,7 @@ def check_pinching(A: np.ndarray, sizes, tol: float | None = None) -> TheoremRep
     increasing function of the plain spectrum does not decrease (elementary
     symmetric polynomials and their roots, sum of x/(1+x), sum of logs,
     power means with exponent below 1)."""
+    tol = _tolerance("pinching", tol)
     [(A, L)] = _gate(A)
     sc = _factor_spectrum(_cholesky(sops._s_pinching(A, sizes)))
     sa = _factor_spectrum(L)
@@ -472,6 +488,7 @@ def check_theorem11(A: np.ndarray, tol: float | None = None) -> TheoremReport:
     """Symplectic versus ordinary eigenvalues: the doubled symplectic spectrum
     is log-majorized by the eigenvalue vector, and each d_j is bracketed by
     the j-th and (n+j)-th smallest eigenvalues."""
+    tol = _tolerance("11", tol)
     [(A, L)] = _gate(A)
     lam = _eigh(A, values_only=True)
     n = A.shape[0] // 2
@@ -489,10 +506,9 @@ def check_corollary8(A: np.ndarray, B: np.ndarray, t: float, tol: float | None =
     """Geodesic convexity of Gaussian covariance matrices: powers A^t for
     t in [0, 1], geodesic points, and the Karcher mean of Gaussian matrices
     stay Gaussian (smallest symplectic eigenvalue >= 1/2)."""
+    tol = _tolerance("corollary8", tol)
     if not 0.0 <= t <= 1.0:
         raise InputError(f"power/geodesic parameter must lie in [0, 1], got {t}")
-    tol = DEFAULT_TOLERANCES["corollary8"] if tol is None else tol
-    require_nonnegative(tol, "tol")
     (A, LA), (B, LB) = _gate(A, B)
     if _factor_spectrum(LA).d[0] < 0.5 - tol:
         raise InputError("first input is not Gaussian (d_1 < 1/2)")
@@ -501,7 +517,7 @@ def check_corollary8(A: np.ndarray, B: np.ndarray, t: float, tol: float | None =
     w, Q = _eigh(A)
     d1_pow = float(_factor_spectrum(Q * w ** (t / 2.0)).d[0])
     d1_geo = float(_factor_spectrum(means._geodesic(w, Q, B, t)).d[0])
-    result = means._karcher([A, B], np.full(2, 0.5), [(w, Q), _eigh(B)])
+    result = means._karcher([A, B], np.full(2, 0.5))
     if not result.converged:
         quantities = {"t": t, "d1_power": d1_pow, "d1_geodesic": d1_geo}
         return _report("corollary8", quantities, float("nan"), tol, inconclusive=True)
@@ -514,6 +530,7 @@ def check_corollary8(A: np.ndarray, B: np.ndarray, t: float, tol: float | None =
 def check_minmax(A: np.ndarray, tol: float | None = None) -> TheoremReport:
     """Minmax principle, verified through the equivalent eigenvalue statement:
     the spectrum of i A^{-1} J must equal {+-1/d_j(A)} as a multiset."""
+    tol = _tolerance("minmax", tol)
     [(A, L)] = _gate(A)
     observed = _sharp(A)
     d = _factor_spectrum(L).d

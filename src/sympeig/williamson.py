@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .matfun import _eigh, _posdef, _posdef_cholesky, require_nonnegative, require_square
+from .matfun import _cholesky, _eigh, _posdef, require_nonnegative, require_square
 from .symplectic import standard_J
 
 
@@ -39,7 +39,7 @@ def validate_posdef(A: np.ndarray) -> np.ndarray:
     DomainError
         Not positive definite (smallest eigenvalue reported).
     """
-    return _posdef(_even_order(A))[0]
+    return _posdef(_even_order(A))
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def symplectic_spectrum(A: np.ndarray) -> SymplecticSpectrum:
     the moduli d_j are reported once each, ascending, together with the
     doubled descending vector. The product of the d_j^2 equals det A.
     """
-    return _spectrum(_skew(_posdef_cholesky(_even_order(A))[1])[0])
+    return _spectrum(_skew(_cholesky(_posdef(_even_order(A), refuse_near_singular=True)))[0])
 
 
 def _spectrum(K: np.ndarray) -> SymplecticSpectrum:
@@ -119,7 +119,7 @@ def williamson_form(A: np.ndarray) -> WilliamsonForm:
     near-degenerate spectrum (gap below 1e-10 * d_n) is flagged in
     ``warnings`` but still succeeds.
     """
-    return _williamson(*_skew(_posdef_cholesky(_even_order(A))[1]))
+    return _williamson(*_skew(_cholesky(_posdef(_even_order(A), refuse_near_singular=True))))
 
 
 def _williamson(K: np.ndarray, JL: np.ndarray) -> WilliamsonForm:

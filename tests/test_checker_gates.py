@@ -2,11 +2,14 @@
 checker raises for a faulty positive definite input in each position, and that
 it gates each input once and none of the matrices it derives from them."""
 
+import math
+
 import numpy as np
 import pytest
 
 import sympeig
 from sympeig import (
+    DEFAULT_TOLERANCES,
     DomainError,
     InputError,
     check_corollary8,
@@ -21,9 +24,12 @@ from sympeig import (
     check_theorem6,
     check_theorem7,
     check_theorem11,
+    karcher_mean,
     random_posdef,
     random_symplectic,
+    s_principal_submatrix,
 )
+from sympeig.sops import validate_partition
 
 # Each checker that takes positive definite matrices: a call on that many of
 # them. The valid inputs are Gaussian (A + I has d_1 >= 1), as corollary 8 needs.
@@ -64,13 +70,11 @@ FAULTS = {
 }
 
 
-def mismatch_message(checker, orders) -> str:
-    """The pair checkers name A's order, then B's; theorem 4 names the first
-    order that differs from the first matrix's, then that one (as karcher_mean)."""
-    if checker != "4":
-        return f"order mismatch: {orders[0]} vs {orders[1]}"
+def mismatch_message(orders) -> str:
+    """Every checker names the first matrix's order, then the first order that
+    differs from it."""
     offending = next(o for o in orders if o != orders[0])
-    return f"order mismatch: {offending} vs {orders[0]}"
+    return f"order mismatch: {orders[0]} vs {offending}"
 
 
 CASES = [
@@ -88,17 +92,14 @@ def test_faulty_input_raises_the_gate_error(checker, fault, position):
     bad, error, message = FAULTS[fault]
     args = VALID[:count]
     args[position] = bad
-    expected = {message}
-    orders = [len(A) for A in args]
     if fault == "order_mismatch":
-        expected = {mismatch_message(checker, orders)}
-    elif fault == "odd_order" and count > 1:
-        # Odd beside even is two faults; either may be reported first.
-        expected = {EVEN_ORDER, mismatch_message(checker, orders)}
+        message = mismatch_message([len(A) for A in args])
+    # Each input, even order included, is checked before orders are compared,
+    # so an odd order beside even ones is reported as odd.
     with pytest.raises(error) as info:
         call(*args)
     assert type(info.value) is error
-    assert str(info.value) in expected
+    assert str(info.value) == message
 
 
 def test_theorem4_needs_two_matrices():
@@ -116,20 +117,21 @@ def test_corollary8_rejects_a_non_gaussian_second_input():
 # Calls of each checker and the gate calls they make: one symmetrize per
 # distinct positive definite input, one is_symplectic per symplectic input.
 # The matrices a checker derives (A^t, A #_t B, the mean, A + B, a pinching, a
-# submatrix) pass no gate: their spectra are read from a factor.
+# submatrix) pass no gate: their spectra are read from a factor. Each call
+# passes its keywords (a tolerance) on to the checker.
 GATE_CALLS = {
-    "1": (lambda: check_theorem1(VALID[0], 0.5), 1, 0),
-    "3": (lambda: check_theorem3(VALID[0], VALID[1], 0.5), 2, 0),
-    "4": (lambda: check_theorem4(VALID), 3, 0),
-    "5": (lambda: check_theorem5(VALID[0], 1), 1, 0),
-    "superadditivity": (lambda: check_superadditivity(VALID[0], VALID[1]), 2, 0),
-    "6": (lambda: check_theorem6(random_symplectic(81, 2, spread=1.0)), 0, 1),
-    "7": (lambda: check_theorem7(VALID[0], VALID[1]), 2, 0),
-    "interlacing": (lambda: check_interlacing(VALID[0], 0), 1, 0),
-    "pinching": (lambda: check_pinching(VALID[0], (1, 1)), 1, 0),
-    "11": (lambda: check_theorem11(VALID[0]), 1, 0),
-    "corollary8": (lambda: check_corollary8(VALID[0], VALID[1], 0.5), 2, 0),
-    "minmax": (lambda: check_minmax(VALID[0]), 1, 0),
+    "1": (lambda **kw: check_theorem1(VALID[0], 0.5, **kw), 1, 0),
+    "3": (lambda **kw: check_theorem3(VALID[0], VALID[1], 0.5, **kw), 2, 0),
+    "4": (lambda **kw: check_theorem4(VALID, **kw), 3, 0),
+    "5": (lambda **kw: check_theorem5(VALID[0], 1, **kw), 1, 0),
+    "superadditivity": (lambda **kw: check_superadditivity(VALID[0], VALID[1], **kw), 2, 0),
+    "6": (lambda **kw: check_theorem6(random_symplectic(81, 2, spread=1.0), **kw), 0, 1),
+    "7": (lambda **kw: check_theorem7(VALID[0], VALID[1], **kw), 2, 0),
+    "interlacing": (lambda **kw: check_interlacing(VALID[0], 0, **kw), 1, 0),
+    "pinching": (lambda **kw: check_pinching(VALID[0], (1, 1), **kw), 1, 0),
+    "11": (lambda **kw: check_theorem11(VALID[0], **kw), 1, 0),
+    "corollary8": (lambda **kw: check_corollary8(VALID[0], VALID[1], 0.5, **kw), 2, 0),
+    "minmax": (lambda **kw: check_minmax(VALID[0], **kw), 1, 0),
 }
 
 
@@ -146,3 +148,35 @@ def test_one_gate_per_matrix(monkeypatch, checker):
         monkeypatch.setattr(module, name, spy)
     assert call().holds
     assert calls == {"symmetrize": symmetrize, "is_symplectic": is_symplectic}
+
+
+@pytest.mark.parametrize("checker", sorted(GATE_CALLS))
+def test_tolerance_is_the_default_or_finite_and_nonnegative(checker):
+    call = GATE_CALLS[checker][0]
+    assert call().tolerance == DEFAULT_TOLERANCES[checker]
+    assert call(tol=0.5).tolerance == 0.5
+    for tol in (-1.0, math.nan, math.inf):
+        with pytest.raises(InputError) as info:
+            call(tol=tol)
+        assert str(info.value) == f"tol must be finite and >= 0, got {tol}"
+
+
+INTEGER_PARAMETERS = {
+    "interlacing drop index": (lambda x: check_interlacing(VALID[0], x), 0.5, "drop index"),
+    "superadditivity k": (lambda x: check_superadditivity(VALID[0], VALID[1], x), 1.9, "k"),
+    "theorem 5 k": (lambda x: check_theorem5(VALID[0], x), 1.5, "k"),
+    "s-principal keep": (lambda x: s_principal_submatrix(VALID[0], [x]), 0.7, "keep index"),
+    "partition size": (lambda x: validate_partition((x, 2 - x), 2), 1.7, "partition size"),
+    "Karcher budget": (lambda x: karcher_mean(VALID[:2], max_iter=x), 1.5, "max_iter"),
+}
+
+
+@pytest.mark.parametrize("parameter", sorted(INTEGER_PARAMETERS))
+def test_integer_parameters_must_be_integers(parameter):
+    call, bad, name = INTEGER_PARAMETERS[parameter]
+    with pytest.raises(InputError) as info:
+        call(bad)
+    assert str(info.value) == f"{name} must be an integer, got {bad}"
+    with pytest.raises(InputError, match="must be an integer"):
+        call(1.0)
+    call(np.int64(1))

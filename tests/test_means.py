@@ -289,9 +289,11 @@ class TestKarcherMean:
 
             monkeypatch.setattr(np.linalg, name, spy)
         karcher_mean([spd(40 + j) for j in range(m)], max_iter=0)
-        # m at the gate, one for the start, one for the iterate, one stacked
+        # The gate certifies by Cholesky, with no eigensolve. The start takes
+        # A_0's and one whitening (m = 2) or each input's and one for the
+        # exponential (m >= 3); then one for the iterate and one stacked
         # whitening of the m inputs.
-        assert len(calls) == m + 3
+        assert len(calls) == (2 if m == 2 else m + 1) + 2
 
     def test_weight_validation(self):
         A, B = spd(42), spd(43)

@@ -10,6 +10,7 @@ import pytest
 import sympeig.means
 import sympeig.theorems
 from sympeig import (
+    THEOREM_IDS,
     InputError,
     SuiteConfig,
     check_corollary8,
@@ -101,6 +102,12 @@ class TestTheorem1:
     def test_rejects_negative_power(self):
         with pytest.raises(InputError, match=">= 0"):
             check_theorem1(spd(1), -0.5)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_non_finite_power(self, t):
+        with pytest.raises(InputError) as info:
+            check_theorem1(spd(1), t)
+        assert str(info.value) == f"power must be finite and >= 0, got {t}"
 
     def test_does_not_mutate_input(self):
         A = spd(2)
@@ -495,6 +502,22 @@ class TestRunSuite:
     def test_bad_spread_rejected(self, field, value):
         with pytest.raises(InputError, match=f"{field} must be finite and >= 0"):
             SuiteConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"theorems": "11", "trials": 2}, "theorems must be a sequence of theorem ids, got the string '11'"),
+            ({"theorems": ("1", "7", "1")}, "duplicate theorem ids: ['1', '7', '1']"),
+            ({"tolerances": {"zz": 1e-3}}, "unknown theorem ids: ['zz']; known: " + str(list(THEOREM_IDS))),
+            ({"trials": 1.5}, "trials must be an integer, got 1.5"),
+            ({"seed": 0.5}, "seed must be an integer, got 0.5"),
+            ({"nmax": 2.0}, "nmax must be an integer, got 2.0"),
+        ],
+    )
+    def test_malformed_config_rejected(self, kwargs, message):
+        with pytest.raises(InputError) as info:
+            SuiteConfig(**kwargs)
+        assert str(info.value) == message
 
     def test_tolerance_override(self):
         cfg = SuiteConfig(seed=3, trials=1, theorems=("7",), tolerances={"7": 0.123})

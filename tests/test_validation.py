@@ -45,6 +45,9 @@ ENTRY_POINTS = {
     "s_pinching": lambda X: s_pinching(X, [1, 1]),
 }
 REFUSE_NEAR_SINGULAR = {"symplectic_spectrum", "williamson_form", "sym_pow", "sym_log"}
+# Entry points whose well-conditioned input passes the gate's Cholesky
+# certificate and then needs no real symmetric eigensolve.
+NO_EIGENSOLVE = {"validate_posdef", "s_pinching", "sharp_spectrum"}
 
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
@@ -87,6 +90,9 @@ def test_solver_failure_is_numerical_error(name, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    if name in NO_EIGENSOLVE:
+        # A failed certificate sends the gate to the spectrum, which fails here.
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
     with pytest.raises(NumericalError, match="eigensolver failed"):
         call(X)
 
@@ -102,26 +108,43 @@ def _spd_with_ratio(m, ratio, seed=0):
 
 
 REFUSAL_RATIOS = [f * PD_RELCUT for f in (0.5, 0.9, 1.1, 2.0, 10.0, 1e3)] + [-1e-3, 0.0]
+# About the non-refusing cut 0, down to singular at working precision.
+ACCEPTANCE_RATIOS = [1e-8, 1e-14, 1e-16, 1e-17, 1e-20, -1e-16, -1e-13]
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e150])
 @pytest.mark.parametrize("m", [4, 64, 256])
-@pytest.mark.parametrize("ratio", REFUSAL_RATIOS)
+@pytest.mark.parametrize("ratio", REFUSAL_RATIOS + ACCEPTANCE_RATIOS)
 def test_refusal_matches_spectrum_rule(m, ratio, scale):
     # Scales at which ||S||_F, summed unscaled, would underflow or overflow.
     S = scale * _spd_with_ratio(m, ratio)
-    try:
-        _check_posdef(np.linalg.eigvalsh(S), True)
-        expected = None
-    except DomainError as exc:
-        expected = str(exc)
-    for call in (symplectic_spectrum, williamson_form):
-        if expected is None:
-            call(S)
-        else:
-            with pytest.raises(DomainError) as info:
+
+    def geodesic_to_scaled_identity(X):
+        return geodesic(X, scale * np.eye(m), 0.5)
+
+    for refuse, calls in (
+        (True, (symplectic_spectrum, williamson_form)),
+        (False, (validate_posdef, geodesic_to_scaled_identity)),
+    ):
+        try:
+            _check_posdef(np.linalg.eigvalsh(S), refuse)
+            expected = None
+        except DomainError as exc:
+            expected = str(exc)
+        for call in calls:
+            if expected is not None:
+                with pytest.raises(DomainError) as info:
+                    call(S)
+                assert str(info.value) == expected
+            elif call is geodesic_to_scaled_identity and ratio < PD_RELCUT:
+                # An accepted S singular at working precision may break the
+                # whitening: that is reported, never returned as non-finite.
+                try:
+                    assert np.all(np.isfinite(call(S)))
+                except NumericalError:
+                    pass
+            else:
                 call(S)
-            assert str(info.value) == expected
 
 
 def test_well_conditioned_input_skips_real_eigensolve(monkeypatch):
@@ -138,6 +161,9 @@ def test_well_conditioned_input_skips_real_eigensolve(monkeypatch):
     A, _ = random_posdef(5, 6, condition_spread=1.5)
     symplectic_spectrum(A)
     williamson_form(A)
+    validate_posdef(A)
+    s_pinching(A, [3, 3])
+    sharp_spectrum(A)
     assert real_calls == []
     with pytest.raises(DomainError, match="near-singular"):
         symplectic_spectrum(np.diag([1.0, 1.0, 1.0, 1e-14]))
