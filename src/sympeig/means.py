@@ -10,6 +10,7 @@ sum_j w_j log(G^T A_j G) = 0, G whitening the iterate, by Riemannian Newton
 steps; the norm of that sum is the reported certificate.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,13 +54,23 @@ def _spd_eigh(S: np.ndarray):
     return w, Q
 
 
+def _binary_scaled(S: np.ndarray):
+    """``(e, S / 2^e)`` with max|S / 2^e| in [1/2, 1). Dividing by a power of two
+    is exact, and it keeps the whitening's products of inputs whose scales lie
+    far apart from overflowing or underflowing."""
+    e = int(np.frexp(np.max(np.abs(S)))[1])
+    return e, np.ldexp(S, -e)
+
+
 def riemannian_distance(A: np.ndarray, B: np.ndarray) -> float:
     """Affine-invariant Riemannian distance ||log(A^{-1/2} B A^{-1/2})||_F;
-    NumericalError when that matrix is not numerically positive definite."""
-    A, B = _same_order([_posdef(A), _posdef(B)])
+    NumericalError when that matrix is not numerically positive definite.
+    For A = 2^a A', B = 2^b B' scaled to unit size, each log mu_j of the pair
+    (A', B') gains (b - a) log 2."""
+    (a, A), (b, B) = map(_binary_scaled, _same_order([_posdef(A), _posdef(B)]))
     w, Q = _spd_eigh(A)
     mu = _whitened_eig(Q / np.sqrt(w), B)[0]
-    return float(np.sqrt(np.sum(np.log(mu) ** 2)))
+    return float(np.sqrt(np.sum((np.log(mu) + (b - a) * math.log(2.0)) ** 2)))
 
 
 def geodesic(A: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
@@ -73,14 +84,20 @@ def geodesic(A: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
         differ.
     NumericalError
         If A^{-1/2} B A^{-1/2} is not numerically positive definite.
+
+    For A = 2^a A', B = 2^b B' scaled to unit size, A #_t B is
+    2^((1 - t) a + t b) (A' #_t B').
     """
     if not 0.0 <= t <= 1.0:
         raise InputError(f"geodesic parameter must lie in [0, 1], got {t}")
     A, B = _same_order([_posdef(A), _posdef(B)])
     if t in (0.0, 1.0):
         return B if t else A
+    (a, A), (b, B) = _binary_scaled(A), _binary_scaled(B)
     P = _geodesic(*_spd_eigh(A), B, t)
-    return P @ P.T
+    e = (1.0 - t) * a + t * b
+    k = math.floor(e)
+    return np.ldexp((P @ P.T) * 2.0 ** (e - k), k)
 
 
 def _geodesic(w: np.ndarray, Q: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:

@@ -76,6 +76,14 @@ class TestRiemannianDistance:
             with pytest.raises(NumericalError, match="not numerically positive definite"):
                 BREAKDOWNS[name](A, B)
 
+    def test_scales_beyond_the_float_range(self):
+        # Whitening 1e150 B by 1e-170 A would overflow: mu_j reads 1e320 mu_j(A, B).
+        A, B = spd(0, 2, 1.5), spd(1, 2, 1.5)
+        log_mu = np.log(np.linalg.eigvals(np.linalg.solve(A, B)).real) + 320.0 * np.log(10.0)
+        expected = float(np.sqrt(np.sum(log_mu**2)))
+        assert riemannian_distance(1e-170 * A, 1e150 * B) == pytest.approx(expected, rel=1e-12)
+        assert riemannian_distance(1e150 * B, 1e-170 * A) == pytest.approx(expected, rel=1e-12)
+
     def test_congruence_invariance(self):
         rng = np.random.default_rng(5)
         A, B = spd(6, 3), spd(7, 3)
@@ -118,6 +126,14 @@ class TestGeodesic:
         left = T.T @ geodesic(A, B, t) @ T
         right = geodesic(T.T @ A @ T, T.T @ B @ T, t)
         assert np.linalg.norm(left - right) <= 1e-8 * np.linalg.norm(right)
+
+    @pytest.mark.parametrize("t", [0.3, 0.5])
+    def test_scales_beyond_the_float_range(self, t):
+        # (1e-170 A) #_t (1e150 B) = 10^(320 t - 170) (A #_t B), representable.
+        A, B = spd(0, 2, 1.5), spd(1, 2, 1.5)
+        expected = 10.0 ** (320.0 * t - 170.0) * geodesic(A, B, t)
+        point = geodesic(1e-170 * A, 1e150 * B, t)
+        assert np.linalg.norm(point - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("seed", [47, 48])
     def test_accurate_at_kappa_1e8(self, seed):

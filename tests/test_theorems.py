@@ -85,19 +85,24 @@ class TestTheorem1:
         monkeypatch.setattr(sympeig.theorems, "check_theorem1", spy)
         # A forked child's calls would never reach the spy: run serially.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        run_suite(SuiteConfig(seed=0, **STRESS))
+        for seed in range(4):
+            run_suite(SuiteConfig(seed=seed, **STRESS))
         powers = [(A, t) for A, t in seen if t > 1.0]
-        assert len(powers) == 10
+        assert len(powers) == 40
+        worst = 0.0
         for A, t in powers:
-            d = np.array(check_theorem1(A, t).quantities["d_of_A_pow_t"])
+            quantities = check_theorem1(A, t).quantities
+            J = mp.matrix(standard_J(len(A) // 2).tolist())
             with mp.workdps(60):
-                # The moduli of the eigenvalues of i A^{t/2} J A^{t/2}.
                 w, Q = mp.eigsy(mp.matrix(A.tolist()))
-                half = Q * mp.diag([x ** (mp.mpf(t) / 2) for x in w]) * Q.T
-                K = half * mp.matrix(standard_J(len(d)).tolist()) * half
-                ev = mp.eighe(mp.mpc(0, 1) * K, eigvals_only=True)
-                exact = sorted(float(mp.log(x)) for x in ev if x > 0)
-            assert np.max(np.abs(np.log(d) - exact)) <= 1e-9
+                # d of the Cholesky factor of A, and of the factor Q w^{t/2} of A^t.
+                for key, s in (("d_of_A", 1), ("d_of_A_pow_t", t)):
+                    # The moduli of the eigenvalues of i A^{s/2} J A^{s/2}.
+                    half = Q * mp.diag([x ** (mp.mpf(s) / 2) for x in w]) * Q.T
+                    ev = mp.eighe(mp.mpc(0, 1) * (half * J * half), eigvals_only=True)
+                    exact = sorted(float(mp.log(x)) for x in ev if x > 0)
+                    worst = max(worst, float(np.max(np.abs(np.log(quantities[key]) - exact))))
+        assert worst <= 1e-9
 
     def test_rejects_negative_power(self):
         with pytest.raises(InputError, match=">= 0"):

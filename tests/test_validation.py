@@ -90,6 +90,8 @@ def test_solver_failure_is_numerical_error(name, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    # The symplectic spectrum is read from the singular values of K.
+    monkeypatch.setattr(np.linalg, "svd", fail)
     if name in NO_EIGENSOLVE:
         # A failed certificate sends the gate to the spectrum, which fails here.
         monkeypatch.setattr(np.linalg, "cholesky", fail)
