@@ -3,12 +3,12 @@
 The one place that decides positive definiteness and forms f(S) = Q f(L) Q^T:
 ``_posdef`` is the gate for outside input, a shifted-Cholesky certificate with
 the spectrum as its fallback, ``_same_order`` the one rule for inputs that must
-share an order, ``_eigh`` the eigen-kernel (its one exception: the symplectic
-spectrum, ``williamson._spectrum``, reads the singular values of a real skew
-matrix), and the other underscore helpers trust their inputs. The refusing
-operations (fractional powers, logarithms, symplectic spectra) reject
-near-singular input instead of regularizing it, so inequality margins are
-never silently corrupted.
+share an order, ``_eigh`` the eigen-kernel (its one exception:
+``williamson._skew_svd``, the real SVD of the skew K = F^T J F behind both
+symplectic spectra and Williamson forms), and the other underscore helpers
+trust their inputs. The refusing operations (fractional powers, logarithms,
+symplectic spectra) reject near-singular input instead of regularizing it, so
+inequality margins are never silently corrupted.
 """
 
 import operator

@@ -6,10 +6,20 @@ For positive definite A of order 2n there is a symplectic M with
 M^T A M = diag(d, d), where d_1 <= ... <= d_n are the symplectic eigenvalues.
 They are the moduli of the eigenvalues +-i d_j of the real skew
 K = L^T J L, A = L L^T (K is orthogonally similar to A^{1/2} J A^{1/2}), so the
-singular values of K are d_1, ..., d_n, each twice: the spectrum is read from a
-real values-only SVD. M = J L [V, -U] diag(d, d)^{-1/2} is formed, with no
-solve, from the orthogonal [U, V] that brings K to canonical skew form, taken
-from the Hermitian eigenvectors of iK.
+singular values of K are d_1, ..., d_n, each twice. One real SVD of K,
+``_skew_svd``, serves both results. The spectrum reads its values only. The
+form takes one singular triple (d_j, u_j, v_j) per pair: K v_j = d_j u_j and
+K u_j = -d_j v_j, so the triple is a symplectic eigenvector pair, and
+M = J L [V, -U] diag(d, d)^{-1/2} is formed with no solve.
+
+Computed singular subspaces are accurate only to about eps d_n / gap, so a
+triple is a clean pair only when its d_j stands apart. Consecutive d_j closer
+than CLUSTER_RELGAP * d_n = 1e-3 d_n form a cluster, and each cluster is solved
+exactly on its 2m-dimensional singular subspace Q: the Hermitian eigenvectors
+of i Q^T K Q give its pairs, the only complex arithmetic left, on 2m x 2m
+blocks. The near-degenerate cut 1e-10 d_n is far too fine for this: triples
+paired at relative gaps of 1e-10 to 1e-8 leave symplecticity residuals of
+2.5e-9 to 2.5e-7, where clusters cut at 1e-3 d_n keep them near 1e-14.
 """
 
 import math
@@ -20,6 +30,9 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .matfun import _cholesky, _eigh, _posdef, require_nonnegative, require_square
 from .symplectic import standard_J
+
+# Consecutive d_j closer than this fraction of d_n are paired as one cluster.
+CLUSTER_RELGAP = 1e-3
 
 
 def _even_order(A: np.ndarray) -> np.ndarray:
@@ -94,36 +107,51 @@ def symplectic_spectrum(A: np.ndarray) -> SymplecticSpectrum:
 
 
 def _spectrum(K: np.ndarray) -> SymplecticSpectrum:
-    """:func:`symplectic_spectrum` from K = L^T J L of A = L L^T, L square.
+    """:func:`symplectic_spectrum` from K = L^T J L of A = L L^T, L square."""
+    return SymplecticSpectrum.from_ascending(_skew_svd(K))
 
-    The smaller singular value of each pair, ascending, from a values-only SVD
-    of K with its rows and columns reversed. Factors built from an ascending
-    eigendecomposition (Q w^{t/2} of A^t) put the largest entries of K in its
-    bottom-right corner, and Householder bidiagonalization is accurate when
-    they come first: on widely spread, strongly squeezed A at t in (1, 3], the
-    largest log error in d is 3.3e-10 reversed and 3.3e-9 unreversed. Solver
-    failure raises NumericalError.
+
+def _skew_svd(K: np.ndarray, vectors: bool = False):
+    """The SVD of the skew K = F^T J F, the one solver behind spectra and forms.
+
+    Returns d, the smaller singular value of each equal pair, ascending; with
+    ``vectors``, ``(d, U, V)``, where the orthogonal U and V hold the left and
+    right singular vectors of all 2n values in ascending order (K V = U diag(s),
+    pair j in columns 2j and 2j + 1). K is reversed in both axes first: factors
+    built from an ascending eigendecomposition (Q w^{t/2} of A^t) put its
+    largest entries in the bottom-right corner, and Householder
+    bidiagonalization is accurate when they come first (on widely spread,
+    strongly squeezed A at t in (1, 3] the largest log error in d is 3.3e-10
+    reversed and 3.3e-9 unreversed). Solver failure raises NumericalError.
     """
     try:
-        d = np.linalg.svd(K[::-1, ::-1], compute_uv=False)[::-2]
+        if vectors:
+            P, s, Qt = np.linalg.svd(K[::-1, ::-1])
+        else:
+            s = np.linalg.svd(K[::-1, ::-1], compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
+    d = s[::-2]
     if d[0] <= 0:
         raise NumericalError(f"non-positive symplectic eigenvalue {d[0]:.6e} on positive definite input")
-    return SymplecticSpectrum.from_ascending(d)
+    return (d, P[::-1, ::-1], Qt[::-1, ::-1].T) if vectors else d
 
 
 def williamson_form(A: np.ndarray) -> WilliamsonForm:
     """Williamson normal form: symplectic M with M^T A M = diag(d, d).
 
-    Construction: with K = L^T J L, A = L L^T, each unit eigenvector x of the
-    Hermitian matrix iK for eigenvalue d_j > 0 yields the real orthonormal
-    pair u = sqrt(2) Re x, v = -sqrt(2) Im x satisfying K u = -d_j v and
-    K v = d_j u. Stacking O = [u_1..u_n | v_1..v_n] gives the canonical skew
-    form O^T K O = [[0, D], [-D, 0]] = Omega. M = L^{-T} O diag(d, d)^{1/2} is
+    Construction: with K = L^T J L, A = L L^T, each singular triple
+    (d_j, u_j, v_j) of K is a real orthonormal pair with K u_j = -d_j v_j and
+    K v_j = d_j u_j; one triple per equal pair of singular values is taken.
+    Stacking O = [u_1..u_n | v_1..v_n] gives the canonical skew form
+    O^T K O = [[0, D], [-D, 0]] = Omega. M = L^{-T} O diag(d, d)^{1/2} is
     symplectic with M^T A M = diag(d, d); K O = O Omega gives it, with no
-    solve, as J L [V, -U] diag(d, d)^{-1/2}. Conjugate eigenvectors of iK live
-    in the opposite-sign eigenspace, so pairs stay orthonormal for repeated d_j.
+    solve, as J L [V, -U] diag(d, d)^{-1/2}. Pairs of d_j closer than
+    1e-3 d_n are ill-determined one by one, so each such cluster of m values is
+    re-paired exactly from the Hermitian eigenvectors x of i Q^T K Q, Q its 2m
+    singular vectors: u = sqrt(2) Q Re x, v = -sqrt(2) Q Im x. Conjugate
+    eigenvectors live in the opposite-sign eigenspace, so pairs stay
+    orthonormal for repeated d_j.
 
     The columns u_j = M[:, j], v_j = M[:, n + j] are the symplectic eigenvector
     pairs of d_j: A u_j = d_j J v_j, A v_j = -d_j J u_j, <u_i, J v_j> = delta_ij,
@@ -137,23 +165,20 @@ def williamson_form(A: np.ndarray) -> WilliamsonForm:
 
 
 def _williamson(K: np.ndarray, JL: np.ndarray) -> WilliamsonForm:
-    """:func:`williamson_form` from ``(K, J L)`` of the gated A = L L^T."""
-    n = K.shape[0] // 2
-    w, Z = _eigh(1j * K)
-    d = w[n:]
-    if d[0] <= 0:
-        raise NumericalError(f"non-positive symplectic eigenvalue {d[0]:.6e} on positive definite input")
-    X = Z[:, n:]
-    U = math.sqrt(2.0) * X.real
-    V = -math.sqrt(2.0) * X.imag
-    # Sign guard: <u_j, K v_j> = 2 d_j must be positive for every pair.
-    cross = np.einsum("ij,ij->j", U, K @ V)
-    if np.any(cross <= 0):
-        raise NumericalError("eigenvector pairing produced an inverted sign; eigensolver output inconsistent")
+    """:func:`williamson_form` from ``(K, J L)`` of the gated A = L L^T: one
+    singular triple of K per pair, and when two consecutive d_j are closer than
+    CLUSTER_RELGAP * d_n their clusters are re-paired by
+    :func:`_resolve_clusters`."""
+    d, U, V = _skew_svd(K, vectors=True)
+    close = np.diff(d) < CLUSTER_RELGAP * d[-1]
+    if close.any():
+        d, U, V = _resolve_clusters(K, d, U, V, close)
+    else:
+        U, V = U[:, ::2], V[:, ::2]
     M = JL @ (np.hstack([V, -U]) / np.sqrt(np.concatenate([d, d])))
 
     warnings: tuple[str, ...] = ()
-    if n >= 2:
+    if d.size >= 2:
         gap = float(np.min(np.diff(d)))
         if gap < 1e-10 * d[-1]:
             warnings = (
@@ -161,6 +186,35 @@ def _williamson(K: np.ndarray, JL: np.ndarray) -> WilliamsonForm:
                 f"below 1e-10 * d_max = {1e-10 * d[-1]:.3e}",
             )
     return WilliamsonForm(M=M, d=d, warnings=warnings)
+
+
+def _resolve_clusters(
+    K: np.ndarray, d: np.ndarray, U: np.ndarray, V: np.ndarray, close: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending d and one pair (U, V) per d_j from the singular values and
+    vectors (d, U, V) of :func:`_skew_svd`, with each cluster of m close d_j
+    (``close[j]``: d_j and d_{j+1} share one) solved exactly on the orthonormal
+    2m columns Q of U that span its singular subspace. Each unit eigenvector x
+    of the Hermitian i Q^T K Q for an eigenvalue d_j > 0 gives the orthonormal
+    pair u = sqrt(2) Q Re x, v = -sqrt(2) Q Im x with K u = -d_j v,
+    K v = d_j u. Clusters of one size m share one stacked solve."""
+    edge = np.flatnonzero(np.diff(close, prepend=False, append=False))
+    start, size = edge[::2], edge[1::2] - edge[::2] + 1
+    d, Up, Vp = d.copy(), U[:, ::2].copy(), V[:, ::2].copy()
+    for m in set(size.tolist()):
+        j = start[size == m, None] + np.arange(m)
+        Q = U[:, (2 * j[..., None] + (0, 1)).ravel()]
+        # One product with K per size, then one (2n, 2m) slice per cluster.
+        Q, KQ = (np.moveaxis(Y.reshape(-1, len(j), 2 * m), 1, 0) for Y in (Q, K @ Q))
+        C = Q.swapaxes(1, 2) @ KQ
+        w, Z = _eigh(1j * C)
+        X = Z[..., m:]
+        # Sign guard: u_j^T K v_j = -2 Re(x_j)^T C Im(x_j) = d_j must be positive.
+        if np.any(np.sum(X.real * (C @ X.imag), axis=1) >= 0):
+            raise NumericalError("eigenvector pairing produced an inverted sign; eigensolver output inconsistent")
+        UV = np.moveaxis(math.sqrt(2.0) * (Q @ np.concatenate([X.real, X.imag], axis=2)), 0, 1)
+        d[j], Up[:, j], Vp[:, j] = w[:, m:], UV[..., :m], -UV[..., m:]
+    return d, Up, Vp
 
 
 def sharp_spectrum(A: np.ndarray) -> np.ndarray:

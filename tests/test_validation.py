@@ -99,6 +99,19 @@ def test_solver_failure_is_numerical_error(name, monkeypatch):
         call(X)
 
 
+# Only np.linalg.svd fails: the singular triples of K, the only solve for a
+# simple spectrum. Only np.linalg.eigh fails: the repeated spectrum of 2 I sends
+# its cluster through the Hermitian block solve.
+@pytest.mark.parametrize("solver, X", [("svd", random_posdef(0, 2)[0]), ("eigh", 2.0 * I4)])
+def test_williamson_single_solver_failure(solver, X, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fail)
+    with pytest.raises(NumericalError, match="eigensolver failed"):
+        williamson_form(X)
+
+
 def _spd_with_ratio(m, ratio, seed=0):
     """Exactly symmetric S = Q diag(lam) Q^T with lambda_max = 1 and
     lambda_min = ratio, eigenvalues log-spaced (linear when ratio <= 0)."""

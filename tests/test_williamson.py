@@ -219,10 +219,9 @@ def _normalized_residuals(A, form):
 
 class TestAccuracy:
     """Planted A = S^T diag(d, d) S with kappa(A) up to 1e10 and n up to 64.
-    The spectrum is held to 1024 eps kappa(A) d_n everywhere. Residuals are
-    pinned for d_n / d_1 up to 2e6 only: the symplecticity residual grows
-    with d_n / d_1 and exceeds 1e-10 from about 1e8 (at 7.7e7 it read
-    1.5e-10), where only the spectrum is checked."""
+    The spectrum is held to 1024 eps kappa(A) d_n everywhere. Both normalized
+    residuals are pinned at 1e-10 up to d_n / d_1 of about e^22 (n = 8 and 32,
+    condition_spread 11), and at 1e-12 across the cluster cut of close pairs."""
 
     # (n, condition_spread, spread): kappa(A) from ~10 to ~5e9.
     CASES = [(1, 0.5, 5.5), (2, 1.0, 5.5), (8, 1.0, 5.5), (16, 3.0, 4.5), (64, 1.0, 5.5), (64, 5.0, 3.5), (16, 9.0, 1.0)]
@@ -250,12 +249,35 @@ class TestAccuracy:
             assert np.max(np.abs(symplectic_spectrum(A).d - d)) <= 1024 * EPS * kappa * d[-1]
 
     def test_residuals_wide_symplectic_spread(self):
-        # d_n / d_1 = 2.4e9, kappa(A) = 4.1e9: symplecticity reads 8.6e-8 here
-        # (1e-10 is not met); the bound keeps it from growing unnoticed.
+        # d_n / d_1 = 2.4e9, kappa(A) = 4.1e9: symplecticity reads 1.8e-12.
         A, _ = random_posdef(seed=0, n=8, condition_spread=11.0, spread=0.5)
         sympl, congr = _normalized_residuals(A, williamson_form(A))
-        assert sympl <= 2e-7
+        assert sympl <= 1e-10
         assert congr <= 1e-10
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_residuals_wide_symplectic_spread_seeds(self, n):
+        # The small d_j lie within 1e-3 d_n of each other and are solved as
+        # clusters; both residuals read at most 8.9e-12 over these seeds.
+        for seed in range(10):
+            A, _ = random_posdef(seed=seed, n=n, condition_spread=11.0, spread=0.5)
+            assert max(_normalized_residuals(A, williamson_form(A))) <= 1e-10
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2])
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_close_pairs_across_the_cluster_cut(self, n, gap):
+        # Two planted pairs gap * d_n apart, at both ends of the spectrum.
+        # Singular triples paired one by one wherever the gap exceeds
+        # 1e-10 d_n leave symplecticity residuals up to 2.5e-7 here.
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            d = np.sort(np.exp(rng.uniform(-1.0, 1.0, n)))
+            d[1] = d[0] + gap * d[-1]
+            d[-2] = d[-1] * (1.0 - gap)
+            A, d = random_posdef_rng(rng, n, d=d)
+            form = williamson_form(A)
+            assert np.max(np.abs(form.d - d)) <= 1e-12 * d[-1]
+            assert max(_normalized_residuals(A, form)) <= 1e-12
 
     @pytest.mark.parametrize("d", [[0.5, 0.5, 0.5, 2.0, 2.0, 7.0], [1.3] * 16])
     def test_repeated_values_give_orthonormal_pairs(self, d):
