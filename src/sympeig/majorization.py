@@ -28,8 +28,11 @@ class MajorizationVerdict:
         return self.holds
 
 
-def _vector(x, name: str, positive: bool = False) -> np.ndarray:
-    x = np.asarray(x, dtype=float).ravel()
+def _vector(x, name: str, positive: bool = False, rows: bool = False) -> np.ndarray:
+    """x flattened to a vector, or with ``rows`` kept as a stack of row vectors,
+    after an error unless it is nonempty, finite and, if asked, positive."""
+    x = np.asarray(x, dtype=float)
+    x = x if rows else x.ravel()
     if x.size == 0:
         raise InputError(f"{name} must be nonempty")
     if not np.all(np.isfinite(x)):
@@ -39,9 +42,9 @@ def _vector(x, name: str, positive: bool = False) -> np.ndarray:
     return x
 
 
-def _pair(y, x, positive: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    y = _vector(y, "y", positive)
-    x = _vector(x, "x", positive)
+def _pair(y, x, positive: bool = False, rows: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    y = _vector(y, "y", positive, rows)
+    x = _vector(x, "x", positive, rows)
     if x.shape != y.shape:
         raise InputError(f"length mismatch: {x.size} vs {y.size}")
     return y, x
@@ -58,6 +61,34 @@ def _verdict(margins: np.ndarray) -> MajorizationVerdict:
     )
 
 
+def _rowwise(f, X: np.ndarray) -> np.ndarray:
+    """f of a vector, or of each row of a stack in one call per row. numpy picks
+    a SIMD or a scalar loop by the layout it is given (a strided vector takes the
+    scalar libm one, a stack the SIMD one), and their last bits can differ, so
+    each row must reach f as the strided vector of one instance does."""
+    return f(X) if X.ndim == 1 else np.array([f(row) for row in X])
+
+
+def _worst(margins: np.ndarray) -> np.ndarray:
+    """Each row's worst margin: the first of its smallest entries, as argmin picks it."""
+    return np.take_along_axis(margins, np.argmin(margins, axis=-1)[..., None], axis=-1)[..., 0]
+
+
+def _log_margins(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The margins of x ≺_log y for validated vectors, or row by row for stacks:
+    cumulative log gaps of the descending entries, the last one negated in size."""
+    cx = np.cumsum(_rowwise(np.log, np.sort(x, axis=-1)[..., ::-1]), axis=-1)
+    cy = np.cumsum(_rowwise(np.log, np.sort(y, axis=-1)[..., ::-1]), axis=-1)
+    margins = cy - cx
+    margins[..., -1] = -np.abs(margins[..., -1])
+    return margins
+
+
+def _super_margins(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The margins of x ≺^w y for validated vectors, or row by row for stacks."""
+    return np.cumsum(np.sort(x, axis=-1), axis=-1) - np.cumsum(np.sort(y, axis=-1), axis=-1)
+
+
 def log_majorizes(y, x) -> MajorizationVerdict:
     """Test x ≺_log y: every top-k product of x is at most that of y, and the
     full products agree.
@@ -66,17 +97,10 @@ def log_majorizes(y, x) -> MajorizationVerdict:
     the equality constraint as -(absolute log-product gap), so worst_margin
     is 0 for x = y and the verdict holds iff worst_margin >= -DEFAULT_TOL.
     """
-    y, x = _pair(y, x, positive=True)
-    cx = np.cumsum(np.log(np.sort(x)[::-1]))
-    cy = np.cumsum(np.log(np.sort(y)[::-1]))
-    margins = cy - cx
-    margins[-1] = -abs(margins[-1])
-    return _verdict(margins)
+    return _verdict(_log_margins(*_pair(y, x, positive=True)))
 
 
 def supermajorizes(y, x) -> MajorizationVerdict:
     """Test x ≺^w y: every bottom-k sum of x is at least that of y."""
-    y, x = _pair(y, x)
-    margins = np.cumsum(np.sort(x)) - np.cumsum(np.sort(y))
-    return _verdict(margins)
+    return _verdict(_super_margins(*_pair(y, x)))
 

@@ -32,12 +32,13 @@ class NormTriple(NamedTuple):
     trace: float
 
 
-def require_square(X: np.ndarray, name: str = "matrix") -> np.ndarray:
+def require_square(X: np.ndarray, name: str = "matrix", stacked: bool = False) -> np.ndarray:
     """Return X as a float array, raising InputError unless it is a finite
-    square 2-d matrix."""
+    square 2-d matrix, or with ``stacked`` a stack of them along one leading
+    axis (the message then names the shape of one matrix)."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise InputError(f"{name} must be square, got shape {X.shape}")
+    if X.ndim != 2 + stacked or X.shape[-1] != X.shape[-2]:
+        raise InputError(f"{name} must be square, got shape {X.shape[int(stacked):]}")
     if not np.all(np.isfinite(X)):
         raise InputError(f"{name} has non-finite entries")
     return X
@@ -57,24 +58,28 @@ def require_integer(value, name: str) -> int:
         raise InputError(f"{name} must be an integer, got {value}") from None
 
 
-def symmetrize(S: np.ndarray) -> np.ndarray:
-    """Validate that S is symmetric within tolerance and return (S + S^T)/2.
+def symmetrize(S: np.ndarray, stacked: bool = False) -> np.ndarray:
+    """Validate that S is symmetric within tolerance and return (S + S^T)/2;
+    with ``stacked``, each matrix of a stack along one leading axis.
 
     Raises
     ------
     InputError
         If S is not square, not finite, or max|S_ij - S_ji| exceeds
-        SYMTOL * max|S_ij|.
+        SYMTOL * max|S_ij| (the first such matrix of a stack is named).
     """
-    S = require_square(S, "positive definite matrix")
-    scale = np.max(np.abs(S)) if S.size else 0.0
-    asym = np.max(np.abs(S - S.T)) if S.size else 0.0
-    if asym > SYMTOL * max(scale, np.finfo(float).tiny):
-        raise InputError(
-            f"positive definite matrix is not symmetric: max asymmetry {asym:.3e} exceeds "
-            f"{SYMTOL:.1e} * max|entry| = {SYMTOL * scale:.3e}"
-        )
-    return (S + S.T) / 2.0
+    S = require_square(S, "positive definite matrix", stacked)
+    St = np.swapaxes(S, -1, -2)
+    if S.size:
+        scale = np.max(np.abs(S), axis=(-2, -1)).ravel()
+        asym = np.max(np.abs(S - St), axis=(-2, -1)).ravel()
+        for a, s in zip(asym, scale):
+            if a > SYMTOL * max(s, np.finfo(float).tiny):
+                raise InputError(
+                    f"positive definite matrix is not symmetric: max asymmetry {a:.3e} exceeds "
+                    f"{SYMTOL:.1e} * max|entry| = {SYMTOL * s:.3e}"
+                )
+    return (S + St) / 2.0
 
 
 def _eigh(S: np.ndarray, values_only: bool = False):
@@ -100,35 +105,43 @@ def _check_posdef(w: np.ndarray, refuse_near_singular: bool = False) -> None:
         )
 
 
-def _posdef(S: np.ndarray, refuse_near_singular: bool = False) -> np.ndarray:
+def _posdef(S: np.ndarray, refuse_near_singular: bool = False, stacked: bool = False) -> np.ndarray:
     """The symmetrized S of nonempty outside input, once it is certified positive
-    definite (with ``refuse_near_singular``: lambda_min > PD_RELCUT * lambda_max).
+    definite (with ``refuse_near_singular``: lambda_min > PD_RELCUT * lambda_max);
+    with ``stacked``, every matrix of a stack along one leading axis.
 
     A Cholesky factor of S - tau I, tau = (cut + m^2 eps) s ||S / s||_F with
     s = max|S_ij| and cut = PD_RELCUT or 0 (m^2 eps: Cholesky's backward error,
     Higham ASNA 10.1), certifies lambda_min > cut * lambda_max; when S - tau I
     does not factor, the spectrum decides. Callers that need a factor or an
-    eigendecomposition compute it afterwards.
+    eigendecomposition compute it afterwards. A stack is factored in one call,
+    and when any of its matrices does not factor, the spectra decide for all.
+    Each ||.||_F is a dot product (matmul's vector case), as ``np.linalg.norm`` takes it.
     """
-    S = symmetrize(S)
+    S = symmetrize(S, stacked=stacked)
     if not S.size:
         raise InputError("positive definite matrix must be nonempty")
-    scale = np.max(np.abs(S)) or 1.0
+    m = S.shape[-1]
+    scale = np.max(np.abs(S), axis=(-2, -1), keepdims=True)
+    scale[scale == 0.0] = 1.0
     cut = PD_RELCUT if refuse_near_singular else 0.0
-    tau = (cut + S.size * np.finfo(float).eps) * scale * np.linalg.norm(S / scale)
+    rows = (S / scale).reshape(S.shape[:-2] + (1, m * m))
+    tau = (cut + m * m * np.finfo(float).eps) * scale * np.sqrt(rows @ np.swapaxes(rows, -1, -2))
     try:
-        np.linalg.cholesky(S - np.diag(np.full(len(S), tau)))
+        np.linalg.cholesky(S - tau * np.eye(m))
     except np.linalg.LinAlgError:
-        _check_posdef(_eigh(S, values_only=True), refuse_near_singular)
+        for w in _eigh(S, values_only=True).reshape(-1, m):
+            _check_posdef(w, refuse_near_singular)
     return S
 
 
 def _same_order(mats: list) -> list:
-    """The gated matrices, after an InputError unless all have the first one's order."""
-    first = len(mats[0])
+    """The gated matrices (or stacks of them), after an InputError unless all have
+    the first one's order."""
+    first = mats[0].shape[-1]
     for S in mats:
-        if len(S) != first:
-            raise InputError(f"order mismatch: {first} vs {len(S)}")
+        if S.shape[-1] != first:
+            raise InputError(f"order mismatch: {first} vs {S.shape[-1]}")
     return mats
 
 

@@ -35,9 +35,10 @@ def validate_weights(w, m: int) -> np.ndarray:
 
 def _whitened_eig(G: np.ndarray, B: np.ndarray):
     """``(mu, V)`` with G^T B G = V diag(mu) V^T, G = Q diag(w)^{-1/2} for
-    A = Q diag(w) Q^T, for one B or a stack of them along the leading axis;
-    NumericalError unless each is numerically positive definite."""
-    C = G.T @ B @ G
+    A = Q diag(w) Q^T, for one B or a stack of them along the leading axis (and
+    one G or a stack of them); NumericalError unless each is numerically
+    positive definite."""
+    C = np.swapaxes(G, -1, -2) @ B @ G
     mu, V = _eigh((C + np.swapaxes(C, -1, -2)) / 2.0)
     low = float(np.min(mu[..., 0]))
     if low <= 0.0:
@@ -101,9 +102,11 @@ def geodesic(A: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
 
 
 def _geodesic(w: np.ndarray, Q: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
-    """Factor P = F V diag(mu^{t/2}) of A #_t B = P P^T for validated A = Q diag(w) Q^T, B."""
-    mu, V = _whitened_eig(Q / np.sqrt(w), B)
-    return ((Q * np.sqrt(w)) @ V) * mu ** (t / 2.0)
+    """Factor P = F V diag(mu^{t/2}) of A #_t B = P P^T for validated A = Q diag(w) Q^T, B;
+    for stacks of them, t is a column of one parameter per matrix."""
+    root = np.sqrt(w)[..., None, :]
+    mu, V = _whitened_eig(Q / root, B)
+    return ((Q * root) @ V) * (mu ** (t / 2.0))[..., None, :]
 
 
 @dataclass(frozen=True)

@@ -368,34 +368,54 @@ def mtilde_identity_check(M: np.ndarray) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _haar_orthosymplectic(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """``count`` independent random orthogonal-symplectic matrices, stacked.
+def _haar(N: np.ndarray) -> np.ndarray:
+    """Random orthogonal-symplectic matrices from normals N of shape (..., 2, n, n).
 
-    Each is the real form of a Haar unitary, the QR factor of a complex
-    Gaussian matrix with its phases fixed by the diagonal of R. The normals
-    come from one draw of shape (count, 2, n, n), real then imaginary part of
-    each matrix in turn, which is the stream of ``count`` draws one by one.
+    Each is the real form of a Haar unitary, the QR factor of the complex
+    Gaussian (N[..., 0, :, :] + i N[..., 1, :, :]) / sqrt 2 with its phases fixed
+    by the diagonal of R. One stacked QR serves every leading axis.
     """
-    N = rng.standard_normal((count, 2, n, n))
-    Q, R = np.linalg.qr((N[:, 0] + 1j * N[:, 1]) / math.sqrt(2.0))
+    Q, R = np.linalg.qr((N[..., 0, :, :] + 1j * N[..., 1, :, :]) / math.sqrt(2.0))
     phases = np.diagonal(R, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    U = Q * phases[:, None, :]
+    U = Q * phases[..., None, :]
     return _orthosymplectic(U.real, U.imag)
+
+
+def _squeezed(N: np.ndarray, log_gamma: np.ndarray) -> np.ndarray:
+    """o1 diag(gamma, 1/gamma) o2^T with gamma = exp(log_gamma) sorted descending
+    and o1, o2 the orthogonal-symplectic matrices of the normals N[..., 0, :, :, :]
+    and N[..., 1, :, :, :] (see :func:`_haar`); N has shape (..., 2, 2, n, n) and
+    log_gamma (..., n), so stacks of draws give stacks of matrices."""
+    O = _haar(N)
+    gamma = np.sort(np.exp(log_gamma), axis=-1)[..., ::-1]
+    scale = np.concatenate([gamma, 1.0 / gamma], axis=-1)[..., None, :]
+    return (O[..., 0, :, :] * scale) @ np.swapaxes(O[..., 1, :, :], -1, -2)
+
+
+def _congruence(S: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """S^T diag(d, d) S, symmetrized, for one S and d or stacks of them. The
+    diagonal factor is a dense matrix, as it is for a single S, so each
+    matrix of a stack has the bits it has alone."""
+    dd = np.concatenate([d, d], axis=-1)
+    m = dd.shape[-1]
+    D = np.zeros(dd.shape + (m,))
+    D[..., np.arange(m), np.arange(m)] = dd
+    A = np.swapaxes(S, -1, -2) @ D @ S
+    return (A + np.swapaxes(A, -1, -2)) / 2.0
 
 
 def random_orthosymplectic_rng(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random orthogonal-symplectic matrix drawn through the unitary
     correspondence, so both structures hold by construction."""
-    return _haar_orthosymplectic(rng, n, 1)[0]
+    return _haar(rng.standard_normal((2, n, n)))
 
 
 def random_symplectic_rng(rng: np.random.Generator, n: int, spread: float = 1.0) -> np.ndarray:
     """rng-driven body of :func:`random_symplectic`."""
     require_nonnegative(spread, "spread")
-    o1, o2 = _haar_orthosymplectic(rng, n, 2)
-    gamma = np.sort(np.exp(rng.uniform(0.0, spread, size=n)))[::-1]
-    return (o1 * np.concatenate([gamma, 1.0 / gamma])) @ o2.T
+    N = rng.standard_normal((2, 2, n, n))
+    return _squeezed(N, rng.uniform(0.0, spread, size=n))
 
 
 def random_symplectic(seed: int, n: int, spread: float = 1.0) -> np.ndarray:
@@ -422,8 +442,7 @@ def random_posdef_rng(
     if d is None:
         d = np.exp(rng.uniform(-condition_spread, condition_spread, size=n))
     d = np.sort(np.asarray(d, dtype=float))
-    A = S.T @ np.diag(np.concatenate([d, d])) @ S
-    return (A + A.T) / 2.0, d
+    return _congruence(S, d), d
 
 
 def random_posdef(

@@ -2,7 +2,20 @@
 
 Every checker computes both sides of its statement on a concrete instance and
 returns a TheoremReport whose margin is recomputable from the recorded
-quantities. Margin conventions:
+quantities. Each checker runs on a batch: its positive definite inputs are
+stacks along a leading axis, and one stacked call per step (the gate's
+certificate and Cholesky factor, the values-only SVD of K, eigh, the
+restriction products, row-wise majorization) serves the whole batch. A public
+``check_*`` is that batch path on a batch of one. The Karcher solves, theorem
+6's max-flow and theorem 5's Williamson forms still run one instance at a time.
+
+The suite reads the table ``THEOREMS = {id: (tolerance, draw, check)}``. Each
+instance is drawn from its own generator, seeded by (seed, theorem, trial);
+the draws do not depend on any computed value. Instances of one theorem and
+half-order (and, for theorem 5, one k) form a group: its random matrices are
+assembled in one stacked pass, and its checker is called once. A SympeigError
+or LinAlgError in a group re-runs that group one instance at a time, so a
+refusal stays the record of its own instance. Margin conventions:
 
 - comparisons of products/spectra in log space carry raw log-domain margins
   (absolute tolerance);
@@ -24,39 +37,24 @@ import os
 import pickle
 import threading
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import majorization, means, sops
 from .errors import InputError, SympeigError
-from .matfun import _cholesky, _eigh, _posdef, _same_order, norms, require_integer, require_nonnegative
+from .majorization import _rowwise
+from .matfun import _cholesky, _eigh, _posdef, _same_order, require_integer, require_nonnegative
 from .symplectic import (
-    _haar_orthosymplectic,
+    _congruence,
+    _squeezed,
     associated_matrix,
     is_doubly_stochastic,
     is_doubly_superstochastic,
     random_orthosymplectic_rng,
-    random_posdef_rng,
-    random_symplectic_rng,
     standard_J,
 )
-from .williamson import _even_order, _sharp, _skew, _spectrum, _williamson
-
-DEFAULT_TOLERANCES = {
-    "1": 1e-9,
-    "3": 1e-9,
-    "4": 1e-8,
-    "5": 1e-9,
-    "superadditivity": 1e-9,
-    "6": 1e-8,
-    "7": 1e-9,
-    "interlacing": 1e-9,
-    "pinching": 1e-8,
-    "11": 1e-9,
-    "corollary8": 1e-8,
-    "minmax": 1e-8,
-}
-THEOREM_IDS = tuple(DEFAULT_TOLERANCES)
+from .williamson import _even_order, _sharp, _skew, _skew_svd, _williamson
 
 # Orthogonality threshold used by the theorem-6 cross-check.
 ORTHOGONALITY_TOL = 1e-7
@@ -64,6 +62,9 @@ ORTHOGONALITY_TOL = 1e-7
 THEOREM5_SAMPLES = 20
 # Fewest suite instances per process; on two CPUs, forking gains from about 400.
 SUITE_TASKS_PER_PROCESS = 200
+# Most suite instances a process draws and holds at once, which bounds its
+# memory; groups form within a chunk, and records do not depend on its size.
+SUITE_CHUNK = 600
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,606 @@ class TheoremReport:
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_record(), sort_keys=True)
+
+
+def _tolerance(theorem_id: str, tol: float | None) -> float:
+    """A checker's tol, its theorem's default when None; InputError unless finite and >= 0."""
+    tol = DEFAULT_TOLERANCES[theorem_id] if tol is None else tol
+    require_nonnegative(tol, "tol")
+    return float(tol)
+
+
+def _report(theorem_id, quantities, margin, tol, inconclusive=False):
+    margin = float(margin)
+    holds = bool(math.isfinite(margin) and margin >= -tol) and not inconclusive
+    return TheoremReport(
+        theorem_id=theorem_id,
+        digest="",
+        quantities=quantities,
+        margin=margin,
+        tolerance=float(tol),
+        holds=holds,
+        inconclusive=inconclusive,
+    )
+
+
+def _floor1(*values):
+    """Row-wise max(1, *values) by Python's rule: a later value replaces the
+    running maximum only when it is larger, so a NaN never does."""
+    top = np.ones(np.shape(values[0]))
+    for v in values:
+        top = np.where(v > top, v, top)
+    return top
+
+
+def _first_min(*columns):
+    """Row-wise min(columns) by Python's rule: a later column replaces the running
+    minimum only when it is smaller, so a leading NaN or signed zero stays."""
+    low = columns[0]
+    for c in columns[1:]:
+        low = np.where(c < low, c, low)
+    return low
+
+
+def _lin(margin, *scale_values):
+    """Normalize linear-domain margins by the largest quantity compared, row by row."""
+    return margin / _floor1(*(np.abs(s) for s in scale_values))
+
+
+def _powers(values, exponent: float) -> np.ndarray:
+    """Each value to a power, one numpy scalar at a time: scalar pow, not the
+    array loop, whose last bits can differ."""
+    return np.array([v**exponent for v in values])
+
+
+def _one(A) -> np.ndarray:
+    """A public checker's matrix as a batch of one."""
+    return np.asarray(A, dtype=float)[None]
+
+
+def _gate(*stacks):
+    """``(S, L)`` of each stack of inputs: the symmetrized S, refused when any
+    matrix is near-singular, and its Cholesky factors S = L L^T; InputError on
+    mixed orders."""
+    gated = [_posdef(_even_order(A, stacked=True), refuse_near_singular=True, stacked=True) for A in stacks]
+    return [(S, _cholesky(S)) for S in _same_order(gated)]
+
+
+def _factor_spectrum(F: np.ndarray) -> np.ndarray:
+    """Symplectic spectra, one ascending row per matrix, of F F^T for a stack of
+    square F of even order (see :func:`_skew`)."""
+    return _skew_svd(_skew(F)[0])
+
+
+def _doubled(d: np.ndarray) -> np.ndarray:
+    """The rows d_hat of d: every d_j twice, descending."""
+    return np.repeat(d[..., ::-1], 2, axis=-1)
+
+
+def _log_worst(y, x) -> np.ndarray:
+    """Each row's worst margin of x ≺_log y."""
+    return majorization._worst(majorization._log_margins(*majorization._pair(y, x, positive=True, rows=True)))
+
+
+def _reports(theorem_id, tol, margins, **columns) -> list[TheoremReport]:
+    """One report per row: its margin, and its quantities read row by row from
+    the columns (arrays become lists of Python floats)."""
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()))
+    return [_report(theorem_id, dict(zip(columns, row)), m, tol) for row, m in zip(rows, margins)]
+
+
+def _theorem1(A, t, *, tol):
+    [(A, L)] = _gate(A)
+    tt = np.array(t, dtype=float)[:, None]
+    da = _factor_spectrum(L)
+    w, Q = _eigh(A)
+    dt = _factor_spectrum(Q * (w ** (tt / 2.0))[:, None, :])
+    small = tt <= 1.0
+    da_t, dt_hat = _doubled(da) ** tt, _doubled(dt)
+    worst = _log_worst(np.where(small, da_t, dt_hat), np.where(small, dt_hat, da_t))
+    bottom_t = np.cumsum(_rowwise(np.log, dt), axis=-1)
+    bottom_a = np.cumsum(tt * _rowwise(np.log, da), axis=-1)
+    corollary = np.where(small, bottom_t - bottom_a, bottom_a - bottom_t)
+    margins = _first_min(worst, np.min(corollary, axis=-1))
+    return _reports("1", tol, margins, t=t, d_of_A=da, d_of_A_pow_t=dt)
+
+
+def check_theorem1(A: np.ndarray, t: float, tol: float | None = None) -> TheoremReport:
+    """Symplectic spectrum of a matrix power: for 0 <= t <= 1 the doubled
+    spectrum of A^t is log-majorized by the t-th power of that of A, and the
+    order reverses for t >= 1. Also checks the bottom-k product inequalities
+    for the plain (ascending) spectra."""
+    tol = _tolerance("1", tol)
+    require_nonnegative(t, "power")
+    return _theorem1(_one(A), [t], tol=tol)[0]
+
+
+def _theorem3(A, B, t, *, tol):
+    (A, LA), (B, LB) = _gate(A, B)
+    tt = np.array(t, dtype=float)[:, None]
+    lhs = _doubled(_factor_spectrum(means._geodesic(*_eigh(A), B, tt)))
+    rhs = _doubled(_factor_spectrum(LA)) ** (1.0 - tt) * _doubled(_factor_spectrum(LB)) ** tt
+    return _reports("3", tol, _log_worst(rhs, lhs), t=t, dhat_geodesic=lhs, rhs_vector=rhs)
+
+
+def check_theorem3(A: np.ndarray, B: np.ndarray, t: float, tol: float | None = None) -> TheoremReport:
+    """Doubled spectrum of the geodesic point A #_t B is log-majorized by the
+    coordinatewise product d_hat(A)^(1-t) * d_hat(B)^t."""
+    tol = _tolerance("3", tol)
+    if not 0.0 <= t <= 1.0:
+        raise InputError(f"geodesic parameter must lie in [0, 1], got {t}")
+    return _theorem3(_one(A), _one(B), [t], tol=tol)[0]
+
+
+def _theorem4(mats, weights, *, tol):
+    w = np.array([means.validate_weights(x, len(mats)) for x in weights])
+    gated = _gate(*mats)
+    results = [means._karcher(list(inputs), wb) for inputs, wb in zip(zip(*(S for S, _ in gated)), w)]
+    quantities = [{"residual": r.residual, "iterations": r.iterations} for r in results]
+    margins = np.full(len(results), np.nan)
+    done = np.flatnonzero([r.converged for r in results])
+    if done.size:
+        lhs = _doubled(_factor_spectrum(_cholesky(np.array([results[i].mean for i in done]))))
+        rhs = np.ones_like(lhs)
+        for j, (_, L) in enumerate(gated):
+            rhs *= _doubled(_factor_spectrum(L[done])) ** w[done, j, None]
+        margins[done] = _log_worst(rhs, lhs)
+        for i, x, y in zip(done, lhs.tolist(), rhs.tolist()):
+            quantities[i] = {"weights": w[i].tolist(), "dhat_mean": x, "rhs_vector": y, **quantities[i]}
+    return [_report("4", q, m, tol, inconclusive=not r.converged) for q, m, r in zip(quantities, margins, results)]
+
+
+def check_theorem4(mats, weights=None, tol: float | None = None) -> TheoremReport:
+    """Doubled spectrum of the weighted Karcher mean is log-majorized by the
+    weighted coordinatewise product of the inputs' doubled spectra. A
+    non-converged mean yields an inconclusive report, never a failure."""
+    tol = _tolerance("4", tol)
+    mats = list(mats)
+    if len(mats) < 2:
+        raise InputError("need at least two matrices")
+    return _theorem4([_one(A) for A in mats], [weights], tol=tol)[0]
+
+
+def _extremal(A, ks):
+    """Theorem 5's gated A, its validated k and the Williamson form of each matrix."""
+    [(A, L)] = _gate(A)
+    n = A.shape[-1] // 2
+    ks = [require_integer(k, "k") for k in ks]
+    for k in ks:
+        if not 1 <= k <= n:
+            raise InputError(f"k must lie in [1, {n}], got {k}")
+    return A, ks, [_williamson(K, JL) for K, JL in zip(*_skew(L))]
+
+
+def _targets(d: np.ndarray, k: int) -> tuple[float, float]:
+    """2 * sum of the k smallest d_j, and the log of their squared product."""
+    return 2.0 * float(np.sum(d[:k])), 2.0 * float(np.sum(np.log(d[:k])))
+
+
+def _restricted(A, R):
+    """Traces and log-determinants of R^T A R, over stacks; InputError unless
+    each R^T A R is positive definite."""
+    C = np.swapaxes(R, -1, -2) @ A @ R
+    sign, logdet = np.linalg.slogdet(C)
+    if np.any(sign <= 0):
+        raise InputError("restricted matrix is not positive definite")
+    return np.trace(C, axis1=-2, axis2=-1), logdet
+
+
+def _theorem5(A, k, samples, *, tol):
+    A, ks, forms = _extremal(A, k)
+    (k,) = set(ks)  # one k per batch: the suite groups by it
+    n = A.shape[-1] // 2
+    target_tr, target_logdet = np.array([_targets(f.d, k) for f in forms]).T
+    cols = [*range(k), *range(n, n + k)]
+    # Column selections of a stack keep the layout M[:, cols] has alone (column-major), as gemm sees it.
+    tr_min, logdet_min = _restricted(A, np.array([f.M for f in forms])[..., cols])
+    tr, logdet = _restricted(A[:, None], samples[..., cols])
+    margins = [-np.abs(_lin(tr_min - target_tr, tr_min, target_tr)), -np.abs(logdet_min - target_logdet)]
+    for tr_j, logdet_j in zip(tr.T, logdet.T):
+        margins += [_lin(tr_j - target_tr, tr_j, target_tr), logdet_j - target_logdet]
+    return _reports(
+        "5",
+        tol,
+        _first_min(*margins),
+        k=[k] * len(forms),
+        d=[f.d.tolist() for f in forms],
+        target_trace=target_tr,
+        target_logdet=target_logdet,
+        minimizer_trace=tr_min,
+        minimizer_logdet=logdet_min,
+        sampled=np.stack([tr, logdet], axis=-1),
+    )
+
+
+def check_theorem5(
+    A: np.ndarray,
+    k: int,
+    M: np.ndarray | None = None,
+    tol: float | None = None,
+    rng: np.random.Generator | None = None,
+) -> TheoremReport:
+    """Extremal characterization of spectral sums and products: over 2n x 2k
+    restrictions M with M^T J_2n M = J_2k, the trace of M^T A M is minimized
+    at 2 * sum of the k smallest symplectic eigenvalues and its determinant
+    at the squared product.
+
+    With an explicit M the two inequalities are checked. Without one, the
+    minimizer formed by the first k eigenvector pairs (columns of the
+    Williamson M) must attain both bounds with equality, and
+    THEOREM5_SAMPLES random restrictions (first k columns of each block of a
+    random symplectic matrix drawn from ``rng``) must satisfy the inequalities.
+    """
+    tol = _tolerance("5", tol)
+    A = _one(A)
+    if M is None:
+        n = _even_order(A, stacked=True).shape[-1] // 2
+        samples = _assemble([_restrictions(np.random.default_rng(0) if rng is None else rng, n)])
+        return _theorem5(A, [k], samples, tol=tol)[0]
+    A, (k,), (form,) = _extremal(A, [k])
+    A, n = A[0], A.shape[-1] // 2
+    target_tr, target_logdet = _targets(form.d, k)
+    quantities = {"k": k, "d": form.d.tolist(), "target_trace": target_tr, "target_logdet": target_logdet}
+    M = np.asarray(M, dtype=float)
+    if M.shape != (2 * n, 2 * k):
+        raise InputError(f"restriction must be {2 * n} x {2 * k}, got {M.shape}")
+    residual = float(np.linalg.norm(M.T @ standard_J(n) @ M - standard_J(k)))
+    if residual > 1e-8 * (1.0 + float(np.sum(M * M))):
+        raise InputError(f"matrix fails the restriction condition: residual {residual:.3e}")
+    tr_val, logdet_val = map(float, _restricted(A, M))
+    margin = _first_min(_lin(tr_val - target_tr, tr_val, target_tr), logdet_val - target_logdet)
+    quantities.update({"trace": tr_val, "logdet": logdet_val})
+    return _report("5", quantities, margin, tol)
+
+
+def _superadditivity(A, B, k=None, *, tol):
+    (A, LA), (B, LB) = _gate(A, B)
+    da, db = _factor_spectrum(LA), _factor_spectrum(LB)
+    ds = _factor_spectrum(_cholesky(A + B))
+    n = da.shape[-1]
+    ks = range(1, n + 1) if k is None else [require_integer(k, "k")]
+    margins = []
+    for kk in ks:
+        if not 1 <= kk <= n:
+            raise InputError(f"k must lie in [1, {n}], got {kk}")
+        sum_lhs = np.sum(ds[:, :kk], axis=-1)
+        sum_rhs = np.sum(da[:, :kk], axis=-1) + np.sum(db[:, :kk], axis=-1)
+        prod_lhs = np.prod(ds[:, :kk] ** 2, axis=-1)
+        prod_rhs = np.prod(da[:, :kk] ** 2, axis=-1) + np.prod(db[:, :kk] ** 2, axis=-1)
+        margins.append(_lin(sum_lhs - sum_rhs, sum_lhs, sum_rhs))
+        margins.append(_lin(prod_lhs - prod_rhs, prod_lhs, prod_rhs))
+    return _reports("superadditivity", tol, _first_min(*margins), k=[list(ks)] * len(ds), d_sumAB=ds, d_A=da, d_B=db)
+
+
+def check_superadditivity(A: np.ndarray, B: np.ndarray, k: int | None = None, tol: float | None = None) -> TheoremReport:
+    """Superadditivity of spectral sums and squared products: the k smallest
+    symplectic eigenvalues of A + B dominate, in sum and squared product, the
+    corresponding quantities of A and B added. Checks one k or, when k is
+    None, all of them."""
+    return _superadditivity(_one(A), _one(B), k, tol=_tolerance("superadditivity", tol))[0]
+
+
+def _theorem6(M, *, tol):
+    """One report per symplectic matrix of M, each checked on its own (the
+    max-flow does not stack)."""
+    reports = []
+    for Mi in M:
+        mt = associated_matrix(Mi)
+        n = mt.shape[0]
+        row_min = float(np.min(mt.sum(axis=1)))
+        col_min = float(np.min(mt.sum(axis=0)))
+        super_check = is_doubly_superstochastic(mt)
+        stochastic = is_doubly_stochastic(mt, tol=tol)
+        Mi = np.asarray(Mi, dtype=float)
+        orth_residual = float(np.linalg.norm(Mi.T @ Mi - np.eye(2 * n)))
+        consistent = stochastic == (orth_residual <= ORTHOGONALITY_TOL)
+        margin = _first_min(
+            _lin(min(row_min, col_min) - 1.0, row_min, col_min),
+            _lin(super_check.flow_value - n, n),
+            # a failed stochastic/orthogonal cross-check forces a definite failure
+            0.0 if consistent else -1.0,
+        )
+        quantities = {
+            "min_row_sum": row_min,
+            "min_col_sum": col_min,
+            "flow_value": super_check.flow_value,
+            "doubly_stochastic": stochastic,
+            "orthogonality_residual": orth_residual,
+        }
+        reports.append(_report("6", quantities, margin, tol))
+    return reports
+
+
+def check_theorem6(M: np.ndarray, tol: float | None = None) -> TheoremReport:
+    """The associated matrix of a symplectic M has row and column sums >= 1,
+    is doubly superstochastic (with a transportation-flow witness), and is
+    doubly stochastic exactly when M is orthogonal."""
+    return _theorem6([M], tol=_tolerance("6", tol))[0]
+
+
+def _theorem7(A, B, *, tol):
+    (A, LA), (B, LB) = _gate(A, B)
+    da, db = _factor_spectrum(LA), _factor_spectrum(LB)
+    diff = np.linalg.svd(A - B, compute_uv=False)
+    factor = np.sqrt(np.linalg.svd(A, compute_uv=False)[:, 0]) + np.sqrt(np.linalg.svd(B, compute_uv=False)[:, 0])
+    gap = da - db
+    lhs_op = np.max(np.abs(gap), axis=-1)
+    rhs_op = factor * np.sqrt(diff[:, 0])
+    # np.linalg.norm of a vector is a dot product; so is matmul's vector case.
+    lhs_fro = math.sqrt(2.0) * np.sqrt((gap[:, None, :] @ gap[:, :, None])[:, 0, 0])
+    rhs_fro = factor * np.sqrt(np.sum(diff, axis=-1))
+    margins = _first_min(_lin(rhs_op - lhs_op, rhs_op, lhs_op), _lin(rhs_fro - lhs_fro, rhs_fro, lhs_fro))
+    return _reports(
+        "7",
+        tol,
+        margins,
+        d_A=da,
+        d_B=db,
+        lhs_operator=lhs_op,
+        rhs_operator=rhs_op,
+        lhs_frobenius=lhs_fro,
+        rhs_frobenius=rhs_fro,
+    )
+
+
+def check_theorem7(A: np.ndarray, B: np.ndarray, tol: float | None = None) -> TheoremReport:
+    """Perturbation bounds: symplectic eigenvalue differences are controlled
+    by (||A||^1/2 + ||B||^1/2) times square roots of norms of A - B, in the
+    operator and Frobenius/trace norm versions."""
+    return _theorem7(_one(A), _one(B), tol=_tolerance("7", tol))[0]
+
+
+def _interlacing(A, drop_index, *, tol):
+    [(A, L)] = _gate(A)
+    da = _factor_spectrum(L)
+    n = da.shape[-1]
+    if n < 2:
+        raise InputError("interlacing needs half-order n >= 2")
+    drop_index = [require_integer(i, "drop index") for i in drop_index]
+    for i in drop_index:
+        if not 0 <= i < n:
+            raise InputError(f"drop index must lie in [0, {n - 1}], got {i}")
+    sub = [sops._s_principal(S, [i for i in range(n) if i != j]) for S, j in zip(A, drop_index)]
+    db = _factor_spectrum(_cholesky(np.array(sub)))
+    scale = _floor1(da[:, -1])
+    margins = [(db[:, j] - da[:, j]) / scale for j in range(n - 1)]
+    margins += [(da[:, j + 2] - db[:, j]) / scale for j in range(n - 2)]
+    return _reports("interlacing", tol, _first_min(*margins), drop_index=drop_index, d_A=da, d_B=db)
+
+
+def check_interlacing(A: np.ndarray, drop_index: int, tol: float | None = None) -> TheoremReport:
+    """Cauchy-type interlacing for the s-principal submatrix obtained by
+    deleting one index pair: d_j(A) <= d_j(B) <= d_{j+2}(A), with the
+    convention that d_{n+1}(A) is infinite."""
+    return _interlacing(_one(A), [drop_index], tol=_tolerance("interlacing", tol))[0]
+
+
+def _elementary_symmetric(x: np.ndarray) -> np.ndarray:
+    """Rows of the elementary symmetric polynomials e_1..e_n of each row of x."""
+    e = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    e[..., 0] = 1.0
+    for j in range(x.shape[-1]):
+        e[..., 1:] = e[..., 1:] + x[..., j, None] * e[..., :-1]
+    return e[..., 1:]
+
+
+_POWER_MEAN_EXPONENTS = (0.5, -1.0)
+
+
+def _pinching(A, sizes, *, tol):
+    [(A, L)] = _gate(A)
+    dc = _factor_spectrum(_cholesky(np.array([sops._s_pinching(S, s) for S, s in zip(A, sizes)])))
+    da = _factor_spectrum(L)
+    n = da.shape[-1]
+    ya = _doubled(da)
+    worst = majorization._worst(majorization._super_margins(*majorization._pair(ya, _doubled(dc), rows=True)))
+    margins = [_lin(worst, np.sum(ya, axis=-1))]
+    ec, ea = _elementary_symmetric(dc), _elementary_symmetric(da)
+    for k in range(n):
+        margins.append(_lin(ec[:, k] - ea[:, k], ec[:, k], ea[:, k]))
+        rc, ra = _powers(ec[:, k], 1.0 / (k + 1)), _powers(ea[:, k], 1.0 / (k + 1))
+        margins.append(_lin(rc - ra, rc, ra))
+    margins.append(_lin(np.sum(dc / (1 + dc), axis=-1) - np.sum(da / (1 + da), axis=-1), n))
+    margins.append(np.sum(_rowwise(np.log, dc), axis=-1) - np.sum(_rowwise(np.log, da), axis=-1))
+    for r in _POWER_MEAN_EXPONENTS:
+        pc = _powers(np.mean(dc**r, axis=-1), 1.0 / r)
+        pa = _powers(np.mean(da**r, axis=-1), 1.0 / r)
+        margins.append(_lin(pc - pa, pc, pa))
+    return _reports("pinching", tol, _first_min(*margins), sizes=[list(s) for s in sizes], d_pinched=dc, d_A=da)
+
+
+def check_pinching(A: np.ndarray, sizes, tol: float | None = None) -> TheoremReport:
+    """An s-pinching shifts the doubled spectrum upward in the
+    supermajorization order, and every permutation-invariant concave
+    increasing function of the plain spectrum does not decrease (elementary
+    symmetric polynomials and their roots, sum of x/(1+x), sum of logs,
+    power means with exponent below 1)."""
+    return _pinching(_one(A), [sizes], tol=_tolerance("pinching", tol))[0]
+
+
+def _theorem11(A, *, tol):
+    [(A, L)] = _gate(A)
+    lam = _eigh(A, values_only=True)
+    n = A.shape[-1] // 2
+    d = _factor_spectrum(L)
+    scale = _floor1(lam[:, -1])[:, None]
+    margins = _first_min(
+        _log_worst(lam, _doubled(d)), *((d - lam[:, :n]) / scale).T, *((lam[:, n:] - d) / scale).T
+    )
+    return _reports("11", tol, margins, d=d, eigenvalues=lam)
+
+
+def check_theorem11(A: np.ndarray, tol: float | None = None) -> TheoremReport:
+    """Symplectic versus ordinary eigenvalues: the doubled symplectic spectrum
+    is log-majorized by the eigenvalue vector, and each d_j is bracketed by
+    the j-th and (n+j)-th smallest eigenvalues."""
+    return _theorem11(_one(A), tol=_tolerance("11", tol))[0]
+
+
+def _corollary8(A, B, t, *, tol):
+    (A, LA), (B, LB) = _gate(A, B)
+    if np.any(_factor_spectrum(LA)[:, 0] < 0.5 - tol):
+        raise InputError("first input is not Gaussian (d_1 < 1/2)")
+    if np.any(_factor_spectrum(LB)[:, 0] < 0.5 - tol):
+        raise InputError("second input is not Gaussian (d_1 < 1/2)")
+    tt = np.array(t, dtype=float)[:, None]
+    w, Q = _eigh(A)
+    d1_pow = _factor_spectrum(Q * (w ** (tt / 2.0))[:, None, :])[:, 0]
+    d1_geo = _factor_spectrum(means._geodesic(w, Q, B, tt))[:, 0]
+    results = [means._karcher([a, b], np.full(2, 0.5)) for a, b in zip(A, B)]
+    quantities = [{"t": tb, "d1_power": x, "d1_geodesic": y} for tb, x, y in zip(t, d1_pow.tolist(), d1_geo.tolist())]
+    margins = np.full(len(results), np.nan)
+    done = np.flatnonzero([r.converged for r in results])
+    if done.size:
+        d1_mean = _factor_spectrum(_cholesky(np.array([results[i].mean for i in done])))[:, 0]
+        margins[done] = _first_min(d1_pow[done], d1_geo[done], d1_mean) - 0.5
+        for i, x in zip(done, d1_mean.tolist()):
+            quantities[i]["d1_mean"] = x
+    return [
+        _report("corollary8", q, m, tol, inconclusive=not r.converged) for q, m, r in zip(quantities, margins, results)
+    ]
+
+
+def check_corollary8(A: np.ndarray, B: np.ndarray, t: float, tol: float | None = None) -> TheoremReport:
+    """Geodesic convexity of Gaussian covariance matrices: powers A^t for
+    t in [0, 1], geodesic points, and the Karcher mean of Gaussian matrices
+    stay Gaussian (smallest symplectic eigenvalue >= 1/2)."""
+    tol = _tolerance("corollary8", tol)
+    if not 0.0 <= t <= 1.0:
+        raise InputError(f"power/geodesic parameter must lie in [0, 1], got {t}")
+    return _corollary8(_one(A), _one(B), [t], tol=tol)[0]
+
+
+def _minmax(A, *, tol):
+    [(A, L)] = _gate(A)
+    observed = _sharp(A)
+    d = _factor_spectrum(L)
+    expected = np.concatenate([1.0 / d, -1.0 / d[:, ::-1]], axis=-1)
+    scale = np.max(np.abs(expected), axis=-1)
+    margins = -np.max(np.abs(observed - expected), axis=-1) / scale
+    return _reports("minmax", tol, margins, observed=observed, expected=expected)
+
+
+def check_minmax(A: np.ndarray, tol: float | None = None) -> TheoremReport:
+    """Minmax principle, verified through the equivalent eigenvalue statement:
+    the spectrum of i A^{-1} J must equal {+-1/d_j(A)} as a multiset."""
+    return _minmax(_one(A), tol=_tolerance("minmax", tol))[0]
+
+
+class _Draw(NamedTuple):
+    """The generator output behind one random symplectic matrix
+    o1 diag(gamma, 1/gamma) o2^T (see ``symplectic._squeezed``), or with ``d``
+    behind the planted positive definite matrix S^T diag(d, d) S of it."""
+
+    normals: np.ndarray
+    log_gamma: np.ndarray
+    d: np.ndarray | None = None
+
+
+def _planted_spectrum(rng, n, spread_log, duplicates, offset=0.0):
+    if duplicates and n >= 2:
+        base = np.exp(rng.uniform(-spread_log, spread_log, size=(n + 1) // 2))
+        vals = np.concatenate([base, base])[:n]
+    else:
+        vals = np.exp(rng.uniform(-spread_log, spread_log, size=n))
+    return np.sort(offset + vals)
+
+
+def _planted(rng, n, cfg, trial, offset=0.0) -> _Draw:
+    """A suite matrix with a planted spectrum, drawn in the order of
+    ``random_posdef_rng``; every fifth trial plants repeated entries."""
+    d = _planted_spectrum(rng, n, cfg.condition_spread, trial % 5 == 4, offset)
+    return _Draw(rng.standard_normal((2, 2, n, n)), rng.uniform(0.0, cfg.spread, size=n), d)
+
+
+def _restrictions(rng, n) -> _Draw:
+    """THEOREM5_SAMPLES random symplectic matrices of spread 1, drawn one after
+    another as ``random_symplectic_rng`` draws them."""
+    draws = [(rng.standard_normal((2, 2, n, n)), rng.uniform(0.0, 1.0, size=n)) for _ in range(THEOREM5_SAMPLES)]
+    return _Draw(*map(np.array, zip(*draws)))
+
+
+# Each draw(rng, n, cfg, trial) returns the instance's group key (its half-order
+# first) and the checker's arguments, with _Draw values in place of matrices.
+
+
+def _draw_power(rng, n, cfg, trial):
+    A = _planted(rng, n, cfg, trial)
+    u = float(rng.uniform(0.0, 1.0))
+    return (n,), (A, u if trial % 2 == 0 else 1.0 + 2.0 * u)
+
+
+def _draw_geodesic(rng, n, cfg, trial, offset=0.0):
+    A = _planted(rng, n, cfg, trial, offset)
+    B = _planted(rng, n, cfg, trial, offset)
+    return (n,), (A, B, float(rng.uniform(0.0, 1.0)))
+
+
+def _draw_mean(rng, n, cfg, trial):
+    mats = [_planted(rng, n, cfg, trial) for _ in range(3)]
+    if trial % 2 == 0:
+        return (n,), (mats, None)
+    raw = rng.uniform(0.2, 1.0, size=3)
+    return (n,), (mats, raw / raw.sum())
+
+
+def _draw_extremal(rng, n, cfg, trial):
+    A = _planted(rng, n, cfg, trial)
+    k = int(rng.integers(1, n + 1))
+    return (n, k), (A, k, _restrictions(rng, n))
+
+
+def _draw_pair(rng, n, cfg, trial):
+    return (n,), (_planted(rng, n, cfg, trial), _planted(rng, n, cfg, trial))
+
+
+def _draw_symplectic(rng, n, cfg, trial):
+    if trial % 2 == 0:
+        return (n,), (random_orthosymplectic_rng(rng, n),)
+    # A planted squeezing floor keeps the instance decisively outside
+    # the tolerance band of the stochastic/orthogonal cross-check.
+    log_gamma = rng.uniform(0.2, 0.2 + cfg.spread, size=n)
+    return (n,), (_squeezed(rng.standard_normal((2, 2, n, n)), log_gamma),)
+
+
+def _draw_submatrix(rng, n, cfg, trial):
+    n = max(2, n)
+    A = _planted(rng, n, cfg, trial)
+    return (n,), (A, int(rng.integers(0, n)))
+
+
+def _draw_pinching(rng, n, cfg, trial):
+    A = _planted(rng, n, cfg, trial)
+    if n == 1:
+        return (n,), (A, (1,))
+    m1 = int(rng.integers(1, n))
+    return (n,), (A, (m1, n - m1))
+
+
+def _draw_one(rng, n, cfg, trial):
+    return (n,), (_planted(rng, n, cfg, trial),)
+
+
+def _draw_gaussian(rng, n, cfg, trial):
+    return _draw_geodesic(rng, n, cfg, trial, offset=0.5)
+
+
+THEOREMS = {
+    "1": (1e-9, _draw_power, _theorem1),
+    "3": (1e-9, _draw_geodesic, _theorem3),
+    "4": (1e-8, _draw_mean, _theorem4),
+    "5": (1e-9, _draw_extremal, _theorem5),
+    "superadditivity": (1e-9, _draw_pair, _superadditivity),
+    "6": (1e-8, _draw_symplectic, _theorem6),
+    "7": (1e-9, _draw_pair, _theorem7),
+    "interlacing": (1e-9, _draw_submatrix, _interlacing),
+    "pinching": (1e-8, _draw_pinching, _pinching),
+    "11": (1e-9, _draw_one, _theorem11),
+    "corollary8": (1e-8, _draw_gaussian, _corollary8),
+    "minmax": (1e-8, _draw_one, _minmax),
+}
+DEFAULT_TOLERANCES = {theorem_id: tol for theorem_id, (tol, _, _) in THEOREMS.items()}
+THEOREM_IDS = tuple(THEOREMS)
 
 
 @dataclass(frozen=True)
@@ -140,501 +741,58 @@ class SuiteConfig:
         return self.tolerances.get(theorem_id, DEFAULT_TOLERANCES[theorem_id])
 
 
-def _tolerance(theorem_id: str, tol: float | None) -> float:
-    """A checker's tol, its theorem's default when None; InputError unless finite and >= 0."""
-    tol = DEFAULT_TOLERANCES[theorem_id] if tol is None else tol
-    require_nonnegative(tol, "tol")
-    return float(tol)
-
-
-def _report(theorem_id, quantities, margin, tol, inconclusive=False):
-    margin = float(margin)
-    holds = bool(math.isfinite(margin) and margin >= -tol) and not inconclusive
-    return TheoremReport(
-        theorem_id=theorem_id,
-        digest="",
-        quantities=quantities,
-        margin=margin,
-        tolerance=float(tol),
-        holds=holds,
-        inconclusive=inconclusive,
-    )
-
-
-def _lin(margin: float, *scale_values: float) -> float:
-    """Normalize a linear-domain margin by the largest quantity compared."""
-    scale = max([1.0] + [abs(float(s)) for s in scale_values])
-    return float(margin) / scale
-
-
-def _gate(*mats):
-    """``(S, L)`` of each input: the symmetrized S, refused when near-singular, and
-    its Cholesky factor S = L L^T; InputError on mixed orders."""
-    gated = _same_order([_posdef(_even_order(A), refuse_near_singular=True) for A in mats])
-    return [(S, _cholesky(S)) for S in gated]
-
-
-def _factor_spectrum(F: np.ndarray):
-    """Symplectic spectrum of F F^T for a square F of even order (see :func:`_skew`)."""
-    return _spectrum(_skew(F)[0])
-
-
-def check_theorem1(A: np.ndarray, t: float, tol: float | None = None) -> TheoremReport:
-    """Symplectic spectrum of a matrix power: for 0 <= t <= 1 the doubled
-    spectrum of A^t is log-majorized by the t-th power of that of A, and the
-    order reverses for t >= 1. Also checks the bottom-k product inequalities
-    for the plain (ascending) spectra."""
-    tol = _tolerance("1", tol)
-    require_nonnegative(t, "power")
-    [(A, L)] = _gate(A)
-    spec_a = _factor_spectrum(L)
-    w, Q = _eigh(A)
-    spec_t = _factor_spectrum(Q * w ** (t / 2.0))
-    if t <= 1.0:
-        verdict = majorization.log_majorizes(y=spec_a.d_hat**t, x=spec_t.d_hat)
-    else:
-        verdict = majorization.log_majorizes(y=spec_t.d_hat, x=spec_a.d_hat**t)
-    bottom_t = np.cumsum(np.log(spec_t.d))
-    bottom_a = np.cumsum(t * np.log(spec_a.d))
-    corollary = bottom_t - bottom_a if t <= 1.0 else bottom_a - bottom_t
-    margin = min(verdict.worst_margin, float(np.min(corollary)))
-    quantities = {
-        "t": t,
-        "d_of_A": spec_a.d.tolist(),
-        "d_of_A_pow_t": spec_t.d.tolist(),
-    }
-    return _report("1", quantities, margin, tol)
-
-
-def check_theorem3(A: np.ndarray, B: np.ndarray, t: float, tol: float | None = None) -> TheoremReport:
-    """Doubled spectrum of the geodesic point A #_t B is log-majorized by the
-    coordinatewise product d_hat(A)^(1-t) * d_hat(B)^t."""
-    tol = _tolerance("3", tol)
-    if not 0.0 <= t <= 1.0:
-        raise InputError(f"geodesic parameter must lie in [0, 1], got {t}")
-    (A, LA), (B, LB) = _gate(A, B)
-    lhs = _factor_spectrum(means._geodesic(*_eigh(A), B, t))
-    da = _factor_spectrum(LA).d_hat
-    db = _factor_spectrum(LB).d_hat
-    rhs = da ** (1.0 - t) * db**t
-    verdict = majorization.log_majorizes(y=rhs, x=lhs.d_hat)
-    quantities = {
-        "t": t,
-        "dhat_geodesic": lhs.d_hat.tolist(),
-        "rhs_vector": rhs.tolist(),
-    }
-    return _report("3", quantities, verdict.worst_margin, tol)
-
-
-def check_theorem4(mats, weights=None, tol: float | None = None) -> TheoremReport:
-    """Doubled spectrum of the weighted Karcher mean is log-majorized by the
-    weighted coordinatewise product of the inputs' doubled spectra. A
-    non-converged mean yields an inconclusive report, never a failure."""
-    tol = _tolerance("4", tol)
-    mats = list(mats)
-    if len(mats) < 2:
-        raise InputError("need at least two matrices")
-    w = means.validate_weights(weights, len(mats))
-    gated = _gate(*mats)
-    result = means._karcher([S for S, _ in gated], w)
-    if not result.converged:
-        quantities = {"residual": result.residual, "iterations": result.iterations}
-        return _report("4", quantities, float("nan"), tol, inconclusive=True)
-    lhs = _factor_spectrum(_cholesky(result.mean)).d_hat
-    rhs = np.ones_like(lhs)
-    for wj, (_, L) in zip(w, gated):
-        rhs *= _factor_spectrum(L).d_hat ** wj
-    verdict = majorization.log_majorizes(y=rhs, x=lhs)
-    quantities = {
-        "weights": w.tolist(),
-        "dhat_mean": lhs.tolist(),
-        "rhs_vector": rhs.tolist(),
-        "residual": result.residual,
-        "iterations": result.iterations,
-    }
-    return _report("4", quantities, verdict.worst_margin, tol)
-
-
-def check_theorem5(
-    A: np.ndarray,
-    k: int,
-    M: np.ndarray | None = None,
-    tol: float | None = None,
-    rng: np.random.Generator | None = None,
-) -> TheoremReport:
-    """Extremal characterization of spectral sums and products: over 2n x 2k
-    restrictions M with M^T J_2n M = J_2k, the trace of M^T A M is minimized
-    at 2 * sum of the k smallest symplectic eigenvalues and its determinant
-    at the squared product.
-
-    With an explicit M the two inequalities are checked. Without one, the
-    minimizer formed by the first k eigenvector pairs (columns of the
-    Williamson M) must attain both bounds with equality, and
-    THEOREM5_SAMPLES random restrictions (first k columns of each block of a
-    random symplectic matrix) must satisfy the inequalities.
-    """
-    tol = _tolerance("5", tol)
-    [(A, L)] = _gate(A)
-    n = A.shape[0] // 2
-    k = require_integer(k, "k")
-    if not 1 <= k <= n:
-        raise InputError(f"k must lie in [1, {n}], got {k}")
-    form = _williamson(*_skew(L))
-    d = form.d
-    target_tr = 2.0 * float(np.sum(d[:k]))
-    target_logdet = 2.0 * float(np.sum(np.log(d[:k])))
-
-    def _values(R):
-        C = R.T @ A @ R
-        sign, logdet = np.linalg.slogdet(C)
-        if sign <= 0:
-            raise InputError("restricted matrix is not positive definite")
-        return float(np.trace(C)), float(logdet)
-
-    quantities = {"k": k, "d": d.tolist(), "target_trace": target_tr, "target_logdet": target_logdet}
-    if M is not None:
-        M = np.asarray(M, dtype=float)
-        if M.shape != (2 * n, 2 * k):
-            raise InputError(f"restriction must be {2 * n} x {2 * k}, got {M.shape}")
-        residual = float(np.linalg.norm(M.T @ standard_J(n) @ M - standard_J(k)))
-        if residual > 1e-8 * (1.0 + float(np.sum(M * M))):
-            raise InputError(f"matrix fails the restriction condition: residual {residual:.3e}")
-        tr_val, logdet_val = _values(M)
-        margin = min(_lin(tr_val - target_tr, tr_val, target_tr), logdet_val - target_logdet)
-        quantities.update({"trace": tr_val, "logdet": logdet_val})
-        return _report("5", quantities, margin, tol)
-
-    rng = np.random.default_rng(0) if rng is None else rng
-    cols = list(range(k)) + list(range(n, n + k))
-    minimizer = form.M[:, cols]
-    tr_min, logdet_min = _values(minimizer)
-    margins = [
-        -abs(_lin(tr_min - target_tr, tr_min, target_tr)),
-        -abs(logdet_min - target_logdet),
-    ]
-    sampled = []
-    for _ in range(THEOREM5_SAMPLES):
-        L = random_symplectic_rng(rng, n, spread=1.0)
-        tr_val, logdet_val = _values(L[:, cols])
-        sampled.append((tr_val, logdet_val))
-        margins.append(_lin(tr_val - target_tr, tr_val, target_tr))
-        margins.append(logdet_val - target_logdet)
-    quantities.update(
-        {
-            "minimizer_trace": tr_min,
-            "minimizer_logdet": logdet_min,
-            "sampled": [[t, g] for t, g in sampled],
-        }
-    )
-    return _report("5", quantities, min(margins), tol)
-
-
-def check_superadditivity(A: np.ndarray, B: np.ndarray, k: int | None = None, tol: float | None = None) -> TheoremReport:
-    """Superadditivity of spectral sums and squared products: the k smallest
-    symplectic eigenvalues of A + B dominate, in sum and squared product, the
-    corresponding quantities of A and B added. Checks one k or, when k is
-    None, all of them."""
-    tol = _tolerance("superadditivity", tol)
-    (A, LA), (B, LB) = _gate(A, B)
-    da = _factor_spectrum(LA).d
-    db = _factor_spectrum(LB).d
-    ds = _factor_spectrum(_cholesky(A + B)).d
-    n = da.shape[0]
-    ks = range(1, n + 1) if k is None else [require_integer(k, "k")]
-    margins = []
-    for kk in ks:
-        if not 1 <= kk <= n:
-            raise InputError(f"k must lie in [1, {n}], got {kk}")
-        sum_lhs = float(np.sum(ds[:kk]))
-        sum_rhs = float(np.sum(da[:kk]) + np.sum(db[:kk]))
-        prod_lhs = float(np.prod(ds[:kk] ** 2))
-        prod_rhs = float(np.prod(da[:kk] ** 2) + np.prod(db[:kk] ** 2))
-        margins.append(_lin(sum_lhs - sum_rhs, sum_lhs, sum_rhs))
-        margins.append(_lin(prod_lhs - prod_rhs, prod_lhs, prod_rhs))
-    quantities = {
-        "k": list(ks),
-        "d_sumAB": ds.tolist(),
-        "d_A": da.tolist(),
-        "d_B": db.tolist(),
-    }
-    return _report("superadditivity", quantities, min(margins), tol)
-
-
-def check_theorem6(M: np.ndarray, tol: float | None = None) -> TheoremReport:
-    """The associated matrix of a symplectic M has row and column sums >= 1,
-    is doubly superstochastic (with a transportation-flow witness), and is
-    doubly stochastic exactly when M is orthogonal."""
-    tol = _tolerance("6", tol)
-    mt = associated_matrix(M)
-    n = mt.shape[0]
-    row_min = float(np.min(mt.sum(axis=1)))
-    col_min = float(np.min(mt.sum(axis=0)))
-    super_check = is_doubly_superstochastic(mt)
-    stochastic = is_doubly_stochastic(mt, tol=tol)
-    orth_residual = float(np.linalg.norm(np.asarray(M, dtype=float).T @ np.asarray(M, dtype=float) - np.eye(2 * n)))
-    consistent = stochastic == (orth_residual <= ORTHOGONALITY_TOL)
-    margins = [
-        _lin(min(row_min, col_min) - 1.0, row_min, col_min),
-        _lin(super_check.flow_value - n, n),
-        # a failed stochastic/orthogonal cross-check forces a definite failure
-        0.0 if consistent else -1.0,
-    ]
-    quantities = {
-        "min_row_sum": row_min,
-        "min_col_sum": col_min,
-        "flow_value": super_check.flow_value,
-        "doubly_stochastic": stochastic,
-        "orthogonality_residual": orth_residual,
-    }
-    return _report("6", quantities, min(margins), tol)
-
-
-def check_theorem7(A: np.ndarray, B: np.ndarray, tol: float | None = None) -> TheoremReport:
-    """Perturbation bounds: symplectic eigenvalue differences are controlled
-    by (||A||^1/2 + ||B||^1/2) times square roots of norms of A - B, in the
-    operator and Frobenius/trace norm versions."""
-    tol = _tolerance("7", tol)
-    (A, LA), (B, LB) = _gate(A, B)
-    da = _factor_spectrum(LA).d
-    db = _factor_spectrum(LB).d
-    diff_norms = norms(A - B)
-    factor = math.sqrt(norms(A).operator) + math.sqrt(norms(B).operator)
-    lhs_op = float(np.max(np.abs(da - db)))
-    rhs_op = factor * math.sqrt(diff_norms.operator)
-    lhs_fro = math.sqrt(2.0) * float(np.linalg.norm(da - db))
-    rhs_fro = factor * math.sqrt(diff_norms.trace)
-    margin = min(
-        _lin(rhs_op - lhs_op, rhs_op, lhs_op),
-        _lin(rhs_fro - lhs_fro, rhs_fro, lhs_fro),
-    )
-    quantities = {
-        "d_A": da.tolist(),
-        "d_B": db.tolist(),
-        "lhs_operator": lhs_op,
-        "rhs_operator": rhs_op,
-        "lhs_frobenius": lhs_fro,
-        "rhs_frobenius": rhs_fro,
-    }
-    return _report("7", quantities, margin, tol)
-
-
-def check_interlacing(A: np.ndarray, drop_index: int, tol: float | None = None) -> TheoremReport:
-    """Cauchy-type interlacing for the s-principal submatrix obtained by
-    deleting one index pair: d_j(A) <= d_j(B) <= d_{j+2}(A), with the
-    convention that d_{n+1}(A) is infinite."""
-    tol = _tolerance("interlacing", tol)
-    [(A, L)] = _gate(A)
-    da = _factor_spectrum(L).d
-    n = da.shape[0]
-    if n < 2:
-        raise InputError("interlacing needs half-order n >= 2")
-    drop_index = require_integer(drop_index, "drop index")
-    if not 0 <= drop_index < n:
-        raise InputError(f"drop index must lie in [0, {n - 1}], got {drop_index}")
-    keep = [i for i in range(n) if i != drop_index]
-    db = _factor_spectrum(_cholesky(sops._s_principal(A, keep))).d
-    scale = max(1.0, float(da[-1]))
-    margins = [(db[j] - da[j]) / scale for j in range(n - 1)]
-    margins += [(da[j + 2] - db[j]) / scale for j in range(n - 2)]
-    quantities = {"drop_index": drop_index, "d_A": da.tolist(), "d_B": db.tolist()}
-    return _report("interlacing", quantities, min(margins), tol)
-
-
-def _elementary_symmetric(x: np.ndarray) -> np.ndarray:
-    e = np.zeros(x.size + 1)
-    e[0] = 1.0
-    for v in x:
-        e[1:] = e[1:] + v * e[:-1]
-    return e[1:]
-
-
-_POWER_MEAN_EXPONENTS = (0.5, -1.0)
-
-
-def check_pinching(A: np.ndarray, sizes, tol: float | None = None) -> TheoremReport:
-    """An s-pinching shifts the doubled spectrum upward in the
-    supermajorization order, and every permutation-invariant concave
-    increasing function of the plain spectrum does not decrease (elementary
-    symmetric polynomials and their roots, sum of x/(1+x), sum of logs,
-    power means with exponent below 1)."""
-    tol = _tolerance("pinching", tol)
-    [(A, L)] = _gate(A)
-    sc = _factor_spectrum(_cholesky(sops._s_pinching(A, sizes)))
-    sa = _factor_spectrum(L)
-    verdict = majorization.supermajorizes(y=sa.d_hat, x=sc.d_hat)
-    margins = [_lin(verdict.worst_margin, float(np.sum(sa.d_hat)))]
-
-    dc, da = sc.d, sa.d
-    ec, ea = _elementary_symmetric(dc), _elementary_symmetric(da)
-    for k in range(dc.size):
-        margins.append(_lin(ec[k] - ea[k], ec[k], ea[k]))
-        rc, ra = ec[k] ** (1.0 / (k + 1)), ea[k] ** (1.0 / (k + 1))
-        margins.append(_lin(rc - ra, rc, ra))
-    margins.append(_lin(float(np.sum(dc / (1 + dc)) - np.sum(da / (1 + da))), dc.size))
-    margins.append(float(np.sum(np.log(dc)) - np.sum(np.log(da))))
-    for r in _POWER_MEAN_EXPONENTS:
-        pc = float(np.mean(dc**r) ** (1.0 / r))
-        pa = float(np.mean(da**r) ** (1.0 / r))
-        margins.append(_lin(pc - pa, pc, pa))
-    quantities = {
-        "sizes": list(sizes),
-        "d_pinched": dc.tolist(),
-        "d_A": da.tolist(),
-    }
-    return _report("pinching", quantities, min(margins), tol)
-
-
-def check_theorem11(A: np.ndarray, tol: float | None = None) -> TheoremReport:
-    """Symplectic versus ordinary eigenvalues: the doubled symplectic spectrum
-    is log-majorized by the eigenvalue vector, and each d_j is bracketed by
-    the j-th and (n+j)-th smallest eigenvalues."""
-    tol = _tolerance("11", tol)
-    [(A, L)] = _gate(A)
-    lam = _eigh(A, values_only=True)
-    n = A.shape[0] // 2
-    d = _factor_spectrum(L)
-    verdict = majorization.log_majorizes(y=lam, x=d.d_hat)
-    scale = max(1.0, float(lam[-1]))
-    margins = [verdict.worst_margin]
-    margins += [(d.d[j] - lam[j]) / scale for j in range(n)]
-    margins += [(lam[n + j] - d.d[j]) / scale for j in range(n)]
-    quantities = {"d": d.d.tolist(), "eigenvalues": lam.tolist()}
-    return _report("11", quantities, min(margins), tol)
-
-
-def check_corollary8(A: np.ndarray, B: np.ndarray, t: float, tol: float | None = None) -> TheoremReport:
-    """Geodesic convexity of Gaussian covariance matrices: powers A^t for
-    t in [0, 1], geodesic points, and the Karcher mean of Gaussian matrices
-    stay Gaussian (smallest symplectic eigenvalue >= 1/2)."""
-    tol = _tolerance("corollary8", tol)
-    if not 0.0 <= t <= 1.0:
-        raise InputError(f"power/geodesic parameter must lie in [0, 1], got {t}")
-    (A, LA), (B, LB) = _gate(A, B)
-    if _factor_spectrum(LA).d[0] < 0.5 - tol:
-        raise InputError("first input is not Gaussian (d_1 < 1/2)")
-    if _factor_spectrum(LB).d[0] < 0.5 - tol:
-        raise InputError("second input is not Gaussian (d_1 < 1/2)")
-    w, Q = _eigh(A)
-    d1_pow = float(_factor_spectrum(Q * w ** (t / 2.0)).d[0])
-    d1_geo = float(_factor_spectrum(means._geodesic(w, Q, B, t)).d[0])
-    result = means._karcher([A, B], np.full(2, 0.5))
-    if not result.converged:
-        quantities = {"t": t, "d1_power": d1_pow, "d1_geodesic": d1_geo}
-        return _report("corollary8", quantities, float("nan"), tol, inconclusive=True)
-    d1_mean = float(_factor_spectrum(_cholesky(result.mean)).d[0])
-    margin = min(d1_pow, d1_geo, d1_mean) - 0.5
-    quantities = {"t": t, "d1_power": d1_pow, "d1_geodesic": d1_geo, "d1_mean": d1_mean}
-    return _report("corollary8", quantities, margin, tol)
-
-
-def check_minmax(A: np.ndarray, tol: float | None = None) -> TheoremReport:
-    """Minmax principle, verified through the equivalent eigenvalue statement:
-    the spectrum of i A^{-1} J must equal {+-1/d_j(A)} as a multiset."""
-    tol = _tolerance("minmax", tol)
-    [(A, L)] = _gate(A)
-    observed = _sharp(A)
-    d = _factor_spectrum(L).d
-    expected = np.concatenate([1.0 / d, -1.0 / d[::-1]])
-    scale = float(np.max(np.abs(expected)))
-    margin = -float(np.max(np.abs(observed - expected))) / scale
-    quantities = {"observed": observed.tolist(), "expected": expected.tolist()}
-    return _report("minmax", quantities, margin, tol)
-
-
-def _planted_spectrum(rng, n, spread_log, duplicates, offset=0.0):
-    if duplicates and n >= 2:
-        base = np.exp(rng.uniform(-spread_log, spread_log, size=(n + 1) // 2))
-        vals = np.concatenate([base, base])[:n]
-    else:
-        vals = np.exp(rng.uniform(-spread_log, spread_log, size=n))
-    return np.sort(offset + vals)
-
-
-def _instance_posdef(rng, n, cfg, duplicates, offset=0.0):
-    d = _planted_spectrum(rng, n, cfg.condition_spread, duplicates, offset)
-    A, _ = random_posdef_rng(rng, n, spread=cfg.spread, d=d)
-    return A
-
-
-def _run_instance(theorem_id: str, trial: int, rng, cfg: SuiteConfig) -> tuple[TheoremReport, int]:
-    tol = cfg.tolerance_for(theorem_id)
-    duplicates = trial % 5 == 4
-    n = int(rng.integers(cfg.nmin, cfg.nmax + 1))
-
-    if theorem_id == "1":
-        A = _instance_posdef(rng, n, cfg, duplicates)
-        u = float(rng.uniform(0.0, 1.0))
-        t = u if trial % 2 == 0 else 1.0 + 2.0 * u
-        return check_theorem1(A, t, tol), n
-    if theorem_id == "3":
-        A = _instance_posdef(rng, n, cfg, duplicates)
-        B = _instance_posdef(rng, n, cfg, duplicates)
-        return check_theorem3(A, B, float(rng.uniform(0.0, 1.0)), tol), n
-    if theorem_id == "4":
-        mats = [_instance_posdef(rng, n, cfg, duplicates) for _ in range(3)]
-        if trial % 2 == 0:
-            w = None
-        else:
-            raw = rng.uniform(0.2, 1.0, size=3)
-            w = raw / raw.sum()
-        return check_theorem4(mats, w, tol), n
-    if theorem_id == "5":
-        A = _instance_posdef(rng, n, cfg, duplicates)
-        k = int(rng.integers(1, n + 1))
-        return check_theorem5(A, k, tol=tol, rng=rng), n
-    if theorem_id == "superadditivity":
-        A = _instance_posdef(rng, n, cfg, duplicates)
-        B = _instance_posdef(rng, n, cfg, duplicates)
-        return check_superadditivity(A, B, None, tol), n
-    if theorem_id == "6":
-        if trial % 2 == 0:
-            M = random_orthosymplectic_rng(rng, n)
-        else:
-            # A planted squeezing floor keeps the instance decisively outside
-            # the tolerance band of the stochastic/orthogonal cross-check.
-            gamma = np.sort(np.exp(rng.uniform(0.2, 0.2 + cfg.spread, size=n)))[::-1]
-            o1, o2 = _haar_orthosymplectic(rng, n, 2)
-            M = (o1 * np.concatenate([gamma, 1.0 / gamma])) @ o2.T
-        return check_theorem6(M, tol), n
-    if theorem_id == "7":
-        A = _instance_posdef(rng, n, cfg, duplicates)
-        B = _instance_posdef(rng, n, cfg, duplicates)
-        return check_theorem7(A, B, tol), n
-    if theorem_id == "interlacing":
-        n = max(2, n)
-        A = _instance_posdef(rng, n, cfg, duplicates)
-        return check_interlacing(A, int(rng.integers(0, n)), tol), n
-    if theorem_id == "pinching":
-        A = _instance_posdef(rng, n, cfg, duplicates)
-        if n == 1:
-            sizes = (1,)
-        else:
-            m1 = int(rng.integers(1, n))
-            sizes = (m1, n - m1)
-        return check_pinching(A, sizes, tol), n
-    if theorem_id == "11":
-        A = _instance_posdef(rng, n, cfg, duplicates)
-        return check_theorem11(A, tol), n
-    if theorem_id == "corollary8":
-        A = _instance_posdef(rng, n, cfg, duplicates, offset=0.5)
-        B = _instance_posdef(rng, n, cfg, duplicates, offset=0.5)
-        return check_corollary8(A, B, float(rng.uniform(0.0, 1.0)), tol), n
-    if theorem_id == "minmax":
-        A = _instance_posdef(rng, n, cfg, duplicates)
-        return check_minmax(A, tol), n
-    raise InputError(f"unknown theorem id {theorem_id!r}")
-
-
-def _suite_task(cfg: SuiteConfig, theorem_id: str, trial: int) -> TheoremReport:
-    """One suite instance, seeded by (suite seed, theorem index, trial) alone."""
+def _draw_task(cfg: SuiteConfig, theorem_id: str, trial: int):
+    """Group key and checker arguments of one suite instance, drawn from a
+    generator seeded by (suite seed, theorem index, trial) alone."""
     rng = np.random.default_rng([cfg.seed, THEOREM_IDS.index(theorem_id), trial])
-    digest = f"seed={cfg.seed};theorem={theorem_id};trial={trial}"
+    return THEOREMS[theorem_id][1](rng, int(rng.integers(cfg.nmin, cfg.nmax + 1)), cfg, trial)
+
+
+def _assemble(column):
+    """One checker argument over a group: its _Draw values as one stack of
+    matrices, a list of them as a list of stacks, other values as a list."""
+    first = column[0]
+    if isinstance(first, _Draw):
+        S = _squeezed(np.array([x.normals for x in column]), np.array([x.log_gamma for x in column]))
+        return S if first.d is None else _congruence(S, np.array([x.d for x in column]))
+    if isinstance(first, list):
+        return [_assemble(c) for c in zip(*column)]
+    return list(column)
+
+
+def _check_group(cfg: SuiteConfig, theorem_id: str, draws: list) -> list[TheoremReport]:
+    """Reports of one group's instances from one batched checker call. A
+    SympeigError or LinAlgError re-runs the group one instance at a time; alone,
+    an instance's SympeigError becomes its record (NaN margin, message in
+    quantities), and a LinAlgError propagates as it does from its checker."""
+    tol = cfg.tolerance_for(theorem_id)
     try:
-        rep, n = _run_instance(theorem_id, trial, rng, cfg)
-        return replace(rep, digest=f"{digest};n={n}", trial=trial, n=n)
+        return THEOREMS[theorem_id][2](*map(_assemble, zip(*draws)), tol=tol)
     except SympeigError as exc:
-        rep = _report(theorem_id, {"error": str(exc)}, float("nan"), cfg.tolerance_for(theorem_id))
-        return replace(rep, digest=digest, trial=trial)
+        if len(draws) == 1:
+            return [_report(theorem_id, {"error": str(exc)}, float("nan"), tol)]
+    except np.linalg.LinAlgError:
+        if len(draws) == 1:
+            raise
+    return [rep for draw in draws for rep in _check_group(cfg, theorem_id, [draw])]
+
+
+def _run_tasks(cfg: SuiteConfig, tasks: list) -> list[TheoremReport]:
+    """Reports of the (theorem, trial) tasks, in order: SUITE_CHUNK tasks at a time
+    are drawn, then each group of one theorem and one group key among them is
+    checked in one call."""
+    reports = [None] * len(tasks)
+    for start in range(0, len(tasks), SUITE_CHUNK):
+        groups: dict = {}
+        for i in range(start, min(start + SUITE_CHUNK, len(tasks))):
+            theorem_id, trial = tasks[i]
+            key, args = _draw_task(cfg, theorem_id, trial)
+            groups.setdefault((theorem_id, key), []).append((i, trial, args))
+        for (theorem_id, (n, *_)), members in groups.items():
+            for (i, trial, _), rep in zip(members, _check_group(cfg, theorem_id, [args for *_, args in members])):
+                digest = f"seed={cfg.seed};theorem={theorem_id};trial={trial};n={n}"
+                reports[i] = replace(rep, digest=digest, trial=trial, n=n)
+    return reports
 
 
 def _forked_suite(cfg: SuiteConfig, tasks: list, workers: int) -> list[TheoremReport]:
@@ -650,7 +808,7 @@ def _forked_suite(cfg: SuiteConfig, tasks: list, workers: int) -> list[TheoremRe
                     for pipe in pipes:
                         pipe.close()
                     try:
-                        part = [_suite_task(cfg, *task) for task in tasks[k::workers]]
+                        part = _run_tasks(cfg, tasks[k::workers])
                     except Exception as exc:
                         part = exc
                     with open(fd_write, "wb") as pipe:
@@ -658,7 +816,7 @@ def _forked_suite(cfg: SuiteConfig, tasks: list, workers: int) -> list[TheoremRe
                 finally:
                     os._exit(0)
             os.close(fd_write)
-        parts = [[_suite_task(cfg, *task) for task in tasks[::workers]]]
+        parts = [_run_tasks(cfg, tasks[::workers])]
         for pipe in pipes:
             data = pipe.read()  # empty when the child died before sending
             parts.append(pickle.loads(data) if data else ChildProcessError("a forked suite process sent no reports"))
@@ -688,7 +846,7 @@ def run_suite(cfg: SuiteConfig) -> list[TheoremReport]:
     forkable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1
     workers = min(len(os.sched_getaffinity(0)), len(tasks) // SUITE_TASKS_PER_PROCESS) if forkable else 1
     if workers < 2:
-        return [_suite_task(cfg, *task) for task in tasks]
+        return _run_tasks(cfg, tasks)
     return _forked_suite(cfg, tasks, workers)
 
 

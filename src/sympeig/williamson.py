@@ -35,10 +35,11 @@ from .symplectic import standard_J
 CLUSTER_RELGAP = 1e-3
 
 
-def _even_order(A: np.ndarray) -> np.ndarray:
-    A = require_square(A, "positive definite matrix")
-    if A.shape[0] % 2 != 0 or A.shape[0] == 0:
-        raise InputError(f"positive definite input must have even order >= 2, got {A.shape[0]}")
+def _even_order(A: np.ndarray, stacked: bool = False) -> np.ndarray:
+    """A, or with ``stacked`` a stack of matrices, after an InputError unless square of even order."""
+    A = require_square(A, "positive definite matrix", stacked)
+    if A.shape[-1] % 2 != 0 or A.shape[-1] == 0:
+        raise InputError(f"positive definite input must have even order >= 2, got {A.shape[-1]}")
     return A
 
 
@@ -88,11 +89,12 @@ class WilliamsonForm:
 def _skew(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return (K, J L) with K = L^T J L exactly skew, for any square A = L L^T (each
     such K is orthogonally similar to the Cholesky one); J L is a row swap and sign
-    flip of L. The kernels take these, not L, so L is freed before their eigensolve."""
-    n = L.shape[0] // 2
-    JL = np.concatenate([L[n:], -L[:n]])
-    K = L.T @ JL
-    return (K - K.T) / 2.0, JL
+    flip of L. The kernels take these, not L, so L is freed before their eigensolve.
+    A stack of factors along leading axes gives stacks of both."""
+    n = L.shape[-1] // 2
+    JL = np.concatenate([L[..., n:, :], -L[..., :n, :]], axis=-2)
+    K = L.swapaxes(-1, -2) @ JL
+    return (K - K.swapaxes(-1, -2)) / 2.0, JL
 
 
 def symplectic_spectrum(A: np.ndarray) -> SymplecticSpectrum:
@@ -122,18 +124,20 @@ def _skew_svd(K: np.ndarray, vectors: bool = False):
     largest entries in the bottom-right corner, and Householder
     bidiagonalization is accurate when they come first (on widely spread,
     strongly squeezed A at t in (1, 3] the largest log error in d is 3.3e-10
-    reversed and 3.3e-9 unreversed). Solver failure raises NumericalError.
+    reversed and 3.3e-9 unreversed). Without ``vectors``, K may be a stack along
+    leading axes, and d holds one row per matrix. Solver failure raises
+    NumericalError.
     """
     try:
         if vectors:
             P, s, Qt = np.linalg.svd(K[::-1, ::-1])
         else:
-            s = np.linalg.svd(K[::-1, ::-1], compute_uv=False)
+            s = np.linalg.svd(K[..., ::-1, ::-1], compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
-    d = s[::-2]
-    if d[0] <= 0:
-        raise NumericalError(f"non-positive symplectic eigenvalue {d[0]:.6e} on positive definite input")
+    d = s[..., ::-2]
+    if (d[..., 0] <= 0).any():
+        raise NumericalError(f"non-positive symplectic eigenvalue {d[..., 0].min():.6e} on positive definite input")
     return (d, P[::-1, ::-1], Qt[::-1, ::-1].T) if vectors else d
 
 
@@ -230,14 +234,14 @@ def sharp_spectrum(A: np.ndarray) -> np.ndarray:
 
 
 def _sharp(S: np.ndarray) -> np.ndarray:
-    """:func:`sharp_spectrum` of the gated S."""
-    n = S.shape[0] // 2
-    W = np.linalg.solve(S, standard_J(n))
+    """:func:`sharp_spectrum` of the gated S, or one row per matrix of a stack."""
+    n = S.shape[-1] // 2
+    W = np.linalg.solve(S, np.broadcast_to(standard_J(n), S.shape))
     ev = np.linalg.eigvals(1j * W)
-    scale = float(np.max(np.abs(ev)))
-    if float(np.max(np.abs(ev.imag))) > 1e-6 * scale:
+    scale = np.max(np.abs(ev), axis=-1)
+    if np.any(np.max(np.abs(ev.imag), axis=-1) > 1e-6 * scale):
         raise NumericalError("eigenvalues of i A^{-1} J are not numerically real")
-    return np.sort(ev.real)[::-1]
+    return np.sort(ev.real, axis=-1)[..., ::-1]
 
 
 def is_gaussian(A: np.ndarray, tol: float = 1e-9) -> bool:

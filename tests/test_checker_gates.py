@@ -3,6 +3,7 @@ checker raises for a faulty positive definite input in each position, and that
 it gates each input once and none of the matrices it derives from them."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sympeig import (
     DEFAULT_TOLERANCES,
     DomainError,
     InputError,
+    SuiteConfig,
     check_corollary8,
     check_interlacing,
     check_minmax,
@@ -27,6 +29,7 @@ from sympeig import (
     karcher_mean,
     random_posdef,
     random_symplectic,
+    run_suite,
     s_principal_submatrix,
 )
 from sympeig.sops import validate_partition
@@ -118,7 +121,8 @@ def test_corollary8_rejects_a_non_gaussian_second_input():
 # distinct positive definite input, one is_symplectic per symplectic input.
 # The matrices a checker derives (A^t, A #_t B, the mean, A + B, a pinching, a
 # submatrix) pass no gate: their spectra are read from a factor. Each call
-# passes its keywords (a tolerance) on to the checker.
+# passes its keywords (a tolerance) on to the checker. A stacked gate call
+# certifies every matrix of its stack, so it counts as its batch size.
 GATE_CALLS = {
     "1": (lambda **kw: check_theorem1(VALID[0], 0.5, **kw), 1, 0),
     "3": (lambda **kw: check_theorem3(VALID[0], VALID[1], 0.5, **kw), 2, 0),
@@ -135,19 +139,38 @@ GATE_CALLS = {
 }
 
 
-@pytest.mark.parametrize("checker", sorted(GATE_CALLS))
-def test_one_gate_per_matrix(monkeypatch, checker):
-    call, symmetrize, is_symplectic = GATE_CALLS[checker]
+def spy_on_gates(monkeypatch) -> dict:
+    """Count the matrices that pass symmetrize (a stack counts its batch size)
+    and is_symplectic."""
     calls = {"symmetrize": 0, "is_symplectic": 0}
     for module, name in ((sympeig.matfun, "symmetrize"), (sympeig.symplectic, "is_symplectic")):
 
         def spy(*args, _name=name, _original=getattr(module, name), **kwargs):
-            calls[_name] += 1
+            calls[_name] += len(args[0]) if kwargs.get("stacked") else 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("checker", sorted(GATE_CALLS))
+def test_one_gate_per_matrix(monkeypatch, checker):
+    call, symmetrize, is_symplectic = GATE_CALLS[checker]
+    calls = spy_on_gates(monkeypatch)
     assert call().holds
     assert calls == {"symmetrize": symmetrize, "is_symplectic": is_symplectic}
+
+
+@pytest.mark.parametrize("checker", sorted(GATE_CALLS))
+def test_suite_gates_each_input_of_each_instance_once(monkeypatch, checker):
+    # Serial, so that the spy sees every instance; 7 trials over half-orders
+    # 2 and 3 give stacked groups.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    _, symmetrize, is_symplectic = GATE_CALLS[checker]
+    calls = spy_on_gates(monkeypatch)
+    reports = run_suite(SuiteConfig(seed=4, trials=7, nmin=2, nmax=3, theorems=(checker,)))
+    assert all(r.holds for r in reports)
+    assert calls == {"symmetrize": 7 * symmetrize, "is_symplectic": 7 * is_symplectic}
 
 
 @pytest.mark.parametrize("checker", sorted(GATE_CALLS))

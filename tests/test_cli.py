@@ -315,26 +315,30 @@ class TestVerifyCommand:
 
     def test_breakdown_counts_as_failure(self, workdir, capsys, monkeypatch):
         from sympeig.errors import NumericalError
+        from sympeig.theorems import SuiteConfig, _draw_task
 
-        def broken(L):
+        def broken(F):
             raise NumericalError("eigensolver did not converge")
 
-        monkeypatch.setattr("sympeig.theorems._spectrum", broken)
+        monkeypatch.setattr("sympeig.theorems._factor_spectrum", broken)
         code, out = run(capsys, "verify", "--theorem", "11", "--trials", "3", "--json")
         assert code == 1
         records = [json.loads(line) for line in out.strip().splitlines()]
+        # Each instance is drawn before it is checked, so its error record
+        # carries its half-order.
+        orders = [_draw_task(SuiteConfig(), "11", trial)[0][0] for trial in range(3)]
         assert records == [
             {
                 "theorem_id": "11",
                 "trial": trial,
-                "n": None,
+                "n": n,
                 "holds": False,
                 "inconclusive": False,
                 "margin": None,
                 "tolerance": 1e-9,
-                "digest": f"seed=0;theorem=11;trial={trial}",
+                "digest": f"seed=0;theorem=11;trial={trial};n={n}",
             }
-            for trial in range(3)
+            for trial, n in enumerate(orders)
         ]
 
     def test_output_independent_of_hash_seed(self):

@@ -74,19 +74,15 @@ class TestTheorem1:
         assert len(reports) == 20
         assert all(r.holds and "error" not in r.quantities for r in reports)
 
-    def test_stress_power_spectrum_matches_mpmath(self, monkeypatch):
+    def test_stress_power_spectrum_matches_mpmath(self):
         mp = pytest.importorskip("mpmath")
+        # The stress suite's instances, from theorem 1's table draw.
         seen = []
-
-        def spy(A, t, tol):
-            seen.append((A, t))
-            return check_theorem1(A, t, tol)
-
-        monkeypatch.setattr(sympeig.theorems, "check_theorem1", spy)
-        # A forked child's calls would never reach the spy: run serially.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         for seed in range(4):
-            run_suite(SuiteConfig(seed=seed, **STRESS))
+            cfg = SuiteConfig(seed=seed, **STRESS)
+            for trial in range(cfg.trials):
+                _, (A, t) = sympeig.theorems._draw_task(cfg, "1", trial)
+                seen.append((sympeig.theorems._assemble([A])[0], t))
         powers = [(A, t) for A, t in seen if t > 1.0]
         assert len(powers) == 40
         worst = 0.0
@@ -556,14 +552,14 @@ class TestRunSuite:
     def test_exception_propagates_and_children_are_reaped(self, monkeypatch, forks, raiser):
         allow_three_processes(monkeypatch)
         parent = os.getpid()
-        real = sympeig.theorems.check_theorem7
+        tol, draw, real = sympeig.theorems.THEOREMS["7"]
 
-        def checker(*args):
+        def checker(*args, **kwargs):
             if (os.getpid() == parent) == (raiser == "parent"):
                 raise RuntimeError(f"checker broke in the {raiser}")
-            return real(*args)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(sympeig.theorems, "check_theorem7", checker)
+        monkeypatch.setitem(sympeig.theorems.THEOREMS, "7", (tol, draw, checker))
         with pytest.raises(RuntimeError, match=f"checker broke in the {raiser}"):
             run_suite(FORK_CFG)
         assert len(forks) == 2
@@ -573,14 +569,14 @@ class TestRunSuite:
     def test_child_that_dies_is_reported_and_reaped(self, monkeypatch, forks):
         allow_three_processes(monkeypatch)
         parent = os.getpid()
-        real = sympeig.theorems.check_theorem7
+        tol, draw, real = sympeig.theorems.THEOREMS["7"]
 
-        def checker(*args):
+        def checker(*args, **kwargs):
             if os.getpid() != parent:
                 os._exit(1)
-            return real(*args)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(sympeig.theorems, "check_theorem7", checker)
+        monkeypatch.setitem(sympeig.theorems.THEOREMS, "7", (tol, draw, checker))
         with pytest.raises(ChildProcessError, match="sent no reports"):
             run_suite(FORK_CFG)
         assert_no_child_left()
