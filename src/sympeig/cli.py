@@ -193,6 +193,8 @@ def cmd_verify(args) -> int:
         print(f"unknown theorem id {args.theorem!r}; known: all, {known}", file=sys.stderr)
         return 2
     selected = theorems.THEOREM_IDS if args.theorem == "all" else (args.theorem,)
+    if args.tol is not None:
+        require_nonnegative(args.tol, "tol")
     tols = {tid: args.tol for tid in selected} if args.tol is not None else {}
     cfg = theorems.SuiteConfig(
         seed=args.seed, trials=args.trials, nmin=args.nmin, nmax=args.nmax, tolerances=tols, theorems=selected

@@ -3,12 +3,12 @@
 The one place that decides positive definiteness and forms f(S) = Q f(L) Q^T:
 ``_posdef`` is the gate for outside input, a shifted-Cholesky certificate with
 the spectrum as its fallback, ``_same_order`` the one rule for inputs that must
-share an order, ``_eigh`` the eigen-kernel (its one exception:
-``williamson._skew_svd``, the real SVD of the skew K = F^T J F behind both
-symplectic spectra and Williamson forms), and the other underscore helpers
-trust their inputs. The refusing operations (fractional powers, logarithms,
-symplectic spectra) reject near-singular input instead of regularizing it, so
-inequality margins are never silently corrupted.
+share an order, ``_eigh`` and ``_svd`` the eigen-kernels (``_svd`` is behind
+the Euler decomposition and ``williamson._skew_svd``, the SVD of the skew
+K = F^T J F for symplectic spectra and Williamson forms), and the other
+underscore helpers trust their inputs. The refusing operations (fractional
+powers, logarithms, symplectic spectra) reject near-singular input instead of
+regularizing it, so inequality margins are never silently corrupted.
 """
 
 import operator
@@ -88,6 +88,14 @@ def _eigh(S: np.ndarray, values_only: bool = False):
     Solver failure raises NumericalError."""
     try:
         return np.linalg.eigvalsh(S) if values_only else np.linalg.eigh(S)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed: {exc}") from exc
+
+
+def _svd(X: np.ndarray, compute_uv: bool = True):
+    """``np.linalg.svd`` of the trusted X or stack; failure raises NumericalError."""
+    try:
+        return np.linalg.svd(X, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
 

@@ -17,14 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError
-from .matfun import _eigh, require_nonnegative, require_square
+from .errors import InputError
+from .matfun import _eigh, _svd, require_nonnegative, require_square
 
 # The one symplecticity threshold, relative to 1 + ||M||_F^2; the unitary
 # correspondence's orthogonality, block and unitarity tests use it too.
 SYMPLECTIC_TOL = 1e-9
-# Eigenvalues gamma of the squeezing factor within this distance of 1 are
-# treated as a single unit block in the Euler decomposition.
+# Singular values of M within this multiple of max(1, s_1) of 1 form the
+# unit block (gamma = 1) of the Euler decomposition.
 _UNIT_CLUSTER_TOL = 1e-10
 
 
@@ -205,28 +205,17 @@ class EulerForm:
         return self.o1 @ self.middle() @ self.o2.T
 
 
-def _symplectic_gram_schmidt(W: np.ndarray, J: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Extract (u, -Ju) pairs spanning the J-invariant column space of W."""
-    want = W.shape[1] // 2
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    basis: list[np.ndarray] = []
-    for i in range(W.shape[1]):
-        if len(pairs) == want:
-            break
-        w = W[:, i].copy()
-        for _ in range(2):  # re-orthogonalize for stability
-            for b in basis:
-                w -= (b @ w) * b
-        nrm = np.linalg.norm(w)
-        if nrm < 1e-6:
-            continue
-        u = w / nrm
-        v = -(J @ u)
-        pairs.append((u, v))
-        basis.extend((u, v))
-    if len(pairs) != want:
-        raise NumericalError("failed to build a symplectic basis of the unit eigenvalue block")
-    return pairs
+def _hermitian_pairs(Q: np.ndarray, C: np.ndarray):
+    """``(w, z, u, v)`` for C = Q^T K Q, K skew and the orthonormal 2m columns Q
+    spanning a K-invariant subspace (or stacks of Q and C): z are the unit
+    eigenvectors of the Hermitian i C for its m positive eigenvalues w,
+    ascending, and u = sqrt(2) Q Re z, v = -sqrt(2) Q Im z are orthonormal
+    pairs with K u = -w v, K v = w u, also for repeated w."""
+    w, Z = _eigh(1j * C)
+    m = C.shape[-1] // 2
+    Z = Z[..., m:]
+    UV = math.sqrt(2.0) * (Q @ np.concatenate([Z.real, Z.imag], axis=-1))
+    return w[..., m:], Z, UV[..., :m], -UV[..., m:]
 
 
 def euler_decompose(M: np.ndarray) -> EulerForm:
@@ -235,61 +224,34 @@ def euler_decompose(M: np.ndarray) -> EulerForm:
     Returns orthogonal-symplectic o1, o2 and gamma_1 >= ... >= gamma_n >= 1
     with ``M = o1 @ diag(gamma, 1/gamma) @ o2.T``.
 
-    The positive factor of the polar decomposition of M is a symplectic
-    positive definite matrix whose eigenvalues come in (gamma^2, gamma^-2)
-    pairs; its eigenvectors for eigenvalues above 1 give the first half of
-    o2 directly and J maps them onto the second half. Eigenvalues within
-    roundoff of 1 are handled as one block with a symplectic Gram-Schmidt
-    pass, which keeps the construction stable for (nearly) orthogonal input.
+    From one SVD of M: since M J M^T = J, M (-J x) = -J y / gamma for each
+    singular triple (gamma, x, y). The singular values above 1 + tol,
+    tol = 1e-10 max(1, s_1), are the squeezed gamma, and their right and left
+    singular vectors X and Y give o2 = [X, -J X] and o1 = [Y, -J Y]. The other
+    right singular vectors W span a J-invariant subspace; the Hermitian
+    eigenvectors of i W^T J W pair it into columns (u, -J u) of o2 with
+    gamma = 1, and there o1 = M o2. The factors are orthogonal to about
+    eps gamma_1 / (gamma - 1/gamma), gamma the smallest squeezed value.
 
     Raises
     ------
     InputError
         If M fails ``is_symplectic``.
     NumericalError
-        If the eigenvalues of M^T M fail to match up in reciprocal pairs.
+        If the SVD, or the eigensolve of the unit block, fails.
     """
     M = validate_symplectic(M)
     n = M.shape[0] // 2
     J = standard_J(n)
-    G = M.T @ M
-    G = (G + G.T) / 2.0
-    lam, X = _eigh(G)
-    if lam[0] <= 0:
-        raise NumericalError(f"M^T M has non-positive eigenvalue {lam[0]:.3e}")
-
-    gam = np.sqrt(lam)
-    pair_dev = np.max(np.abs(lam * lam[::-1] - 1.0))
-    if pair_dev > 1e-8 * gam[-1] ** 2:
-        raise NumericalError(
-            f"eigenvalues of M^T M do not pair into (g, 1/g): deviation {pair_dev:.3e}"
-        )
-
-    unit_tol = _UNIT_CLUSTER_TOL * max(1.0, gam[-1])
-    in_unit = np.abs(gam - 1.0) <= unit_tol
-
-    entries: list[tuple[float, np.ndarray, np.ndarray]] = []
-    for idx in np.argsort(-gam):
-        if gam[idx] <= 1.0 + unit_tol:
-            continue
-        u = X[:, idx]
-        entries.append((float(gam[idx]), u, -(J @ u)))
-    if np.any(in_unit):
-        W = X[:, in_unit]
-        if W.shape[1] % 2 != 0:
-            raise NumericalError("unit eigenvalue block of M^T M has odd dimension")
-        for u, v in _symplectic_gram_schmidt(W, J):
-            q = math.sqrt(float(u @ (G @ u)))
-            entries.append((max(q, 1.0 / q), u, v))
-    if len(entries) != n:
-        raise NumericalError(f"expected {n} squeezing values, found {len(entries)}")
-
-    entries.sort(key=lambda e: -e[0])
-    gamma = np.array([e[0] for e in entries])
-    o2 = np.column_stack([e[1] for e in entries] + [e[2] for e in entries])
-    scale = np.concatenate([1.0 / gamma, gamma])
-    o1 = M @ (o2 * scale)  # M @ o2 @ middle^{-1}
-    return EulerForm(o1=o1, gamma=gamma, o2=o2)
+    Y, s, Xt = _svd(M)
+    k = int(np.count_nonzero(s[:n] > 1.0 + _UNIT_CLUSTER_TOL * max(1.0, s[0])))
+    X = Xt[:k].T
+    if k < n:
+        W = Xt[k : 2 * n - k].T
+        X = np.hstack([X, _hermitian_pairs(W, W.T @ J @ W)[2]])
+    o2 = np.hstack([X, -J @ X])
+    o1 = np.hstack([Y[:, :k], M @ o2[:, k:n], -J @ Y[:, :k], M @ o2[:, n + k :]])
+    return EulerForm(o1=o1, gamma=np.concatenate([s[:k], np.ones(n - k)]), o2=o2)
 
 
 def orthosymplectic_to_unitary(O: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

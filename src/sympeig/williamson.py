@@ -22,14 +22,13 @@ paired at relative gaps of 1e-10 to 1e-8 leave symplecticity residuals of
 2.5e-9 to 2.5e-7, where clusters cut at 1e-3 d_n keep them near 1e-14.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .matfun import _cholesky, _eigh, _posdef, require_nonnegative, require_square
-from .symplectic import standard_J
+from .matfun import _cholesky, _posdef, _svd, require_nonnegative, require_square
+from .symplectic import _hermitian_pairs, standard_J
 
 # Consecutive d_j closer than this fraction of d_n are paired as one cluster.
 CLUSTER_RELGAP = 1e-3
@@ -128,13 +127,10 @@ def _skew_svd(K: np.ndarray, vectors: bool = False):
     leading axes, and d holds one row per matrix. Solver failure raises
     NumericalError.
     """
-    try:
-        if vectors:
-            P, s, Qt = np.linalg.svd(K[::-1, ::-1])
-        else:
-            s = np.linalg.svd(K[..., ::-1, ::-1], compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed: {exc}") from exc
+    if vectors:
+        P, s, Qt = _svd(K[::-1, ::-1])
+    else:
+        s = _svd(K[..., ::-1, ::-1], compute_uv=False)
     d = s[..., ::-2]
     if (d[..., 0] <= 0).any():
         raise NumericalError(f"non-positive symplectic eigenvalue {d[..., 0].min():.6e} on positive definite input")
@@ -152,10 +148,8 @@ def williamson_form(A: np.ndarray) -> WilliamsonForm:
     symplectic with M^T A M = diag(d, d); K O = O Omega gives it, with no
     solve, as J L [V, -U] diag(d, d)^{-1/2}. Pairs of d_j closer than
     1e-3 d_n are ill-determined one by one, so each such cluster of m values is
-    re-paired exactly from the Hermitian eigenvectors x of i Q^T K Q, Q its 2m
-    singular vectors: u = sqrt(2) Q Re x, v = -sqrt(2) Q Im x. Conjugate
-    eigenvectors live in the opposite-sign eigenspace, so pairs stay
-    orthonormal for repeated d_j.
+    re-paired exactly by the Hermitian eigenvectors of i Q^T K Q, Q its 2m
+    singular vectors, whose pairs stay orthonormal for repeated d_j.
 
     The columns u_j = M[:, j], v_j = M[:, n + j] are the symplectic eigenvector
     pairs of d_j: A u_j = d_j J v_j, A v_j = -d_j J u_j, <u_i, J v_j> = delta_ij,
@@ -198,10 +192,8 @@ def _resolve_clusters(
     """Ascending d and one pair (U, V) per d_j from the singular values and
     vectors (d, U, V) of :func:`_skew_svd`, with each cluster of m close d_j
     (``close[j]``: d_j and d_{j+1} share one) solved exactly on the orthonormal
-    2m columns Q of U that span its singular subspace. Each unit eigenvector x
-    of the Hermitian i Q^T K Q for an eigenvalue d_j > 0 gives the orthonormal
-    pair u = sqrt(2) Q Re x, v = -sqrt(2) Q Im x with K u = -d_j v,
-    K v = d_j u. Clusters of one size m share one stacked solve."""
+    2m columns Q of U that span its singular subspace by :func:`_hermitian_pairs`.
+    Clusters of one size m share one stacked solve."""
     edge = np.flatnonzero(np.diff(close, prepend=False, append=False))
     start, size = edge[::2], edge[1::2] - edge[::2] + 1
     d, Up, Vp = d.copy(), U[:, ::2].copy(), V[:, ::2].copy()
@@ -211,13 +203,11 @@ def _resolve_clusters(
         # One product with K per size, then one (2n, 2m) slice per cluster.
         Q, KQ = (np.moveaxis(Y.reshape(-1, len(j), 2 * m), 1, 0) for Y in (Q, K @ Q))
         C = Q.swapaxes(1, 2) @ KQ
-        w, Z = _eigh(1j * C)
-        X = Z[..., m:]
+        w, X, u, v = _hermitian_pairs(Q, C)
         # Sign guard: u_j^T K v_j = -2 Re(x_j)^T C Im(x_j) = d_j must be positive.
         if np.any(np.sum(X.real * (C @ X.imag), axis=1) >= 0):
             raise NumericalError("eigenvector pairing produced an inverted sign; eigensolver output inconsistent")
-        UV = np.moveaxis(math.sqrt(2.0) * (Q @ np.concatenate([X.real, X.imag], axis=2)), 0, 1)
-        d[j], Up[:, j], Vp[:, j] = w[:, m:], UV[..., :m], -UV[..., m:]
+        d[j], Up[:, j], Vp[:, j] = w, np.moveaxis(u, 0, 1), np.moveaxis(v, 0, 1)
     return d, Up, Vp
 
 

@@ -606,6 +606,15 @@ def test_tolerance_and_budget_validated(workdir, capsys, argv, expected):
     assert (out == "") == (expected == 3)
 
 
+@pytest.mark.parametrize("command", ["mean", "gaussian", "verify"])
+@pytest.mark.parametrize("value, shown", [("-1", "-1.0"), ("nan", "nan")])
+def test_bad_tolerance_names_the_flag(workdir, capsys, command, value, shown):
+    inputs = {"mean": 2, "gaussian": 1, "verify": 0}[command]
+    paths = [write(workdir, f"m{i}.json", random_posdef(18 + i, 2, 1.5)[0] + np.eye(4)) for i in range(inputs)]
+    assert main([command, *paths, "--tol", value]) == 3
+    assert capsys.readouterr().err == f"error: tol must be finite and >= 0, got {shown}\n"
+
+
 class TestMatrixFiles:
     def test_round_trip_exact(self, workdir):
         A, _ = random_posdef(24, 3, 2.0)

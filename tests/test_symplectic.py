@@ -251,6 +251,23 @@ class TestEulerDecompose:
         assert np.allclose(form.gamma, gamma, atol=1e-9)
         assert np.linalg.norm(form.reconstruct() - M) <= 1e-8 * np.linalg.norm(M)
 
+    @pytest.mark.parametrize("gamma", [(3.0, 3.0, 1.5), (4.0, 4.0, 1.0, 1.0), (2.0, 2.0, 2.0)])
+    def test_repeated_squeezing(self, gamma):
+        # A repeated gamma leaves its singular vectors free within the
+        # eigenspace; any orthonormal basis of it is isotropic.
+        gamma = np.array(gamma)
+        n = gamma.size
+        rng = np.random.default_rng(67)
+        o1, o2 = random_orthosymplectic_rng(rng, n), random_orthosymplectic_rng(rng, n)
+        M = (o1 * np.concatenate([gamma, 1.0 / gamma])) @ o2.T
+        form = euler_decompose(M)
+        J = standard_J(n)
+        assert np.allclose(form.gamma, gamma, rtol=1e-13, atol=0.0)
+        assert np.linalg.norm(form.reconstruct() - M) <= 1e-13 * np.linalg.norm(M)
+        for O in (form.o1, form.o2):
+            assert np.linalg.norm(O.T @ O - np.eye(2 * n)) <= 1e-13
+            assert np.linalg.norm(O.T @ J @ O - J) <= 1e-13
+
     def test_rejects_non_symplectic(self):
         with pytest.raises(InputError, match="not symplectic"):
             euler_decompose(np.diag([2.0, 2.0]))
@@ -300,18 +317,23 @@ class TestMtildeIdentity:
         assert mtilde_identity_check(M) <= 1e-8
 
     def test_wide_spread_trusts_euler_factors(self):
-        # gamma up to e^8. Euler's o1 = M o2 diag(1/gamma, gamma) loses
-        # orthogonality roughly as u * gamma_max^2 (7.6e-7 at worst here), far
-        # past the 1e-9 input threshold, so the identity check must trust the
-        # factors; the bound keeps that loss from growing unnoticed.
-        worst_orth = 0.0
-        for seed in range(40):
-            for n in (1, 2, 3, 5):
-                M = random_symplectic(seed=seed, n=n, spread=8.0)
-                assert mtilde_identity_check(M) <= 1e-12 * np.max(np.abs(associated_matrix(M)))
-                o1 = euler_decompose(M).o1
-                worst_orth = max(worst_orth, np.linalg.norm(o1.T @ o1 - np.eye(2 * n)))
-        assert worst_orth <= 2e-6
+        # gamma up to e^spread. The factors are singular vectors of M, whose
+        # isotropy is lost as about eps * gamma_1 / (gamma - 1/gamma) for the
+        # smallest squeezed gamma; measured worst 3.9e-13, 1.3e-11 and 8.5e-10
+        # at spreads 8, 12 and 16, each bound about ten times that. No valid
+        # input is refused, and the identity check trusts the factors.
+        for spread, bound in ((8.0, 4e-12), (12.0, 1.3e-10), (16.0, 9e-9)):
+            worst = 0.0
+            for seed in range(40):
+                for n in (1, 2, 3, 5):
+                    M = random_symplectic(seed=seed, n=n, spread=spread)
+                    assert mtilde_identity_check(M) <= 1e-12 * np.max(np.abs(associated_matrix(M)))
+                    form = euler_decompose(M)
+                    assert np.linalg.norm(form.reconstruct() - M) <= 1e-13 * np.linalg.norm(M)
+                    J = standard_J(n)
+                    for O in (form.o1, form.o2):
+                        worst = max(worst, np.linalg.norm(O.T @ O - np.eye(2 * n)), np.linalg.norm(O.T @ J @ O - J))
+            assert worst <= bound, spread
 
 
 class TestRandomGenerators:

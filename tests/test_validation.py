@@ -112,6 +112,21 @@ def test_williamson_single_solver_failure(solver, X, monkeypatch):
         williamson_form(X)
 
 
+# Only np.linalg.svd fails: the singular triples of M, the only solve for a
+# squeezed input. Only np.linalg.eigh fails: spread 0 makes M orthogonal, so all
+# of it is the unit block that the Hermitian pairing solves.
+@pytest.mark.parametrize("solver, spread", [("svd", 1.0), ("eigh", 0.0)])
+def test_euler_single_solver_failure(solver, spread, monkeypatch):
+    M = random_symplectic(4, 2, spread)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fail)
+    with pytest.raises(NumericalError, match="eigensolver failed: did not converge"):
+        euler_decompose(M)
+
+
 def _spd_with_ratio(m, ratio, seed=0):
     """Exactly symmetric S = Q diag(lam) Q^T with lambda_max = 1 and
     lambda_min = ratio, eigenvalues log-spaced (linear when ratio <= 0)."""
