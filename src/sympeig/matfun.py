@@ -199,7 +199,7 @@ def norms(X: np.ndarray) -> NormTriple:
     X = require_square(X, "norms input")
     if not X.size:
         raise InputError("norms input must be nonempty")
-    s = np.linalg.svd(X, compute_uv=False)
+    s = _svd(X, compute_uv=False)
     return NormTriple(
         operator=float(s[0]),
         frobenius=float(np.sqrt(np.sum(X * X))),

@@ -33,9 +33,6 @@ spectrum is read from a square factor X = F F^T.
 
 import json
 import math
-import os
-import pickle
-import threading
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -44,7 +41,7 @@ import numpy as np
 from . import majorization, means, sops
 from .errors import InputError, SympeigError
 from .majorization import _rowwise
-from .matfun import _cholesky, _eigh, _posdef, _same_order, require_integer, require_nonnegative
+from .matfun import _cholesky, _eigh, _posdef, _same_order, _svd, require_integer, require_nonnegative
 from .symplectic import (
     _congruence,
     _squeezed,
@@ -60,10 +57,8 @@ from .williamson import _even_order, _sharp, _skew, _skew_svd, _williamson
 ORTHOGONALITY_TOL = 1e-7
 # Random restrictions sampled by the theorem-5 check when no M is given.
 THEOREM5_SAMPLES = 20
-# Fewest suite instances per process; on two CPUs, forking gains from about 400.
-SUITE_TASKS_PER_PROCESS = 200
-# Most suite instances a process draws and holds at once, which bounds its
-# memory; groups form within a chunk, and records do not depend on its size.
+# Most suite instances drawn and held at once, which bounds the suite's memory;
+# groups form within a chunk, and records do not depend on its size.
 SUITE_CHUNK = 600
 
 
@@ -421,8 +416,8 @@ def check_theorem6(M: np.ndarray, tol: float | None = None) -> TheoremReport:
 def _theorem7(A, B, *, tol):
     (A, LA), (B, LB) = _gate(A, B)
     da, db = _factor_spectrum(LA), _factor_spectrum(LB)
-    diff = np.linalg.svd(A - B, compute_uv=False)
-    factor = np.sqrt(np.linalg.svd(A, compute_uv=False)[:, 0]) + np.sqrt(np.linalg.svd(B, compute_uv=False)[:, 0])
+    diff = _svd(A - B, compute_uv=False)
+    factor = np.sqrt(_svd(A, compute_uv=False)[:, 0]) + np.sqrt(_svd(B, compute_uv=False)[:, 0])
     gap = da - db
     lhs_op = np.max(np.abs(gap), axis=-1)
     rhs_op = factor * np.sqrt(diff[:, 0])
@@ -777,10 +772,21 @@ def _check_group(cfg: SuiteConfig, theorem_id: str, draws: list) -> list[Theorem
     return [rep for draw in draws for rep in _check_group(cfg, theorem_id, [draw])]
 
 
-def _run_tasks(cfg: SuiteConfig, tasks: list) -> list[TheoremReport]:
-    """Reports of the (theorem, trial) tasks, in order: SUITE_CHUNK tasks at a time
-    are drawn, then each group of one theorem and one group key among them is
-    checked in one call."""
+def run_suite(cfg: SuiteConfig) -> list[TheoremReport]:
+    """Run the seeded verification suite.
+
+    For each requested theorem, ``cfg.trials`` instances are generated from
+    per-instance generators seeded by (suite seed, theorem index, trial), so
+    the full report list is deterministic in the seed. Every fifth instance
+    plants a spectrum with duplicate entries to exercise degeneracy.
+    SUITE_CHUNK instances at a time are drawn, then each group of one theorem
+    and one group key among them is checked in one call; reports come back in
+    (theorem, trial) order. An instance that raises a SympeigError is recorded
+    as a failure (NaN margin, message in quantities) and the suite continues.
+    The suite runs in one process, and its records do not depend on the CPU
+    count.
+    """
+    tasks = [(theorem_id, trial) for theorem_id in cfg.theorems for trial in range(cfg.trials)]
     reports = [None] * len(tasks)
     for start in range(0, len(tasks), SUITE_CHUNK):
         groups: dict = {}
@@ -793,61 +799,6 @@ def _run_tasks(cfg: SuiteConfig, tasks: list) -> list[TheoremReport]:
                 digest = f"seed={cfg.seed};theorem={theorem_id};trial={trial};n={n}"
                 reports[i] = replace(rep, digest=digest, trial=trial, n=n)
     return reports
-
-
-def _forked_suite(cfg: SuiteConfig, tasks: list, workers: int) -> list[TheoremReport]:
-    """Process k runs tasks[k::workers]; forked children pickle theirs into a pipe."""
-    pids, pipes = [], []
-    try:
-        for k in range(1, workers):
-            fd_read, fd_write = os.pipe()
-            pipes.append(open(fd_read, "rb"))
-            pids.append(os.fork())
-            if pids[-1] == 0:  # the child sends its slice and exits here
-                try:
-                    for pipe in pipes:
-                        pipe.close()
-                    try:
-                        part = _run_tasks(cfg, tasks[k::workers])
-                    except Exception as exc:
-                        part = exc
-                    with open(fd_write, "wb") as pipe:
-                        pipe.write(pickle.dumps(part))
-                finally:
-                    os._exit(0)
-            os.close(fd_write)
-        parts = [_run_tasks(cfg, tasks[::workers])]
-        for pipe in pipes:
-            data = pipe.read()  # empty when the child died before sending
-            parts.append(pickle.loads(data) if data else ChildProcessError("a forked suite process sent no reports"))
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
-    for part in parts:
-        if isinstance(part, Exception):
-            raise part
-    return [parts[i % workers][i // workers] for i in range(len(tasks))]
-
-
-def run_suite(cfg: SuiteConfig) -> list[TheoremReport]:
-    """Run the seeded verification suite.
-
-    For each requested theorem, ``cfg.trials`` instances are generated from
-    per-instance generators seeded by (suite seed, theorem index, trial), so
-    the full report list is deterministic in the seed. Every fifth instance
-    plants a spectrum with duplicate entries to exercise degeneracy.
-    An instance that raises a SympeigError is recorded as a failure (NaN
-    margin, message in quantities) and the suite continues. Large suites fork
-    one process per usable CPU (see SUITE_TASKS_PER_PROCESS), with the same reports.
-    """
-    tasks = [(theorem_id, trial) for theorem_id in cfg.theorems for trial in range(cfg.trials)]
-    forkable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1
-    workers = min(len(os.sched_getaffinity(0)), len(tasks) // SUITE_TASKS_PER_PROCESS) if forkable else 1
-    if workers < 2:
-        return _run_tasks(cfg, tasks)
-    return _forked_suite(cfg, tasks, workers)
 
 
 def summarize(reports) -> dict:

@@ -3,7 +3,6 @@ checker raises for a faulty positive definite input in each position, and that
 it gates each input once and none of the matrices it derives from them."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -163,9 +162,7 @@ def test_one_gate_per_matrix(monkeypatch, checker):
 
 @pytest.mark.parametrize("checker", sorted(GATE_CALLS))
 def test_suite_gates_each_input_of_each_instance_once(monkeypatch, checker):
-    # Serial, so that the spy sees every instance; 7 trials over half-orders
-    # 2 and 3 give stacked groups.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    # 7 trials over half-orders 2 and 3 give stacked groups.
     _, symmetrize, is_symplectic = GATE_CALLS[checker]
     calls = spy_on_gates(monkeypatch)
     reports = run_suite(SuiteConfig(seed=4, trials=7, nmin=2, nmax=3, theorems=(checker,)))

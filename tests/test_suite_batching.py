@@ -144,7 +144,7 @@ def test_refusals_fall_back_to_their_own_records(monkeypatch, theorem_id):
 
 
 def test_chunks_do_not_change_records(monkeypatch):
-    # 108 instances run serially; chunks of 7 split groups and theorems.
+    # 108 instances; chunks of 7 split groups and theorems.
     cfg = SuiteConfig(seed=5, trials=9, nmax=3)
     whole = run_suite(cfg)
     monkeypatch.setattr(sympeig.theorems, "SUITE_CHUNK", 7)

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -429,36 +428,6 @@ class TestReports:
         assert rep.holds == (rep.margin >= 0.0)
 
 
-def cpus(monkeypatch, count):
-    """Make run_suite see `count` usable CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Counts the processes run_suite forks."""
-    forked = []
-    real_fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or real_fork())
-    return forked
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the suite forks only where os.fork exists")
-# 5 trials of all 12 theorems: 60 tasks, which 3 CPUs split in 3 when a
-# process needs at least 20.
-FORK_CFG = SuiteConfig(seed=9, trials=5, nmax=4)
-
-
-def allow_three_processes(monkeypatch):
-    cpus(monkeypatch, 3)
-    monkeypatch.setattr(sympeig.theorems, "SUITE_TASKS_PER_PROCESS", 20)
-
-
 class TestRunSuite:
     def test_deterministic(self):
         cfg = SuiteConfig(seed=5, trials=2, nmax=3)
@@ -525,58 +494,12 @@ class TestRunSuite:
         (rep,) = run_suite(cfg)
         assert rep.tolerance == 0.123
 
-
-    @needs_fork
-    def test_forked_reports_equal_serial(self, monkeypatch, forks):
-        allow_three_processes(monkeypatch)
-        parallel = run_suite(FORK_CFG)
-        assert len(forks) == 2
-        assert_no_child_left()
-        cpus(monkeypatch, 1)
-        serial = run_suite(FORK_CFG)
-        assert len(forks) == 2
-        assert [r.to_json_line() for r in parallel] == [r.to_json_line() for r in serial]
-        q_parallel = [json.dumps(r.quantities, sort_keys=True) for r in parallel]
-        assert q_parallel == [json.dumps(r.quantities, sort_keys=True) for r in serial]
-
-    @needs_fork
-    def test_small_suite_stays_serial(self, monkeypatch, forks):
-        cpus(monkeypatch, 64)
-        cfg = SuiteConfig(trials=1)
-        assert len(cfg.theorems) < 2 * sympeig.theorems.SUITE_TASKS_PER_PROCESS
-        assert len(run_suite(cfg)) == len(cfg.theorems)
-        assert forks == []
-
-    @needs_fork
-    @pytest.mark.parametrize("raiser", ["child", "parent"])
-    def test_exception_propagates_and_children_are_reaped(self, monkeypatch, forks, raiser):
-        allow_three_processes(monkeypatch)
-        parent = os.getpid()
-        tol, draw, real = sympeig.theorems.THEOREMS["7"]
+    def test_unexpected_exception_propagates(self, monkeypatch):
+        tol, draw, _ = sympeig.theorems.THEOREMS["7"]
 
         def checker(*args, **kwargs):
-            if (os.getpid() == parent) == (raiser == "parent"):
-                raise RuntimeError(f"checker broke in the {raiser}")
-            return real(*args, **kwargs)
+            raise RuntimeError("checker broke")
 
         monkeypatch.setitem(sympeig.theorems.THEOREMS, "7", (tol, draw, checker))
-        with pytest.raises(RuntimeError, match=f"checker broke in the {raiser}"):
-            run_suite(FORK_CFG)
-        assert len(forks) == 2
-        assert_no_child_left()
-
-    @needs_fork
-    def test_child_that_dies_is_reported_and_reaped(self, monkeypatch, forks):
-        allow_three_processes(monkeypatch)
-        parent = os.getpid()
-        tol, draw, real = sympeig.theorems.THEOREMS["7"]
-
-        def checker(*args, **kwargs):
-            if os.getpid() != parent:
-                os._exit(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setitem(sympeig.theorems.THEOREMS, "7", (tol, draw, checker))
-        with pytest.raises(ChildProcessError, match="sent no reports"):
-            run_suite(FORK_CFG)
-        assert_no_child_left()
+        with pytest.raises(RuntimeError, match="checker broke"):
+            run_suite(SuiteConfig(trials=2, theorems=("1", "7")))

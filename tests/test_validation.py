@@ -14,6 +14,7 @@ from sympeig import (
     geodesic,
     karcher_mean,
     karcher_residual,
+    norms,
     random_posdef,
     random_symplectic,
     riemannian_distance,
@@ -80,10 +81,16 @@ def test_gate_contract(name):
         call(near_singular)
 
 
-@pytest.mark.parametrize("name", sorted(ENTRY_POINTS) + ["euler_decompose"])
+# Entry points outside the positive definite gate, each with a valid input.
+NON_POSDEF = {
+    "euler_decompose": (euler_decompose, random_symplectic(np.random.default_rng(3), 2)),
+    "norms": (norms, 2.0 * I4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS) + sorted(NON_POSDEF))
 def test_solver_failure_is_numerical_error(name, monkeypatch):
-    call = euler_decompose if name == "euler_decompose" else ENTRY_POINTS[name]
-    X = random_symplectic(np.random.default_rng(3), 2) if name == "euler_decompose" else 2.0 * I4
+    call, X = NON_POSDEF[name] if name in NON_POSDEF else (ENTRY_POINTS[name], 2.0 * I4)
 
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
