@@ -29,7 +29,7 @@ from . import matio, means, sops, theorems
 from .errors import DomainError, FormatError, InputError, NumericalError, SympeigError
 from .matfun import require_nonnegative
 from .symplectic import euler_decompose, standard_J
-from .williamson import SymplecticSpectrum, symplectic_spectrum, williamson_form
+from .williamson import _doubled, symplectic_spectrum, williamson_form
 
 
 def _fmt(x: float) -> str:
@@ -106,8 +106,8 @@ def cmd_williamson(args) -> _Outcome:
     mf = matio.load_matrix(args.input)
     # With --form, d is the one M diagonalizes: one gate and one eigensolve.
     form = williamson_form(mf.data) if args.form else None
-    spec = SymplecticSpectrum.from_ascending(form.d) if args.form else symplectic_spectrum(mf.data)
-    record = {"n": mf.n, "d": spec.d.tolist(), "d_hat": spec.d_hat.tolist()}
+    d = form.d if args.form else symplectic_spectrum(mf.data).d
+    record = {"n": mf.n, "d": d.tolist(), "d_hat": _doubled(d).tolist()}
     if not args.form:
         return _Outcome(record, [(k, v) for k, v in record.items() if k != "n"])
     J = standard_J(mf.n)
@@ -242,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+", help="positive definite matrix files")
     p.add_argument("--weights", type=_csv_floats, help="comma-separated positive weights summing to 1")
     p.add_argument("--tol", type=float, default=None, help="residual target (default 1e-9 * operator norm)")
-    p.add_argument("--max-iter", type=int, default=200, help="polish iteration budget")
+    p.add_argument("--max-iter", type=int, default=200, help="Newton iteration budget")
     _add_matrix_command(p, cmd_mean)
 
     p = sub.add_parser("distance", help="Riemannian distance between two positive definite matrices")

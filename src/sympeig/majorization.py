@@ -61,14 +61,6 @@ def _verdict(margins: np.ndarray) -> MajorizationVerdict:
     )
 
 
-def _rowwise(f, X: np.ndarray) -> np.ndarray:
-    """f of a vector, or of each row of a stack in one call per row. numpy picks
-    a SIMD or a scalar loop by the layout it is given (a strided vector takes the
-    scalar libm one, a stack the SIMD one), and their last bits can differ, so
-    each row must reach f as the strided vector of one instance does."""
-    return f(X) if X.ndim == 1 else np.array([f(row) for row in X])
-
-
 def _worst(margins: np.ndarray) -> np.ndarray:
     """Each row's worst margin: the first of its smallest entries, as argmin picks it."""
     return np.take_along_axis(margins, np.argmin(margins, axis=-1)[..., None], axis=-1)[..., 0]
@@ -77,8 +69,8 @@ def _worst(margins: np.ndarray) -> np.ndarray:
 def _log_margins(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The margins of x ≺_log y for validated vectors, or row by row for stacks:
     cumulative log gaps of the descending entries, the last one negated in size."""
-    cx = np.cumsum(_rowwise(np.log, np.sort(x, axis=-1)[..., ::-1]), axis=-1)
-    cy = np.cumsum(_rowwise(np.log, np.sort(y, axis=-1)[..., ::-1]), axis=-1)
+    cx = np.cumsum(np.log(np.sort(x, axis=-1))[..., ::-1], axis=-1)
+    cy = np.cumsum(np.log(np.sort(y, axis=-1))[..., ::-1], axis=-1)
     margins = cy - cx
     margins[..., -1] = -np.abs(margins[..., -1])
     return margins

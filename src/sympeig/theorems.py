@@ -6,8 +6,10 @@ quantities. Each checker runs on a batch: its positive definite inputs are
 stacks along a leading axis, and one stacked call per step (the gate's
 certificate and Cholesky factor, the values-only SVD of K, eigh, the
 restriction products, row-wise majorization) serves the whole batch. A public
-``check_*`` is that batch path on a batch of one. The Karcher solves, theorem
-6's max-flow and theorem 5's Williamson forms still run one instance at a time.
+``check_*`` is that batch path on a batch of one. Every row takes the same
+elementwise path, so a record does not depend on its group. Theorem 4's Karcher
+solves, theorem 6's max-flow and theorem 5's Williamson forms still run one
+instance at a time.
 
 The suite reads the table ``THEOREMS = {id: (tolerance, draw, check)}``. Each
 instance is drawn from its own generator, seeded by (seed, theorem, trial);
@@ -23,24 +25,26 @@ refusal stays the record of its own instance. Margin conventions:
   max(1, largest quantity in the comparison), so one absolute tolerance
   applies across scales.
 
-A report holds exactly when margin >= -tolerance. A checker that depends on
-an iterative solve (the Karcher mean) reports ``inconclusive`` instead of
-failing when the solve did not converge. Each input passes one gate; the
-kernels behind the public functions then use its symmetrized matrix and factor.
-A matrix X derived from the inputs passes no second gate: its symplectic
-spectrum is read from a square factor X = F F^T.
+A report holds exactly when margin >= -tolerance; a margin is the smallest of
+its components, and a NaN component (an overflow, say) makes it NaN, which
+fails. Theorem 4, whose checker depends on an iterative solve (the Karcher
+mean), reports ``inconclusive`` instead of failing when the solve did not
+converge. Each input passes one gate; the kernels behind the public functions
+then use its symmetrized matrix and factor. A matrix X derived from the inputs
+passes no second gate: its symplectic spectrum is read from a square factor
+X = F F^T.
 """
 
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from . import majorization, means, sops
 from .errors import InputError, SympeigError
-from .majorization import _rowwise
 from .matfun import _cholesky, _eigh, _posdef, _same_order, _svd, require_integer, require_nonnegative
 from .symplectic import (
     _congruence,
@@ -51,7 +55,7 @@ from .symplectic import (
     random_orthosymplectic_rng,
     standard_J,
 )
-from .williamson import _even_order, _sharp, _skew, _skew_svd, _williamson
+from .williamson import _doubled, _even_order, _sharp, _skew, _skew_svd, _williamson
 
 # Orthogonality threshold used by the theorem-6 cross-check.
 ORTHOGONALITY_TOL = 1e-7
@@ -119,33 +123,14 @@ def _report(theorem_id, quantities, margin, tol, inconclusive=False):
     )
 
 
-def _floor1(*values):
-    """Row-wise max(1, *values) by Python's rule: a later value replaces the
-    running maximum only when it is larger, so a NaN never does."""
-    top = np.ones(np.shape(values[0]))
-    for v in values:
-        top = np.where(v > top, v, top)
-    return top
-
-
-def _first_min(*columns):
-    """Row-wise min(columns) by Python's rule: a later column replaces the running
-    minimum only when it is smaller, so a leading NaN or signed zero stays."""
-    low = columns[0]
-    for c in columns[1:]:
-        low = np.where(c < low, c, low)
-    return low
+def _lowest(*columns) -> np.ndarray:
+    """Each row's smallest margin over columns and blocks of columns; a NaN wins."""
+    return np.min(np.column_stack(columns), axis=-1)
 
 
 def _lin(margin, *scale_values):
-    """Normalize linear-domain margins by the largest quantity compared, row by row."""
-    return margin / _floor1(*(np.abs(s) for s in scale_values))
-
-
-def _powers(values, exponent: float) -> np.ndarray:
-    """Each value to a power, one numpy scalar at a time: scalar pow, not the
-    array loop, whose last bits can differ."""
-    return np.array([v**exponent for v in values])
+    """Normalize linear-domain margins by max(1, |quantities compared|), entrywise; a NaN propagates."""
+    return margin / reduce(np.maximum, map(np.abs, scale_values), 1.0)
 
 
 def _one(A) -> np.ndarray:
@@ -165,11 +150,6 @@ def _factor_spectrum(F: np.ndarray) -> np.ndarray:
     """Symplectic spectra, one ascending row per matrix, of F F^T for a stack of
     square F of even order (see :func:`_skew`)."""
     return _skew_svd(_skew(F)[0])
-
-
-def _doubled(d: np.ndarray) -> np.ndarray:
-    """The rows d_hat of d: every d_j twice, descending."""
-    return np.repeat(d[..., ::-1], 2, axis=-1)
 
 
 def _log_worst(y, x) -> np.ndarray:
@@ -193,10 +173,9 @@ def _theorem1(A, t, *, tol):
     small = tt <= 1.0
     da_t, dt_hat = _doubled(da) ** tt, _doubled(dt)
     worst = _log_worst(np.where(small, da_t, dt_hat), np.where(small, dt_hat, da_t))
-    bottom_t = np.cumsum(_rowwise(np.log, dt), axis=-1)
-    bottom_a = np.cumsum(tt * _rowwise(np.log, da), axis=-1)
-    corollary = np.where(small, bottom_t - bottom_a, bottom_a - bottom_t)
-    margins = _first_min(worst, np.min(corollary, axis=-1))
+    bottom_t = np.cumsum(np.log(dt), axis=-1)
+    bottom_a = np.cumsum(tt * np.log(da), axis=-1)
+    margins = _lowest(worst, np.where(small, bottom_t - bottom_a, bottom_a - bottom_t))
     return _reports("1", tol, margins, t=t, d_of_A=da, d_of_A_pow_t=dt)
 
 
@@ -297,7 +276,7 @@ def _theorem5(A, k, samples, *, tol):
     return _reports(
         "5",
         tol,
-        _first_min(*margins),
+        _lowest(*margins),
         k=[k] * len(forms),
         d=[f.d.tolist() for f in forms],
         target_trace=target_tr,
@@ -343,7 +322,7 @@ def check_theorem5(
     if residual > 1e-8 * (1.0 + float(np.sum(M * M))):
         raise InputError(f"matrix fails the restriction condition: residual {residual:.3e}")
     tr_val, logdet_val = map(float, _restricted(A, M))
-    margin = _first_min(_lin(tr_val - target_tr, tr_val, target_tr), logdet_val - target_logdet)
+    margin = np.min([_lin(tr_val - target_tr, tr_val, target_tr), logdet_val - target_logdet])
     quantities.update({"trace": tr_val, "logdet": logdet_val})
     return _report("5", quantities, margin, tol)
 
@@ -364,7 +343,7 @@ def _superadditivity(A, B, k=None, *, tol):
         prod_rhs = np.prod(da[:, :kk] ** 2, axis=-1) + np.prod(db[:, :kk] ** 2, axis=-1)
         margins.append(_lin(sum_lhs - sum_rhs, sum_lhs, sum_rhs))
         margins.append(_lin(prod_lhs - prod_rhs, prod_lhs, prod_rhs))
-    return _reports("superadditivity", tol, _first_min(*margins), k=[list(ks)] * len(ds), d_sumAB=ds, d_A=da, d_B=db)
+    return _reports("superadditivity", tol, _lowest(*margins), k=[list(ks)] * len(ds), d_sumAB=ds, d_A=da, d_B=db)
 
 
 def check_superadditivity(A: np.ndarray, B: np.ndarray, k: int | None = None, tol: float | None = None) -> TheoremReport:
@@ -389,11 +368,13 @@ def _theorem6(M, *, tol):
         Mi = np.asarray(Mi, dtype=float)
         orth_residual = float(np.linalg.norm(Mi.T @ Mi - np.eye(2 * n)))
         consistent = stochastic == (orth_residual <= ORTHOGONALITY_TOL)
-        margin = _first_min(
-            _lin(min(row_min, col_min) - 1.0, row_min, col_min),
-            _lin(super_check.flow_value - n, n),
-            # a failed stochastic/orthogonal cross-check forces a definite failure
-            0.0 if consistent else -1.0,
+        margin = np.min(
+            [
+                _lin(np.minimum(row_min, col_min) - 1.0, row_min, col_min),
+                _lin(super_check.flow_value - n, n),
+                # a failed stochastic/orthogonal cross-check forces a definite failure
+                0.0 if consistent else -1.0,
+            ]
         )
         quantities = {
             "min_row_sum": row_min,
@@ -421,10 +402,9 @@ def _theorem7(A, B, *, tol):
     gap = da - db
     lhs_op = np.max(np.abs(gap), axis=-1)
     rhs_op = factor * np.sqrt(diff[:, 0])
-    # np.linalg.norm of a vector is a dot product; so is matmul's vector case.
-    lhs_fro = math.sqrt(2.0) * np.sqrt((gap[:, None, :] @ gap[:, :, None])[:, 0, 0])
+    lhs_fro = math.sqrt(2.0) * np.linalg.norm(gap, axis=-1)
     rhs_fro = factor * np.sqrt(np.sum(diff, axis=-1))
-    margins = _first_min(_lin(rhs_op - lhs_op, rhs_op, lhs_op), _lin(rhs_fro - lhs_fro, rhs_fro, lhs_fro))
+    margins = _lowest(_lin(rhs_op - lhs_op, rhs_op, lhs_op), _lin(rhs_fro - lhs_fro, rhs_fro, lhs_fro))
     return _reports(
         "7",
         tol,
@@ -457,10 +437,8 @@ def _interlacing(A, drop_index, *, tol):
             raise InputError(f"drop index must lie in [0, {n - 1}], got {i}")
     sub = [sops._s_principal(S, [i for i in range(n) if i != j]) for S, j in zip(A, drop_index)]
     db = _factor_spectrum(_cholesky(np.array(sub)))
-    scale = _floor1(da[:, -1])
-    margins = [(db[:, j] - da[:, j]) / scale for j in range(n - 1)]
-    margins += [(da[:, j + 2] - db[:, j]) / scale for j in range(n - 2)]
-    return _reports("interlacing", tol, _first_min(*margins), drop_index=drop_index, d_A=da, d_B=db)
+    margins = _lin(np.hstack([db - da[:, :-1], da[:, 2:] - db[:, :-1]]), da[:, -1:])
+    return _reports("interlacing", tol, _lowest(margins), drop_index=drop_index, d_A=da, d_B=db)
 
 
 def check_interlacing(A: np.ndarray, drop_index: int, tol: float | None = None) -> TheoremReport:
@@ -489,19 +467,19 @@ def _pinching(A, sizes, *, tol):
     n = da.shape[-1]
     ya = _doubled(da)
     worst = majorization._worst(majorization._super_margins(*majorization._pair(ya, _doubled(dc), rows=True)))
-    margins = [_lin(worst, np.sum(ya, axis=-1))]
     ec, ea = _elementary_symmetric(dc), _elementary_symmetric(da)
-    for k in range(n):
-        margins.append(_lin(ec[:, k] - ea[:, k], ec[:, k], ea[:, k]))
-        rc, ra = _powers(ec[:, k], 1.0 / (k + 1)), _powers(ea[:, k], 1.0 / (k + 1))
-        margins.append(_lin(rc - ra, rc, ra))
-    margins.append(_lin(np.sum(dc / (1 + dc), axis=-1) - np.sum(da / (1 + da), axis=-1), n))
-    margins.append(np.sum(_rowwise(np.log, dc), axis=-1) - np.sum(_rowwise(np.log, da), axis=-1))
+    rc, ra = (e ** (1.0 / np.arange(1, n + 1)) for e in (ec, ea))
+    margins = [
+        _lin(worst, np.sum(ya, axis=-1)),
+        _lin(ec - ea, ec, ea),
+        _lin(rc - ra, rc, ra),
+        _lin(np.sum(dc / (1 + dc), axis=-1) - np.sum(da / (1 + da), axis=-1), n),
+        np.sum(np.log(dc), axis=-1) - np.sum(np.log(da), axis=-1),
+    ]
     for r in _POWER_MEAN_EXPONENTS:
-        pc = _powers(np.mean(dc**r, axis=-1), 1.0 / r)
-        pa = _powers(np.mean(da**r, axis=-1), 1.0 / r)
+        pc, pa = (np.mean(d**r, axis=-1) ** (1.0 / r) for d in (dc, da))
         margins.append(_lin(pc - pa, pc, pa))
-    return _reports("pinching", tol, _first_min(*margins), sizes=[list(s) for s in sizes], d_pinched=dc, d_A=da)
+    return _reports("pinching", tol, _lowest(*margins), sizes=[list(s) for s in sizes], d_pinched=dc, d_A=da)
 
 
 def check_pinching(A: np.ndarray, sizes, tol: float | None = None) -> TheoremReport:
@@ -518,10 +496,7 @@ def _theorem11(A, *, tol):
     lam = _eigh(A, values_only=True)
     n = A.shape[-1] // 2
     d = _factor_spectrum(L)
-    scale = _floor1(lam[:, -1])[:, None]
-    margins = _first_min(
-        _log_worst(lam, _doubled(d)), *((d - lam[:, :n]) / scale).T, *((lam[:, n:] - d) / scale).T
-    )
+    margins = _lowest(_log_worst(lam, _doubled(d)), _lin(np.hstack([d - lam[:, :n], lam[:, n:] - d]), lam[:, -1:]))
     return _reports("11", tol, margins, d=d, eigenvalues=lam)
 
 
@@ -542,24 +517,17 @@ def _corollary8(A, B, t, *, tol):
     w, Q = _eigh(A)
     d1_pow = _factor_spectrum(Q * (w ** (tt / 2.0))[:, None, :])[:, 0]
     d1_geo = _factor_spectrum(means._geodesic(w, Q, B, tt))[:, 0]
-    results = [means._karcher([a, b], np.full(2, 0.5)) for a, b in zip(A, B)]
-    quantities = [{"t": tb, "d1_power": x, "d1_geodesic": y} for tb, x, y in zip(t, d1_pow.tolist(), d1_geo.tolist())]
-    margins = np.full(len(results), np.nan)
-    done = np.flatnonzero([r.converged for r in results])
-    if done.size:
-        d1_mean = _factor_spectrum(_cholesky(np.array([results[i].mean for i in done])))[:, 0]
-        margins[done] = _first_min(d1_pow[done], d1_geo[done], d1_mean) - 0.5
-        for i, x in zip(done, d1_mean.tolist()):
-            quantities[i]["d1_mean"] = x
-    return [
-        _report("corollary8", q, m, tol, inconclusive=not r.converged) for q, m, r in zip(quantities, margins, results)
-    ]
+    # The equal-weight Karcher mean of two matrices is their geodesic midpoint.
+    d1_mean = _factor_spectrum(means._geodesic(w, Q, B, 0.5))[:, 0]
+    margins = _lowest(d1_pow, d1_geo, d1_mean) - 0.5
+    return _reports("corollary8", tol, margins, t=t, d1_power=d1_pow, d1_geodesic=d1_geo, d1_mean=d1_mean)
 
 
 def check_corollary8(A: np.ndarray, B: np.ndarray, t: float, tol: float | None = None) -> TheoremReport:
     """Geodesic convexity of Gaussian covariance matrices: powers A^t for
     t in [0, 1], geodesic points, and the Karcher mean of Gaussian matrices
-    stay Gaussian (smallest symplectic eigenvalue >= 1/2)."""
+    stay Gaussian (smallest symplectic eigenvalue >= 1/2). The mean of the
+    two inputs is their geodesic midpoint A #_{1/2} B."""
     tol = _tolerance("corollary8", tol)
     if not 0.0 <= t <= 1.0:
         raise InputError(f"power/geodesic parameter must lie in [0, 1], got {t}")

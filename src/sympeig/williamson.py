@@ -66,10 +66,11 @@ class SymplecticSpectrum:
     d: np.ndarray
     d_hat: np.ndarray
 
-    @classmethod
-    def from_ascending(cls, d: np.ndarray) -> "SymplecticSpectrum":
-        d = np.asarray(d, dtype=float)
-        return cls(d=d, d_hat=np.repeat(d[::-1], 2))
+
+def _doubled(d: np.ndarray) -> np.ndarray:
+    """d_hat of an ascending d, or the rows d_hat of a stack of them: every d_j
+    twice, descending."""
+    return np.repeat(d[..., ::-1], 2, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -104,12 +105,8 @@ def symplectic_spectrum(A: np.ndarray) -> SymplecticSpectrum:
     once, ascending, together with the doubled descending vector. The product
     of the d_j^2 equals det A.
     """
-    return _spectrum(_skew(_cholesky(_posdef(_even_order(A), refuse_near_singular=True)))[0])
-
-
-def _spectrum(K: np.ndarray) -> SymplecticSpectrum:
-    """:func:`symplectic_spectrum` from K = L^T J L of A = L L^T, L square."""
-    return SymplecticSpectrum.from_ascending(_skew_svd(K))
+    d = _skew_svd(_skew(_cholesky(_posdef(_even_order(A), refuse_near_singular=True)))[0])
+    return SymplecticSpectrum(d=d, d_hat=_doubled(d))
 
 
 def _skew_svd(K: np.ndarray, vectors: bool = False):

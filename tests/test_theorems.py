@@ -24,11 +24,13 @@ from sympeig import (
     check_theorem6,
     check_theorem7,
     check_theorem11,
+    karcher_mean,
     random_posdef,
     random_symplectic,
     run_suite,
     standard_J,
     summarize,
+    symplectic_spectrum,
 )
 from sympeig.means import KarcherResult
 
@@ -365,7 +367,8 @@ class TestCorollary8:
         rep = check_corollary8(np.eye(4), np.eye(4), 0.5)
         assert rep.holds
 
-    def test_random_gaussian_pairs(self):
+    @staticmethod
+    def gaussian_pairs():
         from sympeig.symplectic import random_posdef_rng
 
         rng = np.random.default_rng(57)
@@ -374,8 +377,21 @@ class TestCorollary8:
             d2 = 0.5 + np.sort(rng.uniform(0.0, 2.0, size=3))
             A, _ = random_posdef_rng(rng, 3, d=d1)
             B, _ = random_posdef_rng(rng, 3, d=d2)
+            yield A, B, t
+
+    def test_random_gaussian_pairs(self):
+        for A, B, t in self.gaussian_pairs():
             rep = check_corollary8(A, B, t)
             assert rep.holds
+
+    def test_mean_is_the_karcher_mean(self):
+        # The mean clause reads the geodesic midpoint, which is the two-matrix
+        # Karcher mean, so no solve can leave the report inconclusive.
+        for A, B, t in self.gaussian_pairs():
+            rep = check_corollary8(A, B, t)
+            assert not rep.inconclusive
+            expected = symplectic_spectrum(karcher_mean([A, B]).mean).d[0]
+            assert rep.quantities["d1_mean"] == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_non_gaussian(self):
         with pytest.raises(InputError, match="not Gaussian"):
@@ -419,6 +435,25 @@ class TestReports:
     def test_holds_iff_margin_within_tolerance(self):
         rep = check_theorem1(spd(65), 0.5)
         assert rep.holds == (rep.margin >= -rep.tolerance)
+
+    @pytest.mark.parametrize(
+        "check, scale",
+        [
+            (check_superadditivity, 1e150),
+            (lambda A, B: check_pinching(A, (1, 2)), 1e150),
+            (check_theorem7, 1e200),
+        ],
+        ids=["superadditivity", "pinching", "7"],
+    )
+    def test_nan_margin_never_holds(self, check, scale):
+        # Products, elementary symmetric polynomials or squared gaps of the
+        # scaled spectra overflow, and a margin component is inf - inf.
+        A, B = random_posdef(0, 3, 1.5)[0], random_posdef(1, 3, 1.5)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = check(scale * A, scale * B)
+        assert math.isnan(rep.margin)
+        assert rep.holds is False
+        assert not rep.inconclusive
 
     def test_zero_tolerance_boundary_behavior(self):
         # Equality cases sit on the boundary at tolerance 0: the verdict is
