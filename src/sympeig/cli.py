@@ -116,9 +116,7 @@ def cmd_williamson(args) -> _Outcome:
     record["residual_symplectic"] = float(np.linalg.norm(form.M.T @ J @ form.M - J))
     # Against the symmetrized matrix williamson_form factors, not the file's asymmetry.
     record["residual_congruence"] = float(np.linalg.norm(form.M.T @ ((mf.data + mf.data.T) / 2.0) @ form.M - dd))
-    record["warnings"] = list(form.warnings)
-    items = [(k, v) for k, v in record.items() if k not in ("n", "warnings")]
-    return _Outcome(record, items + [("warning", w) for w in form.warnings], (form.M, "symplectic"))
+    return _Outcome(record, [(k, v) for k, v in record.items() if k != "n"], (form.M, "symplectic"))
 
 
 def cmd_euler(args) -> _Outcome:

@@ -104,14 +104,15 @@ def associated_matrix(M: np.ndarray) -> np.ndarray:
 
 
 def _associated(M: np.ndarray) -> np.ndarray:
-    """:func:`associated_matrix` of the trusted symplectic M."""
-    n = M.shape[0] // 2
-    return 0.5 * (M[:n, :n] ** 2 + M[:n, n:] ** 2 + M[n:, :n] ** 2 + M[n:, n:] ** 2)
+    """:func:`associated_matrix` of the trusted symplectic M, or of each matrix of a stack."""
+    n = M.shape[-1] // 2
+    return 0.5 * (M[..., :n, :n] ** 2 + M[..., :n, n:] ** 2 + M[..., n:, :n] ** 2 + M[..., n:, n:] ** 2)
 
 
 def is_doubly_stochastic(B: np.ndarray, tol: float = 1e-8) -> bool:
     """True when all entries are >= -tol and every row and column sums to 1
     within tol."""
+    require_nonnegative(tol, "tol")
     B = require_square(B, "doubly stochastic candidate")
     if B.size == 0:
         raise InputError("doubly stochastic candidate must be nonempty")
@@ -151,6 +152,7 @@ def is_doubly_superstochastic(B: np.ndarray, tol: float = 1e-9) -> Superstochast
     hashing and index-order choices make the result depend on B and tol alone.
     The witness is the reverse row-to-column residual: p_ij <= b_ij + tol.
     """
+    require_nonnegative(tol, "tol")
     B = require_square(B, "doubly superstochastic candidate")
     n = B.shape[0]
     if n == 0:

@@ -7,17 +7,18 @@ stacks along a leading axis, and one stacked call per step (the gate's
 certificate and Cholesky factor, the values-only SVD of K, eigh, the
 restriction products, row-wise majorization) serves the whole batch. A public
 ``check_*`` is that batch path on a batch of one. Every row takes the same
-elementwise path, so a record does not depend on its group. Theorem 4's Karcher
-solves, theorem 6's max-flow and theorem 5's Williamson forms still run one
-instance at a time.
+elementwise path, so a record does not depend on its group. Only theorem 4's
+Karcher solves, theorem 5's Williamson forms, and theorem 6's max-flow and
+stochastic test run one instance at a time.
 
 The suite reads the table ``THEOREMS = {id: (tolerance, draw, check)}``. Each
 instance is drawn from its own generator, seeded by (seed, theorem, trial);
 the draws do not depend on any computed value. Instances of one theorem and
 half-order (and, for theorem 5, one k) form a group: its random matrices are
-assembled in one stacked pass, and its checker is called once. A SympeigError
-or LinAlgError in a group re-runs that group one instance at a time, so a
-refusal stays the record of its own instance. Margin conventions:
+assembled in one stacked pass, and its checker is called once. Every solver
+failure inside a checker is a SympeigError, and one in a group re-runs that
+group one instance at a time, so a refusal stays the record of its own
+instance. Margin conventions:
 
 - comparisons of products/spectra in log space carry raw log-domain margins
   (absolute tolerance);
@@ -47,13 +48,14 @@ from . import majorization, means, sops
 from .errors import InputError, SympeigError
 from .matfun import _cholesky, _eigh, _posdef, _same_order, _svd, require_integer, require_nonnegative
 from .symplectic import (
+    _associated,
     _congruence,
     _squeezed,
-    associated_matrix,
     is_doubly_stochastic,
     is_doubly_superstochastic,
     random_orthosymplectic_rng,
     standard_J,
+    validate_symplectic,
 )
 from .williamson import _doubled, _even_order, _sharp, _skew, _skew_svd, _williamson
 
@@ -235,25 +237,13 @@ def check_theorem4(mats, weights=None, tol: float | None = None) -> TheoremRepor
     return _theorem4([_one(A) for A in mats], [weights], tol=tol)[0]
 
 
-def _extremal(A, ks):
-    """Theorem 5's gated A, its validated k and the Williamson form of each matrix."""
-    [(A, L)] = _gate(A)
-    n = A.shape[-1] // 2
-    ks = [require_integer(k, "k") for k in ks]
-    for k in ks:
-        if not 1 <= k <= n:
-            raise InputError(f"k must lie in [1, {n}], got {k}")
-    return A, ks, [_williamson(K, JL) for K, JL in zip(*_skew(L))]
-
-
-def _targets(d: np.ndarray, k: int) -> tuple[float, float]:
-    """2 * sum of the k smallest d_j, and the log of their squared product."""
-    return 2.0 * float(np.sum(d[:k])), 2.0 * float(np.sum(np.log(d[:k])))
-
-
-def _restricted(A, R):
-    """Traces and log-determinants of R^T A R, over stacks; InputError unless
-    each R^T A R is positive definite."""
+def _restricted(A, S, k):
+    """Traces and log-determinants of R^T A R, over stacks, where R holds the
+    first k columns of each half of the even-width S (all of them when S is
+    2n x 2k); InputError unless each R^T A R is positive definite."""
+    h = S.shape[-1] // 2
+    # Column selections of a stack keep the layout R[:, cols] has alone (column-major), as gemm sees it.
+    R = S[..., [*range(k), *range(h, h + k)]]
     C = np.swapaxes(R, -1, -2) @ A @ R
     sign, logdet = np.linalg.slogdet(C)
     if np.any(sign <= 0):
@@ -262,23 +252,27 @@ def _restricted(A, R):
 
 
 def _theorem5(A, k, samples, *, tol):
-    A, ks, forms = _extremal(A, k)
-    (k,) = set(ks)  # one k per batch: the suite groups by it
-    n = A.shape[-1] // 2
-    target_tr, target_logdet = np.array([_targets(f.d, k) for f in forms]).T
-    cols = [*range(k), *range(n, n + k)]
-    # Column selections of a stack keep the layout M[:, cols] has alone (column-major), as gemm sees it.
-    tr_min, logdet_min = _restricted(A, np.array([f.M for f in forms])[..., cols])
-    tr, logdet = _restricted(A[:, None], samples[..., cols])
-    margins = [-np.abs(_lin(tr_min - target_tr, tr_min, target_tr)), -np.abs(logdet_min - target_logdet)]
-    for tr_j, logdet_j in zip(tr.T, logdet.T):
-        margins += [_lin(tr_j - target_tr, tr_j, target_tr), logdet_j - target_logdet]
+    [(A, L)] = _gate(A)
+    (k,) = set(k)  # one k per batch: the suite groups by it
+    forms = [_williamson(K, JL) for K, JL in zip(*_skew(L))]
+    d = np.array([f.d for f in forms])
+    target_tr = 2.0 * np.sum(d[:, :k], axis=-1)
+    # Each form's own d (a reversed view, or a copy) picks numpy's log loop, and so the last bit.
+    target_logdet = 2.0 * np.sum([np.log(f.d[:k]) for f in forms], axis=-1)
+    tr_min, logdet_min = _restricted(A, np.array([f.M for f in forms]), k)
+    tr, logdet = _restricted(A[:, None], samples, k)
+    margins = _lowest(
+        -np.abs(_lin(tr_min - target_tr, tr_min, target_tr)),
+        -np.abs(logdet_min - target_logdet),
+        _lin(tr - target_tr[:, None], tr, target_tr[:, None]),
+        logdet - target_logdet[:, None],
+    )
     return _reports(
         "5",
         tol,
-        _lowest(*margins),
-        k=[k] * len(forms),
-        d=[f.d.tolist() for f in forms],
+        margins,
+        k=[k] * len(d),
+        d=d,
         target_trace=target_tr,
         target_logdet=target_logdet,
         minimizer_trace=tr_min,
@@ -299,32 +293,29 @@ def check_theorem5(
     at 2 * sum of the k smallest symplectic eigenvalues and its determinant
     at the squared product.
 
-    With an explicit M the two inequalities are checked. Without one, the
-    minimizer formed by the first k eigenvector pairs (columns of the
-    Williamson M) must attain both bounds with equality, and
-    THEOREM5_SAMPLES random restrictions (first k columns of each block of a
-    random symplectic matrix drawn from ``rng``) must satisfy the inequalities.
+    The minimizer formed by the first k eigenvector pairs (columns of the
+    Williamson M) must attain both bounds with equality, and each sampled
+    restriction must satisfy both inequalities: the explicit M when one is
+    given, else THEOREM5_SAMPLES random restrictions (first k columns of each
+    block of a random symplectic matrix drawn from ``rng``). Their traces and
+    log-determinants are the quantities ``sampled``, the minimizer's
+    ``minimizer_trace`` and ``minimizer_logdet``.
     """
     tol = _tolerance("5", tol)
     A = _one(A)
+    n = _even_order(A, stacked=True).shape[-1] // 2
+    k = require_integer(k, "k")
+    if not 1 <= k <= n:
+        raise InputError(f"k must lie in [1, {n}], got {k}")
     if M is None:
-        n = _even_order(A, stacked=True).shape[-1] // 2
-        samples = _assemble([_restrictions(np.random.default_rng(0) if rng is None else rng, n)])
-        return _theorem5(A, [k], samples, tol=tol)[0]
-    A, (k,), (form,) = _extremal(A, [k])
-    A, n = A[0], A.shape[-1] // 2
-    target_tr, target_logdet = _targets(form.d, k)
-    quantities = {"k": k, "d": form.d.tolist(), "target_trace": target_tr, "target_logdet": target_logdet}
+        return _theorem5(A, [k], _assemble([_restrictions(rng or np.random.default_rng(0), n)]), tol=tol)[0]
     M = np.asarray(M, dtype=float)
     if M.shape != (2 * n, 2 * k):
         raise InputError(f"restriction must be {2 * n} x {2 * k}, got {M.shape}")
     residual = float(np.linalg.norm(M.T @ standard_J(n) @ M - standard_J(k)))
     if residual > 1e-8 * (1.0 + float(np.sum(M * M))):
         raise InputError(f"matrix fails the restriction condition: residual {residual:.3e}")
-    tr_val, logdet_val = map(float, _restricted(A, M))
-    margin = np.min([_lin(tr_val - target_tr, tr_val, target_tr), logdet_val - target_logdet])
-    quantities.update({"trace": tr_val, "logdet": logdet_val})
-    return _report("5", quantities, margin, tol)
+    return _theorem5(A, [k], M[None, None], tol=tol)[0]
 
 
 def _superadditivity(A, B, k=None, *, tol):
@@ -355,36 +346,28 @@ def check_superadditivity(A: np.ndarray, B: np.ndarray, k: int | None = None, to
 
 
 def _theorem6(M, *, tol):
-    """One report per symplectic matrix of M, each checked on its own (the
-    max-flow does not stack)."""
-    reports = []
-    for Mi in M:
-        mt = associated_matrix(Mi)
-        n = mt.shape[0]
-        row_min = float(np.min(mt.sum(axis=1)))
-        col_min = float(np.min(mt.sum(axis=0)))
-        super_check = is_doubly_superstochastic(mt)
-        stochastic = is_doubly_stochastic(mt, tol=tol)
-        Mi = np.asarray(Mi, dtype=float)
-        orth_residual = float(np.linalg.norm(Mi.T @ Mi - np.eye(2 * n)))
-        consistent = stochastic == (orth_residual <= ORTHOGONALITY_TOL)
-        margin = np.min(
-            [
-                _lin(np.minimum(row_min, col_min) - 1.0, row_min, col_min),
-                _lin(super_check.flow_value - n, n),
-                # a failed stochastic/orthogonal cross-check forces a definite failure
-                0.0 if consistent else -1.0,
-            ]
-        )
-        quantities = {
-            "min_row_sum": row_min,
-            "min_col_sum": col_min,
-            "flow_value": super_check.flow_value,
-            "doubly_stochastic": stochastic,
-            "orthogonality_residual": orth_residual,
-        }
-        reports.append(_report("6", quantities, margin, tol))
-    return reports
+    """One report per symplectic matrix of M; only the max-flow and the
+    stochastic test run one matrix at a time."""
+    M = np.array([validate_symplectic(Mi) for Mi in M])
+    mt = _associated(M)
+    n = mt.shape[-1]
+    row_min, col_min = np.min(mt.sum(axis=-1), axis=-1), np.min(mt.sum(axis=-2), axis=-1)
+    flow = np.array([is_doubly_superstochastic(B).flow_value for B in mt])
+    stochastic = [is_doubly_stochastic(B, tol=tol) for B in mt]
+    orth_residual = np.linalg.norm(M.swapaxes(-1, -2) @ M - np.eye(2 * n), axis=(-2, -1))
+    consistent = np.array(stochastic) == (orth_residual <= ORTHOGONALITY_TOL)
+    # 0 when the stochastic/orthogonal cross-check agrees, else -1: a definite failure
+    margins = _lowest(_lin(np.minimum(row_min, col_min) - 1.0, row_min, col_min), _lin(flow - n, n), consistent - 1.0)
+    return _reports(
+        "6",
+        tol,
+        margins,
+        min_row_sum=row_min,
+        min_col_sum=col_min,
+        flow_value=flow,
+        doubly_stochastic=stochastic,
+        orthogonality_residual=orth_residual,
+    )
 
 
 def check_theorem6(M: np.ndarray, tol: float | None = None) -> TheoremReport:
@@ -725,18 +708,15 @@ def _assemble(column):
 
 def _check_group(cfg: SuiteConfig, theorem_id: str, draws: list) -> list[TheoremReport]:
     """Reports of one group's instances from one batched checker call. A
-    SympeigError or LinAlgError re-runs the group one instance at a time; alone,
-    an instance's SympeigError becomes its record (NaN margin, message in
-    quantities), and a LinAlgError propagates as it does from its checker."""
+    SympeigError re-runs the group one instance at a time; alone, an
+    instance's SympeigError becomes its record (NaN margin, message in
+    quantities)."""
     tol = cfg.tolerance_for(theorem_id)
     try:
         return THEOREMS[theorem_id][2](*map(_assemble, zip(*draws)), tol=tol)
     except SympeigError as exc:
         if len(draws) == 1:
             return [_report(theorem_id, {"error": str(exc)}, float("nan"), tol)]
-    except np.linalg.LinAlgError:
-        if len(draws) == 1:
-            raise
     return [rep for draw in draws for rep in _check_group(cfg, theorem_id, [draw])]
 
 

@@ -17,12 +17,11 @@ triple is a clean pair only when its d_j stands apart. Consecutive d_j closer
 than CLUSTER_RELGAP * d_n = 1e-3 d_n form a cluster, and each cluster is solved
 exactly on its 2m-dimensional singular subspace Q: the Hermitian eigenvectors
 of i Q^T K Q give its pairs, the only complex arithmetic left, on 2m x 2m
-blocks. The near-degenerate cut 1e-10 d_n is far too fine for this: triples
-paired at relative gaps of 1e-10 to 1e-8 leave symplecticity residuals of
-2.5e-9 to 2.5e-7, where clusters cut at 1e-3 d_n keep them near 1e-14.
+blocks. A much finer cut would leave triples paired at small relative gaps
+with symplecticity residuals far above roundoff.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,15 +74,10 @@ def _doubled(d: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WilliamsonForm:
-    """Symplectic M and ascending d with M^T A M = diag(d, d).
-
-    ``warnings`` flags conditioning issues (near-degenerate symplectic
-    spectrum); the factorization is still valid in that case.
-    """
+    """Symplectic M and ascending d with M^T A M = diag(d, d)."""
 
     M: np.ndarray
     d: np.ndarray
-    warnings: tuple[str, ...] = field(default=())
 
 
 def _skew(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,10 +112,9 @@ def _skew_svd(K: np.ndarray, vectors: bool = False):
     pair j in columns 2j and 2j + 1). K is reversed in both axes first: factors
     built from an ascending eigendecomposition (Q w^{t/2} of A^t) put its
     largest entries in the bottom-right corner, and Householder
-    bidiagonalization is accurate when they come first (on widely spread,
-    strongly squeezed A at t in (1, 3] the largest log error in d is 3.3e-10
-    reversed and 3.3e-9 unreversed). Without ``vectors``, K may be a stack along
-    leading axes, and d holds one row per matrix. Solver failure raises
+    bidiagonalization is more accurate when they come first (on widely spread,
+    strongly squeezed A^t with t > 1). Without ``vectors``, K may be a stack
+    along leading axes, and d holds one row per matrix. Solver failure raises
     NumericalError.
     """
     if vectors:
@@ -152,9 +145,7 @@ def williamson_form(A: np.ndarray) -> WilliamsonForm:
     pairs of d_j: A u_j = d_j J v_j, A v_j = -d_j J u_j, <u_i, J v_j> = delta_ij,
     <u_i, J u_j> = <v_i, J v_j> = 0.
 
-    M is not unique; only the defining invariants are promised. A
-    near-degenerate spectrum (gap below 1e-10 * d_n) is flagged in
-    ``warnings`` but still succeeds.
+    M is not unique; only the defining invariants are promised.
     """
     return _williamson(*_skew(_cholesky(_posdef(_even_order(A), refuse_near_singular=True))))
 
@@ -170,17 +161,7 @@ def _williamson(K: np.ndarray, JL: np.ndarray) -> WilliamsonForm:
         d, U, V = _resolve_clusters(K, d, U, V, close)
     else:
         U, V = U[:, ::2], V[:, ::2]
-    M = JL @ (np.hstack([V, -U]) / np.sqrt(np.concatenate([d, d])))
-
-    warnings: tuple[str, ...] = ()
-    if d.size >= 2:
-        gap = float(np.min(np.diff(d)))
-        if gap < 1e-10 * d[-1]:
-            warnings = (
-                f"near-degenerate symplectic spectrum: smallest gap {gap:.3e} "
-                f"below 1e-10 * d_max = {1e-10 * d[-1]:.3e}",
-            )
-    return WilliamsonForm(M=M, d=d, warnings=warnings)
+    return WilliamsonForm(M=JL @ (np.hstack([V, -U]) / np.sqrt(np.concatenate([d, d]))), d=d)
 
 
 def _resolve_clusters(
@@ -221,10 +202,12 @@ def sharp_spectrum(A: np.ndarray) -> np.ndarray:
 
 
 def _sharp(S: np.ndarray) -> np.ndarray:
-    """:func:`sharp_spectrum` of the gated S, or one row per matrix of a stack."""
+    """:func:`sharp_spectrum` of the gated S, or one row per matrix of a stack; solver failure raises NumericalError."""
     n = S.shape[-1] // 2
-    W = np.linalg.solve(S, np.broadcast_to(standard_J(n), S.shape))
-    ev = np.linalg.eigvals(1j * W)
+    try:
+        ev = np.linalg.eigvals(1j * np.linalg.solve(S, np.broadcast_to(standard_J(n), S.shape)))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed: {exc}") from exc
     scale = np.max(np.abs(ev), axis=-1)
     if np.any(np.max(np.abs(ev.imag), axis=-1) > 1e-6 * scale):
         raise NumericalError("eigenvalues of i A^{-1} J are not numerically real")

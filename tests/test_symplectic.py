@@ -1,5 +1,7 @@
 """Tests for the symplectic-group utilities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,14 @@ class TestDoublySuperstochastic:
     def test_empty_rejected(self):
         with pytest.raises(InputError, match="nonempty"):
             is_doubly_superstochastic(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("test", [is_doubly_stochastic, is_doubly_superstochastic])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_stochastic_tests_need_a_finite_nonnegative_tol(test, tol):
+    with pytest.raises(InputError) as info:
+        test(0.1 * np.ones((2, 2)), tol=tol)
+    assert str(info.value) == f"tol must be finite and >= 0, got {tol}"
 
 
 def _brute_force_min_cut(B, tol):

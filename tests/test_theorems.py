@@ -33,6 +33,7 @@ from sympeig import (
     symplectic_spectrum,
 )
 from sympeig.means import KarcherResult
+from sympeig.williamson import WilliamsonForm
 
 
 def spd(seed, n=2, cs=1.0):
@@ -185,7 +186,8 @@ class TestTheorem5:
         A = diagonal([1.0, 2.0, 3.0])
         rep = check_theorem5(A, k=3, M=np.eye(6))
         assert rep.holds
-        assert rep.quantities["trace"] == pytest.approx(2 * (1 + 2 + 3))
+        assert rep.quantities["sampled"] == [[pytest.approx(2 * (1 + 2 + 3)), pytest.approx(2 * math.log(6))]]
+        assert rep.quantities["minimizer_trace"] == pytest.approx(2 * (1 + 2 + 3))
         assert abs(rep.margin) <= 1e-10
 
     def test_full_random_symplectic_restriction(self):
@@ -210,6 +212,20 @@ class TestTheorem5:
             rep = check_theorem5(A, k=k, rng=np.random.default_rng(seed))
             assert rep.holds
             assert rep.margin >= -1e-9
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_explicit_restriction_checks_the_minimizer(self, monkeypatch, seed):
+        # d_1 raised by 1e-6: the sampled restriction still satisfies both
+        # inequalities, so only the minimizer's equality can catch it.
+        williamson = sympeig.theorems._williamson
+
+        def shifted(K, JL):
+            form = williamson(K, JL)
+            return WilliamsonForm(M=form.M, d=np.concatenate([form.d[:1] + 1e-6, form.d[1:]]))
+
+        monkeypatch.setattr(sympeig.theorems, "_williamson", shifted)
+        rep = check_theorem5(random_posdef(seed, 3, 1.5)[0], 1, M=random_symplectic(100 + seed, 3, 1.0)[:, [0, 3]])
+        assert not rep.holds
 
     def test_rejects_bad_restriction(self):
         A = spd(26, 2, 1.0)

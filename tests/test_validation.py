@@ -10,6 +10,8 @@ from sympeig import (
     DomainError,
     InputError,
     NumericalError,
+    SuiteConfig,
+    check_minmax,
     euler_decompose,
     geodesic,
     karcher_mean,
@@ -18,6 +20,7 @@ from sympeig import (
     random_posdef,
     random_symplectic,
     riemannian_distance,
+    run_suite,
     s_pinching,
     sharp_spectrum,
     sym_log,
@@ -132,6 +135,28 @@ def test_euler_single_solver_failure(solver, spread, monkeypatch):
     monkeypatch.setattr(np.linalg, solver, fail)
     with pytest.raises(NumericalError, match="eigensolver failed: did not converge"):
         euler_decompose(M)
+
+
+def _fail_eigvals(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
+
+
+# Only np.linalg.eigvals fails: the general eigensolve of i A^{-1} J, which only
+# the minmax path runs.
+@pytest.mark.parametrize("call", [sharp_spectrum, check_minmax])
+def test_eigvals_failure_is_numerical_error(call, monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvals", _fail_eigvals)
+    with pytest.raises(NumericalError, match="eigensolver failed: did not converge"):
+        call(2.0 * I4)
+
+
+def test_suite_records_an_eigvals_failure(monkeypatch, capsys):
+    monkeypatch.setattr(np.linalg, "eigvals", _fail_eigvals)
+    reports = run_suite(SuiteConfig(trials=3, theorems=("minmax",)))
+    assert [r.to_record()["margin"] for r in reports] == [None] * 3
+    assert all(r.quantities == {"error": "eigensolver failed: did not converge"} for r in reports)
+    assert main(["verify", "--theorem", "minmax", "--trials", "3"]) == 1
+    assert capsys.readouterr().out
 
 
 def _spd_with_ratio(m, ratio, seed=0):
