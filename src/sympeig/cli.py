@@ -21,6 +21,7 @@ import json
 import os
 import re
 import sys
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -47,18 +48,12 @@ def _emit(text: str, path: str | None) -> None:
         matio._write(path, text)
 
 
-def _csv_floats(text: str) -> list[float]:
+def _csv(convert, what: str, text: str) -> list:
+    """The comma-separated values of ``text``, each read by ``convert``."""
     try:
-        return [float(x) for x in text.split(",") if x != ""]
+        return [convert(x) for x in text.split(",") if x != ""]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
-def _csv_ints(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}") from exc
 
 
 class _Outcome(NamedTuple):
@@ -226,6 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Symplectic spectral computations on positive definite matrices and the inequality verification suite.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    floats, ints = partial(_csv, float, "numbers"), partial(_csv, int, "integers")
 
     p = sub.add_parser("williamson", help="symplectic spectrum and Williamson normal form")
     p.add_argument("input", help="positive definite matrix file")
@@ -238,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mean", help="Karcher mean of two or more positive definite matrices")
     p.add_argument("inputs", nargs="+", help="positive definite matrix files")
-    p.add_argument("--weights", type=_csv_floats, help="comma-separated positive weights summing to 1")
+    p.add_argument("--weights", type=floats, help="comma-separated positive weights summing to 1")
     p.add_argument("--tol", type=float, default=None, help="residual target (default 1e-9 * operator norm)")
     p.add_argument("--max-iter", type=int, default=200, help="Newton iteration budget")
     _add_matrix_command(p, cmd_mean)
@@ -272,12 +268,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spinch", help="s-pinching along a partition of the half-order")
     p.add_argument("input")
-    p.add_argument("--partition", type=_csv_ints, required=True, help="comma-separated block sizes")
+    p.add_argument("--partition", type=ints, required=True, help="comma-separated block sizes")
     _add_matrix_command(p, cmd_spinch)
 
     p = sub.add_parser("sprincipal", help="s-principal submatrix keeping the given 1-based indices")
     p.add_argument("input")
-    p.add_argument("--keep", type=_csv_ints, required=True, help="comma-separated 1-based indices")
+    p.add_argument("--keep", type=ints, required=True, help="comma-separated 1-based indices")
     _add_matrix_command(p, cmd_sprincipal)
 
     return parser

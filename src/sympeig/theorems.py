@@ -4,12 +4,13 @@ Every checker computes both sides of its statement on a concrete instance and
 returns a TheoremReport whose margin is recomputable from the recorded
 quantities. Each checker runs on a batch: its positive definite inputs are
 stacks along a leading axis, and one stacked call per step (the gate's
-certificate and Cholesky factor, the values-only SVD of K, eigh, the
-restriction products, row-wise majorization) serves the whole batch. A public
-``check_*`` is that batch path on a batch of one. Every row takes the same
-elementwise path, so a record does not depend on its group. Only theorem 4's
-Karcher solves, theorem 5's Williamson forms, and theorem 6's max-flow and
-stochastic test run one instance at a time.
+certificate and Cholesky factor, the SVD of K, eigh, the restriction
+products, row-wise majorization) serves the whole batch. A public ``check_*``
+is that batch path on a batch of one. Every row takes the same elementwise
+path, so a record does not depend on its group. Only these run one instance
+at a time: theorem 4's Karcher solves, theorem 6's max-flow and stochastic
+test, the cluster re-pairing of theorem 5's rows that have clusters, and the
+s-principal submatrices and s-pinchings that interlacing and pinching assemble.
 
 The suite reads the table ``THEOREMS = {id: (tolerance, draw, check)}``. Each
 instance is drawn from its own generator, seeded by (seed, theorem, trial);
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import majorization, means, sops
 from .errors import InputError, SympeigError
-from .matfun import _cholesky, _eigh, _posdef, _same_order, _svd, require_integer, require_nonnegative
+from .matfun import _cholesky, _eigh, _svd, require_integer, require_nonnegative
 from .symplectic import (
     _associated,
     _congruence,
@@ -57,7 +58,7 @@ from .symplectic import (
     standard_J,
     validate_symplectic,
 )
-from .williamson import _doubled, _even_order, _sharp, _skew, _skew_svd, _williamson
+from .williamson import _doubled, _even_order, _factor_spectrum, _gate, _one, _sharp, _skew, _williamson
 
 # Orthogonality threshold used by the theorem-6 cross-check.
 ORTHOGONALITY_TOL = 1e-7
@@ -133,25 +134,6 @@ def _lowest(*columns) -> np.ndarray:
 def _lin(margin, *scale_values):
     """Normalize linear-domain margins by max(1, |quantities compared|), entrywise; a NaN propagates."""
     return margin / reduce(np.maximum, map(np.abs, scale_values), 1.0)
-
-
-def _one(A) -> np.ndarray:
-    """A public checker's matrix as a batch of one."""
-    return np.asarray(A, dtype=float)[None]
-
-
-def _gate(*stacks):
-    """``(S, L)`` of each stack of inputs: the symmetrized S, refused when any
-    matrix is near-singular, and its Cholesky factors S = L L^T; InputError on
-    mixed orders."""
-    gated = [_posdef(_even_order(A, stacked=True), refuse_near_singular=True, stacked=True) for A in stacks]
-    return [(S, _cholesky(S)) for S in _same_order(gated)]
-
-
-def _factor_spectrum(F: np.ndarray) -> np.ndarray:
-    """Symplectic spectra, one ascending row per matrix, of F F^T for a stack of
-    square F of even order (see :func:`_skew`)."""
-    return _skew_svd(_skew(F)[0])
 
 
 def _log_worst(y, x) -> np.ndarray:
@@ -254,12 +236,10 @@ def _restricted(A, S, k):
 def _theorem5(A, k, samples, *, tol):
     [(A, L)] = _gate(A)
     (k,) = set(k)  # one k per batch: the suite groups by it
-    forms = [_williamson(K, JL) for K, JL in zip(*_skew(L))]
-    d = np.array([f.d for f in forms])
-    target_tr = 2.0 * np.sum(d[:, :k], axis=-1)
-    # Each form's own d (a reversed view, or a copy) picks numpy's log loop, and so the last bit.
-    target_logdet = 2.0 * np.sum([np.log(f.d[:k]) for f in forms], axis=-1)
-    tr_min, logdet_min = _restricted(A, np.array([f.M for f in forms]), k)
+    form = _williamson(*_skew(L))
+    target_tr = 2.0 * np.sum(form.d[:, :k], axis=-1)
+    target_logdet = 2.0 * np.sum(np.log(form.d[:, :k]), axis=-1)
+    tr_min, logdet_min = _restricted(A, form.M, k)
     tr, logdet = _restricted(A[:, None], samples, k)
     margins = _lowest(
         -np.abs(_lin(tr_min - target_tr, tr_min, target_tr)),
@@ -271,8 +251,8 @@ def _theorem5(A, k, samples, *, tol):
         "5",
         tol,
         margins,
-        k=[k] * len(d),
-        d=d,
+        k=[k] * len(A),
+        d=form.d,
         target_trace=target_tr,
         target_logdet=target_logdet,
         minimizer_trace=tr_min,
@@ -312,8 +292,10 @@ def check_theorem5(
     M = np.asarray(M, dtype=float)
     if M.shape != (2 * n, 2 * k):
         raise InputError(f"restriction must be {2 * n} x {2 * k}, got {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise InputError("restriction has non-finite entries")
     residual = float(np.linalg.norm(M.T @ standard_J(n) @ M - standard_J(k)))
-    if residual > 1e-8 * (1.0 + float(np.sum(M * M))):
+    if not residual <= 1e-8 * (1.0 + float(np.sum(M * M))):
         raise InputError(f"matrix fails the restriction condition: residual {residual:.3e}")
     return _theorem5(A, [k], M[None, None], tol=tol)[0]
 
@@ -492,10 +474,9 @@ def check_theorem11(A: np.ndarray, tol: float | None = None) -> TheoremReport:
 
 def _corollary8(A, B, t, *, tol):
     (A, LA), (B, LB) = _gate(A, B)
-    if np.any(_factor_spectrum(LA)[:, 0] < 0.5 - tol):
-        raise InputError("first input is not Gaussian (d_1 < 1/2)")
-    if np.any(_factor_spectrum(LB)[:, 0] < 0.5 - tol):
-        raise InputError("second input is not Gaussian (d_1 < 1/2)")
+    for which, L in (("first", LA), ("second", LB)):
+        if np.any(_factor_spectrum(L)[:, 0] < 0.5 - tol):
+            raise InputError(f"{which} input is not Gaussian (d_1 < 1/2)")
     tt = np.array(t, dtype=float)[:, None]
     w, Q = _eigh(A)
     d1_pow = _factor_spectrum(Q * (w ** (tt / 2.0))[:, None, :])[:, 0]

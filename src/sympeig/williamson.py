@@ -7,10 +7,11 @@ M^T A M = diag(d, d), where d_1 <= ... <= d_n are the symplectic eigenvalues.
 They are the moduli of the eigenvalues +-i d_j of the real skew
 K = L^T J L, A = L L^T (K is orthogonally similar to A^{1/2} J A^{1/2}), so the
 singular values of K are d_1, ..., d_n, each twice. One real SVD of K,
-``_skew_svd``, serves both results. The spectrum reads its values only. The
-form takes one singular triple (d_j, u_j, v_j) per pair: K v_j = d_j u_j and
-K u_j = -d_j v_j, so the triple is a symplectic eigenvector pair, and
-M = J L [V, -U] diag(d, d)^{-1/2} is formed with no solve.
+``_skew_svd``, serves both results, and every kernel takes a stack of matrices
+behind the one gate ``_gate``; a public function is a batch of one. The
+spectrum reads the values only. The form takes one singular triple
+(d_j, u_j, v_j) per pair: K v_j = d_j u_j and K u_j = -d_j v_j, so the triple
+is a symplectic eigenvector pair, and M = J L [V, -U] diag(d, d)^{-1/2}.
 
 Computed singular subspaces are accurate only to about eps d_n / gap, so a
 triple is a clean pair only when its d_j stands apart. Consecutive d_j closer
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .matfun import _cholesky, _posdef, _svd, require_nonnegative, require_square
+from .matfun import _cholesky, _posdef, _same_order, _svd, require_nonnegative, require_square
 from .symplectic import _hermitian_pairs, standard_J
 
 # Consecutive d_j closer than this fraction of d_n are paired as one cluster.
@@ -91,6 +92,24 @@ def _skew(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (K - K.swapaxes(-1, -2)) / 2.0, JL
 
 
+def _one(A) -> np.ndarray:
+    """A public function's matrix as a batch of one."""
+    return np.asarray(A, dtype=float)[None]
+
+
+def _gate(*stacks):
+    """``(S, L)`` of each stack of inputs: the symmetrized S, refused when any
+    matrix is near-singular, and its Cholesky factors S = L L^T; InputError on
+    mixed orders. The one gate of spectra, forms and the theorem checkers."""
+    gated = [_posdef(_even_order(A, stacked=True), refuse_near_singular=True, stacked=True) for A in stacks]
+    return [(S, _cholesky(S)) for S in _same_order(gated)]
+
+
+def _factor(A) -> np.ndarray:
+    """L of a public function's A through :func:`_gate`, as a batch of one; S is dropped before the eigensolve."""
+    return _gate(_one(A))[0][1]
+
+
 def symplectic_spectrum(A: np.ndarray) -> SymplecticSpectrum:
     """Symplectic eigenvalues of a positive definite matrix of order 2n.
 
@@ -99,32 +118,34 @@ def symplectic_spectrum(A: np.ndarray) -> SymplecticSpectrum:
     once, ascending, together with the doubled descending vector. The product
     of the d_j^2 equals det A.
     """
-    d = _skew_svd(_skew(_cholesky(_posdef(_even_order(A), refuse_near_singular=True)))[0])
+    d = _factor_spectrum(_factor(A))[0]
     return SymplecticSpectrum(d=d, d_hat=_doubled(d))
 
 
-def _skew_svd(K: np.ndarray, vectors: bool = False):
-    """The SVD of the skew K = F^T J F, the one solver behind spectra and forms.
+def _factor_spectrum(F: np.ndarray) -> np.ndarray:
+    """Symplectic spectra, one ascending row per matrix, of F F^T for a stack of
+    square F of even order (see :func:`_skew`)."""
+    return _skew_svd(_skew(F)[0])
 
-    Returns d, the smaller singular value of each equal pair, ascending; with
-    ``vectors``, ``(d, U, V)``, where the orthogonal U and V hold the left and
-    right singular vectors of all 2n values in ascending order (K V = U diag(s),
-    pair j in columns 2j and 2j + 1). K is reversed in both axes first: factors
-    built from an ascending eigendecomposition (Q w^{t/2} of A^t) put its
-    largest entries in the bottom-right corner, and Householder
-    bidiagonalization is more accurate when they come first (on widely spread,
-    strongly squeezed A^t with t > 1). Without ``vectors``, K may be a stack
-    along leading axes, and d holds one row per matrix. Solver failure raises
-    NumericalError.
+
+def _skew_svd(K: np.ndarray, vectors: bool = False):
+    """The SVD of each skew K = F^T J F of a stack, the one solver behind spectra and forms.
+
+    Returns d, the smaller singular value of each equal pair, ascending, one
+    contiguous row per matrix; with ``vectors``, ``(d, U, V)``, where the
+    orthogonal U and V hold the left and right singular vectors of all 2n
+    values in ascending order (K V = U diag(s), pair j in columns 2j and
+    2j + 1). K is reversed in both axes first: factors built from an ascending
+    eigendecomposition (Q w^{t/2} of A^t) put its largest entries in the
+    bottom-right corner, and Householder bidiagonalization is more accurate
+    when they come first (on widely spread, strongly squeezed A^t with t > 1).
+    Solver failure raises NumericalError.
     """
-    if vectors:
-        P, s, Qt = _svd(K[::-1, ::-1])
-    else:
-        s = _svd(K[..., ::-1, ::-1], compute_uv=False)
-    d = s[..., ::-2]
+    usv = _svd(K[..., ::-1, ::-1], compute_uv=vectors)
+    d = np.ascontiguousarray((usv[1] if vectors else usv)[..., ::-2])
     if (d[..., 0] <= 0).any():
         raise NumericalError(f"non-positive symplectic eigenvalue {d[..., 0].min():.6e} on positive definite input")
-    return (d, P[::-1, ::-1], Qt[::-1, ::-1].T) if vectors else d
+    return (d, usv[0][..., ::-1, ::-1], usv[2][..., ::-1, ::-1].swapaxes(-1, -2)) if vectors else d
 
 
 def williamson_form(A: np.ndarray) -> WilliamsonForm:
@@ -147,21 +168,22 @@ def williamson_form(A: np.ndarray) -> WilliamsonForm:
 
     M is not unique; only the defining invariants are promised.
     """
-    return _williamson(*_skew(_cholesky(_posdef(_even_order(A), refuse_near_singular=True))))
+    form = _williamson(*_skew(_factor(A)))
+    return WilliamsonForm(M=form.M[0], d=form.d[0])
 
 
 def _williamson(K: np.ndarray, JL: np.ndarray) -> WilliamsonForm:
-    """:func:`williamson_form` from ``(K, J L)`` of the gated A = L L^T: one
-    singular triple of K per pair, and when two consecutive d_j are closer than
-    CLUSTER_RELGAP * d_n their clusters are re-paired by
-    :func:`_resolve_clusters`."""
+    """:func:`williamson_form` of each gated A = L L^T of a stack, from ``(K, J L)``,
+    M and d keeping the leading axis: one singular triple of K per pair, and in a
+    matrix whose consecutive d_j come closer than CLUSTER_RELGAP * d_n the
+    clusters re-paired by :func:`_resolve_clusters`."""
     d, U, V = _skew_svd(K, vectors=True)
-    close = np.diff(d) < CLUSTER_RELGAP * d[-1]
-    if close.any():
-        d, U, V = _resolve_clusters(K, d, U, V, close)
-    else:
-        U, V = U[:, ::2], V[:, ::2]
-    return WilliamsonForm(M=JL @ (np.hstack([V, -U]) / np.sqrt(np.concatenate([d, d]))), d=d)
+    close = np.diff(d) < CLUSTER_RELGAP * d[..., -1:]
+    Up, Vp = U[..., ::2], V[..., ::2]
+    for i in np.flatnonzero(close.any(axis=-1)):
+        d[i], Up[i], Vp[i] = _resolve_clusters(K[i], d[i], U[i], V[i], close[i])
+    M = JL @ (np.concatenate([Vp, -Up], axis=-1) / np.sqrt(np.concatenate([d, d], axis=-1))[..., None, :])
+    return WilliamsonForm(M=M, d=d)
 
 
 def _resolve_clusters(

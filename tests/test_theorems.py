@@ -213,24 +213,39 @@ class TestTheorem5:
             assert rep.holds
             assert rep.margin >= -1e-9
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_explicit_restriction_checks_the_minimizer(self, monkeypatch, seed):
-        # d_1 raised by 1e-6: the sampled restriction still satisfies both
-        # inequalities, so only the minimizer's equality can catch it.
+    @staticmethod
+    def raise_d1(monkeypatch):
+        """Make theorem 5's stacked Williamson forms report each d_1 raised by 1e-6."""
         williamson = sympeig.theorems._williamson
 
         def shifted(K, JL):
             form = williamson(K, JL)
-            return WilliamsonForm(M=form.M, d=np.concatenate([form.d[:1] + 1e-6, form.d[1:]]))
+            return WilliamsonForm(M=form.M, d=np.concatenate([form.d[..., :1] + 1e-6, form.d[..., 1:]], axis=-1))
 
         monkeypatch.setattr(sympeig.theorems, "_williamson", shifted)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_explicit_restriction_checks_the_minimizer(self, monkeypatch, seed):
+        # d_1 raised by 1e-6: the sampled restriction still satisfies both
+        # inequalities, so only the minimizer's equality can catch it.
+        self.raise_d1(monkeypatch)
         rep = check_theorem5(random_posdef(seed, 3, 1.5)[0], 1, M=random_symplectic(100 + seed, 3, 1.0)[:, [0, 3]])
         assert not rep.holds
 
+    def test_suite_groups_check_every_minimizer(self, monkeypatch):
+        # The suite's stacked groups: with each d_1 raised, every record fails
+        # on its margin, not on an error.
+        self.raise_d1(monkeypatch)
+        reports = run_suite(SuiteConfig(seed=0, trials=13, theorems=("5",)))
+        assert all(math.isfinite(r.margin) and not r.holds for r in reports)
+
     def test_rejects_bad_restriction(self):
         A = spd(26, 2, 1.0)
-        with pytest.raises(InputError, match="restriction"):
-            check_theorem5(A, k=2, M=2.0 * np.eye(4))
+        infinite = np.eye(4)[:, [0, 2]]
+        infinite[1, 0] = np.inf
+        for k, M in [(2, 2.0 * np.eye(4)), (1, np.full((4, 2), np.nan)), (1, infinite)]:
+            with pytest.raises(InputError, match="restriction"):
+                check_theorem5(A, k=k, M=M)
 
     def test_rejects_bad_k(self):
         with pytest.raises(InputError, match="k must lie"):

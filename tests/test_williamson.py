@@ -16,6 +16,7 @@ from sympeig import (
     williamson_form,
 )
 from sympeig.symplectic import random_posdef_rng
+from sympeig.williamson import CLUSTER_RELGAP, _gate, _skew, _williamson
 
 
 def spectrum_by_ja_oracle(A):
@@ -127,6 +128,21 @@ class TestWilliamsonForm:
         assert np.linalg.norm(form.M.T @ J @ form.M - J) <= 1e-8
         dd = np.diag(np.concatenate([form.d, form.d]))
         assert np.linalg.norm(form.M.T @ A @ form.M - dd) <= 1e-8 * np.linalg.norm(A)
+
+    def test_stack_equals_forms_one_at_a_time(self):
+        # Rows with planted repeated d_j take the cluster re-pairing, the
+        # others one singular triple per pair; stacking changes no bit.
+        rng = np.random.default_rng(23)
+        planted = [None, [0.7, 0.7, 1.3, 2.0], None, [1.1, 1.1, 1.1, 1.1], None, [0.5, 0.9, 3.0, 3.0]]
+        A = np.array([random_posdef_rng(rng, 4, spread=1.5, d=d)[0] for d in planted])
+        [(_, L)] = _gate(A)
+        stacked = _williamson(*_skew(L))
+        close = np.diff(stacked.d) < CLUSTER_RELGAP * stacked.d[:, -1:]
+        assert close.any(axis=-1).tolist() == [d is not None for d in planted]
+        for i, Ai in enumerate(A):
+            form = williamson_form(Ai)
+            assert np.array_equal(stacked.M[i], form.M)
+            assert np.array_equal(stacked.d[i], form.d)
 
     def test_rejects_not_positive_definite(self):
         with pytest.raises(DomainError, match="not positive definite"):
