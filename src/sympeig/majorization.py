@@ -28,11 +28,10 @@ class MajorizationVerdict:
         return self.holds
 
 
-def _vector(x, name: str, positive: bool = False, rows: bool = False) -> np.ndarray:
-    """x flattened to a vector, or with ``rows`` kept as a stack of row vectors,
-    after an error unless it is nonempty, finite and, if asked, positive."""
-    x = np.asarray(x, dtype=float)
-    x = x if rows else x.ravel()
+def _vector(x, name: str, positive: bool = False) -> np.ndarray:
+    """x flattened to a vector, after an error unless it is nonempty, finite
+    and, if asked, positive."""
+    x = np.asarray(x, dtype=float).ravel()
     if x.size == 0:
         raise InputError(f"{name} must be nonempty")
     if not np.all(np.isfinite(x)):
@@ -42,9 +41,9 @@ def _vector(x, name: str, positive: bool = False, rows: bool = False) -> np.ndar
     return x
 
 
-def _pair(y, x, positive: bool = False, rows: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    y = _vector(y, "y", positive, rows)
-    x = _vector(x, "x", positive, rows)
+def _pair(y, x, positive: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    y = _vector(y, "y", positive)
+    x = _vector(x, "x", positive)
     if x.shape != y.shape:
         raise InputError(f"length mismatch: {x.size} vs {y.size}")
     return y, x

@@ -45,17 +45,24 @@ def require_square(X: np.ndarray, name: str = "matrix", stacked: bool = False) -
 
 
 def require_nonnegative(value: float, name: str) -> None:
-    """Raise InputError unless value (a tolerance, spread or budget) is finite and >= 0."""
-    if not (np.isfinite(value) and value >= 0.0):
+    """Raise InputError unless value (a tolerance, spread or budget) is a finite number >= 0."""
+    try:
+        ok = bool(np.isfinite(value) and value >= 0.0)
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
         raise InputError(f"{name} must be finite and >= 0, got {value}")
 
 
 def require_integer(value, name: str) -> int:
-    """value as an int, raising InputError unless it is one (numpy integers included)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InputError(f"{name} must be an integer, got {value}") from None
+    """value as an int, raising InputError unless it is one (numpy integers
+    included, bools not)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InputError(f"{name} must be an integer, got {value}")
 
 
 def symmetrize(S: np.ndarray, stacked: bool = False) -> np.ndarray:

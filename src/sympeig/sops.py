@@ -11,7 +11,7 @@ import numpy as np
 from .errors import InputError
 from .matfun import require_integer, require_square
 from .symplectic import validate_symplectic
-from .williamson import validate_posdef
+from .williamson import _even_order, validate_posdef
 
 
 def validate_partition(sizes, n: int) -> tuple[int, ...]:
@@ -56,15 +56,6 @@ def s_direct_sum(mats, kind: str = "posdef") -> np.ndarray:
     return out
 
 
-def _partition_mask(sizes: tuple[int, ...], n: int) -> np.ndarray:
-    mask = np.zeros((n, n), dtype=bool)
-    start = 0
-    for s in sizes:
-        mask[start : start + s, start : start + s] = True
-        start += s
-    return mask
-
-
 def s_pinching(A: np.ndarray, sizes) -> np.ndarray:
     """Apply the block-diagonal pinching along ``sizes`` to each quadrant.
 
@@ -72,16 +63,16 @@ def s_pinching(A: np.ndarray, sizes) -> np.ndarray:
     the s-principal submatrices along the partition and is positive definite
     whenever A is.
     """
-    return _s_pinching(validate_posdef(A), sizes)
+    sizes = validate_partition(sizes, _even_order(A).shape[0] // 2)
+    return _s_pinching(validate_posdef(A)[None], [sizes])[0]
 
 
 def _s_pinching(S: np.ndarray, sizes) -> np.ndarray:
-    """:func:`s_pinching` of the gated S."""
-    n = S.shape[0] // 2
-    sizes = validate_partition(sizes, n)
-    mask = _partition_mask(sizes, n)
-    full = np.block([[mask, mask], [mask, mask]])
-    return np.where(full, S, 0.0)
+    """:func:`s_pinching` of each gated matrix of the stack S along its own
+    validated partition: an entry survives when its row and column fall in
+    the same block of the doubled partition."""
+    ids = np.array([np.tile(np.repeat(np.arange(len(s)), s), 2) for s in sizes])
+    return np.where(ids[:, :, None] == ids[:, None, :], S, 0.0)
 
 
 def s_principal_submatrix(A: np.ndarray, keep) -> np.ndarray:
@@ -91,16 +82,18 @@ def s_principal_submatrix(A: np.ndarray, keep) -> np.ndarray:
     The result is positive definite of half-order len(keep). The CLI exposes
     this with 1-based indices.
     """
-    return _s_principal(validate_posdef(A), keep)
-
-
-def _s_principal(S: np.ndarray, keep) -> np.ndarray:
-    """:func:`s_principal_submatrix` of the gated S."""
-    n = S.shape[0] // 2
+    n = _even_order(A).shape[0] // 2
     idx = sorted(set(require_integer(i, "keep index") for i in keep))
     if not idx:
         raise InputError("keep must contain at least one index")
     if idx[0] < 0 or idx[-1] >= n:
         raise InputError(f"keep indices must lie in [0, {n - 1}], got {idx}")
-    sel = idx + [n + i for i in idx]
-    return S[np.ix_(sel, sel)]
+    return _s_principal(validate_posdef(A)[None], np.array([idx]))[0]
+
+
+def _s_principal(S: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """:func:`s_principal_submatrix` of each gated matrix of the stack S, keeping
+    the ascending indices of its row of ``keep``."""
+    n = S.shape[-1] // 2
+    sel = np.concatenate([keep, keep + n], axis=-1)
+    return S[np.arange(len(S))[:, None, None], sel[:, :, None], sel[:, None, :]]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .matfun import _eigh, _svd, require_nonnegative, require_square
+from .matfun import _eigh, _svd, require_integer, require_nonnegative, require_square
 
 # The one symplecticity threshold, relative to 1 + ||M||_F^2; the unitary
 # correspondence's orthogonality, block and unitarity tests use it too.
@@ -28,10 +28,17 @@ SYMPLECTIC_TOL = 1e-9
 _UNIT_CLUSTER_TOL = 1e-10
 
 
-def standard_J(n: int) -> np.ndarray:
-    """The 2n x 2n standard symplectic form [[0, I], [-I, 0]]."""
+def _half_order(n) -> int:
+    """n as an int, after an InputError unless it is an integer >= 1."""
+    n = require_integer(n, "half-order")
     if n < 1:
         raise InputError(f"half-order must be >= 1, got {n}")
+    return n
+
+
+def standard_J(n: int) -> np.ndarray:
+    """The 2n x 2n standard symplectic form [[0, I], [-I, 0]]."""
+    n = _half_order(n)
     J = np.zeros((2 * n, 2 * n))
     J[:n, n:] = np.eye(n)
     J[n:, :n] = -np.eye(n)
@@ -46,8 +53,7 @@ def convention_permutation(n: int) -> np.ndarray:
     converts a matrix given in the interleaved convention to the block
     convention used everywhere else in this package.
     """
-    if n < 1:
-        raise InputError(f"half-order must be >= 1, got {n}")
+    n = _half_order(n)
     P = np.zeros((2 * n, 2 * n))
     for k in range(n):
         P[2 * k, k] = 1.0
@@ -116,11 +122,13 @@ def is_doubly_stochastic(B: np.ndarray, tol: float = 1e-8) -> bool:
     B = require_square(B, "doubly stochastic candidate")
     if B.size == 0:
         raise InputError("doubly stochastic candidate must be nonempty")
-    if np.min(B) < -tol:
-        return False
-    return bool(
-        np.max(np.abs(B.sum(axis=1) - 1.0)) <= tol and np.max(np.abs(B.sum(axis=0) - 1.0)) <= tol
-    )
+    return bool(_doubly_stochastic(B, tol))
+
+
+def _doubly_stochastic(B: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`is_doubly_stochastic` of the trusted B, or of each matrix of a stack."""
+    row, col = np.abs(B.sum(axis=-1) - 1.0), np.abs(B.sum(axis=-2) - 1.0)
+    return (np.min(B, axis=(-2, -1)) >= -tol) & (np.max(row, axis=-1) <= tol) & (np.max(col, axis=-1) <= tol)
 
 
 @dataclass(frozen=True)
@@ -372,11 +380,13 @@ def _congruence(S: np.ndarray, d: np.ndarray) -> np.ndarray:
 def random_orthosymplectic_rng(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random orthogonal-symplectic matrix drawn through the unitary
     correspondence, so both structures hold by construction."""
+    n = _half_order(n)
     return _haar(rng.standard_normal((2, n, n)))
 
 
 def random_symplectic_rng(rng: np.random.Generator, n: int, spread: float = 1.0) -> np.ndarray:
     """rng-driven body of :func:`random_symplectic`."""
+    n = _half_order(n)
     require_nonnegative(spread, "spread")
     N = rng.standard_normal((2, 2, n, n))
     return _squeezed(N, rng.uniform(0.0, spread, size=n))
@@ -399,13 +409,18 @@ def random_posdef_rng(
     spread: float = 1.0,
     d: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """rng-driven body of :func:`random_posdef`; ``d`` overrides the planted
-    symplectic spectrum when given."""
+    """rng-driven body of :func:`random_posdef`; ``d``, n finite positive
+    entries, overrides the planted symplectic spectrum when given."""
+    n = _half_order(n)
     require_nonnegative(condition_spread, "condition_spread")
+    if d is not None:
+        d = np.asarray(d, dtype=float)
+        if d.shape != (n,) or not np.all(np.isfinite(d) & (d > 0.0)):
+            raise InputError(f"d must hold {n} finite positive entries, got {d.tolist()}")
     S = random_symplectic_rng(rng, n, spread)
     if d is None:
         d = np.exp(rng.uniform(-condition_spread, condition_spread, size=n))
-    d = np.sort(np.asarray(d, dtype=float))
+    d = np.sort(d)
     return _congruence(S, d), d
 
 

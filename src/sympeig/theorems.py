@@ -8,9 +8,8 @@ certificate and Cholesky factor, the SVD of K, eigh, the restriction
 products, row-wise majorization) serves the whole batch. A public ``check_*``
 is that batch path on a batch of one. Every row takes the same elementwise
 path, so a record does not depend on its group. Only these run one instance
-at a time: theorem 4's Karcher solves, theorem 6's max-flow and stochastic
-test, the cluster re-pairing of theorem 5's rows that have clusters, and the
-s-principal submatrices and s-pinchings that interlacing and pinching assemble.
+at a time: theorem 4's Karcher solves, theorem 6's max-flow, and the cluster
+re-pairing of theorem 5's rows that have clusters.
 
 The suite reads the table ``THEOREMS = {id: (tolerance, draw, check)}``. Each
 instance is drawn from its own generator, seeded by (seed, theorem, trial);
@@ -31,10 +30,13 @@ A report holds exactly when margin >= -tolerance; a margin is the smallest of
 its components, and a NaN component (an overflow, say) makes it NaN, which
 fails. Theorem 4, whose checker depends on an iterative solve (the Karcher
 mean), reports ``inconclusive`` instead of failing when the solve did not
-converge. Each input passes one gate; the kernels behind the public functions
-then use its symmetrized matrix and factor. A matrix X derived from the inputs
-passes no second gate: its symplectic spectrum is read from a square factor
-X = F F^T.
+converge. Each parameter (k, t, weights, a drop index, a partition) is
+validated once, by the public ``check_*`` that receives it, before its
+matrices; the batch checkers trust theirs, and the suite's draws are valid by
+construction. Each input passes one gate; the kernels behind the public
+functions then use its symmetrized matrix and factor. A matrix X derived from
+the inputs passes no second gate: its symplectic spectrum is read from a
+square factor X = F F^T.
 """
 
 import json
@@ -51,8 +53,8 @@ from .matfun import _cholesky, _eigh, _svd, require_integer, require_nonnegative
 from .symplectic import (
     _associated,
     _congruence,
+    _doubly_stochastic,
     _squeezed,
-    is_doubly_stochastic,
     is_doubly_superstochastic,
     random_orthosymplectic_rng,
     standard_J,
@@ -138,7 +140,7 @@ def _lin(margin, *scale_values):
 
 def _log_worst(y, x) -> np.ndarray:
     """Each row's worst margin of x ≺_log y."""
-    return majorization._worst(majorization._log_margins(*majorization._pair(y, x, positive=True, rows=True)))
+    return majorization._worst(majorization._log_margins(y, x))
 
 
 def _reports(theorem_id, tol, margins, **columns) -> list[TheoremReport]:
@@ -191,7 +193,7 @@ def check_theorem3(A: np.ndarray, B: np.ndarray, t: float, tol: float | None = N
 
 
 def _theorem4(mats, weights, *, tol):
-    w = np.array([means.validate_weights(x, len(mats)) for x in weights])
+    w = np.array(weights)
     gated = _gate(*mats)
     results = [means._karcher(list(inputs), wb) for inputs, wb in zip(zip(*(S for S, _ in gated)), w)]
     quantities = [{"residual": r.residual, "iterations": r.iterations} for r in results]
@@ -216,6 +218,7 @@ def check_theorem4(mats, weights=None, tol: float | None = None) -> TheoremRepor
     mats = list(mats)
     if len(mats) < 2:
         raise InputError("need at least two matrices")
+    weights = means.validate_weights(weights, len(mats))
     return _theorem4([_one(A) for A in mats], [weights], tol=tol)[0]
 
 
@@ -300,23 +303,19 @@ def check_theorem5(
     return _theorem5(A, [k], M[None, None], tol=tol)[0]
 
 
-def _superadditivity(A, B, k=None, *, tol):
+def _superadditivity(A, B, ks=None, *, tol):
+    """Reports for the k in ``ks``, or for every k when None."""
     (A, LA), (B, LB) = _gate(A, B)
     da, db = _factor_spectrum(LA), _factor_spectrum(LB)
     ds = _factor_spectrum(_cholesky(A + B))
-    n = da.shape[-1]
-    ks = range(1, n + 1) if k is None else [require_integer(k, "k")]
-    margins = []
-    for kk in ks:
-        if not 1 <= kk <= n:
-            raise InputError(f"k must lie in [1, {n}], got {kk}")
-        sum_lhs = np.sum(ds[:, :kk], axis=-1)
-        sum_rhs = np.sum(da[:, :kk], axis=-1) + np.sum(db[:, :kk], axis=-1)
-        prod_lhs = np.prod(ds[:, :kk] ** 2, axis=-1)
-        prod_rhs = np.prod(da[:, :kk] ** 2, axis=-1) + np.prod(db[:, :kk] ** 2, axis=-1)
-        margins.append(_lin(sum_lhs - sum_rhs, sum_lhs, sum_rhs))
-        margins.append(_lin(prod_lhs - prod_rhs, prod_lhs, prod_rhs))
-    return _reports("superadditivity", tol, _lowest(*margins), k=[list(ks)] * len(ds), d_sumAB=ds, d_A=da, d_B=db)
+    ks = np.arange(1, ds.shape[-1] + 1) if ks is None else np.array(ks)
+    sum_lhs, sum_a, sum_b = (np.cumsum(d, axis=-1)[:, ks - 1] for d in (ds, da, db))
+    prod_lhs, prod_a, prod_b = (np.cumprod(d**2, axis=-1)[:, ks - 1] for d in (ds, da, db))
+    margins = _lowest(
+        _lin(sum_lhs - (sum_a + sum_b), sum_lhs, sum_a + sum_b),
+        _lin(prod_lhs - (prod_a + prod_b), prod_lhs, prod_a + prod_b),
+    )
+    return _reports("superadditivity", tol, margins, k=[ks.tolist()] * len(ds), d_sumAB=ds, d_A=da, d_B=db)
 
 
 def check_superadditivity(A: np.ndarray, B: np.ndarray, k: int | None = None, tol: float | None = None) -> TheoremReport:
@@ -324,20 +323,25 @@ def check_superadditivity(A: np.ndarray, B: np.ndarray, k: int | None = None, to
     symplectic eigenvalues of A + B dominate, in sum and squared product, the
     corresponding quantities of A and B added. Checks one k or, when k is
     None, all of them."""
-    return _superadditivity(_one(A), _one(B), k, tol=_tolerance("superadditivity", tol))[0]
+    tol = _tolerance("superadditivity", tol)
+    if k is not None:
+        n = _even_order(_one(A), stacked=True).shape[-1] // 2
+        k = require_integer(k, "k")
+        if not 1 <= k <= n:
+            raise InputError(f"k must lie in [1, {n}], got {k}")
+    return _superadditivity(_one(A), _one(B), None if k is None else [k], tol=tol)[0]
 
 
 def _theorem6(M, *, tol):
-    """One report per symplectic matrix of M; only the max-flow and the
-    stochastic test run one matrix at a time."""
+    """One report per symplectic matrix of M; only the max-flow runs one matrix at a time."""
     M = np.array([validate_symplectic(Mi) for Mi in M])
     mt = _associated(M)
     n = mt.shape[-1]
     row_min, col_min = np.min(mt.sum(axis=-1), axis=-1), np.min(mt.sum(axis=-2), axis=-1)
     flow = np.array([is_doubly_superstochastic(B).flow_value for B in mt])
-    stochastic = [is_doubly_stochastic(B, tol=tol) for B in mt]
+    stochastic = _doubly_stochastic(mt, tol)
     orth_residual = np.linalg.norm(M.swapaxes(-1, -2) @ M - np.eye(2 * n), axis=(-2, -1))
-    consistent = np.array(stochastic) == (orth_residual <= ORTHOGONALITY_TOL)
+    consistent = stochastic == (orth_residual <= ORTHOGONALITY_TOL)
     # 0 when the stochastic/orthogonal cross-check agrees, else -1: a definite failure
     margins = _lowest(_lin(np.minimum(row_min, col_min) - 1.0, row_min, col_min), _lin(flow - n, n), consistent - 1.0)
     return _reports(
@@ -393,15 +397,8 @@ def check_theorem7(A: np.ndarray, B: np.ndarray, tol: float | None = None) -> Th
 def _interlacing(A, drop_index, *, tol):
     [(A, L)] = _gate(A)
     da = _factor_spectrum(L)
-    n = da.shape[-1]
-    if n < 2:
-        raise InputError("interlacing needs half-order n >= 2")
-    drop_index = [require_integer(i, "drop index") for i in drop_index]
-    for i in drop_index:
-        if not 0 <= i < n:
-            raise InputError(f"drop index must lie in [0, {n - 1}], got {i}")
-    sub = [sops._s_principal(S, [i for i in range(n) if i != j]) for S, j in zip(A, drop_index)]
-    db = _factor_spectrum(_cholesky(np.array(sub)))
+    kept = np.arange(da.shape[-1] - 1)
+    db = _factor_spectrum(_cholesky(sops._s_principal(A, kept + (kept >= np.array(drop_index)[:, None]))))
     margins = _lin(np.hstack([db - da[:, :-1], da[:, 2:] - db[:, :-1]]), da[:, -1:])
     return _reports("interlacing", tol, _lowest(margins), drop_index=drop_index, d_A=da, d_B=db)
 
@@ -410,7 +407,14 @@ def check_interlacing(A: np.ndarray, drop_index: int, tol: float | None = None) 
     """Cauchy-type interlacing for the s-principal submatrix obtained by
     deleting one index pair: d_j(A) <= d_j(B) <= d_{j+2}(A), with the
     convention that d_{n+1}(A) is infinite."""
-    return _interlacing(_one(A), [drop_index], tol=_tolerance("interlacing", tol))[0]
+    tol = _tolerance("interlacing", tol)
+    n = _even_order(_one(A), stacked=True).shape[-1] // 2
+    if n < 2:
+        raise InputError("interlacing needs half-order n >= 2")
+    drop_index = require_integer(drop_index, "drop index")
+    if not 0 <= drop_index < n:
+        raise InputError(f"drop index must lie in [0, {n - 1}], got {drop_index}")
+    return _interlacing(_one(A), [drop_index], tol=tol)[0]
 
 
 def _elementary_symmetric(x: np.ndarray) -> np.ndarray:
@@ -427,11 +431,11 @@ _POWER_MEAN_EXPONENTS = (0.5, -1.0)
 
 def _pinching(A, sizes, *, tol):
     [(A, L)] = _gate(A)
-    dc = _factor_spectrum(_cholesky(np.array([sops._s_pinching(S, s) for S, s in zip(A, sizes)])))
+    dc = _factor_spectrum(_cholesky(sops._s_pinching(A, sizes)))
     da = _factor_spectrum(L)
     n = da.shape[-1]
     ya = _doubled(da)
-    worst = majorization._worst(majorization._super_margins(*majorization._pair(ya, _doubled(dc), rows=True)))
+    worst = majorization._worst(majorization._super_margins(ya, _doubled(dc)))
     ec, ea = _elementary_symmetric(dc), _elementary_symmetric(da)
     rc, ra = (e ** (1.0 / np.arange(1, n + 1)) for e in (ec, ea))
     margins = [
@@ -453,7 +457,9 @@ def check_pinching(A: np.ndarray, sizes, tol: float | None = None) -> TheoremRep
     increasing function of the plain spectrum does not decrease (elementary
     symmetric polynomials and their roots, sum of x/(1+x), sum of logs,
     power means with exponent below 1)."""
-    return _pinching(_one(A), [sizes], tol=_tolerance("pinching", tol))[0]
+    tol = _tolerance("pinching", tol)
+    sizes = sops.validate_partition(sizes, _even_order(_one(A), stacked=True).shape[-1] // 2)
+    return _pinching(_one(A), [sizes], tol=tol)[0]
 
 
 def _theorem11(A, *, tol):
@@ -566,7 +572,7 @@ def _draw_geodesic(rng, n, cfg, trial, offset=0.0):
 def _draw_mean(rng, n, cfg, trial):
     mats = [_planted(rng, n, cfg, trial) for _ in range(3)]
     if trial % 2 == 0:
-        return (n,), (mats, None)
+        return (n,), (mats, np.full(3, 1.0 / 3))
     raw = rng.uniform(0.2, 1.0, size=3)
     return (n,), (mats, raw / raw.sum())
 
@@ -654,6 +660,8 @@ class SuiteConfig:
             raise InputError(f"need 1 <= nmin <= nmax, got [{self.nmin}, {self.nmax}]")
         for name in ("condition_spread", "spread"):
             require_nonnegative(getattr(self, name), name)
+        if not isinstance(self.tolerances, dict):
+            raise InputError(f"tolerances must be a dict of theorem ids to tolerances, got {self.tolerances!r}")
         for tol in self.tolerances.values():
             require_nonnegative(tol, "tolerances")
         if isinstance(self.theorems, str):

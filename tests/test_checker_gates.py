@@ -29,6 +29,7 @@ from sympeig import (
     random_posdef,
     random_symplectic,
     run_suite,
+    s_pinching,
     s_principal_submatrix,
 )
 from sympeig.sops import validate_partition
@@ -181,10 +182,32 @@ def test_tolerance_is_the_default_or_finite_and_nonnegative(checker):
         assert str(info.value) == f"tol must be finite and >= 0, got {tol}"
 
 
+# A bad parameter beside a matrix that is not positive definite: each public
+# function checks its parameters before its matrices.
+PARAMETER_FIRST = {
+    "theorem 4 weights": (lambda A: check_theorem4([A, A], [0.5, 0.6]), "weights must sum to 1"),
+    "theorem 5 k": (lambda A: check_theorem5(A, 3), "k must lie in [1, 2], got 3"),
+    "superadditivity k": (lambda A: check_superadditivity(A, A, 3), "k must lie in [1, 2], got 3"),
+    "interlacing drop index": (lambda A: check_interlacing(A, 2), "drop index must lie in [0, 1], got 2"),
+    "pinching partition": (lambda A: check_pinching(A, (1, 2)), "partition (1, 2) does not sum to the half-order 2"),
+    "s-pinching partition": (lambda A: s_pinching(A, (3,)), "partition (3,) does not sum to the half-order 2"),
+    "s-principal keep": (lambda A: s_principal_submatrix(A, [2]), "keep indices must lie in [0, 1], got [2]"),
+}
+
+
+@pytest.mark.parametrize("parameter", sorted(PARAMETER_FIRST))
+def test_parameter_is_checked_before_the_matrix(parameter):
+    call, message = PARAMETER_FIRST[parameter]
+    with pytest.raises(InputError) as info:
+        call(FAULTS["not_posdef"][0])
+    assert str(info.value).startswith(message)
+
+
 INTEGER_PARAMETERS = {
     "interlacing drop index": (lambda x: check_interlacing(VALID[0], x), 0.5, "drop index"),
     "superadditivity k": (lambda x: check_superadditivity(VALID[0], VALID[1], x), 1.9, "k"),
     "theorem 5 k": (lambda x: check_theorem5(VALID[0], x), 1.5, "k"),
+    "theorem 5 k as a bool": (lambda x: check_theorem5(VALID[0], x), True, "k"),
     "s-principal keep": (lambda x: s_principal_submatrix(VALID[0], [x]), 0.7, "keep index"),
     "partition size": (lambda x: validate_partition((x, 2 - x), 2), 1.7, "partition size"),
     "Karcher budget": (lambda x: karcher_mean(VALID[:2], max_iter=x), 1.5, "max_iter"),

@@ -12,6 +12,7 @@ from sympeig import (
     standard_J,
     symplectic_spectrum,
 )
+from sympeig.sops import _s_pinching, _s_principal
 
 
 class TestSDirectSum:
@@ -120,3 +121,23 @@ class TestSPrincipalSubmatrix:
         A, _ = random_posdef(14, 2, 1.0)
         with pytest.raises(InputError, match="indices must lie"):
             s_principal_submatrix(A, [5])
+
+
+class TestStackedKernels:
+    """The batch kernels behind the public functions, on a stack of matrices
+    that each carry their own partition or kept indices."""
+
+    STACK = np.array([random_posdef(40 + i, 4, 1.5)[0] for i in range(4)])
+
+    def test_s_pinching_matches_each_matrix(self):
+        sizes = [(4,), (1, 3), (2, 1, 1), (1, 1, 1, 1)]
+        stacked = _s_pinching(self.STACK, sizes)
+        for A, s, out in zip(self.STACK, sizes, stacked):
+            assert np.array_equal(out, s_pinching(A, s))
+
+    def test_s_principal_matches_each_matrix(self):
+        keep = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+        stacked = _s_principal(self.STACK, keep)
+        for A, k, out in zip(self.STACK, keep, stacked):
+            assert np.array_equal(out, s_principal_submatrix(A, k.tolist()))
+

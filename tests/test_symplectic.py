@@ -20,7 +20,7 @@ from sympeig import (
     standard_J,
     unitary_to_orthosymplectic,
 )
-from sympeig.symplectic import random_orthosymplectic_rng
+from sympeig.symplectic import _doubly_stochastic, random_orthosymplectic_rng, random_posdef_rng
 
 
 class TestStandardJ:
@@ -38,8 +38,22 @@ class TestStandardJ:
         assert is_symplectic(standard_J(n)).ok
 
     def test_rejects_bad_order(self):
-        with pytest.raises(InputError):
-            standard_J(0)
+        # Every function of a half-order n shares one check: an integer >= 1.
+        rng = np.random.default_rng(0)
+        calls = [
+            standard_J,
+            convention_permutation,
+            lambda n: random_posdef(0, n),
+            lambda n: random_symplectic(0, n),
+            lambda n: random_posdef_rng(rng, n),
+            lambda n: random_orthosymplectic_rng(rng, n),
+        ]
+        cases = [(0, ">= 1, got 0"), (-1, ">= 1, got -1"), (2.5, "an integer, got 2.5"), (True, "an integer, got True")]
+        for call in calls:
+            for n, message in cases:
+                with pytest.raises(InputError) as info:
+                    call(n)
+                assert str(info.value) == f"half-order must be {message}"
 
 
 class TestConventionPermutation:
@@ -116,6 +130,26 @@ class TestDoublyStochastic:
     def test_empty_rejected(self):
         with pytest.raises(InputError, match="nonempty"):
             is_doubly_stochastic(np.zeros((0, 0)))
+
+    def test_stack_matches_one_matrix_at_a_time(self):
+        # Entries and sums on both sides of the tolerance 0.25, every one exact
+        # in binary: a negative entry at -tol passes and one below it fails, a
+        # row or column sum off by exactly tol passes and one off by more fails.
+        tol = 0.25
+        B = np.array(
+            [
+                [[0.5, 0.5], [0.5, 0.5]],
+                [[1.25, -0.25], [-0.25, 1.25]],
+                [[1.5, -0.5], [-0.5, 1.5]],
+                [[1.0, 0.25], [0.0, 0.75]],
+                [[0.75, 0.0], [0.25, 0.75]],
+                [[1.0, 0.5], [0.0, 0.5]],
+                [[0.5, 0.0], [0.5, 1.25]],
+            ]
+        )
+        expected = [is_doubly_stochastic(Bi, tol=tol) for Bi in B]
+        assert expected == [True, True, False, True, True, False, False]
+        assert _doubly_stochastic(B, tol).tolist() == expected
 
 
 class TestDoublySuperstochastic:
@@ -419,6 +453,16 @@ def test_generators_match_the_matrix_by_matrix_reference(n):
         ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
         assert np.array_equal(random_orthosymplectic_rng(ours, n), _reference_orthosymplectic(reference, n))
         assert ours.random() == reference.random()
+
+
+def test_planted_spectrum_must_hold_n_finite_positive_entries():
+    for d in ([-1.0, 2.0], [0.0, 2.0], [1.0, np.inf], [1.0], [[1.0, 2.0]], [1.0, 2.0, 3.0]):
+        with pytest.raises(InputError) as info:
+            random_posdef_rng(np.random.default_rng(0), 2, d=d)
+        assert str(info.value) == f"d must hold 2 finite positive entries, got {np.asarray(d, dtype=float).tolist()}"
+    A, d = random_posdef_rng(np.random.default_rng(0), 2, d=[3.0, 0.5])
+    assert d.tolist() == [0.5, 3.0]
+    assert A.shape == (4, 4)
 
 
 class TestTheoremSixCharacterization:

@@ -272,6 +272,24 @@ class TestSuperadditivity:
             assert rep.holds
             assert rep.margin >= -1e-9
 
+    def test_margins_match_the_per_k_reference(self):
+        # The checker reads every k from one cumulative sum and product; the
+        # per-k reference below sums each prefix on its own. numpy's pairwise
+        # sum adds 8 or more terms in another order, so from k = 8 on the two
+        # agree to a few ulps of the normalized margin, and bit for bit below.
+        A, B = spd(71, 12, 1.5), spd(72, 12, 1.5)
+        rep = check_superadditivity(A, B)
+        ds, da, db = (np.array(rep.quantities[key]) for key in ("d_sumAB", "d_A", "d_B"))
+        per_k = []
+        for k in range(1, 13):
+            sums = (np.sum(ds[:k]), np.sum(da[:k]) + np.sum(db[:k]))
+            prods = (np.prod(ds[:k] ** 2), np.prod(da[:k] ** 2) + np.prod(db[:k] ** 2))
+            per_k.append(min((lhs - rhs) / max(1.0, abs(lhs), abs(rhs)) for lhs, rhs in (sums, prods)))
+        assert rep.quantities["k"] == list(range(1, 13))
+        assert rep.margin == pytest.approx(min(per_k), abs=16 * np.finfo(float).eps)
+        for k in (1, 3, 7):
+            assert check_superadditivity(A, B, k=k).margin == per_k[k - 1]
+
 
 class TestTheorem6:
     def test_orthogonal_is_doubly_stochastic(self):
@@ -323,6 +341,8 @@ class TestInterlacing:
         for drop in range(3):
             rep = check_interlacing(A, drop)
             assert rep.holds
+            # The submatrix deletes exactly the pair (drop, n + drop).
+            assert np.allclose(rep.quantities["d_B"], np.delete([1.0, 2.0, 3.0], drop), rtol=1e-12, atol=0.0)
 
     def test_random_all_drops(self):
         for seed in range(3):
@@ -486,6 +506,19 @@ class TestReports:
         assert rep.holds is False
         assert not rep.inconclusive
 
+    def test_log_margin_of_a_zero_or_infinite_entry_never_holds(self):
+        # The batch checkers trust their spectra; should a zero or an infinite
+        # entry reach the log-majorization margin, the margin is -inf or NaN.
+        y = np.array([[4.0, 2.0], [np.inf, 1.0], [4.0, 2.0], [np.inf, 1.0]])
+        x = np.array([[4.0, 2.0], [2.0, 1.0], [2.0, 0.0], [np.inf, 1.0]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            worst = sympeig.theorems._log_worst(y, x)
+        assert worst[0] == 0.0
+        assert worst[1] == worst[2] == -np.inf
+        assert math.isnan(worst[3])
+        reports = sympeig.theorems._reports("3", 1e-9, worst, rhs_vector=y, dhat_geodesic=x)
+        assert [r.holds for r in reports] == [True, False, False, False]
+
     def test_zero_tolerance_boundary_behavior(self):
         # Equality cases sit on the boundary at tolerance 0: the verdict is
         # exactly margin >= 0, so roundoff may flip it either way.
@@ -533,6 +566,8 @@ class TestRunSuite:
             ("tolerances", {"7": math.nan}),
             ("tolerances", {"1": math.inf}),
             ("tolerances", {"4": -1e-9}),
+            ("condition_spread", "a"),
+            ("tolerances", {"1": "x"}),
         ],
     )
     def test_bad_spread_rejected(self, field, value):
@@ -548,6 +583,8 @@ class TestRunSuite:
             ({"trials": 1.5}, "trials must be an integer, got 1.5"),
             ({"seed": 0.5}, "seed must be an integer, got 0.5"),
             ({"nmax": 2.0}, "nmax must be an integer, got 2.0"),
+            ({"tolerances": [1e-9]}, "tolerances must be a dict of theorem ids to tolerances, got [1e-09]"),
+            ({"trials": True}, "trials must be an integer, got True"),
         ],
     )
     def test_malformed_config_rejected(self, kwargs, message):
