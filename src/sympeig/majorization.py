@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
+from .matfun import require_numeric
 
 DEFAULT_TOL = 1e-9
 
@@ -31,7 +32,7 @@ class MajorizationVerdict:
 def _vector(x, name: str, positive: bool = False) -> np.ndarray:
     """x flattened to a vector, after an error unless it is nonempty, finite
     and, if asked, positive."""
-    x = np.asarray(x, dtype=float).ravel()
+    x = require_numeric(x, name).ravel()
     if x.size == 0:
         raise InputError(f"{name} must be nonempty")
     if not np.all(np.isfinite(x)):

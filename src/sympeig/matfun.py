@@ -6,9 +6,10 @@ the spectrum as its fallback, ``_same_order`` the one rule for inputs that must
 share an order, ``_eigh`` and ``_svd`` the eigen-kernels (``_svd`` is behind
 the Euler decomposition and ``williamson._skew_svd``, the SVD of the skew
 K = F^T J F for symplectic spectra and Williamson forms), and the other
-underscore helpers trust their inputs. The refusing operations (fractional
-powers, logarithms, symplectic spectra) reject near-singular input instead of
-regularizing it, so inequality margins are never silently corrupted.
+underscore helpers trust their inputs. ``require_numeric`` is the one
+conversion of outside arrays, and the other ``require_*`` check parameters.
+The refusing operations (fractional powers, logarithms, symplectic spectra)
+reject near-singular input instead of regularizing it.
 """
 
 import operator
@@ -36,12 +37,21 @@ def require_square(X: np.ndarray, name: str = "matrix", stacked: bool = False) -
     """Return X as a float array, raising InputError unless it is a finite
     square 2-d matrix, or with ``stacked`` a stack of them along one leading
     axis (the message then names the shape of one matrix)."""
-    X = np.asarray(X, dtype=float)
+    X = require_numeric(X, name)
     if X.ndim != 2 + stacked or X.shape[-1] != X.shape[-2]:
         raise InputError(f"{name} must be square, got shape {X.shape[int(stacked):]}")
     if not np.all(np.isfinite(X)):
         raise InputError(f"{name} has non-finite entries")
     return X
+
+
+def require_numeric(x, name: str) -> np.ndarray:
+    """x as a float array, after an InputError unless numpy can convert it:
+    the one conversion of outside array input."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} must be numeric: {exc}") from exc
 
 
 def require_nonnegative(value: float, name: str) -> None:
@@ -63,6 +73,21 @@ def require_integer(value, name: str) -> int:
         except TypeError:
             pass
     raise InputError(f"{name} must be an integer, got {value}")
+
+
+def require_between(value, name: str, lo, hi):
+    """value, after an InputError unless it is a number in [lo, hi]."""
+    try:
+        if lo <= value <= hi:
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise InputError(f"{name} must lie in [{lo}, {hi}], got {value}")
+
+
+def require_index(value, name: str, lo: int, hi: int) -> int:
+    """value as an int, after an InputError unless it is an integer in [lo, hi]."""
+    return require_between(require_integer(value, name), name, lo, hi)
 
 
 def symmetrize(S: np.ndarray, stacked: bool = False) -> np.ndarray:
@@ -175,16 +200,10 @@ def _sym_exp(S: np.ndarray) -> np.ndarray:
 
 
 def sym_pow(S: np.ndarray, t: float) -> np.ndarray:
-    """Fractional power S^t of a symmetric positive definite matrix.
-
-    Computed as Q diag(lambda^t) Q^T. ``sym_pow(S, 1) == S`` and
-    ``sym_pow(S, 0) == I`` up to roundoff.
-
-    Raises
-    ------
-    DomainError
-        If S is not positive definite, or lambda_min <= 1e-12 * lambda_max
-        (near-singular input is refused rather than regularized).
+    """Fractional power S^t = Q diag(lambda^t) Q^T of a symmetric positive
+    definite matrix (``sym_pow(S, 1) == S`` and ``sym_pow(S, 0) == I`` up to
+    roundoff). DomainError unless S is positive definite with lambda_min >
+    1e-12 * lambda_max: near-singular input is refused rather than regularized.
     """
     w, Q = _eigh(_posdef(S, refuse_near_singular=True))
     return (Q * w**t) @ Q.T

@@ -16,14 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .matfun import _eigh, _posdef, _same_order, _sym_exp, require_integer, require_nonnegative
+from .matfun import (
+    _eigh, _posdef, _same_order, _sym_exp, require_between, require_integer, require_nonnegative, require_numeric
+)
 
 
 def validate_weights(w, m: int) -> np.ndarray:
     """Positive finite weights of length m summing to 1 within 1e-12; uniform when None."""
     if w is None:
         return np.full(m, 1.0 / m)
-    w = np.asarray(w, dtype=float)
+    w = require_numeric(w, "weights")
     if w.shape != (m,):
         raise InputError(f"expected {m} weights, got shape {w.shape}")
     if not np.all(np.isfinite(w) & (w > 0.0)):
@@ -76,21 +78,12 @@ def riemannian_distance(A: np.ndarray, B: np.ndarray) -> float:
 
 def geodesic(A: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
     """Point A #_t B = A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2} on the geodesic
-    from A (t = 0) to B (t = 1).
-
-    Raises
-    ------
-    InputError
-        If t is outside [0, 1] (extrapolation is out of scope) or the orders
-        differ.
-    NumericalError
-        If A^{-1/2} B A^{-1/2} is not numerically positive definite.
-
-    For A = 2^a A', B = 2^b B' scaled to unit size, A #_t B is
-    2^((1 - t) a + t b) (A' #_t B').
+    from A (t = 0) to B (t = 1); for A = 2^a A', B = 2^b B' scaled to unit
+    size, A #_t B is 2^((1 - t) a + t b) (A' #_t B'). InputError unless t is a
+    number in [0, 1] (extrapolation is out of scope) and the orders agree;
+    NumericalError unless A^{-1/2} B A^{-1/2} is numerically positive definite.
     """
-    if not 0.0 <= t <= 1.0:
-        raise InputError(f"geodesic parameter must lie in [0, 1], got {t}")
+    require_between(t, "geodesic parameter", 0, 1)
     A, B = _same_order([_posdef(A), _posdef(B)])
     if t in (0.0, 1.0):
         return B if t else A

@@ -7,6 +7,10 @@ orthogonal-symplectic factors and a squeezing diagonal, the correspondence
 between orthogonal-symplectic matrices and complex unitaries, and seeded
 random generators used by the property suites.
 
+Symplectic input has one stacked gate, ``_symplectic``, judged by the one
+relative rule of ``_relative``; the public tests are its batch of one, and the
+kernels behind them trust their inputs.
+
 Block convention throughout: J = [[0, I], [-I, 0]]. Data in the interleaved
 convention (J_2 + ... + J_2 on the diagonal) can be mapped to this one with
 :func:`convention_permutation`.
@@ -18,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .matfun import _eigh, _svd, require_integer, require_nonnegative, require_square
+from .matfun import _eigh, _svd, require_integer, require_nonnegative, require_numeric, require_square
 
-# The one symplecticity threshold, relative to 1 + ||M||_F^2; the unitary
-# correspondence's orthogonality, block and unitarity tests use it too.
+# The one symplecticity threshold, relative to 1 + ||M||_F^2 (see _relative);
+# the unitary correspondence's orthogonality, block and unitarity tests use it too.
 SYMPLECTIC_TOL = 1e-9
 # Singular values of M within this multiple of max(1, s_1) of 1 form the
 # unit block (gamma = 1) of the Euler decomposition.
@@ -54,11 +58,7 @@ def convention_permutation(n: int) -> np.ndarray:
     convention used everywhere else in this package.
     """
     n = _half_order(n)
-    P = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        P[2 * k, k] = 1.0
-        P[2 * k + 1, n + k] = 1.0
-    return P
+    return np.eye(2 * n)[:, np.r_[0 : 2 * n : 2, 1 : 2 * n : 2]]
 
 
 @dataclass(frozen=True)
@@ -72,31 +72,45 @@ class SymplecticCheck:
         return self.ok
 
 
+def _relative(R: np.ndarray, X: np.ndarray):
+    """``(ok, residual)`` of each matrix of the real stack R and the stack X: the
+    Frobenius norm of R, one dot product per matrix as ``np.linalg.norm`` takes
+    it, and the one relative rule residual <= SYMPLECTIC_TOL * (1 + ||X||_F^2)."""
+    rows = R.reshape(R.shape[:-2] + (1, -1))
+    residual = np.sqrt(rows @ np.swapaxes(rows, -1, -2))[..., 0, 0]
+    return residual <= SYMPLECTIC_TOL * (1.0 + np.sum(np.abs(X) ** 2, axis=(-2, -1))), residual
+
+
+def _symplecticity(M):
+    """``(M, ok, residual)`` of a stack of candidates (b, 2n, 2n), after an InputError
+    unless square of even order: per matrix ||M^T J M - J||_F from one stacked product."""
+    M = require_square(M, "symplectic candidate", stacked=True)
+    if M.shape[-1] % 2 != 0:
+        raise InputError(f"symplectic matrices have even order, got {M.shape[-1]}")
+    J = standard_J(M.shape[-1] // 2)
+    return (M, *_relative(np.swapaxes(M, -1, -2) @ J @ M - J, M))
+
+
+def _symplectic(M) -> np.ndarray:
+    """The one symplectic gate: the stack M as floats, after an InputError
+    naming the residual of its first matrix that is not symplectic."""
+    M, ok, residual = _symplecticity(M)
+    if not ok.all():
+        raise InputError(f"matrix is not symplectic: residual {residual[np.argmin(ok)]:.3e} exceeds tolerance")
+    return M
+
+
 def is_symplectic(M: np.ndarray) -> SymplecticCheck:
-    """Test M^T J M = J, reporting the Frobenius residual.
-
-    The matrix passes when ``||M^T J M - J||_F <= SYMPLECTIC_TOL * (1 + ||M||_F^2)``.
-
-    Raises
-    ------
-    InputError
-        If M is not square of even order.
-    """
-    M = require_square(M, "symplectic candidate")
-    if M.shape[0] % 2 != 0:
-        raise InputError(f"symplectic matrices have even order, got {M.shape[0]}")
-    J = standard_J(M.shape[0] // 2)
-    residual = float(np.linalg.norm(M.T @ J @ M - J))
-    scale = 1.0 + float(np.sum(M * M))
-    return SymplecticCheck(ok=residual <= SYMPLECTIC_TOL * scale, residual=residual)
+    """Test M^T J M = J, reporting the Frobenius residual: M passes when
+    ``||M^T J M - J||_F <= SYMPLECTIC_TOL * (1 + ||M||_F^2)``. InputError unless
+    M is square of even order."""
+    _, ok, residual = _symplecticity([M])
+    return SymplecticCheck(ok=bool(ok[0]), residual=float(residual[0]))
 
 
 def validate_symplectic(M: np.ndarray) -> np.ndarray:
     """Return M as an array, raising InputError if it fails ``is_symplectic``."""
-    check = is_symplectic(M)
-    if not check.ok:
-        raise InputError(f"matrix is not symplectic: residual {check.residual:.3e} exceeds tolerance")
-    return np.asarray(M, dtype=float)
+    return _symplectic([M])[0]
 
 
 def associated_matrix(M: np.ndarray) -> np.ndarray:
@@ -115,14 +129,19 @@ def _associated(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M[..., :n, :n] ** 2 + M[..., :n, n:] ** 2 + M[..., n:, :n] ** 2 + M[..., n:, n:] ** 2)
 
 
+def _candidate(B, tol, name: str) -> np.ndarray:
+    """B as floats, after an InputError unless tol is finite and >= 0 and B nonempty, finite and square."""
+    require_nonnegative(tol, "tol")
+    B = require_square(B, name)
+    if B.size == 0:
+        raise InputError(f"{name} must be nonempty")
+    return B
+
+
 def is_doubly_stochastic(B: np.ndarray, tol: float = 1e-8) -> bool:
     """True when all entries are >= -tol and every row and column sums to 1
     within tol."""
-    require_nonnegative(tol, "tol")
-    B = require_square(B, "doubly stochastic candidate")
-    if B.size == 0:
-        raise InputError("doubly stochastic candidate must be nonempty")
-    return bool(_doubly_stochastic(B, tol))
+    return bool(_doubly_stochastic(_candidate(B, tol, "doubly stochastic candidate"), tol))
 
 
 def _doubly_stochastic(B: np.ndarray, tol: float) -> np.ndarray:
@@ -149,7 +168,12 @@ class SuperstochasticCheck:
 
 
 def is_doubly_superstochastic(B: np.ndarray, tol: float = 1e-9) -> SuperstochasticCheck:
-    """Decide whether B dominates some doubly stochastic matrix entrywise.
+    """Decide whether B dominates some doubly stochastic matrix entrywise (see :func:`_superstochastic`)."""
+    return _superstochastic(_candidate(B, tol, "doubly superstochastic candidate"), tol)
+
+
+def _superstochastic(B: np.ndarray, tol: float) -> SuperstochasticCheck:
+    """:func:`is_doubly_superstochastic` of the trusted B and tol.
 
     Max-flow on one dense (2n+2) x (2n+2) residual-capacity matrix: source 2n
     feeds rows 0..n-1 with capacity 1, row i feeds column n+j with b_ij + tol,
@@ -160,11 +184,7 @@ def is_doubly_superstochastic(B: np.ndarray, tol: float = 1e-9) -> Superstochast
     hashing and index-order choices make the result depend on B and tol alone.
     The witness is the reverse row-to-column residual: p_ij <= b_ij + tol.
     """
-    require_nonnegative(tol, "tol")
-    B = require_square(B, "doubly superstochastic candidate")
     n = B.shape[0]
-    if n == 0:
-        raise InputError("doubly superstochastic candidate must be nonempty")
     if np.min(B) < -tol:
         return SuperstochasticCheck(ok=False, flow_value=0.0, witness=None)
     source, sink = 2 * n, 2 * n + 1
@@ -268,24 +288,16 @@ def orthosymplectic_to_unitary(O: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts (X, Y) of the unitary U = X + iY corresponding
     to an orthogonal-symplectic O = [[X, -Y], [Y, X]].
 
-    No global phase is fixed; in particular the standard form J maps to
-    (0, -I), i.e. U = -iI, under this block convention.
-
-    Raises
-    ------
-    InputError
-        If O is not orthogonal-symplectic of the required block form.
+    No global phase is fixed: the standard form J maps to (0, -I), i.e.
+    U = -iI. InputError unless O is orthogonal-symplectic of that block form.
     """
     O = validate_symplectic(O)
     n = O.shape[0] // 2
-    orth = np.linalg.norm(O.T @ O - np.eye(2 * n))
-    if orth > SYMPLECTIC_TOL * (1.0 + float(np.sum(O * O))):
+    ok, orth = _relative(O.T @ O - np.eye(2 * n), O)
+    if not ok:
         raise InputError(f"matrix is not orthogonal: ||O^T O - I||_F = {orth:.3e}")
     X, Y = O[:n, :n], O[n:, :n]
-    block_dev = max(
-        float(np.max(np.abs(O[:n, n:] + Y))),
-        float(np.max(np.abs(O[n:, n:] - X))),
-    )
+    block_dev = float(np.max(np.abs(O - _orthosymplectic(X, Y))))
     if block_dev > SYMPLECTIC_TOL * max(1.0, float(np.max(np.abs(O)))):
         raise InputError(f"matrix lacks the [[X, -Y], [Y, X]] block structure: deviation {block_dev:.3e}")
     return X, Y
@@ -299,8 +311,9 @@ def unitary_to_orthosymplectic(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     if X.shape != Y.shape:
         raise InputError("real and imaginary parts must have matching shape")
     U = X + 1j * Y
-    dev = np.linalg.norm(U.conj().T @ U - np.eye(X.shape[0]))
-    if dev > SYMPLECTIC_TOL * (1.0 + float(np.sum(np.abs(U) ** 2))):
+    # The Frobenius norm of a complex matrix is that of its real and imaginary parts side by side.
+    ok, dev = _relative((U.conj().T @ U - np.eye(X.shape[0])).view(float), U)
+    if not ok:
         raise InputError(f"X + iY is not unitary: ||U*U - I||_F = {dev:.3e}")
     return _orthosymplectic(X, Y)
 
@@ -322,22 +335,15 @@ def mtilde_identity_check(M: np.ndarray) -> float:
 
     With U, V the unitaries of o1, o2 and s = (gamma + 1/gamma)/2,
     d = (gamma - 1/gamma)/2, each entry of the associated matrix equals
-    |(U diag(d) V^T)_ij|^2 + |(U diag(s) V^*)_ij|^2. Serves as an internal
-    consistency test tying together the Euler decomposition, the unitary
-    correspondence and the associated matrix. The decomposition validates M;
-    its factors are trusted, so U and V are read from their left blocks.
+    |(U diag(d) V^T)_ij|^2 + |(U diag(s) V^*)_ij|^2: a consistency test of the
+    Euler decomposition, which validates M, the unitary correspondence and the
+    associated matrix. U and V are read from the trusted factors' left blocks.
     """
     form = euler_decompose(M)
-    n = form.gamma.size
-    U = form.o1[:n, :n] + 1j * form.o1[n:, :n]
-    V = form.o2[:n, :n] + 1j * form.o2[n:, :n]
-    half_sum = (form.gamma + 1.0 / form.gamma) / 2.0
-    half_diff = (form.gamma - 1.0 / form.gamma) / 2.0
-    t1 = (U * half_diff) @ V.T
-    t2 = (U * half_sum) @ V.conj().T
-    rhs = np.abs(t1) ** 2 + np.abs(t2) ** 2
-    lhs = _associated(np.asarray(M, dtype=float))
-    return float(np.max(np.abs(lhs - rhs)))
+    g, n = form.gamma, form.gamma.size
+    U, V = (o[:n, :n] + 1j * o[n:, :n] for o in (form.o1, form.o2))
+    rhs = np.abs((U * ((g - 1.0 / g) / 2.0)) @ V.T) ** 2 + np.abs((U * ((g + 1.0 / g) / 2.0)) @ V.conj().T) ** 2
+    return float(np.max(np.abs(_associated(np.asarray(M, dtype=float)) - rhs)))
 
 
 def _haar(N: np.ndarray) -> np.ndarray:
@@ -414,7 +420,7 @@ def random_posdef_rng(
     n = _half_order(n)
     require_nonnegative(condition_spread, "condition_spread")
     if d is not None:
-        d = np.asarray(d, dtype=float)
+        d = require_numeric(d, "d")
         if d.shape != (n,) or not np.all(np.isfinite(d) & (d > 0.0)):
             raise InputError(f"d must hold {n} finite positive entries, got {d.tolist()}")
     S = random_symplectic_rng(rng, n, spread)

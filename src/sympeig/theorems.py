@@ -2,63 +2,58 @@
 
 Every checker computes both sides of its statement on a concrete instance and
 returns a TheoremReport whose margin is recomputable from the recorded
-quantities. Each checker runs on a batch: its positive definite inputs are
-stacks along a leading axis, and one stacked call per step (the gate's
-certificate and Cholesky factor, the SVD of K, eigh, the restriction
-products, row-wise majorization) serves the whole batch. A public ``check_*``
-is that batch path on a batch of one. Every row takes the same elementwise
-path, so a record does not depend on its group. Only these run one instance
-at a time: theorem 4's Karcher solves, theorem 6's max-flow, and the cluster
-re-pairing of theorem 5's rows that have clusters.
+quantities. Each checker runs on a batch, its inputs stacked along a leading
+axis: one gate per input stack (the positive definite gate's certificate and
+Cholesky factor, or the symplectic gate's stacked residual) and one stacked
+call per step (the SVD of K, eigh, the restriction products, row-wise
+majorization) serve the whole batch. A public ``check_*`` is that path on a
+batch of one, and every row takes the same elementwise path, so a record does
+not depend on its group. Only theorem 4's Karcher solves, theorem 6's
+max-flow and the cluster re-pairing of theorem 5's rows run one instance at a
+time.
 
 The suite reads the table ``THEOREMS = {id: (tolerance, draw, check)}``. Each
-instance is drawn from its own generator, seeded by (seed, theorem, trial);
-the draws do not depend on any computed value. Instances of one theorem and
-half-order (and, for theorem 5, one k) form a group: its random matrices are
-assembled in one stacked pass, and its checker is called once. Every solver
-failure inside a checker is a SympeigError, and one in a group re-runs that
-group one instance at a time, so a refusal stays the record of its own
-instance. Margin conventions:
+instance is drawn from its own generator, seeded by (seed, theorem, trial),
+never from a computed value. Instances of one theorem and half-order (and,
+for theorem 5, one k) form a group, assembled in one stacked pass and checked
+in one call. A SympeigError in a group re-runs it one instance at a time, so
+a refusal stays the record of its own instance.
 
-- comparisons of products/spectra in log space carry raw log-domain margins
-  (absolute tolerance);
-- linear comparisons (traces, sums, norms) are normalized by
-  max(1, largest quantity in the comparison), so one absolute tolerance
-  applies across scales.
-
-A report holds exactly when margin >= -tolerance; a margin is the smallest of
-its components, and a NaN component (an overflow, say) makes it NaN, which
-fails. Theorem 4, whose checker depends on an iterative solve (the Karcher
-mean), reports ``inconclusive`` instead of failing when the solve did not
-converge. Each parameter (k, t, weights, a drop index, a partition) is
-validated once, by the public ``check_*`` that receives it, before its
-matrices; the batch checkers trust theirs, and the suite's draws are valid by
-construction. Each input passes one gate; the kernels behind the public
-functions then use its symmetrized matrix and factor. A matrix X derived from
-the inputs passes no second gate: its symplectic spectrum is read from a
-square factor X = F F^T.
+Log-space comparisons of products and spectra carry raw log-domain margins;
+linear ones (traces, sums, norms) are normalized by max(1, largest quantity
+compared), so one absolute tolerance applies across scales. A report holds
+exactly when margin >= -tolerance; a margin is the smallest of its
+components, and a NaN component makes it NaN, which fails. Theorem 4 reports
+``inconclusive`` instead of failing when its Karcher solve did not converge.
+Each parameter (k, t, weights, a drop index, a partition) is validated once,
+by the public ``check_*`` that receives it, before its matrices; the batch
+checkers and kernels trust theirs, and the suite draws valid ones. A matrix X
+derived from the inputs passes no second gate: its symplectic spectrum is
+read from a square factor X = F F^T.
 """
 
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import partial, reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from . import majorization, means, sops
 from .errors import InputError, SympeigError
-from .matfun import _cholesky, _eigh, _svd, require_integer, require_nonnegative
+from .matfun import (
+    _cholesky, _eigh, _svd, require_between, require_index, require_integer, require_nonnegative, require_numeric
+)
 from .symplectic import (
     _associated,
     _congruence,
     _doubly_stochastic,
     _squeezed,
-    is_doubly_superstochastic,
+    _superstochastic,
+    _symplectic,
     random_orthosymplectic_rng,
     standard_J,
-    validate_symplectic,
 )
 from .williamson import _doubled, _even_order, _factor_spectrum, _gate, _one, _sharp, _skew, _williamson
 
@@ -150,6 +145,11 @@ def _reports(theorem_id, tol, margins, **columns) -> list[TheoremReport]:
     return [_report(theorem_id, dict(zip(columns, row)), m, tol) for row, m in zip(rows, margins)]
 
 
+def _half(A) -> int:
+    """The half-order of a public checker's matrix, after an InputError unless it is square of even order."""
+    return _even_order(_one(A), stacked=True).shape[-1] // 2
+
+
 def _theorem1(A, t, *, tol):
     [(A, L)] = _gate(A)
     tt = np.array(t, dtype=float)[:, None]
@@ -187,8 +187,7 @@ def check_theorem3(A: np.ndarray, B: np.ndarray, t: float, tol: float | None = N
     """Doubled spectrum of the geodesic point A #_t B is log-majorized by the
     coordinatewise product d_hat(A)^(1-t) * d_hat(B)^t."""
     tol = _tolerance("3", tol)
-    if not 0.0 <= t <= 1.0:
-        raise InputError(f"geodesic parameter must lie in [0, 1], got {t}")
+    require_between(t, "geodesic parameter", 0, 1)
     return _theorem3(_one(A), _one(B), [t], tol=tol)[0]
 
 
@@ -285,14 +284,11 @@ def check_theorem5(
     ``minimizer_trace`` and ``minimizer_logdet``.
     """
     tol = _tolerance("5", tol)
-    A = _one(A)
-    n = _even_order(A, stacked=True).shape[-1] // 2
-    k = require_integer(k, "k")
-    if not 1 <= k <= n:
-        raise InputError(f"k must lie in [1, {n}], got {k}")
+    A, n = _one(A), _half(A)
+    k = require_index(k, "k", 1, n)
     if M is None:
         return _theorem5(A, [k], _assemble([_restrictions(rng or np.random.default_rng(0), n)]), tol=tol)[0]
-    M = np.asarray(M, dtype=float)
+    M = require_numeric(M, "restriction")
     if M.shape != (2 * n, 2 * k):
         raise InputError(f"restriction must be {2 * n} x {2 * k}, got {M.shape}")
     if not np.all(np.isfinite(M)):
@@ -325,20 +321,18 @@ def check_superadditivity(A: np.ndarray, B: np.ndarray, k: int | None = None, to
     None, all of them."""
     tol = _tolerance("superadditivity", tol)
     if k is not None:
-        n = _even_order(_one(A), stacked=True).shape[-1] // 2
-        k = require_integer(k, "k")
-        if not 1 <= k <= n:
-            raise InputError(f"k must lie in [1, {n}], got {k}")
+        k = require_index(k, "k", 1, _half(A))
     return _superadditivity(_one(A), _one(B), None if k is None else [k], tol=tol)[0]
 
 
 def _theorem6(M, *, tol):
-    """One report per symplectic matrix of M; only the max-flow runs one matrix at a time."""
-    M = np.array([validate_symplectic(Mi) for Mi in M])
+    """One report per matrix of the stack M, through one gate; only the max-flow runs one matrix at a time."""
+    M = _symplectic(M)
     mt = _associated(M)
     n = mt.shape[-1]
     row_min, col_min = np.min(mt.sum(axis=-1), axis=-1), np.min(mt.sum(axis=-2), axis=-1)
-    flow = np.array([is_doubly_superstochastic(B).flow_value for B in mt])
+    # 1e-9: is_doubly_superstochastic's default tolerance
+    flow = np.array([_superstochastic(B, 1e-9).flow_value for B in mt])
     stochastic = _doubly_stochastic(mt, tol)
     orth_residual = np.linalg.norm(M.swapaxes(-1, -2) @ M - np.eye(2 * n), axis=(-2, -1))
     consistent = stochastic == (orth_residual <= ORTHOGONALITY_TOL)
@@ -408,12 +402,10 @@ def check_interlacing(A: np.ndarray, drop_index: int, tol: float | None = None) 
     deleting one index pair: d_j(A) <= d_j(B) <= d_{j+2}(A), with the
     convention that d_{n+1}(A) is infinite."""
     tol = _tolerance("interlacing", tol)
-    n = _even_order(_one(A), stacked=True).shape[-1] // 2
+    n = _half(A)
     if n < 2:
         raise InputError("interlacing needs half-order n >= 2")
-    drop_index = require_integer(drop_index, "drop index")
-    if not 0 <= drop_index < n:
-        raise InputError(f"drop index must lie in [0, {n - 1}], got {drop_index}")
+    drop_index = require_index(drop_index, "drop index", 0, n - 1)
     return _interlacing(_one(A), [drop_index], tol=tol)[0]
 
 
@@ -458,7 +450,7 @@ def check_pinching(A: np.ndarray, sizes, tol: float | None = None) -> TheoremRep
     symmetric polynomials and their roots, sum of x/(1+x), sum of logs,
     power means with exponent below 1)."""
     tol = _tolerance("pinching", tol)
-    sizes = sops.validate_partition(sizes, _even_order(_one(A), stacked=True).shape[-1] // 2)
+    sizes = sops.validate_partition(sizes, _half(A))
     return _pinching(_one(A), [sizes], tol=tol)[0]
 
 
@@ -499,8 +491,7 @@ def check_corollary8(A: np.ndarray, B: np.ndarray, t: float, tol: float | None =
     stay Gaussian (smallest symplectic eigenvalue >= 1/2). The mean of the
     two inputs is their geodesic midpoint A #_{1/2} B."""
     tol = _tolerance("corollary8", tol)
-    if not 0.0 <= t <= 1.0:
-        raise InputError(f"power/geodesic parameter must lie in [0, 1], got {t}")
+    require_between(t, "power/geodesic parameter", 0, 1)
     return _corollary8(_one(A), _one(B), [t], tol=tol)[0]
 
 
@@ -530,20 +521,16 @@ class _Draw(NamedTuple):
     d: np.ndarray | None = None
 
 
-def _planted_spectrum(rng, n, spread_log, duplicates, offset=0.0):
-    if duplicates and n >= 2:
-        base = np.exp(rng.uniform(-spread_log, spread_log, size=(n + 1) // 2))
-        vals = np.concatenate([base, base])[:n]
-    else:
-        vals = np.exp(rng.uniform(-spread_log, spread_log, size=n))
-    return np.sort(offset + vals)
-
-
 def _planted(rng, n, cfg, trial, offset=0.0) -> _Draw:
     """A suite matrix with a planted spectrum, drawn in the order of
     ``random_posdef_rng``; every fifth trial plants repeated entries."""
-    d = _planted_spectrum(rng, n, cfg.condition_spread, trial % 5 == 4, offset)
-    return _Draw(rng.standard_normal((2, 2, n, n)), rng.uniform(0.0, cfg.spread, size=n), d)
+    c = cfg.condition_spread
+    if trial % 5 == 4 and n >= 2:
+        base = np.exp(rng.uniform(-c, c, size=(n + 1) // 2))
+        d = np.concatenate([base, base])[:n]
+    else:
+        d = np.exp(rng.uniform(-c, c, size=n))
+    return _Draw(rng.standard_normal((2, 2, n, n)), rng.uniform(0.0, cfg.spread, size=n), np.sort(offset + d))
 
 
 def _restrictions(rng, n) -> _Draw:
@@ -614,10 +601,6 @@ def _draw_one(rng, n, cfg, trial):
     return (n,), (_planted(rng, n, cfg, trial),)
 
 
-def _draw_gaussian(rng, n, cfg, trial):
-    return _draw_geodesic(rng, n, cfg, trial, offset=0.5)
-
-
 THEOREMS = {
     "1": (1e-9, _draw_power, _theorem1),
     "3": (1e-9, _draw_geodesic, _theorem3),
@@ -629,7 +612,7 @@ THEOREMS = {
     "interlacing": (1e-9, _draw_submatrix, _interlacing),
     "pinching": (1e-8, _draw_pinching, _pinching),
     "11": (1e-9, _draw_one, _theorem11),
-    "corollary8": (1e-8, _draw_gaussian, _corollary8),
+    "corollary8": (1e-8, partial(_draw_geodesic, offset=0.5), _corollary8),
     "minmax": (1e-8, _draw_one, _minmax),
 }
 DEFAULT_TOLERANCES = {theorem_id: tol for theorem_id, (tol, _, _) in THEOREMS.items()}
@@ -710,18 +693,12 @@ def _check_group(cfg: SuiteConfig, theorem_id: str, draws: list) -> list[Theorem
 
 
 def run_suite(cfg: SuiteConfig) -> list[TheoremReport]:
-    """Run the seeded verification suite.
-
-    For each requested theorem, ``cfg.trials`` instances are generated from
-    per-instance generators seeded by (suite seed, theorem index, trial), so
-    the full report list is deterministic in the seed. Every fifth instance
-    plants a spectrum with duplicate entries to exercise degeneracy.
-    SUITE_CHUNK instances at a time are drawn, then each group of one theorem
-    and one group key among them is checked in one call; reports come back in
-    (theorem, trial) order. An instance that raises a SympeigError is recorded
-    as a failure (NaN margin, message in quantities) and the suite continues.
-    The suite runs in one process, and its records do not depend on the CPU
-    count.
+    """Run the seeded verification suite: ``cfg.trials`` instances per theorem,
+    deterministic in the seed (see the module docstring), every fifth with a
+    repeated planted spectrum. SUITE_CHUNK instances at a time are drawn and
+    checked group by group; reports come back in (theorem, trial) order. An
+    instance that raises a SympeigError is recorded as a failure (NaN margin,
+    message in quantities). The records do not depend on the CPU count.
     """
     tasks = [(theorem_id, trial) for theorem_id in cfg.theorems for trial in range(cfg.trials)]
     reports = [None] * len(tasks)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .matfun import _cholesky, _posdef, _same_order, _svd, require_nonnegative, require_square
+from .matfun import _cholesky, _posdef, _same_order, _svd, require_nonnegative, require_numeric, require_square
 from .symplectic import _hermitian_pairs, standard_J
 
 # Consecutive d_j closer than this fraction of d_n are paired as one cluster.
@@ -94,7 +94,7 @@ def _skew(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _one(A) -> np.ndarray:
     """A public function's matrix as a batch of one."""
-    return np.asarray(A, dtype=float)[None]
+    return require_numeric(A, "positive definite matrix")[None]
 
 
 def _gate(*stacks):

@@ -25,6 +25,7 @@ from sympeig import (
     check_theorem6,
     check_theorem7,
     check_theorem11,
+    geodesic,
     karcher_mean,
     random_posdef,
     random_symplectic,
@@ -118,11 +119,12 @@ def test_corollary8_rejects_a_non_gaussian_second_input():
 
 
 # Calls of each checker and the gate calls they make: one symmetrize per
-# distinct positive definite input, one is_symplectic per symplectic input.
+# distinct positive definite input, one symplecticity test per symplectic input.
 # The matrices a checker derives (A^t, A #_t B, the mean, A + B, a pinching, a
 # submatrix) pass no gate: their spectra are read from a factor. Each call
 # passes its keywords (a tolerance) on to the checker. A stacked gate call
-# certifies every matrix of its stack, so it counts as its batch size.
+# certifies every matrix of its stack, so it counts as its batch size; the
+# symplecticity test behind the symplectic gate always takes a stack.
 GATE_CALLS = {
     "1": (lambda **kw: check_theorem1(VALID[0], 0.5, **kw), 1, 0),
     "3": (lambda **kw: check_theorem3(VALID[0], VALID[1], 0.5, **kw), 2, 0),
@@ -140,13 +142,14 @@ GATE_CALLS = {
 
 
 def spy_on_gates(monkeypatch) -> dict:
-    """Count the matrices that pass symmetrize (a stack counts its batch size)
-    and is_symplectic."""
-    calls = {"symmetrize": 0, "is_symplectic": 0}
-    for module, name in ((sympeig.matfun, "symmetrize"), (sympeig.symplectic, "is_symplectic")):
+    """Count the matrices that pass symmetrize and the stacked symplecticity
+    test (a stack counts its batch size)."""
+    calls = {"symmetrize": 0, "_symplecticity": 0}
+    for module, name in ((sympeig.matfun, "symmetrize"), (sympeig.symplectic, "_symplecticity")):
 
         def spy(*args, _name=name, _original=getattr(module, name), **kwargs):
-            calls[_name] += len(args[0]) if kwargs.get("stacked") else 1
+            stacked = kwargs.get("stacked") or _name == "_symplecticity"
+            calls[_name] += len(args[0]) if stacked else 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, spy)
@@ -155,20 +158,20 @@ def spy_on_gates(monkeypatch) -> dict:
 
 @pytest.mark.parametrize("checker", sorted(GATE_CALLS))
 def test_one_gate_per_matrix(monkeypatch, checker):
-    call, symmetrize, is_symplectic = GATE_CALLS[checker]
+    call, symmetrize, symplectic = GATE_CALLS[checker]
     calls = spy_on_gates(monkeypatch)
     assert call().holds
-    assert calls == {"symmetrize": symmetrize, "is_symplectic": is_symplectic}
+    assert calls == {"symmetrize": symmetrize, "_symplecticity": symplectic}
 
 
 @pytest.mark.parametrize("checker", sorted(GATE_CALLS))
 def test_suite_gates_each_input_of_each_instance_once(monkeypatch, checker):
     # 7 trials over half-orders 2 and 3 give stacked groups.
-    _, symmetrize, is_symplectic = GATE_CALLS[checker]
+    _, symmetrize, symplectic = GATE_CALLS[checker]
     calls = spy_on_gates(monkeypatch)
     reports = run_suite(SuiteConfig(seed=4, trials=7, nmin=2, nmax=3, theorems=(checker,)))
     assert all(r.holds for r in reports)
-    assert calls == {"symmetrize": 7 * symmetrize, "is_symplectic": 7 * is_symplectic}
+    assert calls == {"symmetrize": 7 * symmetrize, "_symplecticity": 7 * symplectic}
 
 
 @pytest.mark.parametrize("checker", sorted(GATE_CALLS))
@@ -223,3 +226,21 @@ def test_integer_parameters_must_be_integers(parameter):
     with pytest.raises(InputError, match="must be an integer"):
         call(1.0)
     call(np.int64(1))
+
+
+# The parameter t in [0, 1] of geodesics and of theorem 3 and corollary 8: out
+# of range or not a number, it is an InputError with the entry point's name.
+UNIT_PARAMETERS = {
+    "theorem 3": (lambda t: check_theorem3(VALID[0], VALID[1], t), "geodesic parameter"),
+    "corollary 8": (lambda t: check_corollary8(VALID[0], VALID[1], t), "power/geodesic parameter"),
+    "geodesic": (lambda t: geodesic(VALID[0], VALID[1], t), "geodesic parameter"),
+}
+
+
+@pytest.mark.parametrize("t", ["0.5", None, 1.5])
+@pytest.mark.parametrize("entry", sorted(UNIT_PARAMETERS))
+def test_unit_parameter_must_be_a_number_in_the_unit_interval(entry, t):
+    call, name = UNIT_PARAMETERS[entry]
+    with pytest.raises(InputError) as info:
+        call(t)
+    assert str(info.value) == f"{name} must lie in [0, 1], got {t}"

@@ -20,7 +20,16 @@ from sympeig import (
     standard_J,
     unitary_to_orthosymplectic,
 )
-from sympeig.symplectic import _doubly_stochastic, random_orthosymplectic_rng, random_posdef_rng
+from sympeig.symplectic import (
+    SYMPLECTIC_TOL,
+    _doubly_stochastic,
+    _superstochastic,
+    _symplectic,
+    random_orthosymplectic_rng,
+    random_posdef_rng,
+    validate_symplectic,
+)
+from sympeig.theorems import SuiteConfig, _draw_task, _theorem6
 
 
 class TestStandardJ:
@@ -345,6 +354,14 @@ class TestUnitaryCorrespondence:
         with pytest.raises(InputError, match="not unitary"):
             unitary_to_orthosymplectic(2.0 * np.eye(2), np.zeros((2, 2)))
 
+    def test_rejects_a_shear_outside_the_block_form(self):
+        # An exactly symplectic shear, orthogonal within tolerance, whose top-right block is not -Y.
+        O = np.eye(4)
+        O[0, 2] = 3e-9
+        with pytest.raises(InputError) as info:
+            orthosymplectic_to_unitary(O)
+        assert str(info.value) == "matrix lacks the [[X, -Y], [Y, X]] block structure: deviation 3.000e-09"
+
 
 class TestMtildeIdentity:
     def test_identity(self):
@@ -483,3 +500,45 @@ class TestTheoremSixCharacterization:
             M = (o1 * np.concatenate([gamma, 1.0 / gamma])) @ o2.T
             assert not is_doubly_stochastic(associated_matrix(M), tol=1e-8)
             assert is_doubly_superstochastic(associated_matrix(M), tol=1e-9).ok
+
+
+class TestStackedSymplecticGate:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bits_of_the_single_matrix_formula(self, n):
+        # The 2-d formula the gate replaced: one np.linalg.norm and one np.sum per matrix.
+        J = standard_J(n)
+        for seed in range(40):
+            M = random_symplectic(seed, n, 1.5)
+            residual = float(np.linalg.norm(M.T @ J @ M - J))
+            check = is_symplectic(M)
+            assert check.residual == residual
+            assert check.ok == (residual <= SYMPLECTIC_TOL * (1.0 + float(np.sum(M * M))))
+
+    def test_stack_raises_the_message_of_its_first_bad_matrix(self):
+        good = [random_symplectic(seed, 3, 1.0) for seed in range(4)]
+        bad = good[1] + 1e-3
+        with pytest.raises(InputError) as alone:
+            validate_symplectic(bad)
+        assert str(alone.value).startswith("matrix is not symplectic: residual")
+        stack = np.array([good[0], bad, good[2], 2.0 * good[3]])
+        for call in (_symplectic, lambda M: _theorem6(M, tol=1e-8)):
+            with pytest.raises(InputError) as stacked:
+                call(stack)
+            assert str(stacked.value) == str(alone.value)
+        assert np.array_equal(_symplectic(np.array(good)), good)
+
+
+def _theorem6_associated():
+    """The associated matrices of the seed-0 suite's theorem-6 draws."""
+    return [associated_matrix(_draw_task(SuiteConfig(), "6", trial)[1][0]) for trial in range(100)]
+
+
+@pytest.mark.parametrize(
+    "B", [*_theorem6_associated(), np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])]
+)
+def test_max_flow_kernel_equals_the_public_test(B):
+    kernel, public = _superstochastic(B, 1e-9), is_doubly_superstochastic(B)
+    assert (kernel.ok, kernel.flow_value) == (public.ok, public.flow_value)
+    assert (kernel.witness is None) == (public.witness is None)
+    if public.witness is not None:
+        assert np.array_equal(kernel.witness, public.witness)

@@ -12,10 +12,14 @@ from sympeig import (
     NumericalError,
     SuiteConfig,
     check_minmax,
+    check_theorem4,
+    check_theorem5,
+    check_theorem6,
     euler_decompose,
     geodesic,
     karcher_mean,
     karcher_residual,
+    log_majorizes,
     norms,
     random_posdef,
     random_symplectic,
@@ -32,6 +36,7 @@ from sympeig import (
 from sympeig.cli import main
 from sympeig.matfun import PD_RELCUT, SYMTOL, _check_posdef
 from sympeig.matio import save_matrix
+from sympeig.symplectic import random_posdef_rng
 
 I4 = np.eye(4)
 
@@ -244,3 +249,22 @@ def test_cholesky_failure_is_numerical_error(monkeypatch, tmp_path, capsys):
     save_matrix(str(path), 2.0 * I4, kind="posdef")
     assert main(["williamson", str(path), "--form"]) == 4
     assert "Cholesky factorization failed" in capsys.readouterr().err
+
+
+# Array arguments that numpy cannot convert to float: each is an InputError
+# (exit 3) at its entry point, not numpy's ValueError.
+NON_NUMERIC = {
+    "spectrum": lambda: symplectic_spectrum([["a", "b"], ["c", "d"]]),
+    "theorem 4 weights": lambda: check_theorem4([I4, I4], ["x", "y"]),
+    "theorem 5 restriction": lambda: check_theorem5(random_posdef(0, 2)[0], 1, M=[["a", "b"]] * 4),
+    "log-majorization": lambda: log_majorizes(["a"], ["b"]),
+    "norms": lambda: norms([["a"]]),
+    "ragged symplectic": lambda: check_theorem6([[1, 2], [3]]),
+    "planted spectrum": lambda: random_posdef_rng(np.random.default_rng(0), 2, d=["a", "b"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_NUMERIC))
+def test_non_numeric_array_is_an_input_error(case):
+    with pytest.raises(InputError, match="must be numeric: "):
+        NON_NUMERIC[case]()
