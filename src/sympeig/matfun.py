@@ -156,7 +156,7 @@ def _posdef(S: np.ndarray, refuse_near_singular: bool = False, stacked: bool = F
     does not factor, the spectrum decides. Callers that need a factor or an
     eigendecomposition compute it afterwards. A stack is factored in one call,
     and when any of its matrices does not factor, the spectra decide for all.
-    Each ||.||_F is a dot product (matmul's vector case), as ``np.linalg.norm`` takes it.
+    Each ||.||_F is one :func:`_dot`, as ``np.linalg.norm`` takes it.
     """
     S = symmetrize(S, stacked=stacked)
     if not S.size:
@@ -165,14 +165,22 @@ def _posdef(S: np.ndarray, refuse_near_singular: bool = False, stacked: bool = F
     scale = np.max(np.abs(S), axis=(-2, -1), keepdims=True)
     scale[scale == 0.0] = 1.0
     cut = PD_RELCUT if refuse_near_singular else 0.0
-    rows = (S / scale).reshape(S.shape[:-2] + (1, m * m))
-    tau = (cut + m * m * np.finfo(float).eps) * scale * np.sqrt(rows @ np.swapaxes(rows, -1, -2))
+    T = S / scale
+    tau = (cut + m * m * np.finfo(float).eps) * scale * np.sqrt(_dot(T, T))[..., None, None]
     try:
         np.linalg.cholesky(S - tau * np.eye(m))
     except np.linalg.LinAlgError:
         for w in _eigh(S, values_only=True).reshape(-1, m):
             _check_posdef(w, refuse_near_singular)
     return S
+
+
+def _dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The Frobenius inner product of each pair of matrices of the stacks X and Y:
+    one dot product per matrix through matmul's vector case, which takes the
+    product as ``np.vdot`` and ``np.linalg.norm`` do, so a stacked row has the
+    bits of the single call."""
+    return (X.reshape(X.shape[:-2] + (1, -1)) @ Y.reshape(Y.shape[:-2] + (-1, 1)))[..., 0, 0]
 
 
 def _same_order(mats: list) -> list:
@@ -194,9 +202,9 @@ def _cholesky(S: np.ndarray) -> np.ndarray:
 
 
 def _sym_exp(S: np.ndarray) -> np.ndarray:
-    """exp S for a trusted, nearly symmetric S, symmetrized first."""
-    w, Q = _eigh((S + S.T) / 2.0)
-    return (Q * np.exp(w)) @ Q.T
+    """exp S for a trusted, nearly symmetric S, or each matrix of a stack, symmetrized first."""
+    w, Q = _eigh((S + np.swapaxes(S, -1, -2)) / 2.0)
+    return (Q * np.exp(w)[..., None, :]) @ np.swapaxes(Q, -1, -2)
 
 
 def sym_pow(S: np.ndarray, t: float) -> np.ndarray:

@@ -7,7 +7,8 @@ and A #_t B = F (G^T B G)^t F^T. No A^{-1/2} or inverse is formed, so accuracy
 degrades far less with kappa(A) * kappa(B). The Karcher mean starts at
 A_0 #_{w_1} A_1 (m = 2) or at exp(sum_j w_j log A_j) (m >= 3) and solves
 sum_j w_j log(G^T A_j G) = 0, G whitening the iterate, by Riemannian Newton
-steps; the norm of that sum is the reported certificate.
+steps; the norm of that sum is the reported certificate. One walk serves a
+batch of instances (theorem 4's groups), each row stepping as it would alone.
 """
 
 import math
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .matfun import (
-    _eigh, _posdef, _same_order, _sym_exp, require_between, require_integer, require_nonnegative, require_numeric
+    _dot, _eigh, _posdef, _same_order, _sym_exp, require_between, require_integer, require_nonnegative, require_numeric
 )
 
 
@@ -49,11 +50,13 @@ def _whitened_eig(G: np.ndarray, B: np.ndarray):
 
 
 def _spd_eigh(S: np.ndarray):
-    """``(w, Q)`` of the gated S, whose eigensolve may still put w_min <= 0 when S
-    is singular to working precision: NumericalError then, before any sqrt or log."""
+    """``(w, Q)`` of the gated S, or of each matrix of a stack, whose eigensolve may
+    still put w_min <= 0 when S is singular to working precision: NumericalError
+    then, before any sqrt or log."""
     w, Q = _eigh(S)
-    if w[0] <= 0.0:
-        raise NumericalError(f"matrix is not numerically positive definite: lambda_min = {w[0]:.6e}")
+    low = np.min(w[..., 0])
+    if low <= 0.0:
+        raise NumericalError(f"matrix is not numerically positive definite: lambda_min = {low:.6e}")
     return w, Q
 
 
@@ -122,13 +125,14 @@ class KarcherResult:
 
 
 def _log_sum(G: np.ndarray, stack: np.ndarray, w: np.ndarray):
-    """``(S, ell, V)``: S = sum_j w_j log(G^T A_j G) for the stacked A_j, with
-    G^T A_j G = V_j diag(exp ell_j) V_j^T. For X = Q diag(lam) Q^T and
-    G = Q diag(lam)^{-1/2}, S = -Q^T grad Q for
+    """``(S, ell, V)`` per row of a batch: S = sum_j w_j log(G^T A_j G) for the row's
+    G, its stacked A_j (``stack`` has shape (batch, m, N, N)) and weights (``w``
+    (batch, m)), with G^T A_j G = V_j diag(exp ell_j) V_j^T. For X = Q diag(lam) Q^T
+    and G = Q diag(lam)^{-1/2}, S = -Q^T grad Q for
     grad = sum_j w_j log(X^{1/2} A_j^{-1} X^{1/2})."""
-    mu, V = _whitened_eig(G, stack)
+    mu, V = _whitened_eig(G[:, None], stack)
     ell = np.log(mu)
-    return np.einsum("j,jik,jlk->il", w, V * ell[:, None, :], V), ell, V
+    return np.einsum("bj,bjik,bjlk->bil", w, V * ell[..., None, :], V), ell, V
 
 
 def karcher_residual(X: np.ndarray, mats, weights=None) -> float:
@@ -138,37 +142,43 @@ def karcher_residual(X: np.ndarray, mats, weights=None) -> float:
         raise InputError("need at least one matrix")
     w = validate_weights(weights, len(mats))
     lam, Q = _spd_eigh(X)
-    return float(np.linalg.norm(_log_sum(Q / np.sqrt(lam), np.array(mats), w)[0]))
+    return float(np.linalg.norm(_log_sum((Q / np.sqrt(lam))[None], np.array(mats)[None], w[None])[0][0]))
 
 
 def _newton_direction(S: np.ndarray, ell: np.ndarray, V: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """H with Hess[H] = S, by conjugate gradients on the symmetric matrices.
+    """H with Hess[H] = S for each row of a batch (the rows of :func:`_log_sum`),
+    by conjugate gradients on the symmetric matrices.
 
     Hess[H] = sum_j w_j V_j ((V_j^T H V_j) o Gamma_j) V_j^T is the derivative
     of the whitened log-sum S along X <- F exp(H) F^T: the Daleckii-Krein
     divided differences of log at exp(ell_j), taken under the congruence
     exp(-H/2) . exp(-H/2), give Gamma_j[i, k] = g(ell_ji - ell_jk) with
     g(x) = (x/2) coth(x/2) and g(0) = 1. So Hess is symmetric positive
-    definite with eigenvalues >= 1. CG stops once its residual is below
-    min(1, ||S||) ||S|| / 10, so the steps converge quadratically.
+    definite with eigenvalues >= 1. Each row's CG, with its own step sizes,
+    stops once its residual is below min(1, ||S||) ||S|| / 10, so the steps
+    converge quadratically; a stopped row leaves the batch.
     """
-    half = (ell[:, :, None] - ell[:, None, :]) / 2.0
+    half = (ell[..., :, None] - ell[..., None, :]) / 2.0
     gamma = np.divide(half, np.tanh(half), out=np.ones_like(half), where=half != 0.0)
-    gamma *= w[:, None, None]
-    Vt = np.swapaxes(V, 1, 2)
+    gamma *= w[..., None, None]
     H = np.zeros_like(S)
-    r, p = S, S
-    rr = float(np.vdot(r, r))
-    stop = 1e-2 * min(1.0, rr) * rr
-    for _ in range(S.size):
-        if rr <= stop:
-            break
-        Hp = ((V @ ((Vt @ p @ V) * gamma)) @ Vt).sum(axis=0)
-        alpha = rr / float(np.vdot(p, Hp))
-        H = H + alpha * p
+    rows = np.arange(len(S))
+    r = p = S
+    rr = _dot(r, r)
+    stop = 1e-2 * np.minimum(1.0, rr) * rr
+    for _ in range(S[0].size):
+        go = rr > stop
+        if not go.all():
+            rows, r, p, rr, stop, V, gamma = (x[go] for x in (rows, r, p, rr, stop, V, gamma))
+            if not rows.size:
+                break
+        Vt = np.swapaxes(V, -1, -2)
+        Hp = ((V @ ((Vt @ p[:, None] @ V) * gamma)) @ Vt).sum(axis=1)
+        alpha = (rr / _dot(p, Hp))[:, None, None]
+        H[rows] += alpha * p
         r = r - alpha * Hp
-        rr, previous = float(np.vdot(r, r)), rr
-        p = r + (rr / previous) * p
+        rr, previous = _dot(r, r), rr
+        p = r + (rr / previous)[:, None, None] * p
     return H
 
 
@@ -183,7 +193,8 @@ def karcher_mean(mats, weights=None, tol: float | None = None, max_iter: int = 2
     solves Hess[H] = S for the whitened log-sum S (see
     :func:`_newton_direction`). theta starts at 1, halves whenever the
     residual would not decrease and grows by 1.2, capped at 1, after each
-    accepted step.
+    accepted step. This is the batch of one of the stacked walk behind
+    theorem 4, whose rows have the bits of this call.
 
     Parameters
     ----------
@@ -209,51 +220,71 @@ def karcher_mean(mats, weights=None, tol: float | None = None, max_iter: int = 2
     mats = [_posdef(A) for A in mats]
     if not mats:
         raise InputError("need at least one matrix")
-    return _karcher(_same_order(mats), validate_weights(weights, len(mats)), tol, max_iter)
+    w = validate_weights(weights, len(mats))
+    return _karcher(np.array(_same_order(mats))[None], w[None], tol, max_iter)[0]
 
 
-def _karcher(mats, w: np.ndarray, tol: float | None = None, max_iter: int = 200) -> KarcherResult:
-    """:func:`karcher_mean` of validated matrices of one order and weights w."""
-    if len(mats) == 1:
-        return KarcherResult(mean=mats[0], residual=0.0, iterations=0, converged=True, residual_history=(0.0,))
-    if len(mats) == 2 and w[1] == 1.0:
-        X = mats[1]
-    elif len(mats) == 2:
-        P = _geodesic(*_spd_eigh(mats[0]), mats[1], w[1])
-        X = P @ P.T
+def _karcher(stack: np.ndarray, w: np.ndarray, tol: float | None = None, max_iter: int = 200) -> list[KarcherResult]:
+    """:func:`karcher_mean` of each row of a batch: ``stack`` (batch, m, N, N) holds
+    each row's validated matrices of one order, ``w`` (batch, m) its weights.
+
+    Every row walks as it would alone: the start, the Newton direction, the theta
+    accept/halve rule and the target run per row, on the rows still walking, and
+    each row's scalars are dot products as the single call takes them, so a row's
+    iterations, residual history and mean do not depend on its batch.
+    """
+    b, m = w.shape
+    if m == 1:
+        return [
+            KarcherResult(mean=X, residual=0.0, iterations=0, converged=True, residual_history=(0.0,))
+            for X in stack[:, 0]
+        ]
+    if m == 2:
+        X = stack[:, 1].copy()
+        walk = np.flatnonzero(w[:, 1] != 1.0)
+        if walk.size:
+            P = _geodesic(*_spd_eigh(stack[walk, 0]), stack[walk, 1], w[walk, 1:])
+            X[walk] = P @ np.swapaxes(P, -1, -2)
     else:
-        X = _sym_exp(sum(wj * ((Q * np.log(lam)) @ Q.T) for wj, (lam, Q) in zip(w, map(_spd_eigh, mats))))
-    stack = np.array(mats)
+        lam, Q = _spd_eigh(stack)
+        logs = (Q * np.log(lam)[..., None, :]) @ np.swapaxes(Q, -1, -2)
+        X = _sym_exp(sum(w[:, j, None, None] * logs[:, j] for j in range(m)))
 
-    def _state(X):
+    def _state(X, rows):
         lam, Q = _spd_eigh(X)
-        S, ell, V = _log_sum(Q / np.sqrt(lam), stack, w)
-        return Q * np.sqrt(lam), S, ell, V, float(np.linalg.norm(S)), float(lam[-1])
+        root = np.sqrt(lam)[..., None, :]
+        S, ell, V = _log_sum(Q / root, stack[rows], w[rows])
+        return [X, Q * root, S, ell, V, np.sqrt(_dot(S, S)), lam[:, -1]]
 
-    F, S, ell, V, resid, opnorm = _state(X)
-    history = [resid]
-    target = (1e-9 * opnorm) if tol is None else tol
-    theta = 1.0
-    H = None
-    while resid > target and len(history) <= max_iter:
-        if H is None:
-            H = _newton_direction(S, ell, V, w)
-        step = F @ _sym_exp(theta * H) @ F.T
-        step = (step + step.T) / 2.0
-        new_F, new_S, new_ell, new_V, new_resid, new_opnorm = _state(step)
-        history.append(new_resid)
-        if new_resid >= resid and theta > 1e-8:
-            theta /= 2.0
-        else:
-            X, F, S, ell, V, resid, opnorm = step, new_F, new_S, new_ell, new_V, new_resid, new_opnorm
-            H = None
-            theta = min(theta * 1.2, 1.0)
-            if tol is None:
-                target = 1e-9 * opnorm
-    return KarcherResult(
-        mean=X,
-        residual=resid,
-        iterations=len(history) - 1,
-        converged=resid <= target,
-        residual_history=tuple(history),
-    )
+    state = _state(X, np.arange(b))
+    X, F, S, ell, V, resid, opnorm = state  # updated in place, row by row
+    history = [[r] for r in resid.tolist()]
+    target = 1e-9 * opnorm if tol is None else np.full(b, float(tol))
+    theta, count = np.ones(b), np.zeros(b, dtype=int)
+    H, fresh = np.zeros_like(X), np.ones(b, dtype=bool)
+    while True:
+        live = np.flatnonzero((resid > target) & (count < max_iter))
+        if not live.size:
+            break
+        count[live] += 1
+        new = live[fresh[live]]
+        if new.size:
+            H[new], fresh[new] = _newton_direction(S[new], ell[new], V[new], w[new]), False
+        step = F[live] @ _sym_exp(theta[live, None, None] * H[live]) @ np.swapaxes(F[live], -1, -2)
+        trial = _state((step + np.swapaxes(step, -1, -2)) / 2.0, live)
+        tried = trial[5]  # the residuals at the trial points
+        for i, r in zip(live.tolist(), tried.tolist()):
+            history[i].append(r)
+        halve = (tried >= resid[live]) & (theta[live] > 1e-8)
+        theta[live[halve]] /= 2.0
+        moved = live[~halve]
+        for x, y in zip(state, trial):
+            x[moved] = y[~halve]
+        fresh[moved] = True
+        theta[moved] = np.minimum(theta[moved] * 1.2, 1.0)
+        if tol is None:
+            target[moved] = 1e-9 * opnorm[moved]
+    return [
+        KarcherResult(mean=X[i], residual=r, iterations=c, converged=r <= t, residual_history=tuple(h))
+        for i, (r, t, c, h) in enumerate(zip(resid.tolist(), target.tolist(), count.tolist(), history))
+    ]

@@ -14,9 +14,18 @@ from .symplectic import validate_symplectic
 from .williamson import _even_order, validate_posdef
 
 
+def _integers(values, name: str) -> tuple[int, ...]:
+    """The integers of the iterable values, after an InputError unless it is one."""
+    try:
+        values = iter(values)
+    except TypeError:
+        raise InputError(f"{name}: expected a sequence of integers, got {values!r}") from None
+    return tuple(require_integer(v, name) for v in values)
+
+
 def validate_partition(sizes, n: int) -> tuple[int, ...]:
     """Positive block sizes summing to the half-order n."""
-    sizes = tuple(require_integer(s, "partition size") for s in sizes)
+    sizes = _integers(sizes, "partition size")
     if not sizes or any(s < 1 for s in sizes):
         raise InputError(f"partition sizes must be positive integers, got {sizes}")
     if sum(sizes) != n:
@@ -83,7 +92,7 @@ def s_principal_submatrix(A: np.ndarray, keep) -> np.ndarray:
     this with 1-based indices.
     """
     n = _even_order(A).shape[0] // 2
-    idx = sorted(set(require_integer(i, "keep index") for i in keep))
+    idx = sorted(set(_integers(keep, "keep index")))
     if not idx:
         raise InputError("keep must contain at least one index")
     if idx[0] < 0 or idx[-1] >= n:

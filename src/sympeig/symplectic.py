@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .matfun import _eigh, _svd, require_integer, require_nonnegative, require_numeric, require_square
+from .matfun import _dot, _eigh, _svd, require_integer, require_nonnegative, require_numeric, require_square
 
 # The one symplecticity threshold, relative to 1 + ||M||_F^2 (see _relative);
 # the unitary correspondence's orthogonality, block and unitarity tests use it too.
@@ -74,11 +74,12 @@ class SymplecticCheck:
 
 def _relative(R: np.ndarray, X: np.ndarray):
     """``(ok, residual)`` of each matrix of the real stack R and the stack X: the
-    Frobenius norm of R, one dot product per matrix as ``np.linalg.norm`` takes
-    it, and the one relative rule residual <= SYMPLECTIC_TOL * (1 + ||X||_F^2)."""
-    rows = R.reshape(R.shape[:-2] + (1, -1))
-    residual = np.sqrt(rows @ np.swapaxes(rows, -1, -2))[..., 0, 0]
-    return residual <= SYMPLECTIC_TOL * (1.0 + np.sum(np.abs(X) ** 2, axis=(-2, -1))), residual
+    Frobenius norm of R, one :func:`matfun._dot` per matrix as ``np.linalg.norm``
+    takes it, and the one relative rule residual <= SYMPLECTIC_TOL * (1 + ||X||_F^2),
+    which fails closed: an overflowed, non-finite residual is not accepted."""
+    residual = np.sqrt(_dot(R, R))
+    bound = SYMPLECTIC_TOL * (1.0 + np.sum(np.abs(X) ** 2, axis=(-2, -1)))
+    return np.isfinite(residual) & (residual <= bound), residual
 
 
 def _symplecticity(M):
@@ -168,54 +169,69 @@ class SuperstochasticCheck:
 
 
 def is_doubly_superstochastic(B: np.ndarray, tol: float = 1e-9) -> SuperstochasticCheck:
-    """Decide whether B dominates some doubly stochastic matrix entrywise (see :func:`_superstochastic`)."""
-    return _superstochastic(_candidate(B, tol, "doubly superstochastic candidate"), tol)
+    """Decide whether B dominates some doubly stochastic matrix entrywise: the
+    batch of one of the max-flow :func:`_superstochastic`."""
+    return _superstochastic(_candidate(B, tol, "doubly superstochastic candidate")[None], tol)[0]
 
 
-def _superstochastic(B: np.ndarray, tol: float) -> SuperstochasticCheck:
-    """:func:`is_doubly_superstochastic` of the trusted B and tol.
+def _superstochastic(B: np.ndarray, tol: float) -> list[SuperstochasticCheck]:
+    """:func:`is_doubly_superstochastic` of each matrix of the trusted stack B
+    (batch, n, n) and the trusted tol, one check per matrix.
 
-    Max-flow on one dense (2n+2) x (2n+2) residual-capacity matrix: source 2n
-    feeds rows 0..n-1 with capacity 1, row i feeds column n+j with b_ij + tol,
-    columns drain into sink 2n+1 with capacity 1, and B is doubly
+    Max-flow on one dense (2n+2) x (2n+2) residual-capacity matrix per row:
+    source 2n feeds rows 0..n-1 with capacity 1, row i feeds column n+j with
+    b_ij + tol, columns drain into sink 2n+1 with capacity 1, and B is doubly
     superstochastic iff the flow reaches n. A greedy start fills rows in order,
-    columns left to right; breadth-first searches, one numpy step per level
-    keeping the lowest-index parent, then add shortest augmenting paths. No
-    hashing and index-order choices make the result depend on B and tol alone.
+    columns left to right, as n^2 steps over the batch; breadth-first searches,
+    one numpy step per level for every row still searching and keeping the
+    lowest-index parent, then add one shortest augmenting path per row. A row
+    leaves once no path is left, so its flow is final. No hashing and
+    index-order choices make each row's result depend on its B and tol alone.
     The witness is the reverse row-to-column residual: p_ij <= b_ij + tol.
     """
-    n = B.shape[0]
-    if np.min(B) < -tol:
-        return SuperstochasticCheck(ok=False, flow_value=0.0, witness=None)
+    b, n = B.shape[:2]
     source, sink = 2 * n, 2 * n + 1
-    R = np.zeros((2 * n + 2, 2 * n + 2))
-    supply, demand = [1.0] * n, [1.0] * n
-    for i, row in enumerate((B + tol).tolist()):
-        for j, cap in enumerate(row):
-            R[n + j, i] = push = min(supply[i], demand[j], cap)
-            R[i, n + j] = cap - push
-            supply[i], demand[j] = supply[i] - push, demand[j] - push
-    R[source, :n], R[:n, source] = supply, np.subtract(1.0, supply)
-    R[n:source, sink], R[sink, n:source] = demand, np.subtract(1.0, demand)
-    while True:
-        parent = np.where(np.arange(2 * n + 2) == source, source, -1)
-        frontier = np.array([source])
-        while frontier.size and parent[sink] < 0:
-            reach = (R[frontier] > 0.0) & (parent < 0)
-            frontier, level = np.logical_or.reduce(reach).nonzero()[0], frontier
-            parent[frontier] = level[reach[:, frontier].argmax(axis=0)]
-        if parent[sink] < 0:
-            break
-        path = [sink]
-        while path[-1] != source:
-            path.append(parent[path[-1]])
-        u, v = np.array(path[1:]), np.array(path[:-1])
-        push = np.minimum.reduce(R[u, v])
-        R[u, v] -= push
-        R[v, u] += push
-    flow_value = float(R[:n, source].sum())
-    ok = flow_value >= n - 1e-9 * max(1, n)
-    return SuperstochasticCheck(ok=bool(ok), flow_value=flow_value, witness=R[n:source, :n].T.copy() if ok else None)
+    R = np.zeros((b, 2 * n + 2, 2 * n + 2))
+    supply, demand = np.ones((b, n)), np.ones((b, n))
+    cap = B + tol
+    for i in range(n):
+        for j in range(n):
+            R[:, n + j, i] = push = np.minimum(np.minimum(supply[:, i], demand[:, j]), cap[:, i, j])
+            R[:, i, n + j] = cap[:, i, j] - push
+            supply[:, i] -= push
+            demand[:, j] -= push
+    R[:, source, :n], R[:, :n, source] = supply, 1.0 - supply
+    R[:, n:source, sink], R[:, sink, n:source] = demand, 1.0 - demand
+    feasible = np.min(B, axis=(-2, -1)) >= -tol
+    live = np.flatnonzero(feasible)
+    while live.size:
+        open_ = R[live] > 0.0
+        parent = np.full((live.size, 2 * n + 2), -1)
+        parent[:, source] = source
+        frontier = parent >= 0
+        while True:
+            frontier &= (parent[:, sink] < 0)[:, None]
+            if not frontier.any():
+                break
+            reach = open_ & frontier[:, :, None] & (parent < 0)[:, None, :]
+            frontier = reach.any(axis=1)
+            parent = np.where(frontier, reach.argmax(axis=1), parent)
+        found = parent[:, sink] >= 0
+        live, parent, rows = live[found], parent[found], np.arange(np.count_nonzero(found))
+        # Each row's path as a mask of its edges, walked back from the sink.
+        path, v = np.zeros((rows.size, 2 * n + 2, 2 * n + 2), dtype=bool), np.full(rows.size, sink)
+        while (v != source).any():
+            path[rows, parent[rows, v], v] = v != source
+            v = parent[rows, v]
+        push = np.min(np.where(path, R[live], np.inf), axis=(1, 2))[:, None, None]
+        R[live] += (np.swapaxes(path, 1, 2) - path.astype(float)) * push
+    checks = []
+    for Ri, ok in zip(R, feasible):
+        flow_value = float(Ri[:n, source].sum()) if ok else 0.0
+        ok = bool(ok and flow_value >= n - 1e-9 * max(1, n))
+        witness = Ri[n:source, :n].T.copy() if ok else None
+        checks.append(SuperstochasticCheck(ok=ok, flow_value=flow_value, witness=witness))
+    return checks
 
 
 @dataclass(frozen=True)
@@ -383,14 +399,14 @@ def _congruence(S: np.ndarray, d: np.ndarray) -> np.ndarray:
     return (A + np.swapaxes(A, -1, -2)) / 2.0
 
 
-def random_orthosymplectic_rng(rng: np.random.Generator, n: int) -> np.ndarray:
+def random_orthosymplectic_rng(rng: "np.random.Generator", n: int) -> np.ndarray:
     """Random orthogonal-symplectic matrix drawn through the unitary
     correspondence, so both structures hold by construction."""
     n = _half_order(n)
     return _haar(rng.standard_normal((2, n, n)))
 
 
-def random_symplectic_rng(rng: np.random.Generator, n: int, spread: float = 1.0) -> np.ndarray:
+def random_symplectic_rng(rng: "np.random.Generator", n: int, spread: float = 1.0) -> np.ndarray:
     """rng-driven body of :func:`random_symplectic`."""
     n = _half_order(n)
     require_nonnegative(spread, "spread")
@@ -409,7 +425,7 @@ def random_symplectic(seed: int, n: int, spread: float = 1.0) -> np.ndarray:
 
 
 def random_posdef_rng(
-    rng: np.random.Generator,
+    rng: "np.random.Generator",
     n: int,
     condition_spread: float = 1.0,
     spread: float = 1.0,

@@ -6,11 +6,10 @@ quantities. Each checker runs on a batch, its inputs stacked along a leading
 axis: one gate per input stack (the positive definite gate's certificate and
 Cholesky factor, or the symplectic gate's stacked residual) and one stacked
 call per step (the SVD of K, eigh, the restriction products, row-wise
-majorization) serve the whole batch. A public ``check_*`` is that path on a
-batch of one, and every row takes the same elementwise path, so a record does
-not depend on its group. Only theorem 4's Karcher solves, theorem 6's
-max-flow and the cluster re-pairing of theorem 5's rows run one instance at a
-time.
+majorization, theorem 4's Karcher walk, theorem 6's max-flow) serve the whole
+batch. A public ``check_*`` is that path on a batch of one, and every row
+takes the same elementwise path, so a record does not depend on its group.
+Only the cluster re-pairing of theorem 5's rows runs one instance at a time.
 
 The suite reads the table ``THEOREMS = {id: (tolerance, draw, check)}``. Each
 instance is drawn from its own generator, seeded by (seed, theorem, trial),
@@ -59,8 +58,11 @@ from .williamson import _doubled, _even_order, _factor_spectrum, _gate, _one, _s
 
 # Orthogonality threshold used by the theorem-6 cross-check.
 ORTHOGONALITY_TOL = 1e-7
-# Random restrictions sampled by the theorem-5 check when no M is given.
+# Restrictions sampled by the theorem-5 check when no M is given, and their step
+# from its minimizer: the Williamson M times two random shears of this size
+# (see _near_minimizer).
 THEOREM5_SAMPLES = 20
+THEOREM5_STEP = 1e-4
 # Most suite instances drawn and held at once, which bounds the suite's memory;
 # groups form within a chunk, and records do not depend on its size.
 SUITE_CHUNK = 600
@@ -194,7 +196,7 @@ def check_theorem3(A: np.ndarray, B: np.ndarray, t: float, tol: float | None = N
 def _theorem4(mats, weights, *, tol):
     w = np.array(weights)
     gated = _gate(*mats)
-    results = [means._karcher(list(inputs), wb) for inputs, wb in zip(zip(*(S for S, _ in gated)), w)]
+    results = means._karcher(np.stack([S for S, _ in gated], axis=1), w)
     quantities = [{"residual": r.residual, "iterations": r.iterations} for r in results]
     margins = np.full(len(results), np.nan)
     done = np.flatnonzero([r.converged for r in results])
@@ -235,13 +237,30 @@ def _restricted(A, S, k):
     return np.trace(C, axis1=-2, axis2=-1), logdet
 
 
-def _theorem5(A, k, samples, *, tol):
+def _near_minimizer(M, N, k):
+    """The first k column pairs of M C, over stacks: for each row's Williamson M
+    (batch, 2n, 2n) and each pair of normal blocks of its N (batch, samples, 2,
+    n, n), C = [[I, 0], [S_2, I]] [[I, S_1], [0, I]], two shears by the symmetric
+    S_i = THEOREM5_STEP (N_i + N_i^T) / 2. C is symplectic and I + O(THEOREM5_STEP),
+    so each restriction's trace and log-determinant exceed the minimizer's by
+    O(THEOREM5_STEP^2)."""
+    n = M.shape[-1] // 2
+    S = (N + np.swapaxes(N, -1, -2)) * (THEOREM5_STEP / 2.0)
+    M = M[:, None]
+    P = M[..., :n] + M[..., n:] @ S[..., 1, :, :]  # the first half of M C
+    return np.concatenate([P[..., :k], M[..., n : n + k] + P @ S[..., 0, :, :k]], axis=-1)
+
+
+def _theorem5(A, k, normals, *, tol, restriction=None):
+    """Reports with THEOREM5_SAMPLES restrictions near each row's minimizer, drawn
+    from its normal block, or with the one explicit ``restriction`` for all rows."""
     [(A, L)] = _gate(A)
     (k,) = set(k)  # one k per batch: the suite groups by it
     form = _williamson(*_skew(L))
     target_tr = 2.0 * np.sum(form.d[:, :k], axis=-1)
     target_logdet = 2.0 * np.sum(np.log(form.d[:, :k]), axis=-1)
     tr_min, logdet_min = _restricted(A, form.M, k)
+    samples = _near_minimizer(form.M, np.array(normals), k) if restriction is None else restriction[None, None]
     tr, logdet = _restricted(A[:, None], samples, k)
     margins = _lowest(
         -np.abs(_lin(tr_min - target_tr, tr_min, target_tr)),
@@ -268,7 +287,7 @@ def check_theorem5(
     k: int,
     M: np.ndarray | None = None,
     tol: float | None = None,
-    rng: np.random.Generator | None = None,
+    rng: "np.random.Generator | None" = None,
 ) -> TheoremReport:
     """Extremal characterization of spectral sums and products: over 2n x 2k
     restrictions M with M^T J_2n M = J_2k, the trace of M^T A M is minimized
@@ -278,16 +297,23 @@ def check_theorem5(
     The minimizer formed by the first k eigenvector pairs (columns of the
     Williamson M) must attain both bounds with equality, and each sampled
     restriction must satisfy both inequalities: the explicit M when one is
-    given, else THEOREM5_SAMPLES random restrictions (first k columns of each
-    block of a random symplectic matrix drawn from ``rng``). Their traces and
-    log-determinants are the quantities ``sampled``, the minimizer's
-    ``minimizer_trace`` and ``minimizer_logdet``.
+    given, else THEOREM5_SAMPLES restrictions near the minimizer. Each is the
+    first k column pairs of M C for the product of shears
+    C = [[I, 0], [S_2, I]] [[I, S_1], [0, I]], S_i = eps (N_i + N_i^T) / 2 with
+    eps = THEOREM5_STEP = 1e-4 and N_1, N_2 standard normal n x n blocks, all
+    drawn in one call from ``rng`` (default ``default_rng(0)``). C is
+    symplectic for any symmetric S_i and within O(eps) of I, so the samples
+    exceed both bounds by only O(eps^2) (trace minimization near the
+    minimizer: Son, Absil, Gao & Stykel, SIMAX 42, 2021), and an error of 1e-6
+    in d_1 fails them. Their traces and log-determinants are the quantities
+    ``sampled``, the minimizer's ``minimizer_trace`` and ``minimizer_logdet``.
     """
     tol = _tolerance("5", tol)
     A, n = _one(A), _half(A)
     k = require_index(k, "k", 1, n)
     if M is None:
-        return _theorem5(A, [k], _assemble([_restrictions(rng or np.random.default_rng(0), n)]), tol=tol)[0]
+        normals = (rng or np.random.default_rng(0)).standard_normal((THEOREM5_SAMPLES, 2, n, n))
+        return _theorem5(A, [k], [normals], tol=tol)[0]
     M = require_numeric(M, "restriction")
     if M.shape != (2 * n, 2 * k):
         raise InputError(f"restriction must be {2 * n} x {2 * k}, got {M.shape}")
@@ -296,7 +322,7 @@ def check_theorem5(
     residual = float(np.linalg.norm(M.T @ standard_J(n) @ M - standard_J(k)))
     if not residual <= 1e-8 * (1.0 + float(np.sum(M * M))):
         raise InputError(f"matrix fails the restriction condition: residual {residual:.3e}")
-    return _theorem5(A, [k], M[None, None], tol=tol)[0]
+    return _theorem5(A, [k], None, tol=tol, restriction=M)[0]
 
 
 def _superadditivity(A, B, ks=None, *, tol):
@@ -326,13 +352,13 @@ def check_superadditivity(A: np.ndarray, B: np.ndarray, k: int | None = None, to
 
 
 def _theorem6(M, *, tol):
-    """One report per matrix of the stack M, through one gate; only the max-flow runs one matrix at a time."""
+    """One report per matrix of the stack M, through one gate and one stacked max-flow."""
     M = _symplectic(M)
     mt = _associated(M)
     n = mt.shape[-1]
     row_min, col_min = np.min(mt.sum(axis=-1), axis=-1), np.min(mt.sum(axis=-2), axis=-1)
     # 1e-9: is_doubly_superstochastic's default tolerance
-    flow = np.array([_superstochastic(B, 1e-9).flow_value for B in mt])
+    flow = np.array([check.flow_value for check in _superstochastic(mt, 1e-9)])
     stochastic = _doubly_stochastic(mt, tol)
     orth_residual = np.linalg.norm(M.swapaxes(-1, -2) @ M - np.eye(2 * n), axis=(-2, -1))
     consistent = stochastic == (orth_residual <= ORTHOGONALITY_TOL)
@@ -512,13 +538,12 @@ def check_minmax(A: np.ndarray, tol: float | None = None) -> TheoremReport:
 
 
 class _Draw(NamedTuple):
-    """The generator output behind one random symplectic matrix
-    o1 diag(gamma, 1/gamma) o2^T (see ``symplectic._squeezed``), or with ``d``
-    behind the planted positive definite matrix S^T diag(d, d) S of it."""
+    """The generator output behind one planted positive definite matrix
+    S^T diag(d, d) S, S = o1 diag(gamma, 1/gamma) o2^T (see ``symplectic._squeezed``)."""
 
     normals: np.ndarray
     log_gamma: np.ndarray
-    d: np.ndarray | None = None
+    d: np.ndarray
 
 
 def _planted(rng, n, cfg, trial, offset=0.0) -> _Draw:
@@ -531,13 +556,6 @@ def _planted(rng, n, cfg, trial, offset=0.0) -> _Draw:
     else:
         d = np.exp(rng.uniform(-c, c, size=n))
     return _Draw(rng.standard_normal((2, 2, n, n)), rng.uniform(0.0, cfg.spread, size=n), np.sort(offset + d))
-
-
-def _restrictions(rng, n) -> _Draw:
-    """THEOREM5_SAMPLES random symplectic matrices of spread 1, drawn one after
-    another as ``random_symplectic_rng`` draws them."""
-    draws = [(rng.standard_normal((2, 2, n, n)), rng.uniform(0.0, 1.0, size=n)) for _ in range(THEOREM5_SAMPLES)]
-    return _Draw(*map(np.array, zip(*draws)))
 
 
 # Each draw(rng, n, cfg, trial) returns the instance's group key (its half-order
@@ -567,7 +585,7 @@ def _draw_mean(rng, n, cfg, trial):
 def _draw_extremal(rng, n, cfg, trial):
     A = _planted(rng, n, cfg, trial)
     k = int(rng.integers(1, n + 1))
-    return (n, k), (A, k, _restrictions(rng, n))
+    return (n, k), (A, k, rng.standard_normal((THEOREM5_SAMPLES, 2, n, n)))
 
 
 def _draw_pair(rng, n, cfg, trial):
@@ -672,7 +690,7 @@ def _assemble(column):
     first = column[0]
     if isinstance(first, _Draw):
         S = _squeezed(np.array([x.normals for x in column]), np.array([x.log_gamma for x in column]))
-        return S if first.d is None else _congruence(S, np.array([x.d for x in column]))
+        return _congruence(S, np.array([x.d for x in column]))
     if isinstance(first, list):
         return [_assemble(c) for c in zip(*column)]
     return list(column)

@@ -680,6 +680,29 @@ def test_import_loads_no(package):
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_of_the_cli_leaves_numpy_random_unloaded():
+    # No matrix command draws random numbers, so numpy.random (with hmac and
+    # hashlib) loads only when a generator is asked for.
+    src = str(Path(sympeig.__file__).resolve().parents[1])
+    code = "import sys, sympeig.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
+
+
+def test_overflowing_symplectic_file_exits_3(workdir, capsys):
+    path = write(workdir, "M.json", 1e160 * random_symplectic(0, 2, 1.0), kind="symplectic")
+    with np.errstate(over="ignore"):
+        code = main(["euler", path])
+    assert code == 3
+    assert "matrix is not symplectic: residual inf" in capsys.readouterr().err
+
+
 def test_closed_stdout_exits_141_without_a_traceback(workdir):
     # The read end is closed before the child starts, so its first write to
     # stdout fails as it does under `| head` once head has exited.

@@ -15,8 +15,9 @@ from sympeig import (
 from sympeig.cli import main
 from sympeig.matfun import sym_log, sym_pow
 from sympeig.matio import save_matrix
+from sympeig.means import _karcher
 from sympeig.symplectic import random_posdef_rng
-from sympeig.theorems import SuiteConfig, run_suite
+from sympeig.theorems import SuiteConfig, _assemble, _draw_task, run_suite
 
 
 def spd(seed, n=2, cs=1.0):
@@ -306,10 +307,10 @@ class TestKarcherMean:
             monkeypatch.setattr(np.linalg, name, spy)
         karcher_mean([spd(40 + j) for j in range(m)], max_iter=0)
         # The gate certifies by Cholesky, with no eigensolve. The start takes
-        # A_0's and one whitening (m = 2) or each input's and one for the
-        # exponential (m >= 3); then one for the iterate and one stacked
-        # whitening of the m inputs.
-        assert len(calls) == (2 if m == 2 else m + 1) + 2
+        # A_0's and one whitening (m = 2) or one stacked call for the inputs and
+        # one for the exponential (m >= 3); then one for the iterate and one
+        # stacked whitening of the m inputs.
+        assert len(calls) == 2 + 2
 
     def test_weight_validation(self):
         A, B = spd(42), spd(43)
@@ -339,3 +340,37 @@ class TestKarcherMean:
             karcher_mean(mats, **kwargs)
         res = karcher_mean(mats, tol=0.0, max_iter=0)
         assert not res.converged and res.iterations == 0
+
+
+def _theorem4_groups(seed):
+    """The stacks (batch, 3, N, N) and weight rows of a suite seed's theorem-4 groups."""
+    groups: dict = {}
+    for trial in range(100):
+        (n,), (mats, w) = _draw_task(SuiteConfig(seed=seed), "4", trial)
+        groups.setdefault(n, []).append((mats, w))
+    for members in groups.values():
+        yield np.stack(_assemble([m for m, _ in members]), axis=1), np.array([w for _, w in members])
+
+
+def _solve(result):
+    return result.iterations, result.converged, result.residual, result.residual_history, result.mean.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_stacked_karcher_rows_equal_solves_alone(seed):
+    for stack, w in _theorem4_groups(seed):
+        for row, S, wi in zip(_karcher(stack, w), stack, w):
+            assert _solve(row) == _solve(karcher_mean(list(S), wi))
+
+
+def test_stacked_karcher_rows_stop_on_their_own():
+    # Rows of one group that converge after different numbers of Newton steps,
+    # and a budget of one step, which some rows exhaust and some do not.
+    spread = [{r.iterations for r in _karcher(stack, w)} for stack, w in _theorem4_groups(0)]
+    assert any(len(its) > 1 for its in spread)
+    for stack, w in _theorem4_groups(0):
+        rows = _karcher(stack, w, max_iter=1)
+        assert {r.iterations for r in rows} == {1}
+        for row, S, wi in zip(rows, stack, w):
+            assert _solve(row) == _solve(karcher_mean(list(S), wi, max_iter=1))
+    assert not all(r.converged for stack, w in _theorem4_groups(0) for r in _karcher(stack, w, max_iter=1))

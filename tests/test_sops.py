@@ -94,6 +94,11 @@ class TestSPinching:
         with pytest.raises(InputError, match="does not sum"):
             s_pinching(A, (1, 1))
 
+    def test_non_iterable_partition_rejected(self):
+        A, _ = random_posdef(10, 2, 1.0)
+        with pytest.raises(InputError, match="partition size: expected a sequence of integers, got 2"):
+            s_pinching(A, 2)
+
 
 class TestSPrincipalSubmatrix:
     def test_keep_all(self):
@@ -121,6 +126,11 @@ class TestSPrincipalSubmatrix:
         A, _ = random_posdef(14, 2, 1.0)
         with pytest.raises(InputError, match="indices must lie"):
             s_principal_submatrix(A, [5])
+
+    def test_non_iterable_keep_rejected(self):
+        A, _ = random_posdef(14, 2, 1.0)
+        with pytest.raises(InputError, match="keep index: expected a sequence of integers, got 1"):
+            s_principal_submatrix(A, 1)
 
 
 class TestStackedKernels:

@@ -99,6 +99,15 @@ class TestIsSymplectic:
         with pytest.raises(InputError, match="even order"):
             is_symplectic(np.eye(3))
 
+    def test_overflowing_residual_fails_closed(self):
+        # M^T J M overflows: an infinite residual is refused, not accepted.
+        M = 1e160 * random_symplectic(0, 2, 1.0)
+        with np.errstate(over="ignore"):
+            check = is_symplectic(M)
+            assert (check.ok, check.residual) == (False, math.inf)
+            with pytest.raises(InputError, match="not symplectic"):
+                validate_symplectic(M)
+
 
 class TestAssociatedMatrix:
     def test_identity(self):
@@ -533,12 +542,30 @@ def _theorem6_associated():
     return [associated_matrix(_draw_task(SuiteConfig(), "6", trial)[1][0]) for trial in range(100)]
 
 
-@pytest.mark.parametrize(
-    "B", [*_theorem6_associated(), np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])]
-)
+HALL_VIOLATING = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize("B", [*_theorem6_associated(), HALL_VIOLATING])
 def test_max_flow_kernel_equals_the_public_test(B):
-    kernel, public = _superstochastic(B, 1e-9), is_doubly_superstochastic(B)
+    [kernel], public = _superstochastic(B[None], 1e-9), is_doubly_superstochastic(B)
     assert (kernel.ok, kernel.flow_value) == (public.ok, public.flow_value)
     assert (kernel.witness is None) == (public.witness is None)
     if public.witness is not None:
         assert np.array_equal(kernel.witness, public.witness)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_stacked_max_flow_rows_equal_single_calls(seed):
+    # Each half-order's theorem-6 draws as one stack, the Hall-violating matrix
+    # (no perfect matching) inside the half-order-3 one.
+    groups: dict = {3: [HALL_VIOLATING]}
+    for trial in range(100):
+        (n,), (M,) = _draw_task(SuiteConfig(seed=seed), "6", trial)
+        groups.setdefault(n, []).insert(0, associated_matrix(M))
+    for Bs in groups.values():
+        for row, B in zip(_superstochastic(np.array(Bs), 1e-9), Bs):
+            single = is_doubly_superstochastic(B)
+            assert (row.ok, row.flow_value) == (single.ok, single.flow_value)
+            assert (row.witness is None) == (single.witness is None)
+            assert single.witness is None or np.array_equal(row.witness, single.witness)
+    assert not is_doubly_superstochastic(HALL_VIOLATING)

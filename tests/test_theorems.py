@@ -33,6 +33,7 @@ from sympeig import (
     symplectic_spectrum,
 )
 from sympeig.means import KarcherResult
+from sympeig.theorems import THEOREM5_SAMPLES, THEOREM5_STEP, _near_minimizer
 from sympeig.williamson import WilliamsonForm
 
 
@@ -170,8 +171,8 @@ class TestTheorem4:
     def test_nonconverged_is_inconclusive(self, monkeypatch):
         mats = [spd(15), spd(16), spd(17)]
 
-        def fake_mean(ms, *args, **kwargs):
-            return KarcherResult(mean=ms[0], residual=1.0, iterations=0, converged=False)
+        def fake_mean(stack, *args, **kwargs):
+            return [KarcherResult(mean=ms[0], residual=1.0, iterations=0, converged=False) for ms in stack]
 
         monkeypatch.setattr(sympeig.means, "_karcher", fake_mean)
         monkeypatch.setattr("sympeig.theorems.means._karcher", fake_mean)
@@ -251,6 +252,32 @@ class TestTheorem5:
         with pytest.raises(InputError, match="k must lie"):
             check_theorem5(spd(27), k=5)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_samples_are_restrictions_near_the_minimizer(self, k):
+        # Each sample is a 2n x 2k restriction, R^T J R = J_2k to roundoff, whose
+        # trace and log-determinant exceed the minimizer's by O(step^2) at most.
+        A = spd(28, 3, 1.5)
+        form = sympeig.williamson_form(A)
+        normals = np.random.default_rng(k).standard_normal((THEOREM5_SAMPLES, 2, 3, 3))
+        R = _near_minimizer(form.M[None], normals[None], k)[0]
+        assert R.shape == (THEOREM5_SAMPLES, 6, 2 * k)
+        residual = np.linalg.norm(R.swapaxes(-1, -2) @ standard_J(3) @ R - standard_J(k), axis=(-2, -1))
+        assert np.max(residual) <= 1e-13 * np.max(np.sum(R * R, axis=(-2, -1)))
+        C = R.swapaxes(-1, -2) @ A @ R
+        excess = np.trace(C, axis1=-2, axis2=-1) - 2.0 * np.sum(form.d[:k])
+        assert np.all(excess >= -1e-13) and np.all(excess <= 1e2 * THEOREM5_STEP**2)
+        assert np.max(excess) > 1e-3 * THEOREM5_STEP**2
+
+    def test_sampled_restrictions_catch_a_raised_d1(self, monkeypatch):
+        # d_1 raised by 1e-6: on every seed-0 draw the samples near the
+        # minimizer fail on their own, apart from the minimizer's equality.
+        self.raise_d1(monkeypatch)
+        for rep in run_suite(SuiteConfig(seed=0, theorems=("5",))):
+            q = rep.quantities
+            tr, logdet = np.array(q["sampled"]).T
+            trace_margin = (tr - q["target_trace"]) / np.maximum(1.0, np.maximum(tr, q["target_trace"]))
+            assert min(np.min(trace_margin), np.min(logdet - q["target_logdet"])) < -rep.tolerance
+
 
 class TestSuperadditivity:
     def test_scaling_equality(self):
@@ -292,6 +319,12 @@ class TestSuperadditivity:
 
 
 class TestTheorem6:
+    def test_overflowing_input_is_refused(self):
+        # 1e200 M overflows its symplecticity residual: an InputError, not a NaN margin.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InputError, match="not symplectic"):
+                check_theorem6(1e200 * random_symplectic(29, 2, 1.0))
+
     def test_orthogonal_is_doubly_stochastic(self):
         M = random_symplectic(30, 3, spread=0.0)
         rep = check_theorem6(M)
@@ -364,6 +397,10 @@ class TestInterlacing:
 
 
 class TestPinching:
+    def test_non_iterable_partition_is_an_input_error(self):
+        with pytest.raises(InputError, match="expected a sequence of integers"):
+            check_pinching(spd(45, 2, 1.0), 2)
+
     def test_trivial_partition_equality(self):
         A = spd(46, 3, 1.0)
         rep = check_pinching(A, (3,))
