@@ -3,7 +3,11 @@
 One command per computation, machine-readable output via --json, matrices
 exchanged through the JSON matrix-file format of :mod:`sympeig.matio`.
 Each matrix command only computes: it returns its JSON record, its text items
-and what --output stores, and one runner prints and writes them.
+and what --output stores, and one runner prints and writes them. Only what
+every command uses (argparse, json, numpy, errors, matio) is imported here;
+each command imports its library modules where it runs them, so
+``williamson`` never loads the verification suite and ``mean`` never loads
+the symplectic modules.
 
 Exit codes: 0 success (for ``gaussian``: the matrix is Gaussian; for
 ``verify``: zero failures), 1 negative verdict (non-Gaussian input, or
@@ -26,11 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import matio, means, sops, theorems
+from . import matio
 from .errors import DomainError, FormatError, InputError, NumericalError, SympeigError
-from .matfun import require_nonnegative
-from .symplectic import euler_decompose, standard_J
-from .williamson import _doubled, symplectic_spectrum, williamson_form
 
 
 def _fmt(x: float) -> str:
@@ -98,6 +99,8 @@ def _run(args) -> int:
 def cmd_williamson(args) -> _Outcome:
     if args.output is not None and not args.form:
         raise InputError("--output stores the congruence matrix and needs --form")
+    from .symplectic import standard_J
+    from .williamson import _doubled, symplectic_spectrum, williamson_form
     mf = matio.load_matrix(args.input)
     # With --form, d is the one M diagonalizes: one gate and one eigensolve.
     form = williamson_form(mf.data) if args.form else None
@@ -115,6 +118,7 @@ def cmd_williamson(args) -> _Outcome:
 
 
 def cmd_euler(args) -> _Outcome:
+    from .symplectic import euler_decompose
     mf = matio.load_matrix(args.input)
     form = euler_decompose(mf.data)
     residual = float(np.linalg.norm(form.reconstruct() - mf.data))
@@ -129,6 +133,7 @@ def cmd_euler(args) -> _Outcome:
 
 
 def cmd_mean(args) -> _Outcome:
+    from . import means
     mats = [matio.load_matrix(path).data for path in args.inputs]
     if len(mats) < 2:
         raise InputError("mean needs at least two input files")
@@ -143,6 +148,7 @@ def cmd_mean(args) -> _Outcome:
 
 
 def cmd_distance(args) -> _Outcome:
+    from . import means
     A = matio.load_matrix(args.input_a).data
     B = matio.load_matrix(args.input_b).data
     dist = means.riemannian_distance(A, B)
@@ -150,6 +156,7 @@ def cmd_distance(args) -> _Outcome:
 
 
 def cmd_geodesic(args) -> _Outcome:
+    from . import means
     A = matio.load_matrix(args.input_a).data
     B = matio.load_matrix(args.input_b).data
     point = means.geodesic(A, B, args.t)
@@ -159,6 +166,8 @@ def cmd_geodesic(args) -> _Outcome:
 
 
 def cmd_gaussian(args) -> _Outcome:
+    from .matfun import require_nonnegative
+    from .williamson import symplectic_spectrum
     require_nonnegative(args.tol, "tol")
     mf = matio.load_matrix(args.input)
     d1 = float(symplectic_spectrum(mf.data).d[0])
@@ -167,12 +176,14 @@ def cmd_gaussian(args) -> _Outcome:
 
 
 def cmd_spinch(args) -> _Outcome:
+    from . import sops
     mf = matio.load_matrix(args.input)
     out = sops.s_pinching(mf.data, args.partition)
     return _Outcome({"partition": args.partition, "matrix": out.tolist()}, [("s-pinching", out)], (out, "posdef"))
 
 
 def cmd_sprincipal(args) -> _Outcome:
+    from . import sops
     mf = matio.load_matrix(args.input)
     if any(i < 1 for i in args.keep):
         raise InputError(f"keep indices are 1-based, got {args.keep}")
@@ -181,6 +192,8 @@ def cmd_sprincipal(args) -> _Outcome:
 
 
 def cmd_verify(args) -> int:
+    from . import theorems
+    from .matfun import require_nonnegative
     if args.theorem != "all" and args.theorem not in theorems.THEOREM_IDS:
         known = ", ".join(theorems.THEOREM_IDS)
         print(f"unknown theorem id {args.theorem!r}; known: all, {known}", file=sys.stderr)

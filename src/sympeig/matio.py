@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError
-from .symplectic import convention_permutation
 
 KINDS = ("posdef", "symplectic")
 CONVENTIONS = ("block", "interleaved")
@@ -62,6 +61,7 @@ def _parse(obj: dict, source: str) -> MatrixFile:
     if convention not in CONVENTIONS:
         raise FormatError(f"{source}: unknown convention {convention!r}; expected one of {CONVENTIONS}")
     if convention == "interleaved":
+        from .symplectic import convention_permutation
         P = convention_permutation(n)
         data = P.T @ data @ P
     return MatrixFile(n=n, data=data, kind=kind, convention=convention)

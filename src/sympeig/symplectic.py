@@ -77,8 +77,9 @@ def _relative(R: np.ndarray, X: np.ndarray):
     Frobenius norm of R, one :func:`matfun._dot` per matrix as ``np.linalg.norm``
     takes it, and the one relative rule residual <= SYMPLECTIC_TOL * (1 + ||X||_F^2),
     which fails closed: an overflowed, non-finite residual is not accepted."""
-    residual = np.sqrt(_dot(R, R))
-    bound = SYMPLECTIC_TOL * (1.0 + np.sum(np.abs(X) ** 2, axis=(-2, -1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.sqrt(_dot(R, R))
+        bound = SYMPLECTIC_TOL * (1.0 + np.sum(np.abs(X) ** 2, axis=(-2, -1)))
     return np.isfinite(residual) & (residual <= bound), residual
 
 
@@ -89,7 +90,9 @@ def _symplecticity(M):
     if M.shape[-1] % 2 != 0:
         raise InputError(f"symplectic matrices have even order, got {M.shape[-1]}")
     J = standard_J(M.shape[-1] // 2)
-    return (M, *_relative(np.swapaxes(M, -1, -2) @ J @ M - J, M))
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = np.swapaxes(M, -1, -2) @ J @ M - J
+    return (M, *_relative(R, M))
 
 
 def _symplectic(M) -> np.ndarray:

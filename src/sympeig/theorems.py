@@ -33,7 +33,7 @@ read from a square factor X = F F^T.
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial, reduce
 from typing import NamedTuple
 
@@ -66,6 +66,8 @@ THEOREM5_STEP = 1e-4
 # Most suite instances drawn and held at once, which bounds the suite's memory;
 # groups form within a chunk, and records do not depend on its size.
 SUITE_CHUNK = 600
+# The one encoder of every record line: json.dumps(record, sort_keys=True) without a new encoder per call.
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,7 @@ class TheoremReport:
         }
 
     def to_json_line(self) -> str:
-        return json.dumps(self.to_record(), sort_keys=True)
+        return _ENCODER.encode(self.to_record())
 
 
 def _tolerance(theorem_id: str, tol: float | None) -> float:
@@ -111,17 +113,19 @@ def _tolerance(theorem_id: str, tol: float | None) -> float:
     return float(tol)
 
 
-def _report(theorem_id, quantities, margin, tol, inconclusive=False):
+def _report(theorem_id, quantities, margin, tol, inconclusive=False, digest="", trial=None, n=None):
     margin = float(margin)
     holds = bool(math.isfinite(margin) and margin >= -tol) and not inconclusive
     return TheoremReport(
         theorem_id=theorem_id,
-        digest="",
+        digest=digest,
         quantities=quantities,
         margin=margin,
         tolerance=float(tol),
         holds=holds,
         inconclusive=inconclusive,
+        trial=trial,
+        n=n,
     )
 
 
@@ -140,11 +144,13 @@ def _log_worst(y, x) -> np.ndarray:
     return majorization._worst(majorization._log_margins(y, x))
 
 
-def _reports(theorem_id, tol, margins, **columns) -> list[TheoremReport]:
-    """One report per row: its margin, and its quantities read row by row from
-    the columns (arrays become lists of Python floats)."""
+def _reports(theorem_id, tol, margins, stamps=None, **columns) -> list[TheoremReport]:
+    """One report per row: its margin, its quantities read row by row from the
+    columns (arrays become lists of Python floats), and the suite's digest,
+    trial and n from its stamp, when the suite gives ``stamps``."""
     rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()))
-    return [_report(theorem_id, dict(zip(columns, row)), m, tol) for row, m in zip(rows, margins)]
+    stamps = stamps or [{}] * len(margins)
+    return [_report(theorem_id, dict(zip(columns, row)), m, tol, **s) for row, m, s in zip(rows, margins, stamps)]
 
 
 def _half(A) -> int:
@@ -152,7 +158,7 @@ def _half(A) -> int:
     return _even_order(_one(A), stacked=True).shape[-1] // 2
 
 
-def _theorem1(A, t, *, tol):
+def _theorem1(A, t, *, tol, stamps=None):
     [(A, L)] = _gate(A)
     tt = np.array(t, dtype=float)[:, None]
     da = _factor_spectrum(L)
@@ -164,7 +170,7 @@ def _theorem1(A, t, *, tol):
     bottom_t = np.cumsum(np.log(dt), axis=-1)
     bottom_a = np.cumsum(tt * np.log(da), axis=-1)
     margins = _lowest(worst, np.where(small, bottom_t - bottom_a, bottom_a - bottom_t))
-    return _reports("1", tol, margins, t=t, d_of_A=da, d_of_A_pow_t=dt)
+    return _reports("1", tol, margins, stamps, t=t, d_of_A=da, d_of_A_pow_t=dt)
 
 
 def check_theorem1(A: np.ndarray, t: float, tol: float | None = None) -> TheoremReport:
@@ -177,12 +183,12 @@ def check_theorem1(A: np.ndarray, t: float, tol: float | None = None) -> Theorem
     return _theorem1(_one(A), [t], tol=tol)[0]
 
 
-def _theorem3(A, B, t, *, tol):
+def _theorem3(A, B, t, *, tol, stamps=None):
     (A, LA), (B, LB) = _gate(A, B)
     tt = np.array(t, dtype=float)[:, None]
     lhs = _doubled(_factor_spectrum(means._geodesic(*_eigh(A), B, tt)))
     rhs = _doubled(_factor_spectrum(LA)) ** (1.0 - tt) * _doubled(_factor_spectrum(LB)) ** tt
-    return _reports("3", tol, _log_worst(rhs, lhs), t=t, dhat_geodesic=lhs, rhs_vector=rhs)
+    return _reports("3", tol, _log_worst(rhs, lhs), stamps, t=t, dhat_geodesic=lhs, rhs_vector=rhs)
 
 
 def check_theorem3(A: np.ndarray, B: np.ndarray, t: float, tol: float | None = None) -> TheoremReport:
@@ -193,7 +199,7 @@ def check_theorem3(A: np.ndarray, B: np.ndarray, t: float, tol: float | None = N
     return _theorem3(_one(A), _one(B), [t], tol=tol)[0]
 
 
-def _theorem4(mats, weights, *, tol):
+def _theorem4(mats, weights, *, tol, stamps=None):
     w = np.array(weights)
     gated = _gate(*mats)
     results = means._karcher(np.stack([S for S, _ in gated], axis=1), w)
@@ -208,7 +214,8 @@ def _theorem4(mats, weights, *, tol):
         margins[done] = _log_worst(rhs, lhs)
         for i, x, y in zip(done, lhs.tolist(), rhs.tolist()):
             quantities[i] = {"weights": w[i].tolist(), "dhat_mean": x, "rhs_vector": y, **quantities[i]}
-    return [_report("4", q, m, tol, inconclusive=not r.converged) for q, m, r in zip(quantities, margins, results)]
+    stamps = stamps or [{}] * len(results)
+    return [_report("4", q, m, tol, not r.converged, **s) for q, m, r, s in zip(quantities, margins, results, stamps)]
 
 
 def check_theorem4(mats, weights=None, tol: float | None = None) -> TheoremReport:
@@ -251,7 +258,7 @@ def _near_minimizer(M, N, k):
     return np.concatenate([P[..., :k], M[..., n : n + k] + P @ S[..., 0, :, :k]], axis=-1)
 
 
-def _theorem5(A, k, normals, *, tol, restriction=None):
+def _theorem5(A, k, normals, *, tol, restriction=None, stamps=None):
     """Reports with THEOREM5_SAMPLES restrictions near each row's minimizer, drawn
     from its normal block, or with the one explicit ``restriction`` for all rows."""
     [(A, L)] = _gate(A)
@@ -272,6 +279,7 @@ def _theorem5(A, k, normals, *, tol, restriction=None):
         "5",
         tol,
         margins,
+        stamps,
         k=[k] * len(A),
         d=form.d,
         target_trace=target_tr,
@@ -325,7 +333,7 @@ def check_theorem5(
     return _theorem5(A, [k], None, tol=tol, restriction=M)[0]
 
 
-def _superadditivity(A, B, ks=None, *, tol):
+def _superadditivity(A, B, ks=None, *, tol, stamps=None):
     """Reports for the k in ``ks``, or for every k when None."""
     (A, LA), (B, LB) = _gate(A, B)
     da, db = _factor_spectrum(LA), _factor_spectrum(LB)
@@ -337,7 +345,7 @@ def _superadditivity(A, B, ks=None, *, tol):
         _lin(sum_lhs - (sum_a + sum_b), sum_lhs, sum_a + sum_b),
         _lin(prod_lhs - (prod_a + prod_b), prod_lhs, prod_a + prod_b),
     )
-    return _reports("superadditivity", tol, margins, k=[ks.tolist()] * len(ds), d_sumAB=ds, d_A=da, d_B=db)
+    return _reports("superadditivity", tol, margins, stamps, k=[ks.tolist()] * len(ds), d_sumAB=ds, d_A=da, d_B=db)
 
 
 def check_superadditivity(A: np.ndarray, B: np.ndarray, k: int | None = None, tol: float | None = None) -> TheoremReport:
@@ -351,7 +359,7 @@ def check_superadditivity(A: np.ndarray, B: np.ndarray, k: int | None = None, to
     return _superadditivity(_one(A), _one(B), None if k is None else [k], tol=tol)[0]
 
 
-def _theorem6(M, *, tol):
+def _theorem6(M, *, tol, stamps=None):
     """One report per matrix of the stack M, through one gate and one stacked max-flow."""
     M = _symplectic(M)
     mt = _associated(M)
@@ -368,6 +376,7 @@ def _theorem6(M, *, tol):
         "6",
         tol,
         margins,
+        stamps,
         min_row_sum=row_min,
         min_col_sum=col_min,
         flow_value=flow,
@@ -383,7 +392,7 @@ def check_theorem6(M: np.ndarray, tol: float | None = None) -> TheoremReport:
     return _theorem6([M], tol=_tolerance("6", tol))[0]
 
 
-def _theorem7(A, B, *, tol):
+def _theorem7(A, B, *, tol, stamps=None):
     (A, LA), (B, LB) = _gate(A, B)
     da, db = _factor_spectrum(LA), _factor_spectrum(LB)
     diff = _svd(A - B, compute_uv=False)
@@ -398,6 +407,7 @@ def _theorem7(A, B, *, tol):
         "7",
         tol,
         margins,
+        stamps,
         d_A=da,
         d_B=db,
         lhs_operator=lhs_op,
@@ -414,13 +424,13 @@ def check_theorem7(A: np.ndarray, B: np.ndarray, tol: float | None = None) -> Th
     return _theorem7(_one(A), _one(B), tol=_tolerance("7", tol))[0]
 
 
-def _interlacing(A, drop_index, *, tol):
+def _interlacing(A, drop_index, *, tol, stamps=None):
     [(A, L)] = _gate(A)
     da = _factor_spectrum(L)
     kept = np.arange(da.shape[-1] - 1)
     db = _factor_spectrum(_cholesky(sops._s_principal(A, kept + (kept >= np.array(drop_index)[:, None]))))
     margins = _lin(np.hstack([db - da[:, :-1], da[:, 2:] - db[:, :-1]]), da[:, -1:])
-    return _reports("interlacing", tol, _lowest(margins), drop_index=drop_index, d_A=da, d_B=db)
+    return _reports("interlacing", tol, _lowest(margins), stamps, drop_index=drop_index, d_A=da, d_B=db)
 
 
 def check_interlacing(A: np.ndarray, drop_index: int, tol: float | None = None) -> TheoremReport:
@@ -447,7 +457,7 @@ def _elementary_symmetric(x: np.ndarray) -> np.ndarray:
 _POWER_MEAN_EXPONENTS = (0.5, -1.0)
 
 
-def _pinching(A, sizes, *, tol):
+def _pinching(A, sizes, *, tol, stamps=None):
     [(A, L)] = _gate(A)
     dc = _factor_spectrum(_cholesky(sops._s_pinching(A, sizes)))
     da = _factor_spectrum(L)
@@ -466,7 +476,7 @@ def _pinching(A, sizes, *, tol):
     for r in _POWER_MEAN_EXPONENTS:
         pc, pa = (np.mean(d**r, axis=-1) ** (1.0 / r) for d in (dc, da))
         margins.append(_lin(pc - pa, pc, pa))
-    return _reports("pinching", tol, _lowest(*margins), sizes=[list(s) for s in sizes], d_pinched=dc, d_A=da)
+    return _reports("pinching", tol, _lowest(*margins), stamps, sizes=[list(s) for s in sizes], d_pinched=dc, d_A=da)
 
 
 def check_pinching(A: np.ndarray, sizes, tol: float | None = None) -> TheoremReport:
@@ -480,13 +490,13 @@ def check_pinching(A: np.ndarray, sizes, tol: float | None = None) -> TheoremRep
     return _pinching(_one(A), [sizes], tol=tol)[0]
 
 
-def _theorem11(A, *, tol):
+def _theorem11(A, *, tol, stamps=None):
     [(A, L)] = _gate(A)
     lam = _eigh(A, values_only=True)
     n = A.shape[-1] // 2
     d = _factor_spectrum(L)
     margins = _lowest(_log_worst(lam, _doubled(d)), _lin(np.hstack([d - lam[:, :n], lam[:, n:] - d]), lam[:, -1:]))
-    return _reports("11", tol, margins, d=d, eigenvalues=lam)
+    return _reports("11", tol, margins, stamps, d=d, eigenvalues=lam)
 
 
 def check_theorem11(A: np.ndarray, tol: float | None = None) -> TheoremReport:
@@ -496,7 +506,7 @@ def check_theorem11(A: np.ndarray, tol: float | None = None) -> TheoremReport:
     return _theorem11(_one(A), tol=_tolerance("11", tol))[0]
 
 
-def _corollary8(A, B, t, *, tol):
+def _corollary8(A, B, t, *, tol, stamps=None):
     (A, LA), (B, LB) = _gate(A, B)
     for which, L in (("first", LA), ("second", LB)):
         if np.any(_factor_spectrum(L)[:, 0] < 0.5 - tol):
@@ -508,7 +518,7 @@ def _corollary8(A, B, t, *, tol):
     # The equal-weight Karcher mean of two matrices is their geodesic midpoint.
     d1_mean = _factor_spectrum(means._geodesic(w, Q, B, 0.5))[:, 0]
     margins = _lowest(d1_pow, d1_geo, d1_mean) - 0.5
-    return _reports("corollary8", tol, margins, t=t, d1_power=d1_pow, d1_geodesic=d1_geo, d1_mean=d1_mean)
+    return _reports("corollary8", tol, margins, stamps, t=t, d1_power=d1_pow, d1_geodesic=d1_geo, d1_mean=d1_mean)
 
 
 def check_corollary8(A: np.ndarray, B: np.ndarray, t: float, tol: float | None = None) -> TheoremReport:
@@ -521,14 +531,14 @@ def check_corollary8(A: np.ndarray, B: np.ndarray, t: float, tol: float | None =
     return _corollary8(_one(A), _one(B), [t], tol=tol)[0]
 
 
-def _minmax(A, *, tol):
+def _minmax(A, *, tol, stamps=None):
     [(A, L)] = _gate(A)
     observed = _sharp(A)
     d = _factor_spectrum(L)
     expected = np.concatenate([1.0 / d, -1.0 / d[:, ::-1]], axis=-1)
     scale = np.max(np.abs(expected), axis=-1)
     margins = -np.max(np.abs(observed - expected), axis=-1) / scale
-    return _reports("minmax", tol, margins, observed=observed, expected=expected)
+    return _reports("minmax", tol, margins, stamps, observed=observed, expected=expected)
 
 
 def check_minmax(A: np.ndarray, tol: float | None = None) -> TheoremReport:
@@ -696,18 +706,18 @@ def _assemble(column):
     return list(column)
 
 
-def _check_group(cfg: SuiteConfig, theorem_id: str, draws: list) -> list[TheoremReport]:
-    """Reports of one group's instances from one batched checker call. A
-    SympeigError re-runs the group one instance at a time; alone, an
-    instance's SympeigError becomes its record (NaN margin, message in
-    quantities)."""
+def _check_group(cfg: SuiteConfig, theorem_id: str, draws: list, stamps: list) -> list[TheoremReport]:
+    """Reports of one group's instances, each with its stamp (digest, trial
+    and n), from one batched checker call. A SympeigError re-runs the group
+    one instance at a time; alone, an instance's SympeigError becomes its
+    record (NaN margin, message in quantities)."""
     tol = cfg.tolerance_for(theorem_id)
     try:
-        return THEOREMS[theorem_id][2](*map(_assemble, zip(*draws)), tol=tol)
+        return THEOREMS[theorem_id][2](*map(_assemble, zip(*draws)), tol=tol, stamps=stamps)
     except SympeigError as exc:
         if len(draws) == 1:
-            return [_report(theorem_id, {"error": str(exc)}, float("nan"), tol)]
-    return [rep for draw in draws for rep in _check_group(cfg, theorem_id, [draw])]
+            return [_report(theorem_id, {"error": str(exc)}, float("nan"), tol, **stamps[0])]
+    return [rep for draw, stamp in zip(draws, stamps) for rep in _check_group(cfg, theorem_id, [draw], [stamp])]
 
 
 def run_suite(cfg: SuiteConfig) -> list[TheoremReport]:
@@ -727,9 +737,12 @@ def run_suite(cfg: SuiteConfig) -> list[TheoremReport]:
             key, args = _draw_task(cfg, theorem_id, trial)
             groups.setdefault((theorem_id, key), []).append((i, trial, args))
         for (theorem_id, (n, *_)), members in groups.items():
-            for (i, trial, _), rep in zip(members, _check_group(cfg, theorem_id, [args for *_, args in members])):
-                digest = f"seed={cfg.seed};theorem={theorem_id};trial={trial};n={n}"
-                reports[i] = replace(rep, digest=digest, trial=trial, n=n)
+            stamps = [
+                {"digest": f"seed={cfg.seed};theorem={theorem_id};trial={trial};n={n}", "trial": trial, "n": n}
+                for _, trial, _ in members
+            ]
+            for (i, *_), rep in zip(members, _check_group(cfg, theorem_id, [args for *_, args in members], stamps)):
+                reports[i] = rep
     return reports
 
 

@@ -6,6 +6,8 @@ import inspect
 import pkgutil
 import re
 
+import pytest
+
 import sympeig
 
 # Every name sympeig exports besides its submodules. A new export is added
@@ -119,10 +121,31 @@ def _public_functions():
 
 
 def test_public_names_are_pinned():
+    # dir, not vars: the package binds a name only when it is first used.
     exported = sorted(
-        name for name, obj in vars(sympeig).items() if not name.startswith("_") and not inspect.ismodule(obj)
+        name for name in dir(sympeig) if not name.startswith("_") and not inspect.ismodule(getattr(sympeig, name))
     )
     assert exported == PUBLIC_NAMES
+    assert sorted(sympeig.__all__) == PUBLIC_NAMES
+
+
+def test_star_import_yields_exactly_the_public_names():
+    namespace: dict = {}
+    exec("from sympeig import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", PUBLIC_NAMES)
+def test_public_name_is_the_object_of_its_module(name):
+    obj = getattr(sympeig, name)
+    # The two constants without a __module__ are the suite's.
+    module = importlib.import_module(getattr(obj, "__module__", "sympeig.theorems"))
+    assert obj is getattr(module, name)
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        sympeig.nope
 
 
 def test_tolerance_knobs_only_on_allow_list():

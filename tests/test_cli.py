@@ -666,10 +666,13 @@ class TestMatrixFiles:
         assert "'data' entries must be JSON numbers" in captured.err
 
 
-@pytest.mark.parametrize("package", ["scipy", "networkx"])
+# The package loads on use: its import loads no numpy and, besides itself, no
+# sympeig module.
+@pytest.mark.parametrize("package", ["scipy", "networkx", "numpy", "sympeig"])
 def test_import_loads_no(package):
     src = str(Path(sympeig.__file__).resolve().parents[1])
-    code = f"import sys, sympeig; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+    loaded = f"m.split('.')[0] == {package!r} and m != 'sympeig'"
+    code = f"import sys, sympeig; print(sorted(m for m in sys.modules if {loaded}))"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=src),
@@ -697,10 +700,62 @@ def test_import_of_the_cli_leaves_numpy_random_unloaded():
 
 def test_overflowing_symplectic_file_exits_3(workdir, capsys):
     path = write(workdir, "M.json", 1e160 * random_symplectic(0, 2, 1.0), kind="symplectic")
-    with np.errstate(over="ignore"):
-        code = main(["euler", path])
+    code = main(["euler", path])
     assert code == 3
     assert "matrix is not symplectic: residual inf" in capsys.readouterr().err
+
+
+def test_overflowing_symplectic_file_prints_only_the_refusal(workdir):
+    # A fresh process under the default warning filters: no numpy overflow
+    # warning precedes the refusal.
+    path = write(workdir, "M.json", 1e160 * random_symplectic(0, 2, 1.0), kind="symplectic")
+    src = str(Path(sympeig.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "sympeig.cli", "euler", path],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "error: matrix is not symplectic: residual inf exceeds tolerance\n"
+
+
+# Per command: its input files and flags, the library module it runs, and
+# those a fresh process of it must not load.
+SUITE_ONLY = ("theorems", "majorization", "sops")
+LOADS = {
+    "williamson": ("posdef", ["--form"], "williamson", SUITE_ONLY),
+    "euler": ("symplectic", [], "symplectic", SUITE_ONLY),
+    "gaussian": ("posdef", [], "williamson", SUITE_ONLY),
+    "mean": ("posdef posdef", [], "means", SUITE_ONLY + ("symplectic", "williamson")),
+    "geodesic": ("posdef posdef", ["--t", "0.5"], "means", SUITE_ONLY + ("symplectic", "williamson")),
+    "distance": ("posdef posdef", [], "means", SUITE_ONLY + ("symplectic", "williamson")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(LOADS))
+def test_a_command_loads_only_the_modules_it_runs(workdir, command):
+    kinds, flags, runs, never = LOADS[command]
+    draw = {"symplectic": lambda i: random_symplectic(i, 2, 1.0), "posdef": lambda i: random_posdef(i, 2)[0]}
+    paths = [write(workdir, f"{i}.json", draw[kind](i), kind) for i, kind in enumerate(kinds.split())]
+    code = (
+        "import contextlib, io, json, sys; from sympeig.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()): code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('sympeig.'))]))"
+    )
+    src = str(Path(sympeig.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, command, *paths, *flags],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    exit_code, loaded = json.loads(proc.stdout)
+    assert exit_code in (0, 1)  # gaussian's verdict on a random matrix may be 1
+    assert f"sympeig.{runs}" in loaded
+    assert not {f"sympeig.{m}" for m in never} & set(loaded)
 
 
 def test_closed_stdout_exits_141_without_a_traceback(workdir):

@@ -1,5 +1,6 @@
 """Tests for the symplectic-group utilities."""
 
+import itertools
 import math
 
 import numpy as np
@@ -545,13 +546,36 @@ def _theorem6_associated():
 HALL_VIOLATING = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
 
 
+def _min_cut(B, tol):
+    """The minimum cut of the max-flow network, by enumeration: a cut keeps the
+    rows S on the source side, and pays 1 per other row plus, per column j,
+    the smaller of its sink edge (1) and the capacities b_ij + tol from S."""
+    n = B.shape[0]
+    return min(
+        (n - len(S)) + sum(min(1.0, sum(B[i, j] + tol for i in S)) for j in range(n))
+        for size in range(n + 1)
+        for S in itertools.combinations(range(n), size)
+    )
+
+
 @pytest.mark.parametrize("B", [*_theorem6_associated(), HALL_VIOLATING])
 def test_max_flow_kernel_equals_the_public_test(B):
-    [kernel], public = _superstochastic(B[None], 1e-9), is_doubly_superstochastic(B)
+    # The kernel behind the public test against an independent oracle: max-flow
+    # equals min-cut, and a witness is a doubly stochastic matrix under B + tol.
+    tol, n = 1e-9, B.shape[0]
+    [kernel], public = _superstochastic(B[None], tol), is_doubly_superstochastic(B, tol)
     assert (kernel.ok, kernel.flow_value) == (public.ok, public.flow_value)
-    assert (kernel.witness is None) == (public.witness is None)
+    cut = _min_cut(B, tol)
+    assert abs(public.flow_value - cut) <= 1e-9
+    assert public.ok == (cut >= n - 1e-9 * max(1, n))
+    assert (public.witness is None) == (not public.ok)
     if public.witness is not None:
-        assert np.array_equal(kernel.witness, public.witness)
+        P = public.witness
+        assert np.all(np.abs(P.sum(axis=0) - 1.0) <= 1e-9) and np.all(np.abs(P.sum(axis=1) - 1.0) <= 1e-9)
+        # Up to the roundoff of the residual updates (2.8e-17 seen at seed 0).
+        assert np.all(P >= 0.0) and np.all(P <= B + tol + 1e-15)
+    if B is HALL_VIOLATING:
+        assert cut == pytest.approx(2.0, abs=1e-8) and not public.ok
 
 
 @pytest.mark.parametrize("seed", range(12))
