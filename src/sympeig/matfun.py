@@ -5,7 +5,8 @@ The one place that decides positive definiteness and forms f(S) = Q f(L) Q^T:
 the spectrum as its fallback, ``_same_order`` the one rule for inputs that must
 share an order, ``_eigh`` and ``_svd`` the eigen-kernels (``_svd`` is behind
 the Euler decomposition and ``williamson._skew_svd``, the SVD of the skew
-K = F^T J F for symplectic spectra and Williamson forms), and the other
+K = F^T J F = P - P^T, P = F[:n]^T F[n:] the product of the factor's row
+halves, for symplectic spectra and Williamson forms), and the other
 underscore helpers trust their inputs. ``require_numeric`` is the one
 conversion of outside arrays, and the other ``require_*`` check parameters.
 The refusing operations (fractional powers, logarithms, symplectic spectra)
@@ -101,17 +102,21 @@ def symmetrize(S: np.ndarray, stacked: bool = False) -> np.ndarray:
         SYMTOL * max|S_ij| (the first such matrix of a stack is named).
     """
     S = require_square(S, "positive definite matrix", stacked)
-    St = np.swapaxes(S, -1, -2)
+    # One contiguous transpose, read by the test and holding the mean.
+    St = np.swapaxes(S, -1, -2).copy()
     if S.size:
-        scale = np.max(np.abs(S), axis=(-2, -1)).ravel()
-        asym = np.max(np.abs(S - St), axis=(-2, -1)).ravel()
+        D = S - St
+        asym = np.max(np.abs(D, out=D), axis=(-2, -1)).ravel()
+        scale = np.max(np.abs(S, out=D), axis=(-2, -1)).ravel()
         for a, s in zip(asym, scale):
             if a > SYMTOL * max(s, np.finfo(float).tiny):
                 raise InputError(
                     f"positive definite matrix is not symmetric: max asymmetry {a:.3e} exceeds "
                     f"{SYMTOL:.1e} * max|entry| = {SYMTOL * s:.3e}"
                 )
-    return (S + St) / 2.0
+    St += S
+    St /= 2.0
+    return St
 
 
 def _eigh(S: np.ndarray, values_only: bool = False):
@@ -167,8 +172,11 @@ def _posdef(S: np.ndarray, refuse_near_singular: bool = False, stacked: bool = F
     cut = PD_RELCUT if refuse_near_singular else 0.0
     T = S / scale
     tau = (cut + m * m * np.finfo(float).eps) * scale * np.sqrt(_dot(T, T))[..., None, None]
+    # S - tau I in T's buffer, its diagonal shifted through a strided view.
+    T[...] = S
+    T.reshape(S.shape[:-2] + (m * m,))[..., :: m + 1] -= tau[..., 0]
     try:
-        np.linalg.cholesky(S - tau * np.eye(m))
+        np.linalg.cholesky(T)
     except np.linalg.LinAlgError:
         for w in _eigh(S, values_only=True).reshape(-1, m):
             _check_posdef(w, refuse_near_singular)

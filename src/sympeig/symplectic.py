@@ -190,7 +190,8 @@ def _superstochastic(B: np.ndarray, tol: float) -> list[SuperstochasticCheck]:
     lowest-index parent, then add one shortest augmenting path per row. A row
     leaves once no path is left, so its flow is final. No hashing and
     index-order choices make each row's result depend on its B and tol alone.
-    The witness is the reverse row-to-column residual: p_ij <= b_ij + tol.
+    The witness is the reverse row-to-column residual, clamped to the capacity
+    against the roundoff of the residual updates, so that p_ij <= b_ij + tol.
     """
     b, n = B.shape[:2]
     source, sink = 2 * n, 2 * n + 1
@@ -229,10 +230,10 @@ def _superstochastic(B: np.ndarray, tol: float) -> list[SuperstochasticCheck]:
         push = np.min(np.where(path, R[live], np.inf), axis=(1, 2))[:, None, None]
         R[live] += (np.swapaxes(path, 1, 2) - path.astype(float)) * push
     checks = []
-    for Ri, ok in zip(R, feasible):
+    for Ri, ok, capi in zip(R, feasible, cap):
         flow_value = float(Ri[:n, source].sum()) if ok else 0.0
         ok = bool(ok and flow_value >= n - 1e-9 * max(1, n))
-        witness = Ri[n:source, :n].T.copy() if ok else None
+        witness = np.minimum(Ri[n:source, :n].T, capi) if ok else None
         checks.append(SuperstochasticCheck(ok=ok, flow_value=flow_value, witness=witness))
     return checks
 

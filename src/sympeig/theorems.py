@@ -263,7 +263,7 @@ def _theorem5(A, k, normals, *, tol, restriction=None, stamps=None):
     from its normal block, or with the one explicit ``restriction`` for all rows."""
     [(A, L)] = _gate(A)
     (k,) = set(k)  # one k per batch: the suite groups by it
-    form = _williamson(*_skew(L))
+    form = _williamson(_skew(L), L)
     target_tr = 2.0 * np.sum(form.d[:, :k], axis=-1)
     target_logdet = 2.0 * np.sum(np.log(form.d[:, :k]), axis=-1)
     tr_min, logdet_min = _restricted(A, form.M, k)

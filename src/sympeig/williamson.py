@@ -6,7 +6,9 @@ For positive definite A of order 2n there is a symplectic M with
 M^T A M = diag(d, d), where d_1 <= ... <= d_n are the symplectic eigenvalues.
 They are the moduli of the eigenvalues +-i d_j of the real skew
 K = L^T J L, A = L L^T (K is orthogonally similar to A^{1/2} J A^{1/2}), so the
-singular values of K are d_1, ..., d_n, each twice. One real SVD of K,
+singular values of K are d_1, ..., d_n, each twice. K is formed as P - P^T from
+the row halves of L, P = L[:n]^T L[n:], and J enters only the form, as a row
+swap and sign flip. One real SVD of K,
 ``_skew_svd``, serves both results, and every kernel takes a stack of matrices
 behind the one gate ``_gate``; a public function is a batch of one. The
 spectrum reads the values only. The form takes one singular triple
@@ -81,15 +83,14 @@ class WilliamsonForm:
     d: np.ndarray
 
 
-def _skew(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (K, J L) with K = L^T J L exactly skew, for any square A = L L^T (each
-    such K is orthogonally similar to the Cholesky one); J L is a row swap and sign
-    flip of L. The kernels take these, not L, so L is freed before their eigensolve.
-    A stack of factors along leading axes gives stacks of both."""
-    n = L.shape[-1] // 2
-    JL = np.concatenate([L[..., n:, :], -L[..., :n, :]], axis=-2)
-    K = L.swapaxes(-1, -2) @ JL
-    return (K - K.swapaxes(-1, -2)) / 2.0, JL
+def _skew(F: np.ndarray) -> np.ndarray:
+    """K = F^T J F of a square factor F of even order, A = F F^T, or of each
+    factor of a stack along leading axes (each such K is orthogonally similar to
+    the Cholesky one). With P = F[:n]^T F[n:], the product of F's row halves,
+    K = P - P^T: half the flops of the full product, and exactly skew."""
+    n = F.shape[-1] // 2
+    P = F[..., :n, :].swapaxes(-1, -2) @ F[..., n:, :]
+    return P - P.swapaxes(-1, -2)
 
 
 def _one(A) -> np.ndarray:
@@ -125,7 +126,7 @@ def symplectic_spectrum(A: np.ndarray) -> SymplecticSpectrum:
 def _factor_spectrum(F: np.ndarray) -> np.ndarray:
     """Symplectic spectra, one ascending row per matrix, of F F^T for a stack of
     square F of even order (see :func:`_skew`)."""
-    return _skew_svd(_skew(F)[0])
+    return _skew_svd(_skew(F))
 
 
 def _skew_svd(K: np.ndarray, vectors: bool = False):
@@ -168,21 +169,25 @@ def williamson_form(A: np.ndarray) -> WilliamsonForm:
 
     M is not unique; only the defining invariants are promised.
     """
-    form = _williamson(*_skew(_factor(A)))
+    L = _factor(A)
+    form = _williamson(_skew(L), L)
     return WilliamsonForm(M=form.M[0], d=form.d[0])
 
 
-def _williamson(K: np.ndarray, JL: np.ndarray) -> WilliamsonForm:
-    """:func:`williamson_form` of each gated A = L L^T of a stack, from ``(K, J L)``,
-    M and d keeping the leading axis: one singular triple of K per pair, and in a
-    matrix whose consecutive d_j come closer than CLUSTER_RELGAP * d_n the
-    clusters re-paired by :func:`_resolve_clusters`."""
+def _williamson(K: np.ndarray, L: np.ndarray) -> WilliamsonForm:
+    """:func:`williamson_form` of each gated A = L L^T of a stack, from K = :func:`_skew`
+    of L and L, M and d keeping the leading axis: one singular triple of K per pair,
+    and in a matrix whose consecutive d_j come closer than CLUSTER_RELGAP * d_n the
+    clusters re-paired by :func:`_resolve_clusters`. M = J (L [V, -U] diag(d, d)^{-1/2}),
+    J applied to the product as a row swap and sign flip, so J L is never formed."""
     d, U, V = _skew_svd(K, vectors=True)
     close = np.diff(d) < CLUSTER_RELGAP * d[..., -1:]
     Up, Vp = U[..., ::2], V[..., ::2]
     for i in np.flatnonzero(close.any(axis=-1)):
         d[i], Up[i], Vp[i] = _resolve_clusters(K[i], d[i], U[i], V[i], close[i])
-    M = JL @ (np.concatenate([Vp, -Up], axis=-1) / np.sqrt(np.concatenate([d, d], axis=-1))[..., None, :])
+    n = L.shape[-1] // 2
+    LX = L @ (np.concatenate([Vp, -Up], axis=-1) / np.sqrt(np.concatenate([d, d], axis=-1))[..., None, :])
+    M = np.concatenate([LX[..., n:, :], -LX[..., :n, :]], axis=-2)
     return WilliamsonForm(M=M, d=d)
 
 

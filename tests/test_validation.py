@@ -34,7 +34,7 @@ from sympeig import (
     williamson_form,
 )
 from sympeig.cli import main
-from sympeig.matfun import PD_RELCUT, SYMTOL, _check_posdef
+from sympeig.matfun import PD_RELCUT, SYMTOL, _check_posdef, symmetrize
 from sympeig.matio import save_matrix
 from sympeig.symplectic import random_posdef_rng
 
@@ -212,6 +212,54 @@ def test_refusal_matches_spectrum_rule(m, ratio, scale):
                     pass
             else:
                 call(S)
+
+
+def _identity_shift(S, cut):
+    """S - tau I for the symmetrized S as the certificate's definition reads,
+    with an explicit identity: tau = (cut + m^2 eps) s ||S / s||_F, s = max|S_ij|."""
+    m = S.shape[-1]
+    s = np.max(np.abs(S))
+    T = S / s
+    return S - (cut + m * m * np.finfo(float).eps) * s * np.sqrt(np.vdot(T, T)) * np.eye(m)
+
+
+def test_gate_keeps_its_decisions_about_the_cut(monkeypatch):
+    # A seeded sweep of unsymmetrized S = Q diag(lam) Q^T with lambda_min /
+    # lambda_max around PD_RELCUT: the gate returns (S + S^T)/2 bit for bit,
+    # hands the certificate Cholesky the bits of S - tau I, and accepts or
+    # refuses as that certificate and the spectrum rule decide, message included.
+    certified, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: certified.append(a.copy()) or cholesky(a))
+    outcomes = set()
+    rng = np.random.default_rng(34)
+    for ratio in np.geomspace(1e-13, 1e-11, 13):
+        for m in (4, 16, 64):
+            Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+            S = (Q * rng.permutation(np.geomspace(ratio, 1.0, m))) @ Q.T
+            half = (S + S.T) / 2.0
+            assert np.array_equal(symmetrize(S), half)
+            for refuse, call in ((False, validate_posdef), (True, symplectic_spectrum)):
+                shifted = _identity_shift(half, PD_RELCUT if refuse else 0.0)
+                try:
+                    cholesky(shifted)
+                    expected = None
+                except np.linalg.LinAlgError:
+                    try:
+                        _check_posdef(np.linalg.eigvalsh(half), refuse)
+                        expected = None
+                    except DomainError as exc:
+                        expected = str(exc)
+                certified.clear()
+                try:
+                    call(S)
+                    got = None
+                except DomainError as exc:
+                    got = str(exc)
+                assert got == expected
+                assert np.array_equal(certified[0].reshape(m, m), shifted)
+                outcomes.add((refuse, expected is None))
+    # Both verdicts of the refusing gate occur; the non-refusing one accepts all.
+    assert outcomes == {(False, True), (True, True), (True, False)}
 
 
 def test_well_conditioned_input_skips_real_eigensolve(monkeypatch):

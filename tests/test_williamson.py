@@ -91,6 +91,35 @@ class TestSymplecticSpectrum:
         assert np.max(np.abs(got - d) / d) <= 1e-7
 
 
+def _factors(seed, n):
+    """Square factors F of A = F F^T of half-order n: the Cholesky factor of a
+    random A, and the non-triangular Q w^{t/2} of A^t from A's eigendecomposition."""
+    A, _ = random_posdef(seed, n, condition_spread=1.5)
+    w, Q = np.linalg.eigh(A)
+    return [np.linalg.cholesky(A), Q * w ** (0.7 / 2.0)]
+
+
+class TestSkew:
+    """K = _skew(F) = F^T J F, formed as P - P^T from the row halves of F."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 16])
+    def test_exactly_skew_and_f_transpose_j_f(self, n):
+        u = np.finfo(float).eps / 2.0
+        for seed in range(4):
+            for F in _factors(seed, n):
+                K = _skew(F)
+                assert np.array_equal(K, -K.swapaxes(-1, -2))
+                bound = 8 * (2 * n) * u * np.linalg.norm(F, 2) ** 2
+                assert np.max(np.abs(K - F.T @ standard_J(n) @ F)) <= bound
+
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    def test_stack_rows_equal_single_calls(self, n):
+        F = np.array([G for seed in range(3) for G in _factors(seed, n)])
+        K = _skew(F)
+        for Ki, Fi in zip(K, F):
+            assert np.array_equal(Ki, _skew(Fi))
+
+
 class TestWilliamsonForm:
     def test_diagonal_input_invariants(self):
         d = np.array([1.0, 2.0, 5.0])
@@ -136,7 +165,7 @@ class TestWilliamsonForm:
         planted = [None, [0.7, 0.7, 1.3, 2.0], None, [1.1, 1.1, 1.1, 1.1], None, [0.5, 0.9, 3.0, 3.0]]
         A = np.array([random_posdef_rng(rng, 4, spread=1.5, d=d)[0] for d in planted])
         [(_, L)] = _gate(A)
-        stacked = _williamson(*_skew(L))
+        stacked = _williamson(_skew(L), L)
         close = np.diff(stacked.d) < CLUSTER_RELGAP * stacked.d[:, -1:]
         assert close.any(axis=-1).tolist() == [d is not None for d in planted]
         for i, Ai in enumerate(A):
