@@ -99,6 +99,7 @@ def _run(args) -> int:
 def cmd_williamson(args) -> _Outcome:
     if args.output is not None and not args.form:
         raise InputError("--output stores the congruence matrix and needs --form")
+    from .matfun import _sym
     from .symplectic import standard_J
     from .williamson import _doubled, symplectic_spectrum, williamson_form
     mf = matio.load_matrix(args.input)
@@ -113,7 +114,7 @@ def cmd_williamson(args) -> _Outcome:
     record["M"] = form.M.tolist()
     record["residual_symplectic"] = float(np.linalg.norm(form.M.T @ J @ form.M - J))
     # Against the symmetrized matrix williamson_form factors, not the file's asymmetry.
-    record["residual_congruence"] = float(np.linalg.norm(form.M.T @ ((mf.data + mf.data.T) / 2.0) @ form.M - dd))
+    record["residual_congruence"] = float(np.linalg.norm(form.M.T @ _sym(mf.data) @ form.M - dd))
     return _Outcome(record, [(k, v) for k, v in record.items() if k != "n"], (form.M, "symplectic"))
 
 

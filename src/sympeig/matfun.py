@@ -119,22 +119,24 @@ def symmetrize(S: np.ndarray, stacked: bool = False) -> np.ndarray:
     return St
 
 
+def _lapack(solver, *args, what: str = "eigensolver", **kwargs):
+    """``solver(*args, **kwargs)`` for a ``numpy.linalg`` function that its caller
+    looks up at call time; its LinAlgError raises NumericalError("{what} failed: ...")."""
+    try:
+        return solver(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what} failed: {exc}") from exc
+
+
 def _eigh(S: np.ndarray, values_only: bool = False):
     """Ascending eigenvalues of the trusted symmetric or Hermitian S (lower
-    triangle read), with eigenvectors as ``(w, Q)`` unless ``values_only``.
-    Solver failure raises NumericalError."""
-    try:
-        return np.linalg.eigvalsh(S) if values_only else np.linalg.eigh(S)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed: {exc}") from exc
+    triangle read), with eigenvectors as ``(w, Q)`` unless ``values_only``."""
+    return _lapack(np.linalg.eigvalsh if values_only else np.linalg.eigh, S)
 
 
 def _svd(X: np.ndarray, compute_uv: bool = True):
-    """``np.linalg.svd`` of the trusted X or stack; failure raises NumericalError."""
-    try:
-        return np.linalg.svd(X, compute_uv=compute_uv)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed: {exc}") from exc
+    """``np.linalg.svd`` of the trusted X or stack."""
+    return _lapack(np.linalg.svd, X, compute_uv=compute_uv)
 
 
 def _check_posdef(w: np.ndarray, refuse_near_singular: bool = False) -> None:
@@ -202,17 +204,23 @@ def _same_order(mats: list) -> list:
 
 
 def _cholesky(S: np.ndarray) -> np.ndarray:
-    """Cholesky factor L, S = L L^T, of the trusted S; failure raises NumericalError."""
-    try:
-        return np.linalg.cholesky(S)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
+    """Cholesky factor L, S = L L^T, of the trusted S."""
+    return _lapack(np.linalg.cholesky, S, what="Cholesky factorization")
+
+
+def _sym(X: np.ndarray) -> np.ndarray:
+    """(X + X^T)/2 of a trusted, nearly symmetric X, or of each matrix of a stack."""
+    return (X + np.swapaxes(X, -1, -2)) / 2.0
+
+
+def _spectral(f, w: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Q diag(f(w)) Q^T from an eigendecomposition (w, Q), or of each one of a stack."""
+    return (Q * f(w)[..., None, :]) @ np.swapaxes(Q, -1, -2)
 
 
 def _sym_exp(S: np.ndarray) -> np.ndarray:
     """exp S for a trusted, nearly symmetric S, or each matrix of a stack, symmetrized first."""
-    w, Q = _eigh((S + np.swapaxes(S, -1, -2)) / 2.0)
-    return (Q * np.exp(w)[..., None, :]) @ np.swapaxes(Q, -1, -2)
+    return _spectral(np.exp, *_eigh(_sym(S)))
 
 
 def sym_pow(S: np.ndarray, t: float) -> np.ndarray:
@@ -221,15 +229,13 @@ def sym_pow(S: np.ndarray, t: float) -> np.ndarray:
     roundoff). DomainError unless S is positive definite with lambda_min >
     1e-12 * lambda_max: near-singular input is refused rather than regularized.
     """
-    w, Q = _eigh(_posdef(S, refuse_near_singular=True))
-    return (Q * w**t) @ Q.T
+    return _spectral(lambda w: w**t, *_eigh(_posdef(S, refuse_near_singular=True)))
 
 
 def sym_log(S: np.ndarray) -> np.ndarray:
     """Matrix logarithm of a symmetric positive definite matrix; refuses
     near-singular input like :func:`sym_pow`."""
-    w, Q = _eigh(_posdef(S, refuse_near_singular=True))
-    return (Q * np.log(w)) @ Q.T
+    return _spectral(np.log, *_eigh(_posdef(S, refuse_near_singular=True)))
 
 
 def norms(X: np.ndarray) -> NormTriple:

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .matfun import (
-    _dot, _eigh, _posdef, _same_order, _sym_exp, require_between, require_integer, require_nonnegative, require_numeric
+    _dot, _eigh, _posdef, _same_order, _spectral, _sym, _sym_exp, require_between, require_integer, require_nonnegative,
+    require_numeric
 )
 
 
@@ -41,12 +42,7 @@ def _whitened_eig(G: np.ndarray, B: np.ndarray):
     A = Q diag(w) Q^T, for one B or a stack of them along the leading axis (and
     one G or a stack of them); NumericalError unless each is numerically
     positive definite."""
-    C = np.swapaxes(G, -1, -2) @ B @ G
-    mu, V = _eigh((C + np.swapaxes(C, -1, -2)) / 2.0)
-    low = float(np.min(mu[..., 0]))
-    if low <= 0.0:
-        raise NumericalError(f"A^-1/2 B A^-1/2 is not numerically positive definite: lambda_min = {low:.6e}")
-    return mu, V
+    return _spd_eigh(_sym(np.swapaxes(G, -1, -2) @ B @ G))
 
 
 def _spd_eigh(S: np.ndarray):
@@ -246,8 +242,7 @@ def _karcher(stack: np.ndarray, w: np.ndarray, tol: float | None = None, max_ite
             P = _geodesic(*_spd_eigh(stack[walk, 0]), stack[walk, 1], w[walk, 1:])
             X[walk] = P @ np.swapaxes(P, -1, -2)
     else:
-        lam, Q = _spd_eigh(stack)
-        logs = (Q * np.log(lam)[..., None, :]) @ np.swapaxes(Q, -1, -2)
+        logs = _spectral(np.log, *_spd_eigh(stack))
         X = _sym_exp(sum(w[:, j, None, None] * logs[:, j] for j in range(m)))
 
     def _state(X, rows):
@@ -261,17 +256,14 @@ def _karcher(stack: np.ndarray, w: np.ndarray, tol: float | None = None, max_ite
     history = [[r] for r in resid.tolist()]
     target = 1e-9 * opnorm if tol is None else np.full(b, float(tol))
     theta, count = np.ones(b), np.zeros(b, dtype=int)
-    H, fresh = np.zeros_like(X), np.ones(b, dtype=bool)
     while True:
         live = np.flatnonzero((resid > target) & (count < max_iter))
         if not live.size:
             break
         count[live] += 1
-        new = live[fresh[live]]
-        if new.size:
-            H[new], fresh[new] = _newton_direction(S[new], ell[new], V[new], w[new]), False
-        step = F[live] @ _sym_exp(theta[live, None, None] * H[live]) @ np.swapaxes(F[live], -1, -2)
-        trial = _state((step + np.swapaxes(step, -1, -2)) / 2.0, live)
+        H = _newton_direction(S[live], ell[live], V[live], w[live])
+        step = F[live] @ _sym_exp(theta[live, None, None] * H) @ np.swapaxes(F[live], -1, -2)
+        trial = _state(_sym(step), live)
         tried = trial[5]  # the residuals at the trial points
         for i, r in zip(live.tolist(), tried.tolist()):
             history[i].append(r)
@@ -280,7 +272,6 @@ def _karcher(stack: np.ndarray, w: np.ndarray, tol: float | None = None, max_ite
         moved = live[~halve]
         for x, y in zip(state, trial):
             x[moved] = y[~halve]
-        fresh[moved] = True
         theta[moved] = np.minimum(theta[moved] * 1.2, 1.0)
         if tol is None:
             target[moved] = 1e-9 * opnorm[moved]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .matfun import _dot, _eigh, _svd, require_integer, require_nonnegative, require_numeric, require_square
+from .matfun import _dot, _eigh, _svd, _sym, require_integer, require_nonnegative, require_numeric, require_square
 
 # The one symplecticity threshold, relative to 1 + ||M||_F^2 (see _relative);
 # the unitary correspondence's orthogonality, block and unitarity tests use it too.
@@ -399,8 +399,7 @@ def _congruence(S: np.ndarray, d: np.ndarray) -> np.ndarray:
     m = dd.shape[-1]
     D = np.zeros(dd.shape + (m,))
     D[..., np.arange(m), np.arange(m)] = dd
-    A = np.swapaxes(S, -1, -2) @ D @ S
-    return (A + np.swapaxes(A, -1, -2)) / 2.0
+    return _sym(np.swapaxes(S, -1, -2) @ D @ S)
 
 
 def random_orthosymplectic_rng(rng: "np.random.Generator", n: int) -> np.ndarray:

@@ -42,7 +42,7 @@ import numpy as np
 from . import majorization, means, sops
 from .errors import InputError, SympeigError
 from .matfun import (
-    _cholesky, _eigh, _svd, require_between, require_index, require_integer, require_nonnegative, require_numeric
+    _cholesky, _eigh, _svd, _sym, require_between, require_index, require_integer, require_nonnegative, require_numeric
 )
 from .symplectic import (
     _associated,
@@ -252,7 +252,7 @@ def _near_minimizer(M, N, k):
     so each restriction's trace and log-determinant exceed the minimizer's by
     O(THEOREM5_STEP^2)."""
     n = M.shape[-1] // 2
-    S = (N + np.swapaxes(N, -1, -2)) * (THEOREM5_STEP / 2.0)
+    S = _sym(N) * THEOREM5_STEP
     M = M[:, None]
     P = M[..., :n] + M[..., n:] @ S[..., 1, :, :]  # the first half of M C
     return np.concatenate([P[..., :k], M[..., n : n + k] + P @ S[..., 0, :, :k]], axis=-1)

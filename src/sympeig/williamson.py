@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .matfun import _cholesky, _posdef, _same_order, _svd, require_nonnegative, require_numeric, require_square
+from .matfun import _cholesky, _lapack, _posdef, _same_order, _svd, require_nonnegative, require_numeric, require_square
 from .symplectic import _hermitian_pairs, standard_J
 
 # Consecutive d_j closer than this fraction of d_n are paired as one cluster.
@@ -231,10 +231,7 @@ def sharp_spectrum(A: np.ndarray) -> np.ndarray:
 def _sharp(S: np.ndarray) -> np.ndarray:
     """:func:`sharp_spectrum` of the gated S, or one row per matrix of a stack; solver failure raises NumericalError."""
     n = S.shape[-1] // 2
-    try:
-        ev = np.linalg.eigvals(1j * np.linalg.solve(S, np.broadcast_to(standard_J(n), S.shape)))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed: {exc}") from exc
+    ev = _lapack(np.linalg.eigvals, 1j * _lapack(np.linalg.solve, S, np.broadcast_to(standard_J(n), S.shape)))
     scale = np.max(np.abs(ev), axis=-1)
     if np.any(np.max(np.abs(ev.imag), axis=-1) > 1e-6 * scale):
         raise NumericalError("eigenvalues of i A^{-1} J are not numerically real")
