@@ -1,14 +1,20 @@
 """Functional calculus for real symmetric matrices and basic matrix norms.
 
-The one place that decides positive definiteness and forms f(S) = Q f(L) Q^T:
-``_posdef`` is the gate for outside input, a shifted-Cholesky certificate with
-the spectrum as its fallback, ``_same_order`` the one rule for inputs that must
-share an order, ``_eigh`` and ``_svd`` the eigen-kernels (``_svd`` is behind
-the Euler decomposition and ``williamson._skew_svd``, the SVD of the skew
-K = F^T J F = P - P^T, P = F[:n]^T F[n:] the product of the factor's row
+The one place that decides positive definiteness and owns each numerical
+rule: ``_posdef`` is the gate for outside input, a shifted-Cholesky
+certificate with the spectrum as its fallback, ``_same_order`` the one rule
+for inputs that must share an order, ``_lapack`` the one map of a
+``numpy.linalg`` failure to NumericalError (behind ``_eigh``, ``_svd``,
+``_cholesky`` and ``williamson._sharp``), ``_spectral`` the one
+f(S) = Q diag(f(w)) Q^T and ``_sym`` the one symmetric part (X + X^T)/2 of a
+computed product. ``_eigh`` and ``_svd`` are the eigen-kernels (``_svd`` is
+behind the Euler decomposition and ``williamson._skew_svd``, the SVD of the
+skew K = F^T J F = P - P^T, P = F[:n]^T F[n:] the product of the factor's row
 halves, for symplectic spectra and Williamson forms), and the other
 underscore helpers trust their inputs. ``require_numeric`` is the one
-conversion of outside arrays, and the other ``require_*`` check parameters.
+conversion of outside arrays, and the other ``require_*`` check parameters:
+a scalar is one real number, a seed an integer >= 0 and a matrix sequence an
+iterable of at least one (or two) matrices.
 The refusing operations (fractional powers, logarithms, symplectic spectra)
 reject near-singular input instead of regularizing it.
 """
@@ -55,13 +61,26 @@ def require_numeric(x, name: str) -> np.ndarray:
         raise InputError(f"{name} must be numeric: {exc}") from exc
 
 
-def require_nonnegative(value: float, name: str) -> None:
-    """Raise InputError unless value (a tolerance, spread or budget) is a finite number >= 0."""
+def _real(value) -> bool:
+    """True when value is one real number: a Python or numpy int or float, or a
+    0-d array of one; a bool, a complex value, a string or an array is not."""
     try:
-        ok = bool(np.isfinite(value) and value >= 0.0)
+        value = np.asarray(value)
     except (TypeError, ValueError):
-        ok = False
-    if not ok:
+        return False
+    return value.ndim == 0 and value.dtype.kind in "iuf"
+
+
+def require_finite(value, name: str):
+    """value, after an InputError unless it is a finite real number."""
+    if not (_real(value) and np.isfinite(value)):
+        raise InputError(f"{name} must be a finite real number, got {value}")
+    return value
+
+
+def require_nonnegative(value: float, name: str) -> None:
+    """Raise InputError unless value (a tolerance, spread or budget) is a finite real number >= 0."""
+    if not (_real(value) and np.isfinite(value) and value >= 0.0):
         raise InputError(f"{name} must be finite and >= 0, got {value}")
 
 
@@ -76,14 +95,33 @@ def require_integer(value, name: str) -> int:
     raise InputError(f"{name} must be an integer, got {value}")
 
 
+def require_seed(value) -> int:
+    """value as an int, after an InputError unless it is an integer >= 0: the
+    one rule for the seed of the suite and of the seeded generators."""
+    seed = require_integer(value, "seed")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def require_between(value, name: str, lo, hi):
-    """value, after an InputError unless it is a number in [lo, hi]."""
-    try:
-        if lo <= value <= hi:
-            return value
-    except (TypeError, ValueError):
-        pass
+    """value, after an InputError unless it is a real number in [lo, hi]."""
+    if _real(value) and lo <= value <= hi:
+        return value
     raise InputError(f"{name} must lie in [{lo}, {hi}], got {value}")
+
+
+def require_matrices(mats, m: int = 1) -> list:
+    """The matrices of mats as a list, after an InputError unless it is an
+    iterable of at least m of them (m = 1 or 2)."""
+    count = "one matrix" if m == 1 else "two matrices"
+    try:
+        mats = list(mats)
+    except TypeError:
+        raise InputError(f"need an iterable of at least {count}, got {mats!r}") from None
+    if len(mats) < m:
+        raise InputError(f"need at least {count}")
+    return mats
 
 
 def require_index(value, name: str, lo: int, hi: int) -> int:
@@ -226,9 +264,11 @@ def _sym_exp(S: np.ndarray) -> np.ndarray:
 def sym_pow(S: np.ndarray, t: float) -> np.ndarray:
     """Fractional power S^t = Q diag(lambda^t) Q^T of a symmetric positive
     definite matrix (``sym_pow(S, 1) == S`` and ``sym_pow(S, 0) == I`` up to
-    roundoff). DomainError unless S is positive definite with lambda_min >
-    1e-12 * lambda_max: near-singular input is refused rather than regularized.
+    roundoff). InputError unless t is a finite real number; DomainError unless
+    S is positive definite with lambda_min > 1e-12 * lambda_max: near-singular
+    input is refused rather than regularized.
     """
+    require_finite(t, "power")
     return _spectral(lambda w: w**t, *_eigh(_posdef(S, refuse_near_singular=True)))
 
 

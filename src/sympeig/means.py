@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .matfun import (
-    _dot, _eigh, _posdef, _same_order, _spectral, _sym, _sym_exp, require_between, require_integer, require_nonnegative,
-    require_numeric
+    _dot, _eigh, _posdef, _same_order, _spectral, _sym, _sym_exp, require_between, require_integer, require_matrices,
+    require_nonnegative, require_numeric
 )
 
 
@@ -133,9 +133,7 @@ def _log_sum(G: np.ndarray, stack: np.ndarray, w: np.ndarray):
 
 def karcher_residual(X: np.ndarray, mats, weights=None) -> float:
     """Frobenius norm of sum_j w_j log(X^{1/2} A_j^{-1} X^{1/2})."""
-    X, *mats = _same_order([_posdef(S) for S in (X, *mats)])
-    if not mats:
-        raise InputError("need at least one matrix")
+    X, *mats = _same_order([_posdef(S) for S in (X, *require_matrices(mats))])
     w = validate_weights(weights, len(mats))
     lam, Q = _spd_eigh(X)
     return float(np.linalg.norm(_log_sum((Q / np.sqrt(lam))[None], np.array(mats)[None], w[None])[0][0]))
@@ -213,9 +211,7 @@ def karcher_mean(mats, weights=None, tol: float | None = None, max_iter: int = 2
     require_nonnegative(max_iter, "max_iter")
     require_integer(max_iter, "max_iter")
     require_nonnegative(0.0 if tol is None else tol, "tol")
-    mats = [_posdef(A) for A in mats]
-    if not mats:
-        raise InputError("need at least one matrix")
+    mats = [_posdef(A) for A in require_matrices(mats)]
     w = validate_weights(weights, len(mats))
     return _karcher(np.array(_same_order(mats))[None], w[None], tol, max_iter)[0]
 
@@ -227,7 +223,9 @@ def _karcher(stack: np.ndarray, w: np.ndarray, tol: float | None = None, max_ite
     Every row walks as it would alone: the start, the Newton direction, the theta
     accept/halve rule and the target run per row, on the rows still walking, and
     each row's scalars are dot products as the single call takes them, so a row's
-    iterations, residual history and mean do not depend on its batch.
+    iterations, residual history and mean do not depend on its batch. Each live
+    row's direction is solved on every iteration, after a halved step too: its
+    conjugate gradients are deterministic, so the direction is the one it had.
     """
     b, m = w.shape
     if m == 1:

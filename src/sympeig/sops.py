@@ -9,7 +9,7 @@ definiteness) intact.
 import numpy as np
 
 from .errors import InputError
-from .matfun import require_integer, require_square
+from .matfun import require_integer, require_matrices, require_square
 from .symplectic import validate_symplectic
 from .williamson import _even_order, validate_posdef
 
@@ -51,9 +51,7 @@ def s_direct_sum(mats, kind: str = "posdef") -> np.ndarray:
     definite, and the symplectic spectrum of the result is the multiset union
     of the inputs' spectra.
     """
-    mats = [_validate_kind(require_square(A, "s-direct sum input"), kind) for A in mats]
-    if not mats:
-        raise InputError("need at least one matrix")
+    mats = [_validate_kind(require_square(A, "s-direct sum input"), kind) for A in require_matrices(mats)]
     n = sum(A.shape[0] // 2 for A in mats)
     out = np.zeros((2 * n, 2 * n))
     start = 0

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .matfun import _dot, _eigh, _svd, _sym, require_integer, require_nonnegative, require_numeric, require_square
+from .matfun import (
+    _dot, _eigh, _svd, _sym, require_integer, require_nonnegative, require_numeric, require_seed, require_square
+)
 
 # The one symplecticity threshold, relative to 1 + ||M||_F^2 (see _relative);
 # the unitary correspondence's orthogonality, block and unitarity tests use it too.
@@ -417,14 +419,21 @@ def random_symplectic_rng(rng: "np.random.Generator", n: int, spread: float = 1.
     return _squeezed(N, rng.uniform(0.0, spread, size=n))
 
 
+def _seeded(seed) -> "np.random.Generator":
+    """The generator of a seeded draw: of an integer seed >= 0 (InputError
+    otherwise), or a numpy Generator, drawn from as given."""
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(require_seed(seed))
+
+
 def random_symplectic(seed: int, n: int, spread: float = 1.0) -> np.ndarray:
     """Seeded random symplectic matrix O1 diag(gamma, 1/gamma) O2^T.
 
     O1, O2 are independent random orthogonal-symplectic matrices and
     log(gamma_j) is uniform on [0, spread]. spread = 0 yields an orthogonal
-    symplectic matrix. Deterministic in ``seed``.
+    symplectic matrix. Deterministic in ``seed``, an integer >= 0 (or a numpy
+    Generator, drawn from as given).
     """
-    return random_symplectic_rng(np.random.default_rng(seed), n, spread)
+    return random_symplectic_rng(_seeded(seed), n, spread)
 
 
 def random_posdef_rng(
@@ -459,6 +468,7 @@ def random_posdef(
     and log(d_j) uniform on [-condition_spread, condition_spread]. Symplectic
     congruence preserves the symplectic spectrum, so ``d`` (sorted ascending)
     is exactly the symplectic spectrum of A, which makes it a planted oracle
-    for spectrum computations. Deterministic in ``seed``.
+    for spectrum computations. Deterministic in ``seed``, an integer >= 0 (or a
+    numpy Generator, drawn from as given).
     """
-    return random_posdef_rng(np.random.default_rng(seed), n, condition_spread, spread)
+    return random_posdef_rng(_seeded(seed), n, condition_spread, spread)

@@ -42,7 +42,8 @@ import numpy as np
 from . import majorization, means, sops
 from .errors import InputError, SympeigError
 from .matfun import (
-    _cholesky, _eigh, _svd, _sym, require_between, require_index, require_integer, require_nonnegative, require_numeric
+    _cholesky, _eigh, _svd, _sym, require_between, require_index, require_integer, require_matrices, require_nonnegative,
+    require_numeric, require_seed
 )
 from .symplectic import (
     _associated,
@@ -223,9 +224,7 @@ def check_theorem4(mats, weights=None, tol: float | None = None) -> TheoremRepor
     weighted coordinatewise product of the inputs' doubled spectra. A
     non-converged mean yields an inconclusive report, never a failure."""
     tol = _tolerance("4", tol)
-    mats = list(mats)
-    if len(mats) < 2:
-        raise InputError("need at least two matrices")
+    mats = require_matrices(mats, 2)
     weights = means.validate_weights(weights, len(mats))
     return _theorem4([_one(A) for A in mats], [weights], tol=tol)[0]
 
@@ -309,7 +308,8 @@ def check_theorem5(
     first k column pairs of M C for the product of shears
     C = [[I, 0], [S_2, I]] [[I, S_1], [0, I]], S_i = eps (N_i + N_i^T) / 2 with
     eps = THEOREM5_STEP = 1e-4 and N_1, N_2 standard normal n x n blocks, all
-    drawn in one call from ``rng`` (default ``default_rng(0)``). C is
+    drawn in one call from ``rng``'s ``standard_normal`` (a numpy Generator,
+    ``default_rng(0)`` when omitted; InputError for an object without one). C is
     symplectic for any symmetric S_i and within O(eps) of I, so the samples
     exceed both bounds by only O(eps^2) (trace minimization near the
     minimizer: Son, Absil, Gao & Stykel, SIMAX 42, 2021), and an error of 1e-6
@@ -317,6 +317,8 @@ def check_theorem5(
     ``sampled``, the minimizer's ``minimizer_trace`` and ``minimizer_logdet``.
     """
     tol = _tolerance("5", tol)
+    if rng is not None and not callable(getattr(rng, "standard_normal", None)):
+        raise InputError(f"rng must be a numpy Generator, got {rng!r}")
     A, n = _one(A), _half(A)
     k = require_index(k, "k", 1, n)
     if M is None:
@@ -661,10 +663,9 @@ class SuiteConfig:
     theorems: tuple[str, ...] = THEOREM_IDS
 
     def __post_init__(self):
-        for name in ("seed", "trials", "nmin", "nmax"):
+        require_seed(self.seed)
+        for name in ("trials", "nmin", "nmax"):
             require_integer(getattr(self, name), name)
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise InputError(f"trials must be >= 1, got {self.trials}")
         if self.nmin < 1 or self.nmax < self.nmin:

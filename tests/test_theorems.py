@@ -2,6 +2,7 @@
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from sympeig import (
     summarize,
     symplectic_spectrum,
 )
+from sympeig.cli import main
 from sympeig.means import KarcherResult
 from sympeig.theorems import THEOREM5_SAMPLES, THEOREM5_STEP, _near_minimizer
 from sympeig.williamson import WilliamsonForm
@@ -180,6 +182,16 @@ class TestTheorem4:
         assert rep.inconclusive
         assert not rep.holds
         assert math.isnan(rep.margin)
+
+    def test_summary_counts_nonconverged_means_as_inconclusive(self, monkeypatch, capsys):
+        # With no Newton step allowed, no suite mean converges: every report is
+        # inconclusive, none fails, and verify's text shows them in its column.
+        monkeypatch.setattr(sympeig.means, "_karcher", partial(sympeig.means._karcher, max_iter=0))
+        reports = run_suite(SuiteConfig(trials=3, theorems=("4",)))
+        assert [r.inconclusive for r in reports] == [True] * 3
+        assert summarize(reports) == {"4": {"trials": 3, "failures": 0, "inconclusive": 3, "worst_margin": math.inf}}
+        assert main(["verify", "--theorem", "4", "--trials", "3"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split() == ["4", "3", "0", "0", "3", "n/a"]
 
 
 class TestTheorem5:

@@ -12,11 +12,15 @@ from sympeig import (
     NumericalError,
     SuiteConfig,
     check_minmax,
+    check_theorem1,
+    check_theorem3,
     check_theorem4,
     check_theorem5,
     check_theorem6,
     euler_decompose,
     geodesic,
+    is_gaussian,
+    is_symplectic,
     karcher_mean,
     karcher_residual,
     log_majorizes,
@@ -25,17 +29,22 @@ from sympeig import (
     random_symplectic,
     riemannian_distance,
     run_suite,
+    s_direct_sum,
     s_pinching,
     sharp_spectrum,
+    standard_J,
     sym_log,
+    supermajorizes,
     sym_pow,
     symplectic_spectrum,
+    unitary_to_orthosymplectic,
     validate_posdef,
     williamson_form,
 )
 from sympeig.cli import main
 from sympeig.matfun import PD_RELCUT, SYMTOL, _check_posdef, symmetrize
 from sympeig.matio import save_matrix
+from sympeig.sops import validate_partition
 from sympeig.symplectic import random_posdef_rng
 
 I4 = np.eye(4)
@@ -316,3 +325,126 @@ NON_NUMERIC = {
 def test_non_numeric_array_is_an_input_error(case):
     with pytest.raises(InputError, match="must be numeric: "):
         NON_NUMERIC[case]()
+
+
+# A seed is an integer >= 0, the rule SuiteConfig applies; anything else is an
+# InputError rather than numpy's ValueError or TypeError, or fresh OS entropy.
+BAD_SEEDS = {
+    "negative": (-1, "seed must be >= 0, got -1"),
+    "negative numpy integer": (np.int64(-3), "seed must be >= 0, got -3"),
+    "float": (1.5, "seed must be an integer, got 1.5"),
+    "string": ("a", "seed must be an integer, got a"),
+    "None": (None, "seed must be an integer, got None"),
+    "bool": (True, "seed must be an integer, got True"),
+}
+SEEDED = {"random_posdef": lambda seed: random_posdef(seed, 2)[0], "random_symplectic": lambda seed: random_symplectic(seed, 2)}
+
+
+@pytest.mark.parametrize("seed", sorted(BAD_SEEDS))
+@pytest.mark.parametrize("draw", sorted(SEEDED))
+def test_seed_must_be_an_integer_at_least_zero(draw, seed):
+    value, message = BAD_SEEDS[seed]
+    with pytest.raises(InputError) as info:
+        SEEDED[draw](value)
+    assert str(info.value) == message
+    with pytest.raises(InputError) as info:
+        SuiteConfig(seed=value)
+    assert str(info.value) == message
+    assert np.array_equal(SEEDED[draw](np.int64(5)), SEEDED[draw](5))
+
+
+_A, _B = random_posdef(0, 2)[0], random_posdef(1, 2)[0]
+# Scalar parameters are real numbers: no bool, complex value or array; a power is finite.
+BAD_SCALARS = {
+    "theorem 1 power as a bool": (lambda: check_theorem1(_A, True), "power must be finite and >= 0, got True"),
+    "theorem 1 power as an array": (
+        lambda: check_theorem1(_A, np.array([0.5])),
+        "power must be finite and >= 0, got [0.5]",
+    ),
+    "geodesic parameter as a bool": (
+        lambda: geodesic(_A, _B, True),
+        "geodesic parameter must lie in [0, 1], got True",
+    ),
+    "Gaussian tol as a bool": (lambda: is_gaussian(_A, True), "tol must be finite and >= 0, got True"),
+    "theorem 3 parameter as an array": (
+        lambda: check_theorem3(_A, _B, np.array([0.5])),
+        "geodesic parameter must lie in [0, 1], got [0.5]",
+    ),
+    "NaN power": (lambda: sym_pow(_A, np.nan), "power must be a finite real number, got nan"),
+    "infinite power": (lambda: sym_pow(_A, np.inf), "power must be a finite real number, got inf"),
+    "complex power": (lambda: sym_pow(_A, 1j), "power must be a finite real number, got 1j"),
+    "array power": (
+        lambda: sym_pow(_A, np.array([1.0, 2.0])),
+        "power must be a finite real number, got [1. 2.]",
+    ),
+    "theorem 5 rng": (lambda: check_theorem5(_A, 1, rng=5), "rng must be a numpy Generator, got 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCALARS))
+def test_scalar_parameters_are_real_numbers(case):
+    call, message = BAD_SCALARS[case]
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
+# Each function that takes a sequence of matrices refuses one that is not iterable.
+SEQUENCES = {
+    "karcher_mean": (lambda mats: karcher_mean(mats), "one matrix"),
+    "karcher_residual": (lambda mats: karcher_residual(I4, mats), "one matrix"),
+    "check_theorem4": (lambda mats: check_theorem4(mats), "two matrices"),
+    "s_direct_sum": (lambda mats: s_direct_sum(mats), "one matrix"),
+}
+
+
+@pytest.mark.parametrize("mats", [5, None])
+@pytest.mark.parametrize("name", sorted(SEQUENCES))
+def test_matrix_sequence_must_be_iterable(name, mats):
+    call, count = SEQUENCES[name]
+    with pytest.raises(InputError) as info:
+        call(mats)
+    assert str(info.value) == f"need an iterable of at least {count}, got {mats}"
+
+
+# Refusals of malformed input, each with its error class and message.
+REFUSALS = {
+    "empty vector": (lambda: log_majorizes([], []), InputError, "y must be nonempty"),
+    "non-finite vector": (lambda: supermajorizes([1.0, np.inf], [1.0, 1.0]), DomainError, "y has non-finite entries"),
+    "weights of the wrong length": (
+        lambda: karcher_mean([_A, _B], [0.5, 0.25, 0.25]),
+        InputError,
+        "expected 2 weights, got shape (3,)",
+    ),
+    "no matrix to average": (lambda: karcher_mean([]), InputError, "need at least one matrix"),
+    "empty partition": (lambda: validate_partition((), 2), InputError, "partition sizes must be positive integers, got ()"),
+    "no matrix to sum": (lambda: s_direct_sum([]), InputError, "need at least one matrix"),
+    "unitary parts of two shapes": (
+        lambda: unitary_to_orthosymplectic(np.eye(2), np.eye(3)),
+        InputError,
+        "real and imaginary parts must have matching shape",
+    ),
+    "restriction of the wrong shape": (
+        lambda: check_theorem5(_A, 1, M=np.eye(4)),
+        InputError,
+        "restriction must be 4 x 2, got (4, 4)",
+    ),
+    "no trials": (lambda: SuiteConfig(trials=0), InputError, "trials must be >= 1, got 0"),
+    "no half-order": (lambda: SuiteConfig(nmin=0), InputError, "need 1 <= nmin <= nmax, got [0, 6]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_malformed_input_is_refused(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_truthiness_follows_the_verdict():
+    assert bool(log_majorizes([2.0, 1.0], [2.0, 1.0])) is True
+    assert bool(log_majorizes([2.0, 1.0], [3.0, 1.0])) is False
+    assert bool(is_symplectic(standard_J(2))) is True
+    assert bool(is_symplectic(2.0 * I4)) is False
