@@ -71,11 +71,10 @@ def _real(value) -> bool:
     return value.ndim == 0 and value.dtype.kind in "iuf"
 
 
-def require_finite(value, name: str):
-    """value, after an InputError unless it is a finite real number."""
+def require_finite(value, name: str) -> None:
+    """Raise InputError unless value (a power) is a finite real number."""
     if not (_real(value) and np.isfinite(value)):
         raise InputError(f"{name} must be a finite real number, got {value}")
-    return value
 
 
 def require_nonnegative(value: float, name: str) -> None:

@@ -337,7 +337,10 @@ BAD_SEEDS = {
     "None": (None, "seed must be an integer, got None"),
     "bool": (True, "seed must be an integer, got True"),
 }
-SEEDED = {"random_posdef": lambda seed: random_posdef(seed, 2)[0], "random_symplectic": lambda seed: random_symplectic(seed, 2)}
+SEEDED = {
+    "random_posdef": lambda seed: random_posdef(seed, 2)[0],
+    "random_symplectic": lambda seed: random_symplectic(seed, 2),
+}
 
 
 @pytest.mark.parametrize("seed", sorted(BAD_SEEDS))
@@ -417,7 +420,11 @@ REFUSALS = {
         "expected 2 weights, got shape (3,)",
     ),
     "no matrix to average": (lambda: karcher_mean([]), InputError, "need at least one matrix"),
-    "empty partition": (lambda: validate_partition((), 2), InputError, "partition sizes must be positive integers, got ()"),
+    "empty partition": (
+        lambda: validate_partition((), 2),
+        InputError,
+        "partition sizes must be positive integers, got ()",
+    ),
     "no matrix to sum": (lambda: s_direct_sum([]), InputError, "need at least one matrix"),
     "unitary parts of two shapes": (
         lambda: unitary_to_orthosymplectic(np.eye(2), np.eye(3)),
