@@ -15,22 +15,21 @@ _EXPORTS = {
     "cli": "",
     "errors": "DomainError FormatError InputError NumericalError SympeigError",
     "majorization": "MajorizationVerdict log_majorizes supermajorizes",
-    "matfun": "NormTriple norms sym_log sym_pow",
+    "matfun": "sym_log sym_pow",
     "matio": "",
     "means": "KarcherResult geodesic karcher_mean karcher_residual riemannian_distance",
-    "sops": "s_direct_sum s_pinching s_principal_submatrix",
+    "sops": "s_pinching s_principal_submatrix",
     "symplectic": "EulerForm SuperstochasticCheck SymplecticCheck associated_matrix convention_permutation "
-    "euler_decompose is_doubly_stochastic is_doubly_superstochastic is_symplectic mtilde_identity_check "
-    "orthosymplectic_to_unitary random_posdef random_symplectic standard_J unitary_to_orthosymplectic",
+    "euler_decompose is_doubly_superstochastic is_symplectic random_posdef random_symplectic standard_J",
     "theorems": "DEFAULT_TOLERANCES THEOREM_IDS SuiteConfig TheoremReport check_corollary8 check_interlacing "
     "check_minmax check_pinching check_superadditivity check_theorem1 check_theorem3 check_theorem4 "
     "check_theorem5 check_theorem6 check_theorem7 check_theorem11 run_suite summarize",
-    "williamson": "SymplecticSpectrum WilliamsonForm is_gaussian sharp_spectrum symplectic_spectrum "
+    "williamson": "SymplecticSpectrum WilliamsonForm is_gaussian symplectic_spectrum "
     "validate_posdef williamson_form",
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_ORIGIN)
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 
 def __getattr__(name: str):

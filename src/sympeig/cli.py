@@ -184,10 +184,11 @@ def cmd_spinch(args) -> _Outcome:
 
 
 def cmd_sprincipal(args) -> _Outcome:
-    from . import sops
+    from . import sops, williamson
     mf = matio.load_matrix(args.input)
-    if any(i < 1 for i in args.keep):
-        raise InputError(f"keep indices are 1-based, got {args.keep}")
+    n = williamson._even_order(mf.data).shape[0] // 2
+    if not all(1 <= i <= n for i in args.keep):
+        raise InputError(f"keep indices must lie in [1, {n}], got {args.keep}")
     out = sops.s_principal_submatrix(mf.data, [i - 1 for i in args.keep])
     return _Outcome({"keep": args.keep, "matrix": out.tolist()}, [("s-principal submatrix", out)], (out, "posdef"))
 

@@ -46,7 +46,7 @@ def _pair(y, x, positive: bool = False) -> tuple[np.ndarray, np.ndarray]:
     y = _vector(y, "y", positive)
     x = _vector(x, "x", positive)
     if x.shape != y.shape:
-        raise InputError(f"length mismatch: {x.size} vs {y.size}")
+        raise InputError(f"length mismatch: x has {x.size} entries, y has {y.size}")
     return y, x
 
 

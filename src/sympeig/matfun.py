@@ -1,4 +1,4 @@
-"""Functional calculus for real symmetric matrices and basic matrix norms.
+"""Functional calculus for real symmetric matrices.
 
 The one place that decides positive definiteness and owns each numerical
 rule: ``_posdef`` is the gate for outside input, a shifted-Cholesky
@@ -20,7 +20,6 @@ reject near-singular input instead of regularizing it.
 """
 
 import operator
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,14 +29,6 @@ from .errors import DomainError, InputError, NumericalError
 SYMTOL = 1e-8
 # The refusing operations reject lambda_min <= PD_RELCUT * lambda_max.
 PD_RELCUT = 1e-12
-
-
-class NormTriple(NamedTuple):
-    """Operator (spectral), Frobenius and trace (nuclear) norms."""
-
-    operator: float
-    frobenius: float
-    trace: float
 
 
 def require_square(X: np.ndarray, name: str = "matrix", stacked: bool = False) -> np.ndarray:
@@ -276,19 +267,3 @@ def sym_log(S: np.ndarray) -> np.ndarray:
     near-singular input like :func:`sym_pow`."""
     return _spectral(np.log, *_eigh(_posdef(S, refuse_near_singular=True)))
 
-
-def norms(X: np.ndarray) -> NormTriple:
-    """Operator, Frobenius and trace norms of a square matrix.
-
-    The operator norm is the largest singular value, the trace norm the sum
-    of all singular values.
-    """
-    X = require_square(X, "norms input")
-    if not X.size:
-        raise InputError("norms input must be nonempty")
-    s = _svd(X, compute_uv=False)
-    return NormTriple(
-        operator=float(s[0]),
-        frobenius=float(np.sqrt(np.sum(X * X))),
-        trace=float(np.sum(s)),
-    )

@@ -1,5 +1,5 @@
-"""Structural operations adapted to the symplectic block layout: s-direct
-sums, s-pinchings, and s-principal submatrices.
+"""Structural operations adapted to the symplectic block layout:
+s-pinchings and s-principal submatrices.
 
 Each of these acts simultaneously on the four n x n quadrants of a 2n x 2n
 matrix, which is what keeps the symplectic structure (and positive
@@ -9,8 +9,7 @@ definiteness) intact.
 import numpy as np
 
 from .errors import InputError
-from .matfun import require_integer, require_matrices, require_square
-from .symplectic import validate_symplectic
+from .matfun import require_integer
 from .williamson import _even_order, validate_posdef
 
 
@@ -31,36 +30,6 @@ def validate_partition(sizes, n: int) -> tuple[int, ...]:
     if sum(sizes) != n:
         raise InputError(f"partition {sizes} does not sum to the half-order {n}")
     return sizes
-
-
-def _validate_kind(A: np.ndarray, kind: str) -> np.ndarray:
-    """A through the validator of its ``kind``, "posdef" or "symplectic"."""
-    if kind == "posdef":
-        return validate_posdef(A)
-    if kind == "symplectic":
-        return validate_symplectic(A)
-    raise InputError(f"kind must be 'posdef' or 'symplectic', got {kind!r}")
-
-
-def s_direct_sum(mats, kind: str = "posdef") -> np.ndarray:
-    """s-direct sum: the four quadrants of the result are the ordinary direct
-    sums of the inputs' quadrants.
-
-    All inputs must validate as the declared ``kind``; the s-direct sum of
-    symplectic matrices is symplectic, of positive definite matrices positive
-    definite, and the symplectic spectrum of the result is the multiset union
-    of the inputs' spectra.
-    """
-    mats = [_validate_kind(require_square(A, "s-direct sum input"), kind) for A in require_matrices(mats)]
-    n = sum(A.shape[0] // 2 for A in mats)
-    out = np.zeros((2 * n, 2 * n))
-    start = 0
-    for A in mats:
-        k = A.shape[0] // 2
-        idx = np.r_[start : start + k, n + start : n + start + k]
-        out[np.ix_(idx, idx)] = A
-        start += k
-    return out
 
 
 def s_pinching(A: np.ndarray, sizes) -> np.ndarray:

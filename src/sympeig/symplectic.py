@@ -1,11 +1,11 @@
 """Symplectic-group utilities.
 
 Covers the standard form J, symplecticity testing, the associated nonnegative
-matrix of a symplectic matrix, the doubly stochastic test and a dense numpy
-max-flow for the doubly superstochastic one, the Euler decomposition into
-orthogonal-symplectic factors and a squeezing diagonal, the correspondence
-between orthogonal-symplectic matrices and complex unitaries, and seeded
-random generators used by the property suites.
+matrix of a symplectic matrix, the doubly stochastic kernel and a dense numpy
+max-flow for the doubly superstochastic test, the Euler decomposition into
+orthogonal-symplectic factors and a squeezing diagonal, and seeded random
+generators used by the property suites, whose orthogonal-symplectic draws are
+the real forms [[X, -Y], [Y, X]] of Haar unitaries X + iY.
 
 Symplectic input has one stacked gate, ``_symplectic``, judged by the one
 relative rule of ``_relative``; the public tests are its batch of one, and the
@@ -26,8 +26,7 @@ from .matfun import (
     _dot, _eigh, _svd, _sym, require_integer, require_nonnegative, require_numeric, require_seed, require_square
 )
 
-# The one symplecticity threshold, relative to 1 + ||M||_F^2 (see _relative);
-# the unitary correspondence's orthogonality, block and unitarity tests use it too.
+# The one symplecticity threshold, relative to 1 + ||M||_F^2 (see _relative).
 SYMPLECTIC_TOL = 1e-9
 # Singular values of M within this multiple of max(1, s_1) of 1 form the
 # unit block (gamma = 1) of the Euler decomposition.
@@ -135,23 +134,9 @@ def _associated(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M[..., :n, :n] ** 2 + M[..., :n, n:] ** 2 + M[..., n:, :n] ** 2 + M[..., n:, n:] ** 2)
 
 
-def _candidate(B, tol, name: str) -> np.ndarray:
-    """B as floats, after an InputError unless tol is finite and >= 0 and B nonempty, finite and square."""
-    require_nonnegative(tol, "tol")
-    B = require_square(B, name)
-    if B.size == 0:
-        raise InputError(f"{name} must be nonempty")
-    return B
-
-
-def is_doubly_stochastic(B: np.ndarray, tol: float = 1e-8) -> bool:
-    """True when all entries are >= -tol and every row and column sums to 1
-    within tol."""
-    return bool(_doubly_stochastic(_candidate(B, tol, "doubly stochastic candidate"), tol))
-
-
 def _doubly_stochastic(B: np.ndarray, tol: float) -> np.ndarray:
-    """:func:`is_doubly_stochastic` of the trusted B, or of each matrix of a stack."""
+    """Whether the trusted B, or each matrix of a stack, is doubly stochastic: entries
+    >= -tol, row and column sums within tol of 1 (theorem 6's test of orthogonal M)."""
     row, col = np.abs(B.sum(axis=-1) - 1.0), np.abs(B.sum(axis=-2) - 1.0)
     return (np.min(B, axis=(-2, -1)) >= -tol) & (np.max(row, axis=-1) <= tol) & (np.max(col, axis=-1) <= tol)
 
@@ -175,8 +160,13 @@ class SuperstochasticCheck:
 
 def is_doubly_superstochastic(B: np.ndarray, tol: float = 1e-9) -> SuperstochasticCheck:
     """Decide whether B dominates some doubly stochastic matrix entrywise: the
-    batch of one of the max-flow :func:`_superstochastic`."""
-    return _superstochastic(_candidate(B, tol, "doubly superstochastic candidate")[None], tol)[0]
+    batch of one of the max-flow :func:`_superstochastic`. InputError unless tol
+    is finite and >= 0 and B nonempty, finite and square."""
+    require_nonnegative(tol, "tol")
+    B = require_square(B, "doubly superstochastic candidate")
+    if B.size == 0:
+        raise InputError("doubly superstochastic candidate must be nonempty")
+    return _superstochastic(B[None], tol)[0]
 
 
 def _superstochastic(B: np.ndarray, tol: float) -> list[SuperstochasticCheck]:
@@ -306,40 +296,6 @@ def euler_decompose(M: np.ndarray) -> EulerForm:
     return EulerForm(o1=o1, gamma=np.concatenate([s[:k], np.ones(n - k)]), o2=o2)
 
 
-def orthosymplectic_to_unitary(O: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts (X, Y) of the unitary U = X + iY corresponding
-    to an orthogonal-symplectic O = [[X, -Y], [Y, X]].
-
-    No global phase is fixed: the standard form J maps to (0, -I), i.e.
-    U = -iI. InputError unless O is orthogonal-symplectic of that block form.
-    """
-    O = validate_symplectic(O)
-    n = O.shape[0] // 2
-    ok, orth = _relative(O.T @ O - np.eye(2 * n), O)
-    if not ok:
-        raise InputError(f"matrix is not orthogonal: ||O^T O - I||_F = {orth:.3e}")
-    X, Y = O[:n, :n], O[n:, :n]
-    block_dev = float(np.max(np.abs(O - _orthosymplectic(X, Y))))
-    if block_dev > SYMPLECTIC_TOL * max(1.0, float(np.max(np.abs(O)))):
-        raise InputError(f"matrix lacks the [[X, -Y], [Y, X]] block structure: deviation {block_dev:.3e}")
-    return X, Y
-
-
-def unitary_to_orthosymplectic(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`orthosymplectic_to_unitary`: assemble
-    [[X, -Y], [Y, X]] from the parts of a unitary X + iY."""
-    X = require_square(X, "unitary real part")
-    Y = require_square(Y, "unitary imaginary part")
-    if X.shape != Y.shape:
-        raise InputError("real and imaginary parts must have matching shape")
-    U = X + 1j * Y
-    # The Frobenius norm of a complex matrix is that of its real and imaginary parts side by side.
-    ok, dev = _relative((U.conj().T @ U - np.eye(X.shape[0])).view(float), U)
-    if not ok:
-        raise InputError(f"X + iY is not unitary: ||U*U - I||_F = {dev:.3e}")
-    return _orthosymplectic(X, Y)
-
-
 def _orthosymplectic(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """The real form [[X, -Y], [Y, X]] of the unitary X + iY, for one n x n
     pair or a stack of them along the leading axes."""
@@ -349,23 +305,6 @@ def _orthosymplectic(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     O[..., :n, n:] = -Y
     O[..., n:, :n] = Y
     return O
-
-
-def mtilde_identity_check(M: np.ndarray) -> float:
-    """Maximum entrywise deviation between the associated matrix of M and its
-    closed form in terms of the Euler factors.
-
-    With U, V the unitaries of o1, o2 and s = (gamma + 1/gamma)/2,
-    d = (gamma - 1/gamma)/2, each entry of the associated matrix equals
-    |(U diag(d) V^T)_ij|^2 + |(U diag(s) V^*)_ij|^2: a consistency test of the
-    Euler decomposition, which validates M, the unitary correspondence and the
-    associated matrix. U and V are read from the trusted factors' left blocks.
-    """
-    form = euler_decompose(M)
-    g, n = form.gamma, form.gamma.size
-    U, V = (o[:n, :n] + 1j * o[n:, :n] for o in (form.o1, form.o2))
-    rhs = np.abs((U * ((g - 1.0 / g) / 2.0)) @ V.T) ** 2 + np.abs((U * ((g + 1.0 / g) / 2.0)) @ V.conj().T) ** 2
-    return float(np.max(np.abs(_associated(np.asarray(M, dtype=float)) - rhs)))
 
 
 def _haar(N: np.ndarray) -> np.ndarray:

@@ -216,20 +216,12 @@ def _resolve_clusters(
     return d, Up, Vp
 
 
-def sharp_spectrum(A: np.ndarray) -> np.ndarray:
-    """Eigenvalues, descending, of i A^{-1} J.
-
-    That operator is Hermitian in the inner product weighted by A, so its
-    spectrum is real and equals {+-1/d_j(A)}. Computed with a general complex
-    eigensolver on i A^{-1} J itself, it provides a path to the symplectic
-    spectrum independent of :func:`symplectic_spectrum`, which is how the
-    minmax principle is verified.
-    """
-    return _sharp(validate_posdef(A))
-
-
 def _sharp(S: np.ndarray) -> np.ndarray:
-    """:func:`sharp_spectrum` of the gated S, or one row per matrix of a stack; solver failure raises NumericalError."""
+    """Eigenvalues, descending, of i S^{-1} J for the gated S, or one row per matrix
+    of a stack; solver failure raises NumericalError. The operator is Hermitian in
+    the S-weighted inner product, so its spectrum is real and equals {+-1/d_j(S)}:
+    from a general complex eigensolve, a path to the symplectic spectrum independent
+    of :func:`symplectic_spectrum`, which is how the minmax principle is verified."""
     n = S.shape[-1] // 2
     ev = _lapack(np.linalg.eigvals, 1j * _lapack(np.linalg.solve, S, np.broadcast_to(standard_J(n), S.shape)))
     scale = np.max(np.abs(ev), axis=-1)

@@ -296,6 +296,12 @@ class TestStructuralCommands:
         code, _ = run(capsys, "sprincipal", path, "--keep", "0")
         assert code == 3
 
+    def test_sprincipal_index_past_the_half_order_rejected(self, workdir, capsys):
+        # The range is 1-based, as the flag is; the library's is 0-based.
+        path = write(workdir, "a.json", np.eye(6))
+        assert main(["sprincipal", path, "--keep", "1,4"]) == 3
+        assert capsys.readouterr().err == "error: keep indices must lie in [1, 3], got [1, 4]\n"
+
 
 class TestVerifyCommand:
     def test_single_theorem_deterministic_and_clean(self, workdir, capsys):

@@ -53,6 +53,11 @@ class TestSupermajorizes:
         assert not v.holds
         assert v.failing_index == 1
 
+    def test_length_mismatch_names_x_and_y(self):
+        with pytest.raises(InputError) as info:
+            supermajorizes([1, 2], [1, 2, 3])
+        assert str(info.value) == "length mismatch: x has 3 entries, y has 2"
+
 
 @settings(max_examples=100, deadline=None)
 @given(x=positive_vectors)

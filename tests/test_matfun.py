@@ -1,10 +1,10 @@
-"""Unit tests for the symmetric functional calculus and matrix norms."""
+"""Unit tests for the symmetric functional calculus."""
 
 import numpy as np
 import pytest
 
 from sympeig import matfun
-from sympeig.errors import DomainError, InputError
+from sympeig.errors import DomainError
 
 
 def random_spd(rng, m, shift=0.5):
@@ -61,28 +61,3 @@ class TestSymLogExp:
         back = matfun._sym_exp(matfun.sym_log(S))
         assert np.linalg.norm(back - S) <= 1e-9 * np.linalg.norm(S)
 
-
-class TestNorms:
-    def test_identity(self):
-        m = 4
-        triple = matfun.norms(np.eye(m))
-        assert triple.operator == pytest.approx(1.0)
-        assert triple.frobenius == pytest.approx(np.sqrt(m))
-        assert triple.trace == pytest.approx(m)
-
-    def test_diagonal(self):
-        triple = matfun.norms(np.diag([3.0, -4.0]))
-        assert triple.operator == pytest.approx(4.0)
-        assert triple.frobenius == pytest.approx(5.0)
-        assert triple.trace == pytest.approx(7.0)
-
-    def test_ordering(self):
-        rng = np.random.default_rng(8)
-        X = rng.standard_normal((5, 5))
-        triple = matfun.norms(X)
-        assert triple.operator <= triple.frobenius + 1e-12
-        assert triple.frobenius <= triple.trace + 1e-12
-
-    def test_rejects_empty(self):
-        with pytest.raises(InputError, match="nonempty"):
-            matfun.norms(np.zeros((0, 0)))

@@ -24,20 +24,16 @@ from sympeig import (
     karcher_mean,
     karcher_residual,
     log_majorizes,
-    norms,
     random_posdef,
     random_symplectic,
     riemannian_distance,
     run_suite,
-    s_direct_sum,
     s_pinching,
-    sharp_spectrum,
     standard_J,
     sym_log,
     supermajorizes,
     sym_pow,
     symplectic_spectrum,
-    unitary_to_orthosymplectic,
     validate_posdef,
     williamson_form,
 )
@@ -46,6 +42,7 @@ from sympeig.matfun import PD_RELCUT, SYMTOL, _check_posdef, symmetrize
 from sympeig.matio import save_matrix
 from sympeig.sops import validate_partition
 from sympeig.symplectic import random_posdef_rng
+from sympeig.williamson import _sharp
 
 I4 = np.eye(4)
 
@@ -53,7 +50,6 @@ ENTRY_POINTS = {
     "validate_posdef": validate_posdef,
     "symplectic_spectrum": symplectic_spectrum,
     "williamson_form": williamson_form,
-    "sharp_spectrum": sharp_spectrum,
     "sym_pow": lambda X: sym_pow(X, 0.5),
     "sym_log": sym_log,
     "geodesic": lambda X: geodesic(X, I4, 0.5),
@@ -65,7 +61,7 @@ ENTRY_POINTS = {
 REFUSE_NEAR_SINGULAR = {"symplectic_spectrum", "williamson_form", "sym_pow", "sym_log"}
 # Entry points whose well-conditioned input passes the gate's Cholesky
 # certificate and then needs no real symmetric eigensolve.
-NO_EIGENSOLVE = {"validate_posdef", "s_pinching", "sharp_spectrum"}
+NO_EIGENSOLVE = {"validate_posdef", "s_pinching"}
 
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
@@ -101,7 +97,6 @@ def test_gate_contract(name):
 # Entry points outside the positive definite gate, each with a valid input.
 NON_POSDEF = {
     "euler_decompose": (euler_decompose, random_symplectic(np.random.default_rng(3), 2)),
-    "norms": (norms, 2.0 * I4),
 }
 
 
@@ -157,7 +152,7 @@ def _fail_eigvals(*args, **kwargs):
 
 # Only np.linalg.eigvals fails: the general eigensolve of i A^{-1} J, which only
 # the minmax path runs.
-@pytest.mark.parametrize("call", [sharp_spectrum, check_minmax])
+@pytest.mark.parametrize("call", [check_minmax])
 def test_eigvals_failure_is_numerical_error(call, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", _fail_eigvals)
     with pytest.raises(NumericalError, match="eigensolver failed: did not converge"):
@@ -287,7 +282,7 @@ def test_well_conditioned_input_skips_real_eigensolve(monkeypatch):
     williamson_form(A)
     validate_posdef(A)
     s_pinching(A, [3, 3])
-    sharp_spectrum(A)
+    _sharp(validate_posdef(A))
     assert real_calls == []
     with pytest.raises(DomainError, match="near-singular"):
         symplectic_spectrum(np.diag([1.0, 1.0, 1.0, 1e-14]))
@@ -315,7 +310,6 @@ NON_NUMERIC = {
     "theorem 4 weights": lambda: check_theorem4([I4, I4], ["x", "y"]),
     "theorem 5 restriction": lambda: check_theorem5(random_posdef(0, 2)[0], 1, M=[["a", "b"]] * 4),
     "log-majorization": lambda: log_majorizes(["a"], ["b"]),
-    "norms": lambda: norms([["a"]]),
     "ragged symplectic": lambda: check_theorem6([[1, 2], [3]]),
     "planted spectrum": lambda: random_posdef_rng(np.random.default_rng(0), 2, d=["a", "b"]),
 }
@@ -397,7 +391,6 @@ SEQUENCES = {
     "karcher_mean": (lambda mats: karcher_mean(mats), "one matrix"),
     "karcher_residual": (lambda mats: karcher_residual(I4, mats), "one matrix"),
     "check_theorem4": (lambda mats: check_theorem4(mats), "two matrices"),
-    "s_direct_sum": (lambda mats: s_direct_sum(mats), "one matrix"),
 }
 
 
@@ -424,12 +417,6 @@ REFUSALS = {
         lambda: validate_partition((), 2),
         InputError,
         "partition sizes must be positive integers, got ()",
-    ),
-    "no matrix to sum": (lambda: s_direct_sum([]), InputError, "need at least one matrix"),
-    "unitary parts of two shapes": (
-        lambda: unitary_to_orthosymplectic(np.eye(2), np.eye(3)),
-        InputError,
-        "real and imaginary parts must have matching shape",
     ),
     "restriction of the wrong shape": (
         lambda: check_theorem5(_A, 1, M=np.eye(4)),

@@ -9,14 +9,13 @@ from sympeig import (
     is_gaussian,
     random_posdef,
     random_symplectic,
-    sharp_spectrum,
     standard_J,
     symplectic_spectrum,
     validate_posdef,
     williamson_form,
 )
 from sympeig.symplectic import random_posdef_rng
-from sympeig.williamson import CLUSTER_RELGAP, _gate, _skew, _williamson
+from sympeig.williamson import CLUSTER_RELGAP, _gate, _sharp, _skew, _williamson
 
 
 def spectrum_by_ja_oracle(A):
@@ -216,19 +215,21 @@ class TestSymplecticEigenbasis:
 
 
 class TestSharpSpectrum:
+    """The kernel behind check_minmax, on gated matrices: the spectrum of i A^{-1} J is {+-1/d_j}."""
+
     def test_identity(self):
-        s = sharp_spectrum(np.eye(6))
+        s = _sharp(validate_posdef(np.eye(6)))
         assert np.allclose(s, [1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
 
     def test_scaled_identity_reciprocals(self):
         A = np.diag([4.0, 4.0, 1.0, 1.0])
-        assert np.allclose(sharp_spectrum(A), [0.5, 0.5, -0.5, -0.5])
+        assert np.allclose(_sharp(validate_posdef(A)), [0.5, 0.5, -0.5, -0.5])
 
     def test_matches_symplectic_spectrum(self):
         A, _ = random_posdef(seed=20, n=4, condition_spread=1.5)
         d = symplectic_spectrum(A).d
         expected = np.concatenate([1.0 / d, -1.0 / d[::-1]])
-        got = sharp_spectrum(A)
+        got = _sharp(validate_posdef(A))
         assert np.max(np.abs(got - expected)) <= 1e-8 * np.max(np.abs(expected))
 
 
