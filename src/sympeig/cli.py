@@ -184,28 +184,23 @@ def cmd_spinch(args) -> _Outcome:
 
 
 def cmd_sprincipal(args) -> _Outcome:
-    from . import sops, williamson
+    from . import sops
     mf = matio.load_matrix(args.input)
-    n = williamson._even_order(mf.data).shape[0] // 2
-    if not all(1 <= i <= n for i in args.keep):
-        raise InputError(f"keep indices must lie in [1, {n}], got {args.keep}")
+    if not all(1 <= i <= mf.n for i in args.keep):
+        raise InputError(f"keep indices must lie in [1, {mf.n}], got {args.keep}")
     out = sops.s_principal_submatrix(mf.data, [i - 1 for i in args.keep])
     return _Outcome({"keep": args.keep, "matrix": out.tolist()}, [("s-principal submatrix", out)], (out, "posdef"))
 
 
 def cmd_verify(args) -> int:
     from . import theorems
-    from .matfun import require_nonnegative
     if args.theorem != "all" and args.theorem not in theorems.THEOREM_IDS:
         known = ", ".join(theorems.THEOREM_IDS)
         print(f"unknown theorem id {args.theorem!r}; known: all, {known}", file=sys.stderr)
         return 2
     selected = theorems.THEOREM_IDS if args.theorem == "all" else (args.theorem,)
-    if args.tol is not None:
-        require_nonnegative(args.tol, "tol")
-    tols = {tid: args.tol for tid in selected} if args.tol is not None else {}
     cfg = theorems.SuiteConfig(
-        seed=args.seed, trials=args.trials, nmin=args.nmin, nmax=args.nmax, tolerances=tols, theorems=selected
+        seed=args.seed, trials=args.trials, nmin=args.nmin, nmax=args.nmax, tol=args.tol, theorems=selected
     )
     reports = theorems.run_suite(cfg)
     if args.json:

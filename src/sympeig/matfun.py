@@ -12,9 +12,10 @@ behind the Euler decomposition and ``williamson._skew_svd``, the SVD of the
 skew K = F^T J F = P - P^T, P = F[:n]^T F[n:] the product of the factor's row
 halves, for symplectic spectra and Williamson forms), and the other
 underscore helpers trust their inputs. ``require_numeric`` is the one
-conversion of outside arrays, and the other ``require_*`` check parameters:
-a scalar is one real number, a seed an integer >= 0 and a matrix sequence an
-iterable of at least one (or two) matrices.
+conversion of outside arrays, ``_one`` the one batch of one (the matrix
+validators take a stack along one leading axis), and the other ``require_*``
+check parameters: a scalar is one real number, a seed an integer >= 0 and a
+matrix sequence an iterable of at least one (or two) matrices.
 The refusing operations (fractional powers, logarithms, symplectic spectra)
 reject near-singular input instead of regularizing it.
 """
@@ -31,13 +32,13 @@ SYMTOL = 1e-8
 PD_RELCUT = 1e-12
 
 
-def require_square(X: np.ndarray, name: str = "matrix", stacked: bool = False) -> np.ndarray:
-    """Return X as a float array, raising InputError unless it is a finite
-    square 2-d matrix, or with ``stacked`` a stack of them along one leading
-    axis (the message then names the shape of one matrix)."""
+def require_square(X: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Return the stack X as a float array, raising InputError unless it holds
+    finite square matrices along one leading axis (the message names the shape
+    of one matrix, so a single matrix passed as :func:`_one` reads as itself)."""
     X = require_numeric(X, name)
-    if X.ndim != 2 + stacked or X.shape[-1] != X.shape[-2]:
-        raise InputError(f"{name} must be square, got shape {X.shape[int(stacked):]}")
+    if X.ndim != 3 or X.shape[-1] != X.shape[-2]:
+        raise InputError(f"{name} must be square, got shape {X.shape[1:]}")
     if not np.all(np.isfinite(X)):
         raise InputError(f"{name} has non-finite entries")
     return X
@@ -50,6 +51,11 @@ def require_numeric(x, name: str) -> np.ndarray:
         return np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{name} must be numeric: {exc}") from exc
+
+
+def _one(x, name: str = "positive definite matrix") -> np.ndarray:
+    """A single-matrix entry point's x as a batch of one, for the stack-only validators."""
+    return require_numeric(x, name)[None]
 
 
 def _real(value) -> bool:
@@ -119,9 +125,9 @@ def require_index(value, name: str, lo: int, hi: int) -> int:
     return require_between(require_integer(value, name), name, lo, hi)
 
 
-def symmetrize(S: np.ndarray, stacked: bool = False) -> np.ndarray:
-    """Validate that S is symmetric within tolerance and return (S + S^T)/2;
-    with ``stacked``, each matrix of a stack along one leading axis.
+def symmetrize(S: np.ndarray) -> np.ndarray:
+    """Validate that each matrix of the stack S (one leading axis) is symmetric
+    within tolerance and return the stack of (S + S^T)/2.
 
     Raises
     ------
@@ -129,7 +135,7 @@ def symmetrize(S: np.ndarray, stacked: bool = False) -> np.ndarray:
         If S is not square, not finite, or max|S_ij - S_ji| exceeds
         SYMTOL * max|S_ij| (the first such matrix of a stack is named).
     """
-    S = require_square(S, "positive definite matrix", stacked)
+    S = require_square(S, "positive definite matrix")
     # One contiguous transpose, read by the test and holding the mean.
     St = np.swapaxes(S, -1, -2).copy()
     if S.size:
@@ -180,10 +186,10 @@ def _check_posdef(w: np.ndarray, refuse_near_singular: bool = False) -> None:
         )
 
 
-def _posdef(S: np.ndarray, refuse_near_singular: bool = False, stacked: bool = False) -> np.ndarray:
-    """The symmetrized S of nonempty outside input, once it is certified positive
-    definite (with ``refuse_near_singular``: lambda_min > PD_RELCUT * lambda_max);
-    with ``stacked``, every matrix of a stack along one leading axis.
+def _posdef(S: np.ndarray, refuse_near_singular: bool = False) -> np.ndarray:
+    """The symmetrized stack S (one leading axis) of nonempty outside input, once
+    each matrix is certified positive definite (with ``refuse_near_singular``:
+    lambda_min > PD_RELCUT * lambda_max).
 
     A Cholesky factor of S - tau I, tau = (cut + m^2 eps) s ||S / s||_F with
     s = max|S_ij| and cut = PD_RELCUT or 0 (m^2 eps: Cholesky's backward error,
@@ -193,7 +199,7 @@ def _posdef(S: np.ndarray, refuse_near_singular: bool = False, stacked: bool = F
     and when any of its matrices does not factor, the spectra decide for all.
     Each ||.||_F is one :func:`_dot`, as ``np.linalg.norm`` takes it.
     """
-    S = symmetrize(S, stacked=stacked)
+    S = symmetrize(S)
     if not S.size:
         raise InputError("positive definite matrix must be nonempty")
     m = S.shape[-1]
@@ -259,11 +265,11 @@ def sym_pow(S: np.ndarray, t: float) -> np.ndarray:
     input is refused rather than regularized.
     """
     require_finite(t, "power")
-    return _spectral(lambda w: w**t, *_eigh(_posdef(S, refuse_near_singular=True)))
+    return _spectral(lambda w: w**t, *_eigh(_posdef(_one(S), refuse_near_singular=True)[0]))
 
 
 def sym_log(S: np.ndarray) -> np.ndarray:
     """Matrix logarithm of a symmetric positive definite matrix; refuses
     near-singular input like :func:`sym_pow`."""
-    return _spectral(np.log, *_eigh(_posdef(S, refuse_near_singular=True)))
+    return _spectral(np.log, *_eigh(_posdef(_one(S), refuse_near_singular=True)[0]))
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .matfun import (
-    _dot, _eigh, _posdef, _same_order, _spectral, _sym, _sym_exp, require_between, require_integer, require_matrices,
-    require_nonnegative, require_numeric
+    _dot, _eigh, _one, _posdef, _same_order, _spectral, _sym, _sym_exp, require_between, require_integer,
+    require_matrices, require_nonnegative, require_numeric
 )
 
 
@@ -69,7 +69,7 @@ def riemannian_distance(A: np.ndarray, B: np.ndarray) -> float:
     NumericalError when that matrix is not numerically positive definite.
     For A = 2^a A', B = 2^b B' scaled to unit size, each log mu_j of the pair
     (A', B') gains (b - a) log 2."""
-    (a, A), (b, B) = map(_binary_scaled, _same_order([_posdef(A), _posdef(B)]))
+    (a, A), (b, B) = map(_binary_scaled, _same_order([_posdef(_one(A))[0], _posdef(_one(B))[0]]))
     w, Q = _spd_eigh(A)
     mu = _whitened_eig(Q / np.sqrt(w), B)[0]
     return float(np.sqrt(np.sum((np.log(mu) + (b - a) * math.log(2.0)) ** 2)))
@@ -83,7 +83,7 @@ def geodesic(A: np.ndarray, B: np.ndarray, t: float) -> np.ndarray:
     NumericalError unless A^{-1/2} B A^{-1/2} is numerically positive definite.
     """
     require_between(t, "geodesic parameter", 0, 1)
-    A, B = _same_order([_posdef(A), _posdef(B)])
+    A, B = _same_order([_posdef(_one(A))[0], _posdef(_one(B))[0]])
     if t in (0.0, 1.0):
         return B if t else A
     (a, A), (b, B) = _binary_scaled(A), _binary_scaled(B)
@@ -133,7 +133,7 @@ def _log_sum(G: np.ndarray, stack: np.ndarray, w: np.ndarray):
 
 def karcher_residual(X: np.ndarray, mats, weights=None) -> float:
     """Frobenius norm of sum_j w_j log(X^{1/2} A_j^{-1} X^{1/2})."""
-    X, *mats = _same_order([_posdef(S) for S in (X, *require_matrices(mats))])
+    X, *mats = _same_order([_posdef(_one(S))[0] for S in (X, *require_matrices(mats))])
     w = validate_weights(weights, len(mats))
     lam, Q = _spd_eigh(X)
     return float(np.linalg.norm(_log_sum((Q / np.sqrt(lam))[None], np.array(mats)[None], w[None])[0][0]))
@@ -211,7 +211,7 @@ def karcher_mean(mats, weights=None, tol: float | None = None, max_iter: int = 2
     require_nonnegative(max_iter, "max_iter")
     require_integer(max_iter, "max_iter")
     require_nonnegative(0.0 if tol is None else tol, "tol")
-    mats = [_posdef(A) for A in require_matrices(mats)]
+    mats = [_posdef(_one(A))[0] for A in require_matrices(mats)]
     w = validate_weights(weights, len(mats))
     return _karcher(np.array(_same_order(mats))[None], w[None], tol, max_iter)[0]
 

@@ -9,8 +9,8 @@ definiteness) intact.
 import numpy as np
 
 from .errors import InputError
-from .matfun import require_integer
-from .williamson import _even_order, validate_posdef
+from .matfun import _one, _posdef, require_integer
+from .williamson import _even_order
 
 
 def _integers(values, name: str) -> tuple[int, ...]:
@@ -39,8 +39,9 @@ def s_pinching(A: np.ndarray, sizes) -> np.ndarray:
     the s-principal submatrices along the partition and is positive definite
     whenever A is.
     """
-    sizes = validate_partition(sizes, _even_order(A).shape[0] // 2)
-    return _s_pinching(validate_posdef(A)[None], [sizes])[0]
+    A = _even_order(_one(A))
+    sizes = validate_partition(sizes, A.shape[-1] // 2)
+    return _s_pinching(_posdef(A), [sizes])[0]
 
 
 def _s_pinching(S: np.ndarray, sizes) -> np.ndarray:
@@ -58,13 +59,14 @@ def s_principal_submatrix(A: np.ndarray, keep) -> np.ndarray:
     The result is positive definite of half-order len(keep). The CLI exposes
     this with 1-based indices.
     """
-    n = _even_order(A).shape[0] // 2
+    A = _even_order(_one(A))
+    n = A.shape[-1] // 2
     idx = sorted(set(_integers(keep, "keep index")))
     if not idx:
         raise InputError("keep must contain at least one index")
     if idx[0] < 0 or idx[-1] >= n:
         raise InputError(f"keep indices must lie in [0, {n - 1}], got {idx}")
-    return _s_principal(validate_posdef(A)[None], np.array([idx]))[0]
+    return _s_principal(_posdef(A), np.array([idx]))[0]
 
 
 def _s_principal(S: np.ndarray, keep: np.ndarray) -> np.ndarray:

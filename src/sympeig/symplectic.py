@@ -23,11 +23,13 @@ import numpy as np
 
 from .errors import InputError
 from .matfun import (
-    _dot, _eigh, _svd, _sym, require_integer, require_nonnegative, require_numeric, require_seed, require_square
+    _dot, _eigh, _one, _svd, _sym, require_integer, require_nonnegative, require_numeric, require_seed, require_square
 )
 
 # The one symplecticity threshold, relative to 1 + ||M||_F^2 (see _relative).
 SYMPLECTIC_TOL = 1e-9
+# The slack of each capacity b_ij + tol in the doubly superstochastic max-flow.
+SUPERSTOCHASTIC_TOL = 1e-9
 # Singular values of M within this multiple of max(1, s_1) of 1 form the
 # unit block (gamma = 1) of the Euler decomposition.
 _UNIT_CLUSTER_TOL = 1e-10
@@ -87,7 +89,7 @@ def _relative(R: np.ndarray, X: np.ndarray):
 def _symplecticity(M):
     """``(M, ok, residual)`` of a stack of candidates (b, 2n, 2n), after an InputError
     unless square of even order: per matrix ||M^T J M - J||_F from one stacked product."""
-    M = require_square(M, "symplectic candidate", stacked=True)
+    M = require_square(M, "symplectic candidate")
     if M.shape[-1] % 2 != 0:
         raise InputError(f"symplectic matrices have even order, got {M.shape[-1]}")
     J = standard_J(M.shape[-1] // 2)
@@ -158,15 +160,16 @@ class SuperstochasticCheck:
         return self.ok
 
 
-def is_doubly_superstochastic(B: np.ndarray, tol: float = 1e-9) -> SuperstochasticCheck:
+def is_doubly_superstochastic(B: np.ndarray, tol: float = SUPERSTOCHASTIC_TOL) -> SuperstochasticCheck:
     """Decide whether B dominates some doubly stochastic matrix entrywise: the
     batch of one of the max-flow :func:`_superstochastic`. InputError unless tol
     is finite and >= 0 and B nonempty, finite and square."""
     require_nonnegative(tol, "tol")
-    B = require_square(B, "doubly superstochastic candidate")
+    name = "doubly superstochastic candidate"
+    B = require_square(_one(B, name), name)
     if B.size == 0:
-        raise InputError("doubly superstochastic candidate must be nonempty")
-    return _superstochastic(B[None], tol)[0]
+        raise InputError(f"{name} must be nonempty")
+    return _superstochastic(B, tol)[0]
 
 
 def _superstochastic(B: np.ndarray, tol: float) -> list[SuperstochasticCheck]:
@@ -350,14 +353,6 @@ def random_orthosymplectic_rng(rng: "np.random.Generator", n: int) -> np.ndarray
     return _haar(rng.standard_normal((2, n, n)))
 
 
-def random_symplectic_rng(rng: "np.random.Generator", n: int, spread: float = 1.0) -> np.ndarray:
-    """rng-driven body of :func:`random_symplectic`."""
-    n = _half_order(n)
-    require_nonnegative(spread, "spread")
-    N = rng.standard_normal((2, 2, n, n))
-    return _squeezed(N, rng.uniform(0.0, spread, size=n))
-
-
 def _seeded(seed) -> "np.random.Generator":
     """The generator of a seeded draw: of an integer seed >= 0 (InputError
     otherwise), or a numpy Generator, drawn from as given."""
@@ -372,42 +367,36 @@ def random_symplectic(seed: int, n: int, spread: float = 1.0) -> np.ndarray:
     symplectic matrix. Deterministic in ``seed``, an integer >= 0 (or a numpy
     Generator, drawn from as given).
     """
-    return random_symplectic_rng(_seeded(seed), n, spread)
+    rng = _seeded(seed)
+    n = _half_order(n)
+    require_nonnegative(spread, "spread")
+    N = rng.standard_normal((2, 2, n, n))
+    return _squeezed(N, rng.uniform(0.0, spread, size=n))
 
 
-def random_posdef_rng(
-    rng: "np.random.Generator",
-    n: int,
-    condition_spread: float = 1.0,
-    spread: float = 1.0,
-    d: np.ndarray | None = None,
+def random_posdef(
+    seed: int, n: int, condition_spread: float = 1.0, spread: float = 1.0, d: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """rng-driven body of :func:`random_posdef`; ``d``, n finite positive
-    entries, overrides the planted symplectic spectrum when given."""
+    """Seeded random positive definite matrix with a planted symplectic
+    spectrum.
+
+    Returns ``(A, d)`` where A = S^T diag(d, d) S for a random symplectic S
+    and log(d_j) uniform on [-condition_spread, condition_spread], unless
+    ``d``, n finite positive entries, is given. Symplectic congruence
+    preserves the symplectic spectrum, so ``d`` (sorted ascending) is exactly
+    the symplectic spectrum of A, which makes it a planted oracle for spectrum
+    computations. Deterministic in ``seed``, an integer >= 0 (or a numpy
+    Generator, drawn from as given).
+    """
+    rng = _seeded(seed)
     n = _half_order(n)
     require_nonnegative(condition_spread, "condition_spread")
     if d is not None:
         d = require_numeric(d, "d")
         if d.shape != (n,) or not np.all(np.isfinite(d) & (d > 0.0)):
             raise InputError(f"d must hold {n} finite positive entries, got {d.tolist()}")
-    S = random_symplectic_rng(rng, n, spread)
+    S = random_symplectic(rng, n, spread)
     if d is None:
         d = np.exp(rng.uniform(-condition_spread, condition_spread, size=n))
     d = np.sort(d)
     return _congruence(S, d), d
-
-
-def random_posdef(
-    seed: int, n: int, condition_spread: float = 1.0, spread: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded random positive definite matrix with a planted symplectic
-    spectrum.
-
-    Returns ``(A, d)`` where A = S^T diag(d, d) S for a random symplectic S
-    and log(d_j) uniform on [-condition_spread, condition_spread]. Symplectic
-    congruence preserves the symplectic spectrum, so ``d`` (sorted ascending)
-    is exactly the symplectic spectrum of A, which makes it a planted oracle
-    for spectrum computations. Deterministic in ``seed``, an integer >= 0 (or a
-    numpy Generator, drawn from as given).
-    """
-    return random_posdef_rng(_seeded(seed), n, condition_spread, spread)

@@ -29,16 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .matfun import _cholesky, _lapack, _posdef, _same_order, _svd, require_nonnegative, require_numeric, require_square
+from .matfun import _cholesky, _lapack, _one, _posdef, _same_order, _svd, require_nonnegative, require_square
 from .symplectic import _hermitian_pairs, standard_J
 
 # Consecutive d_j closer than this fraction of d_n are paired as one cluster.
 CLUSTER_RELGAP = 1e-3
 
 
-def _even_order(A: np.ndarray, stacked: bool = False) -> np.ndarray:
-    """A, or with ``stacked`` a stack of matrices, after an InputError unless square of even order."""
-    A = require_square(A, "positive definite matrix", stacked)
+def _even_order(A: np.ndarray) -> np.ndarray:
+    """The stack A (one leading axis), after an InputError unless its matrices are square of even order."""
+    A = require_square(A, "positive definite matrix")
     if A.shape[-1] % 2 != 0 or A.shape[-1] == 0:
         raise InputError(f"positive definite input must have even order >= 2, got {A.shape[-1]}")
     return A
@@ -56,7 +56,7 @@ def validate_posdef(A: np.ndarray) -> np.ndarray:
     DomainError
         Not positive definite (smallest eigenvalue reported).
     """
-    return _posdef(_even_order(A))
+    return _posdef(_even_order(_one(A)))[0]
 
 
 @dataclass(frozen=True)
@@ -93,16 +93,11 @@ def _skew(F: np.ndarray) -> np.ndarray:
     return P - P.swapaxes(-1, -2)
 
 
-def _one(A) -> np.ndarray:
-    """A public function's matrix as a batch of one."""
-    return require_numeric(A, "positive definite matrix")[None]
-
-
 def _gate(*stacks):
     """``(S, L)`` of each stack of inputs: the symmetrized S, refused when any
     matrix is near-singular, and its Cholesky factors S = L L^T; InputError on
     mixed orders. The one gate of spectra, forms and the theorem checkers."""
-    gated = [_posdef(_even_order(A, stacked=True), refuse_near_singular=True, stacked=True) for A in stacks]
+    gated = [_posdef(_even_order(A), refuse_near_singular=True) for A in stacks]
     return [(S, _cholesky(S)) for S in _same_order(gated)]
 
 

@@ -23,7 +23,7 @@ from sympeig import (
     williamson_form,
 )
 from sympeig.cli import main
-from sympeig.symplectic import _doubly_stochastic, random_orthosymplectic_rng, random_posdef_rng
+from sympeig.symplectic import _doubly_stochastic, random_orthosymplectic_rng, random_posdef
 
 from oracles import mtilde_deviation
 
@@ -49,7 +49,7 @@ def test_criterion_1_williamson_reconstruction():
         rng = np.random.default_rng([1000, trial])
         n = int(rng.integers(1, 7))
         d = _planted(rng, n, trial % 5 == 4)
-        A, _ = random_posdef_rng(rng, n, d=d)
+        A, _ = random_posdef(rng, n, d=d)
         form = williamson_form(A)
         J = standard_J(n)
         dd = np.diag(np.concatenate([form.d, form.d]))
@@ -141,7 +141,7 @@ def test_criterion_4_spectrum_oracle_equivalence():
     for trial in range(200):
         rng = np.random.default_rng([4000, trial])
         n = int(rng.integers(1, 7))
-        A, _ = random_posdef_rng(rng, n, condition_spread=1.5)
+        A, _ = random_posdef(rng, n, condition_spread=1.5)
         d = symplectic_spectrum(A).d
         ev = np.linalg.eigvals(standard_J(n) @ A)
         oracle = np.sort(ev.imag[ev.imag > 0])
@@ -156,7 +156,7 @@ def test_criterion_5_inverse_and_scaling():
     for trial in range(200):
         rng = np.random.default_rng([5000, trial])
         n = int(rng.integers(1, 7))
-        A, _ = random_posdef_rng(rng, n, condition_spread=1.5)
+        A, _ = random_posdef(rng, n, condition_spread=1.5)
         d = symplectic_spectrum(A).d
         dinv = symplectic_spectrum(np.linalg.inv(A)).d
         worst_inv = max(worst_inv, float(np.max(np.abs(dinv * d[::-1] - 1.0))))
@@ -173,7 +173,7 @@ def test_criterion_6_karcher_correctness():
     for trial in range(100):
         rng = np.random.default_rng([6000, trial])
         n = int(rng.integers(1, 4))
-        mats = [random_posdef_rng(rng, n, condition_spread=1.0)[0] for _ in range(3)]
+        mats = [random_posdef(rng, n, condition_spread=1.0)[0] for _ in range(3)]
         result = karcher_mean(mats)
         assert result.converged
         opnorm = float(np.linalg.eigvalsh(result.mean)[-1])
@@ -181,8 +181,8 @@ def test_criterion_6_karcher_correctness():
     worst_pair = 0.0
     for trial in range(20):
         rng = np.random.default_rng([6100, trial])
-        A, _ = random_posdef_rng(rng, 2, condition_spread=1.0)
-        B, _ = random_posdef_rng(rng, 2, condition_spread=1.0)
+        A, _ = random_posdef(rng, 2, condition_spread=1.0)
+        B, _ = random_posdef(rng, 2, condition_spread=1.0)
         result = karcher_mean([A, B])
         G = geodesic(A, B, 0.5)
         worst_pair = max(
@@ -255,7 +255,7 @@ def test_criterion_9_degenerate_spectra():
         rng = np.random.default_rng([9000, trial])
         n = int(rng.integers(2, 7))
         d = _planted(rng, n, duplicates=True)
-        A, _ = random_posdef_rng(rng, n, d=d)
+        A, _ = random_posdef(rng, n, d=d)
         form = williamson_form(A)
         J = standard_J(n)
         dd = np.diag(np.concatenate([form.d, form.d]))

@@ -122,9 +122,9 @@ def test_corollary8_rejects_a_non_gaussian_second_input():
 # distinct positive definite input, one symplecticity test per symplectic input.
 # The matrices a checker derives (A^t, A #_t B, the mean, A + B, a pinching, a
 # submatrix) pass no gate: their spectra are read from a factor. Each call
-# passes its keywords (a tolerance) on to the checker. A stacked gate call
-# certifies every matrix of its stack, so it counts as its batch size; the
-# symplecticity test behind the symplectic gate always takes a stack.
+# passes its keywords (a tolerance) on to the checker. Both gates take a stack
+# (a public call passes a batch of one) and certify every matrix of it, so a
+# gate call counts as its batch size.
 GATE_CALLS = {
     "1": (lambda **kw: check_theorem1(VALID[0], 0.5, **kw), 1, 0),
     "3": (lambda **kw: check_theorem3(VALID[0], VALID[1], 0.5, **kw), 2, 0),
@@ -142,14 +142,13 @@ GATE_CALLS = {
 
 
 def spy_on_gates(monkeypatch) -> dict:
-    """Count the matrices that pass symmetrize and the stacked symplecticity
-    test (a stack counts its batch size)."""
+    """Count the matrices that pass symmetrize and the symplecticity test, each
+    of which takes a stack (a stack counts its batch size)."""
     calls = {"symmetrize": 0, "_symplecticity": 0}
     for module, name in ((sympeig.matfun, "symmetrize"), (sympeig.symplectic, "_symplecticity")):
 
         def spy(*args, _name=name, _original=getattr(module, name), **kwargs):
-            stacked = kwargs.get("stacked") or _name == "_symplecticity"
-            calls[_name] += len(args[0]) if stacked else 1
+            calls[_name] += len(args[0])
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, spy)

@@ -508,9 +508,9 @@ def test_one_gate_per_file(workdir, capsys, monkeypatch, command, count, flags):
     calls = {"symmetrize": 0, "_symplecticity": 0}
     for module, name in ((sympeig.matfun, "symmetrize"), (sympeig.symplectic, "_symplecticity")):
 
-        # The symplecticity test behind the symplectic gate takes a stack: it counts its batch size.
+        # Both gates take a stack: a call counts its batch size.
         def spy(*args, _name=name, _original=getattr(module, name), **kwargs):
-            calls[_name] += len(args[0]) if _name == "_symplecticity" else 1
+            calls[_name] += len(args[0])
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, spy)

@@ -16,7 +16,6 @@ from sympeig.cli import main
 from sympeig.matfun import sym_log, sym_pow
 from sympeig.matio import save_matrix
 from sympeig.means import _karcher
-from sympeig.symplectic import random_posdef_rng
 from sympeig.theorems import SuiteConfig, _assemble, _draw_task, run_suite
 
 
@@ -254,7 +253,7 @@ class TestKarcherMean:
     def test_accepted_residuals_do_not_increase(self, cs, spread):
         rng = np.random.default_rng(49)
         for m in (3, 5):
-            mats = [random_posdef_rng(rng, 4, condition_spread=cs, spread=spread)[0] for _ in range(m)]
+            mats = [random_posdef(rng, 4, condition_spread=cs, spread=spread)[0] for _ in range(m)]
             res = karcher_mean(mats)
             history = res.residual_history
             assert res.converged and len(history) == res.iterations + 1
@@ -281,7 +280,7 @@ class TestKarcherMean:
 
     def test_spread_out_inputs_converge(self):
         rng = np.random.default_rng(46)
-        mats = [random_posdef_rng(rng, 16, condition_spread=4.0, spread=3.0)[0] for _ in range(10)]
+        mats = [random_posdef(rng, 16, condition_spread=4.0, spread=3.0)[0] for _ in range(10)]
         res = karcher_mean(mats)
         assert res.converged
         opnorm = float(np.linalg.eigvalsh(res.mean)[-1])

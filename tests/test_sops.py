@@ -14,7 +14,6 @@ from sympeig import (
     symplectic_spectrum,
 )
 from sympeig.sops import _s_pinching, _s_principal
-from sympeig.symplectic import random_posdef_rng
 
 from oracles import s_direct_sum
 
@@ -32,8 +31,8 @@ class TestSDirectSum:
     def test_planted_spectrum_union(self):
         # union oracle: spectra (2,) and (3, 5) combine to (2, 3, 5)
         rng = np.random.default_rng(1)
-        A, _ = random_posdef_rng(rng, 1, d=np.array([2.0]))
-        B, _ = random_posdef_rng(rng, 2, d=np.array([3.0, 5.0]))
+        A, _ = random_posdef(rng, 1, d=np.array([2.0]))
+        B, _ = random_posdef(rng, 2, d=np.array([3.0, 5.0]))
         out = s_direct_sum([A, B])
         got = symplectic_spectrum(out).d
         assert np.max(np.abs(got - [2.0, 3.0, 5.0])) <= 1e-8 * 5.0

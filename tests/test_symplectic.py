@@ -24,7 +24,6 @@ from sympeig.symplectic import (
     _superstochastic,
     _symplectic,
     random_orthosymplectic_rng,
-    random_posdef_rng,
     validate_symplectic,
 )
 from sympeig.theorems import SuiteConfig, _draw_task, _theorem6
@@ -54,7 +53,7 @@ class TestStandardJ:
             convention_permutation,
             lambda n: random_posdef(0, n),
             lambda n: random_symplectic(0, n),
-            lambda n: random_posdef_rng(rng, n),
+            lambda n: random_posdef(rng, n),
             lambda n: random_orthosymplectic_rng(rng, n),
         ]
         cases = [(0, ">= 1, got 0"), (-1, ">= 1, got -1"), (2.5, "an integer, got 2.5"), (True, "an integer, got True")]
@@ -461,9 +460,9 @@ def test_generators_match_the_matrix_by_matrix_reference(n):
 def test_planted_spectrum_must_hold_n_finite_positive_entries():
     for d in ([-1.0, 2.0], [0.0, 2.0], [1.0, np.inf], [1.0], [[1.0, 2.0]], [1.0, 2.0, 3.0]):
         with pytest.raises(InputError) as info:
-            random_posdef_rng(np.random.default_rng(0), 2, d=d)
+            random_posdef(np.random.default_rng(0), 2, d=d)
         assert str(info.value) == f"d must hold 2 finite positive entries, got {np.asarray(d, dtype=float).tolist()}"
-    A, d = random_posdef_rng(np.random.default_rng(0), 2, d=[3.0, 0.5])
+    A, d = random_posdef(np.random.default_rng(0), 2, d=[3.0, 0.5])
     assert d.tolist() == [0.5, 3.0]
     assert A.shape == (4, 4)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -260,6 +261,17 @@ class TestTheorem5:
             with pytest.raises(InputError, match="restriction"):
                 check_theorem5(A, k=k, M=M)
 
+    @pytest.mark.parametrize("scale", [1e100, 1e160, 1e200])
+    def test_rejects_an_overflowing_restriction(self, scale):
+        # From 1e160 both sides of residual <= 1e-8 (1 + ||M||_F^2) overflow to
+        # inf: an infinite residual is refused, and no overflow warning escapes.
+        A = random_posdef(0, 3)[0]
+        R = random_symplectic(1, 3, 0.5)[:, [0, 3]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="fails the restriction condition"):
+                check_theorem5(A, 1, M=scale * R)
+
     def test_rejects_bad_k(self):
         with pytest.raises(InputError, match="k must lie"):
             check_theorem5(spd(27), k=5)
@@ -469,14 +481,12 @@ class TestCorollary8:
 
     @staticmethod
     def gaussian_pairs():
-        from sympeig.symplectic import random_posdef_rng
-
         rng = np.random.default_rng(57)
         for t in (0.0, 0.3, 0.8, 1.0):
             d1 = 0.5 + np.sort(rng.uniform(0.0, 2.0, size=3))
             d2 = 0.5 + np.sort(rng.uniform(0.0, 2.0, size=3))
-            A, _ = random_posdef_rng(rng, 3, d=d1)
-            B, _ = random_posdef_rng(rng, 3, d=d2)
+            A, _ = random_posdef(rng, 3, d=d1)
+            B, _ = random_posdef(rng, 3, d=d2)
             yield A, B, t
 
     def test_random_gaussian_pairs(self):
@@ -612,11 +622,11 @@ class TestRunSuite:
             ("condition_spread", -2.0),
             ("spread", math.inf),
             ("spread", -1.0),
-            ("tolerances", {"7": math.nan}),
-            ("tolerances", {"1": math.inf}),
-            ("tolerances", {"4": -1e-9}),
+            ("tol", math.nan),
+            ("tol", math.inf),
+            ("tol", -1e-9),
             ("condition_spread", "a"),
-            ("tolerances", {"1": "x"}),
+            ("tol", "x"),
         ],
     )
     def test_bad_spread_rejected(self, field, value):
@@ -628,11 +638,11 @@ class TestRunSuite:
         [
             ({"theorems": "11", "trials": 2}, "theorems must be a sequence of theorem ids, got the string '11'"),
             ({"theorems": ("1", "7", "1")}, "duplicate theorem ids: ['1', '7', '1']"),
-            ({"tolerances": {"zz": 1e-3}}, "unknown theorem ids: ['zz']; known: " + str(list(THEOREM_IDS))),
+            ({"theorems": ("zz",)}, "unknown theorem ids: ['zz']; known: " + str(list(THEOREM_IDS))),
             ({"trials": 1.5}, "trials must be an integer, got 1.5"),
             ({"seed": 0.5}, "seed must be an integer, got 0.5"),
             ({"nmax": 2.0}, "nmax must be an integer, got 2.0"),
-            ({"tolerances": [1e-9]}, "tolerances must be a dict of theorem ids to tolerances, got [1e-09]"),
+            ({"tol": [1e-9]}, "tol must be finite and >= 0, got [1e-09]"),
             ({"trials": True}, "trials must be an integer, got True"),
         ],
     )
@@ -642,7 +652,7 @@ class TestRunSuite:
         assert str(info.value) == message
 
     def test_tolerance_override(self):
-        cfg = SuiteConfig(seed=3, trials=1, theorems=("7",), tolerances={"7": 0.123})
+        cfg = SuiteConfig(seed=3, trials=1, theorems=("7",), tol=0.123)
         (rep,) = run_suite(cfg)
         assert rep.tolerance == 0.123
 

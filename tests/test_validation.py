@@ -19,6 +19,7 @@ from sympeig import (
     check_theorem6,
     euler_decompose,
     geodesic,
+    is_doubly_superstochastic,
     is_gaussian,
     is_symplectic,
     karcher_mean,
@@ -41,7 +42,6 @@ from sympeig.cli import main
 from sympeig.matfun import PD_RELCUT, SYMTOL, _check_posdef, symmetrize
 from sympeig.matio import save_matrix
 from sympeig.sops import validate_partition
-from sympeig.symplectic import random_posdef_rng
 from sympeig.williamson import _sharp
 
 I4 = np.eye(4)
@@ -84,6 +84,9 @@ def test_gate_contract(name):
         call(np.diag([1.0, np.inf, 1.0, 1.0]))
     with pytest.raises(InputError, match="must be square"):
         call(np.ones((4, 2)))
+    # A stack is not one matrix: the validators take a batch of one.
+    with pytest.raises(InputError, match=r"must be square, got shape \(2, 4, 4\)"):
+        call(np.stack([I4, I4]))
     with pytest.raises(DomainError, match="lambda_min"):
         call(np.diag([1.0, 1.0, -1.0, 1.0]))
     near_singular = np.diag([1.0, 1.0, 1.0, 1e-14])
@@ -241,7 +244,7 @@ def test_gate_keeps_its_decisions_about_the_cut(monkeypatch):
             Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
             S = (Q * rng.permutation(np.geomspace(ratio, 1.0, m))) @ Q.T
             half = (S + S.T) / 2.0
-            assert np.array_equal(symmetrize(S), half)
+            assert np.array_equal(symmetrize(S[None])[0], half)
             for refuse, call in ((False, validate_posdef), (True, symplectic_spectrum)):
                 shifted = _identity_shift(half, PD_RELCUT if refuse else 0.0)
                 try:
@@ -311,7 +314,7 @@ NON_NUMERIC = {
     "theorem 5 restriction": lambda: check_theorem5(random_posdef(0, 2)[0], 1, M=[["a", "b"]] * 4),
     "log-majorization": lambda: log_majorizes(["a"], ["b"]),
     "ragged symplectic": lambda: check_theorem6([[1, 2], [3]]),
-    "planted spectrum": lambda: random_posdef_rng(np.random.default_rng(0), 2, d=["a", "b"]),
+    "planted spectrum": lambda: random_posdef(np.random.default_rng(0), 2, d=["a", "b"]),
 }
 
 
@@ -422,6 +425,11 @@ REFUSALS = {
         lambda: check_theorem5(_A, 1, M=np.eye(4)),
         InputError,
         "restriction must be 4 x 2, got (4, 4)",
+    ),
+    "stack of superstochastic candidates": (
+        lambda: is_doubly_superstochastic(np.stack([I4, I4])),
+        InputError,
+        "doubly superstochastic candidate must be square, got shape (2, 4, 4)",
     ),
     "no trials": (lambda: SuiteConfig(trials=0), InputError, "trials must be >= 1, got 0"),
     "no half-order": (lambda: SuiteConfig(nmin=0), InputError, "need 1 <= nmin <= nmax, got [0, 6]"),

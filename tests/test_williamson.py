@@ -14,7 +14,6 @@ from sympeig import (
     validate_posdef,
     williamson_form,
 )
-from sympeig.symplectic import random_posdef_rng
 from sympeig.williamson import CLUSTER_RELGAP, _gate, _sharp, _skew, _williamson
 
 
@@ -149,7 +148,7 @@ class TestWilliamsonForm:
     def test_degenerate_spectrum_succeeds(self):
         rng = np.random.default_rng(17)
         d = np.array([0.7, 0.7, 1.3])
-        A, _ = random_posdef_rng(rng, 3, d=d)
+        A, _ = random_posdef(rng, 3, d=d)
         form = williamson_form(A)
         assert set(vars(form)) == {"M", "d"}
         J = standard_J(3)
@@ -162,7 +161,7 @@ class TestWilliamsonForm:
         # others one singular triple per pair; stacking changes no bit.
         rng = np.random.default_rng(23)
         planted = [None, [0.7, 0.7, 1.3, 2.0], None, [1.1, 1.1, 1.1, 1.1], None, [0.5, 0.9, 3.0, 3.0]]
-        A = np.array([random_posdef_rng(rng, 4, spread=1.5, d=d)[0] for d in planted])
+        A = np.array([random_posdef(rng, 4, spread=1.5, d=d)[0] for d in planted])
         [(_, L)] = _gate(A)
         stacked = _williamson(_skew(L), L)
         close = np.diff(stacked.d) < CLUSTER_RELGAP * stacked.d[:, -1:]
@@ -320,7 +319,7 @@ class TestAccuracy:
             d = np.sort(np.exp(rng.uniform(-1.0, 1.0, n)))
             d[1] = d[0] + gap * d[-1]
             d[-2] = d[-1] * (1.0 - gap)
-            A, d = random_posdef_rng(rng, n, d=d)
+            A, d = random_posdef(rng, n, d=d)
             form = williamson_form(A)
             assert np.max(np.abs(form.d - d)) <= 1e-12 * d[-1]
             assert max(_normalized_residuals(A, form)) <= 1e-12
@@ -328,7 +327,7 @@ class TestAccuracy:
     @pytest.mark.parametrize("d", [[0.5, 0.5, 0.5, 2.0, 2.0, 7.0], [1.3] * 16])
     def test_repeated_values_give_orthonormal_pairs(self, d):
         d = np.array(d)
-        A, _ = random_posdef_rng(np.random.default_rng(21), d.size, spread=2.0, d=d)
+        A, _ = random_posdef(np.random.default_rng(21), d.size, spread=2.0, d=d)
         form = williamson_form(A)
         assert np.max(np.abs(form.d - d)) <= 1e-10 * d[-1]
         assert max(_normalized_residuals(A, form)) <= 1e-10
