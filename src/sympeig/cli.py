@@ -14,10 +14,10 @@ Exit codes: 0 success (for ``gaussian``: the matrix is Gaussian; for
 verification failures), 2 parse errors (files or flags) and --output files
 that cannot be written, 3 validation errors (not positive definite / not
 symmetric / not symplectic / dimension mismatch), 4 numerical failures, 5
-iteration budget exhausted (``mean``; the best iterate is still emitted),
-141 stdout closed before the output was written (as in ``| head``; 128 +
-SIGPIPE, what a shell reports for a command a closed pipe stopped), with
-nothing on stderr.
+iteration budget exhausted (``mean``; the best iterate is still emitted, as
+a step is taken only when it lowers the residual), 141 stdout closed before
+the output was written (as in ``| head``; 128 + SIGPIPE, what a shell
+reports for a command a closed pipe stopped), with nothing on stderr.
 """
 
 import argparse
@@ -245,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mean", help="Karcher mean of two or more positive definite matrices")
     p.add_argument("inputs", nargs="+", help="positive definite matrix files")
     p.add_argument("--weights", type=floats, help="comma-separated positive weights summing to 1")
-    p.add_argument("--tol", type=float, default=None, help="residual target (default 1e-9 * operator norm)")
+    p.add_argument("--tol", type=float, default=1e-9, help="target of the dimensionless residual (default %(default)g)")
     p.add_argument("--max-iter", type=int, default=200, help="Newton iteration budget")
     _add_matrix_command(p, cmd_mean)
 

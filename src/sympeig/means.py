@@ -22,6 +22,8 @@ from .matfun import (
     require_matrices, require_nonnegative, require_numeric
 )
 
+KARCHER_TOL = 1e-9  # the Karcher walk's default target for its dimensionless residual
+
 
 def validate_weights(w, m: int) -> np.ndarray:
     """Positive finite weights of length m summing to 1 within 1e-12; uniform when None."""
@@ -108,9 +110,10 @@ class KarcherResult:
     ``residual`` is the Frobenius norm of
     sum_j w_j log(mean^{1/2} A_j^{-1} mean^{1/2}) at the returned mean;
     ``converged`` is False when the iteration budget ran out, in which case
-    the best iterate found is still returned. ``residual_history`` holds the
-    start's residual and then that of each iteration's trial point, accepted
-    or not, so it has ``iterations + 1`` entries.
+    the best iterate found is still returned (a step is taken only when it
+    lowers the residual). ``residual_history`` holds the start's residual and
+    then that of each iteration's trial point, accepted or not, so it has
+    ``iterations + 1`` entries.
     """
 
     mean: np.ndarray
@@ -176,7 +179,7 @@ def _newton_direction(S: np.ndarray, ell: np.ndarray, V: np.ndarray, w: np.ndarr
     return H
 
 
-def karcher_mean(mats, weights=None, tol: float | None = None, max_iter: int = 200) -> KarcherResult:
+def karcher_mean(mats, weights=None, tol: float = KARCHER_TOL, max_iter: int = 200) -> KarcherResult:
     """Weighted Karcher (Riemannian barycenter) mean of positive definite
     matrices.
 
@@ -185,10 +188,11 @@ def karcher_mean(mats, weights=None, tol: float | None = None, max_iter: int = 2
     for m >= 3. Each iteration then takes a Riemannian Newton step
     X <- F exp(theta * H) F^T, X = F F^T with F = Q diag(lam)^{1/2}, where H
     solves Hess[H] = S for the whitened log-sum S (see
-    :func:`_newton_direction`). theta starts at 1, halves whenever the
-    residual would not decrease and grows by 1.2, capped at 1, after each
-    accepted step. This is the batch of one of the stacked walk behind
-    theorem 4, whose rows have the bits of this call.
+    :func:`_newton_direction`). A step is taken only when it lowers the
+    residual, so the current iterate is always the best one found: theta
+    starts at 1, halves after each rejected trial point and grows by 1.2,
+    capped at 1, after each accepted step. This is the batch of one of the
+    stacked walk behind theorem 4, whose rows have the bits of this call.
 
     Parameters
     ----------
@@ -196,9 +200,8 @@ def karcher_mean(mats, weights=None, tol: float | None = None, max_iter: int = 2
         m >= 1 positive definite matrices of equal order.
     weights : sequence of float, optional
         Positive weights summing to 1; uniform when omitted.
-    tol : float, optional
-        Finite residual target >= 0. Defaults to 1e-9 times the operator norm
-        of the current iterate.
+    tol : float
+        Finite target >= 0 of the dimensionless residual, at every scale.
     max_iter : int
         Newton iteration budget, an integer >= 0.
 
@@ -210,18 +213,18 @@ def karcher_mean(mats, weights=None, tol: float | None = None, max_iter: int = 2
     """
     require_nonnegative(max_iter, "max_iter")
     require_integer(max_iter, "max_iter")
-    require_nonnegative(0.0 if tol is None else tol, "tol")
+    require_nonnegative(tol, "tol")
     mats = [_posdef(_one(A))[0] for A in require_matrices(mats)]
     w = validate_weights(weights, len(mats))
-    return _karcher(np.array(_same_order(mats))[None], w[None], tol, max_iter)[0]
+    return _karcher(np.array(_same_order(mats))[None], w[None], float(tol), max_iter)[0]
 
 
-def _karcher(stack: np.ndarray, w: np.ndarray, tol: float | None = None, max_iter: int = 200) -> list[KarcherResult]:
+def _karcher(stack: np.ndarray, w: np.ndarray, tol: float = KARCHER_TOL, max_iter: int = 200) -> list[KarcherResult]:
     """:func:`karcher_mean` of each row of a batch: ``stack`` (batch, m, N, N) holds
     each row's validated matrices of one order, ``w`` (batch, m) its weights.
 
-    Every row walks as it would alone: the start, the Newton direction, the theta
-    accept/halve rule and the target run per row, on the rows still walking, and
+    Every row walks as it would alone: the start, the Newton direction and the
+    theta accept/halve rule run per row, on the rows still walking, and
     each row's scalars are dot products as the single call takes them, so a row's
     iterations, residual history and mean do not depend on its batch. Each live
     row's direction is solved on every iteration, after a halved step too: its
@@ -247,15 +250,14 @@ def _karcher(stack: np.ndarray, w: np.ndarray, tol: float | None = None, max_ite
         lam, Q = _spd_eigh(X)
         root = np.sqrt(lam)[..., None, :]
         S, ell, V = _log_sum(Q / root, stack[rows], w[rows])
-        return [X, Q * root, S, ell, V, np.sqrt(_dot(S, S)), lam[:, -1]]
+        return [X, Q * root, S, ell, V, np.sqrt(_dot(S, S))]
 
     state = _state(X, np.arange(b))
-    X, F, S, ell, V, resid, opnorm = state  # updated in place, row by row
+    X, F, S, ell, V, resid = state  # updated in place, row by row
     history = [[r] for r in resid.tolist()]
-    target = 1e-9 * opnorm if tol is None else np.full(b, float(tol))
     theta, count = np.ones(b), np.zeros(b, dtype=int)
     while True:
-        live = np.flatnonzero((resid > target) & (count < max_iter))
+        live = np.flatnonzero((resid > tol) & (count < max_iter))
         if not live.size:
             break
         count[live] += 1
@@ -265,15 +267,13 @@ def _karcher(stack: np.ndarray, w: np.ndarray, tol: float | None = None, max_ite
         tried = trial[5]  # the residuals at the trial points
         for i, r in zip(live.tolist(), tried.tolist()):
             history[i].append(r)
-        halve = (tried >= resid[live]) & (theta[live] > 1e-8)
+        halve = tried >= resid[live]
         theta[live[halve]] /= 2.0
         moved = live[~halve]
         for x, y in zip(state, trial):
             x[moved] = y[~halve]
         theta[moved] = np.minimum(theta[moved] * 1.2, 1.0)
-        if tol is None:
-            target[moved] = 1e-9 * opnorm[moved]
     return [
-        KarcherResult(mean=X[i], residual=r, iterations=c, converged=r <= t, residual_history=tuple(h))
-        for i, (r, t, c, h) in enumerate(zip(resid.tolist(), target.tolist(), count.tolist(), history))
+        KarcherResult(mean=X[i], residual=r, iterations=c, converged=r <= tol, residual_history=tuple(h))
+        for i, (r, c, h) in enumerate(zip(resid.tolist(), count.tolist(), history))
     ]

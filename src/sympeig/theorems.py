@@ -562,8 +562,8 @@ class _Draw(NamedTuple):
 
 
 def _planted(rng, n, cfg, trial, offset=0.0) -> _Draw:
-    """A suite matrix with a planted spectrum, drawn in the order of
-    ``random_posdef``; every fifth trial plants repeated entries."""
+    """A suite matrix with a planted spectrum, drawing d before the normals and log
+    gamma (``random_posdef`` draws d last); every fifth trial plants repeated entries."""
     c = cfg.condition_spread
     if trial % 5 == 4 and n >= 2:
         base = np.exp(rng.uniform(-c, c, size=(n + 1) // 2))

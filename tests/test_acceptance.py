@@ -168,8 +168,8 @@ def test_criterion_5_inverse_and_scaling():
 
 
 def test_criterion_6_karcher_correctness():
-    """100 random triples: residual <= 1e-9 * ||mean||; pairs match A # B."""
-    worst_resid = 0.0
+    """100 random triples: the dimensionless residual <= 1e-9, also <= 1e-9 * ||mean||; pairs match A # B."""
+    worst_resid = worst_abs = 0.0
     for trial in range(100):
         rng = np.random.default_rng([6000, trial])
         n = int(rng.integers(1, 4))
@@ -178,6 +178,7 @@ def test_criterion_6_karcher_correctness():
         assert result.converged
         opnorm = float(np.linalg.eigvalsh(result.mean)[-1])
         worst_resid = max(worst_resid, karcher_residual(result.mean, mats) / (1e-9 * opnorm))
+        worst_abs = max(worst_abs, karcher_residual(result.mean, mats) / 1e-9)
     worst_pair = 0.0
     for trial in range(20):
         rng = np.random.default_rng([6100, trial])
@@ -188,11 +189,12 @@ def test_criterion_6_karcher_correctness():
         worst_pair = max(
             worst_pair, float(np.linalg.norm(result.mean - G) / np.linalg.norm(G))
         )
-    ok = worst_resid <= 1.0 and worst_pair <= 1e-7
+    ok = worst_resid <= 1.0 and worst_abs <= 1.0 and worst_pair <= 1e-7
     _verdict(
         6,
         ok,
-        f"100 triples: worst residual {worst_resid:.3f} of budget; pair-vs-# deviation {worst_pair:.2e} (<=1e-7)",
+        f"100 triples: worst residual {worst_abs:.3f} of 1e-9 and {worst_resid:.3f} of 1e-9 * ||mean||;"
+        f" pair-vs-# deviation {worst_pair:.2e} (<=1e-7)",
     )
 
 

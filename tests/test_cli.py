@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 import sympeig
-from sympeig import geodesic, random_posdef, random_symplectic, symplectic_spectrum
-from sympeig.cli import main
+from sympeig import geodesic, karcher_mean, random_posdef, random_symplectic, symplectic_spectrum
+from sympeig.cli import _build_parser, main
 from sympeig.matio import load_matrix, save_matrix
 from sympeig.symplectic import convention_permutation
 
@@ -183,6 +184,21 @@ class TestMeanCommand:
         assert rec["converged"] is True
         mean = load_matrix(out_path).data
         assert rec["residual"] <= 1e-9 * np.linalg.eigvalsh(mean)[-1]
+        assert rec["residual"] <= 1e-9
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_scaled_files_converge(self, workdir, capsys, scale):
+        # The target of the dimensionless residual does not move with the scale.
+        paths = [write(workdir, f"s{s}.json", scale * random_posdef(s, 3)[0]) for s in (1, 2, 3)]
+        code, out = run(capsys, "mean", *paths, "--json")
+        rec = json.loads(out)
+        assert code == 0 and rec["converged"] is True
+        assert rec["iterations"] >= 1 and rec["residual"] <= 1e-9
+
+    def test_tol_default_is_the_library_default(self):
+        # The parser is built without loading sympeig.means, so it keeps a literal.
+        tol = _build_parser().parse_args(["mean", "a", "b"]).tol
+        assert tol == inspect.signature(karcher_mean).parameters["tol"].default
 
     def test_weights_flag(self, workdir, capsys):
         A, _ = random_posdef(16, 2, 1.0)

@@ -1,5 +1,7 @@
 """Tests for the Riemannian distance, geodesics, and Karcher means."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,34 @@ class TestKarcherMean:
         assert res.converged
         opnorm = float(np.linalg.eigvalsh(res.mean)[-1])
         assert karcher_residual(res.mean, mats) <= 1e-9 * opnorm
+        assert karcher_residual(res.mean, mats) <= 1e-9
+
+    @pytest.mark.parametrize("j", [-200, -20, 20, 200])
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("seeds", [(50, 51, 52), (60, 61, 62)])
+    def test_scaled_inputs_walk_as_the_unscaled(self, seeds, m, j):
+        # The residual is dimensionless: the mean of 4^j A_k is 4^j times
+        # their mean, reached in as many Newton iterations.
+        mats = [spd(seed, 3, 1.5) for seed in seeds[:m]]
+        base = karcher_mean(mats)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = karcher_mean([4.0**j * A for A in mats])
+        assert res.converged and res.iterations == base.iterations
+        expected = 4.0**j * base.mean
+        assert np.linalg.norm(res.mean - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_exhausted_budget_returns_the_best_iterate(self):
+        # A step is taken only when it lowers the residual, also once theta is tiny.
+        worse = []
+        for seed in range(40):
+            rng = np.random.default_rng([7000, seed])
+            mats = [random_posdef(rng, 3, condition_spread=1.5)[0] for _ in range(3)]
+            res = karcher_mean(mats, tol=0.0, max_iter=60)
+            assert not res.converged and res.iterations == 60
+            if res.residual != min(res.residual_history):
+                worse.append((seed, res.residual, min(res.residual_history)))
+        assert not worse
 
     def test_budget_exhaustion_returns_best(self):
         mats = [spd(33), spd(34), spd(35)]
@@ -285,6 +315,7 @@ class TestKarcherMean:
         assert res.converged
         opnorm = float(np.linalg.eigvalsh(res.mean)[-1])
         assert karcher_residual(res.mean, mats) <= 1e-9 * opnorm
+        assert karcher_residual(res.mean, mats) <= 1e-9
 
     def test_weight_degeneration(self):
         mats = [spd(36), spd(37), spd(38)]
@@ -331,6 +362,7 @@ class TestKarcherMean:
             ({"tol": np.nan}, "tol must be finite"),
             ({"tol": -1e-9}, "tol must be finite and >= 0"),
             ({"max_iter": -3}, "max_iter must be finite and >= 0"),
+            ({"tol": None}, "tol must be finite and >= 0"),
         ],
     )
     def test_bad_tol_or_budget_rejected(self, kwargs, message):
