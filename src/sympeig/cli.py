@@ -167,12 +167,10 @@ def cmd_geodesic(args) -> _Outcome:
 
 
 def cmd_gaussian(args) -> _Outcome:
-    from .matfun import require_nonnegative
-    from .williamson import symplectic_spectrum
-    require_nonnegative(args.tol, "tol")
+    from .williamson import _gaussian, symplectic_spectrum
     mf = matio.load_matrix(args.input)
     d1 = float(symplectic_spectrum(mf.data).d[0])
-    gaussian = d1 >= 0.5 - args.tol
+    gaussian = _gaussian(d1)
     return _Outcome({"d1": d1, "gaussian": gaussian}, [("d1", d1), ("gaussian", gaussian)], code=0 if gaussian else 1)
 
 
@@ -271,9 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write the report to this file instead of stdout")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("gaussian", help="test whether d_1 >= 1/2 (Gaussian covariance matrix)")
+    p = sub.add_parser("gaussian", help="test whether d_1 >= 1/2 - 1e-9 (Gaussian covariance matrix)")
     p.add_argument("input")
-    p.add_argument("--tol", type=float, default=1e-9)
     _add_matrix_command(p, cmd_gaussian, output=False)
 
     p = sub.add_parser("spinch", help="s-pinching along a partition of the half-order")

@@ -28,7 +28,8 @@ from .matfun import (
 
 # The one symplecticity threshold, relative to 1 + ||M||_F^2 (see _relative).
 SYMPLECTIC_TOL = 1e-9
-# The slack of each capacity b_ij + tol in the doubly superstochastic max-flow.
+# The slack of each capacity b_ij + SUPERSTOCHASTIC_TOL in the doubly
+# superstochastic max-flow, of is_doubly_superstochastic and theorem 6.
 SUPERSTOCHASTIC_TOL = 1e-9
 # Singular values of M within this multiple of max(1, s_1) of 1 form the
 # unit block (gamma = 1) of the Euler decomposition.
@@ -160,16 +161,16 @@ class SuperstochasticCheck:
         return self.ok
 
 
-def is_doubly_superstochastic(B: np.ndarray, tol: float = SUPERSTOCHASTIC_TOL) -> SuperstochasticCheck:
+def is_doubly_superstochastic(B: np.ndarray) -> SuperstochasticCheck:
     """Decide whether B dominates some doubly stochastic matrix entrywise: the
-    batch of one of the max-flow :func:`_superstochastic`. InputError unless tol
-    is finite and >= 0 and B nonempty, finite and square."""
-    require_nonnegative(tol, "tol")
+    batch of one of the max-flow :func:`_superstochastic`, with the fixed
+    SUPERSTOCHASTIC_TOL (1e-9) added to each capacity. InputError unless B is
+    nonempty, finite and square."""
     name = "doubly superstochastic candidate"
     B = require_square(_one(B, name), name)
     if B.size == 0:
         raise InputError(f"{name} must be nonempty")
-    return _superstochastic(B, tol)[0]
+    return _superstochastic(B, SUPERSTOCHASTIC_TOL)[0]
 
 
 def _superstochastic(B: np.ndarray, tol: float) -> list[SuperstochasticCheck]:

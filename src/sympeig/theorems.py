@@ -24,6 +24,8 @@ compared), so one absolute tolerance applies across scales. A report holds
 exactly when margin >= -tolerance; a margin is the smallest of its
 components, and a NaN component makes it NaN, which fails. Theorem 4 reports
 ``inconclusive`` instead of failing when its Karcher solve did not converge.
+A public ``check_*`` judges at its theorem's DEFAULT_TOLERANCES entry; only the
+suite's ``SuiteConfig.tol`` sets another, through the batch checkers' ``tol``.
 Each parameter (k, t, weights, a drop index, a partition) is validated once,
 by the public ``check_*`` that receives it, before its matrices; the batch
 checkers and kernels trust theirs, and the suite draws valid ones. A matrix X
@@ -50,13 +52,14 @@ from .symplectic import (
     _associated,
     _congruence,
     _doubly_stochastic,
+    _relative,
     _squeezed,
     _superstochastic,
     _symplectic,
     random_orthosymplectic_rng,
     standard_J,
 )
-from .williamson import _doubled, _even_order, _factor_spectrum, _gate, _sharp, _skew, _williamson
+from .williamson import _doubled, _even_order, _factor_spectrum, _gate, _gaussian, _sharp, _skew, _williamson
 
 # Orthogonality threshold used by the theorem-6 cross-check.
 ORTHOGONALITY_TOL = 1e-7
@@ -106,13 +109,6 @@ class TheoremReport:
 
     def to_json_line(self) -> str:
         return _ENCODER.encode(self.to_record())
-
-
-def _tolerance(theorem_id: str, tol: float | None) -> float:
-    """A checker's tol, its theorem's default when None; InputError unless finite and >= 0."""
-    tol = DEFAULT_TOLERANCES[theorem_id] if tol is None else tol
-    require_nonnegative(tol, "tol")
-    return float(tol)
 
 
 def _report(theorem_id, quantities, margin, tol, inconclusive=False, digest="", trial=None, n=None):
@@ -175,14 +171,13 @@ def _theorem1(A, t, *, tol, stamps=None):
     return _reports("1", tol, margins, stamps, t=t, d_of_A=da, d_of_A_pow_t=dt)
 
 
-def check_theorem1(A: np.ndarray, t: float, tol: float | None = None) -> TheoremReport:
+def check_theorem1(A: np.ndarray, t: float) -> TheoremReport:
     """Symplectic spectrum of a matrix power: for 0 <= t <= 1 the doubled
     spectrum of A^t is log-majorized by the t-th power of that of A, and the
     order reverses for t >= 1. Also checks the bottom-k product inequalities
     for the plain (ascending) spectra."""
-    tol = _tolerance("1", tol)
     require_nonnegative(t, "power")
-    return _theorem1(_one(A), [t], tol=tol)[0]
+    return _theorem1(_one(A), [t], tol=DEFAULT_TOLERANCES["1"])[0]
 
 
 def _theorem3(A, B, t, *, tol, stamps=None):
@@ -193,12 +188,11 @@ def _theorem3(A, B, t, *, tol, stamps=None):
     return _reports("3", tol, _log_worst(rhs, lhs), stamps, t=t, dhat_geodesic=lhs, rhs_vector=rhs)
 
 
-def check_theorem3(A: np.ndarray, B: np.ndarray, t: float, tol: float | None = None) -> TheoremReport:
+def check_theorem3(A: np.ndarray, B: np.ndarray, t: float) -> TheoremReport:
     """Doubled spectrum of the geodesic point A #_t B is log-majorized by the
     coordinatewise product d_hat(A)^(1-t) * d_hat(B)^t."""
-    tol = _tolerance("3", tol)
     require_between(t, "geodesic parameter", 0, 1)
-    return _theorem3(_one(A), _one(B), [t], tol=tol)[0]
+    return _theorem3(_one(A), _one(B), [t], tol=DEFAULT_TOLERANCES["3"])[0]
 
 
 def _theorem4(mats, weights, *, tol, stamps=None):
@@ -220,14 +214,13 @@ def _theorem4(mats, weights, *, tol, stamps=None):
     return [_report("4", q, m, tol, not r.converged, **s) for q, m, r, s in zip(quantities, margins, results, stamps)]
 
 
-def check_theorem4(mats, weights=None, tol: float | None = None) -> TheoremReport:
+def check_theorem4(mats, weights=None) -> TheoremReport:
     """Doubled spectrum of the weighted Karcher mean is log-majorized by the
     weighted coordinatewise product of the inputs' doubled spectra. A
     non-converged mean yields an inconclusive report, never a failure."""
-    tol = _tolerance("4", tol)
     mats = require_matrices(mats, 2)
     weights = means.validate_weights(weights, len(mats))
-    return _theorem4([_one(A) for A in mats], [weights], tol=tol)[0]
+    return _theorem4([_one(A) for A in mats], [weights], tol=DEFAULT_TOLERANCES["4"])[0]
 
 
 def _restricted(A, S, k):
@@ -294,7 +287,6 @@ def check_theorem5(
     A: np.ndarray,
     k: int,
     M: np.ndarray | None = None,
-    tol: float | None = None,
     rng: "np.random.Generator | None" = None,
 ) -> TheoremReport:
     """Extremal characterization of spectral sums and products: over 2n x 2k
@@ -316,8 +308,12 @@ def check_theorem5(
     minimizer: Son, Absil, Gao & Stykel, SIMAX 42, 2021), and an error of 1e-6
     in d_1 fails them. Their traces and log-determinants are the quantities
     ``sampled``, the minimizer's ``minimizer_trace`` and ``minimizer_logdet``.
+    An explicit M must be 2n x 2k and finite, and pass the one symplecticity
+    rule ||M^T J_2n M - J_2k||_F <= SYMPLECTIC_TOL (1 + ||M||_F^2) of
+    ``symplectic._relative``, which refuses an overflowed residual; InputError
+    otherwise.
     """
-    tol = _tolerance("5", tol)
+    tol = DEFAULT_TOLERANCES["5"]
     if rng is not None and not callable(getattr(rng, "standard_normal", None)):
         raise InputError(f"rng must be a numpy Generator, got {rng!r}")
     A, n = _one(A), _half(A)
@@ -330,11 +326,9 @@ def check_theorem5(
         raise InputError(f"restriction must be {2 * n} x {2 * k}, got {M.shape}")
     if not np.all(np.isfinite(M)):
         raise InputError("restriction has non-finite entries")
-    # Fails closed, as symplectic._relative does: an overflowed residual is refused.
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(np.linalg.norm(M.T @ standard_J(n) @ M - standard_J(k)))
-        bound = 1e-8 * (1.0 + float(np.sum(M * M)))
-    if not (math.isfinite(residual) and residual <= bound):
+        ok, residual = _relative(M.T @ standard_J(n) @ M - standard_J(k), M)
+    if not ok:
         raise InputError(f"matrix fails the restriction condition: residual {residual:.3e}")
     return _theorem5(A, [k], None, tol=tol, restriction=M)[0]
 
@@ -354,15 +348,14 @@ def _superadditivity(A, B, ks=None, *, tol, stamps=None):
     return _reports("superadditivity", tol, margins, stamps, k=[ks.tolist()] * len(ds), d_sumAB=ds, d_A=da, d_B=db)
 
 
-def check_superadditivity(A: np.ndarray, B: np.ndarray, k: int | None = None, tol: float | None = None) -> TheoremReport:
+def check_superadditivity(A: np.ndarray, B: np.ndarray, k: int | None = None) -> TheoremReport:
     """Superadditivity of spectral sums and squared products: the k smallest
     symplectic eigenvalues of A + B dominate, in sum and squared product, the
     corresponding quantities of A and B added. Checks one k or, when k is
     None, all of them."""
-    tol = _tolerance("superadditivity", tol)
     if k is not None:
         k = require_index(k, "k", 1, _half(A))
-    return _superadditivity(_one(A), _one(B), None if k is None else [k], tol=tol)[0]
+    return _superadditivity(_one(A), _one(B), None if k is None else [k], tol=DEFAULT_TOLERANCES["superadditivity"])[0]
 
 
 def _theorem6(M, *, tol, stamps=None):
@@ -390,11 +383,11 @@ def _theorem6(M, *, tol, stamps=None):
     )
 
 
-def check_theorem6(M: np.ndarray, tol: float | None = None) -> TheoremReport:
+def check_theorem6(M: np.ndarray) -> TheoremReport:
     """The associated matrix of a symplectic M has row and column sums >= 1,
     is doubly superstochastic (with a transportation-flow witness), and is
     doubly stochastic exactly when M is orthogonal."""
-    return _theorem6([M], tol=_tolerance("6", tol))[0]
+    return _theorem6([M], tol=DEFAULT_TOLERANCES["6"])[0]
 
 
 def _theorem7(A, B, *, tol, stamps=None):
@@ -422,11 +415,11 @@ def _theorem7(A, B, *, tol, stamps=None):
     )
 
 
-def check_theorem7(A: np.ndarray, B: np.ndarray, tol: float | None = None) -> TheoremReport:
+def check_theorem7(A: np.ndarray, B: np.ndarray) -> TheoremReport:
     """Perturbation bounds: symplectic eigenvalue differences are controlled
     by (||A||^1/2 + ||B||^1/2) times square roots of norms of A - B, in the
     operator and Frobenius/trace norm versions."""
-    return _theorem7(_one(A), _one(B), tol=_tolerance("7", tol))[0]
+    return _theorem7(_one(A), _one(B), tol=DEFAULT_TOLERANCES["7"])[0]
 
 
 def _interlacing(A, drop_index, *, tol, stamps=None):
@@ -438,16 +431,15 @@ def _interlacing(A, drop_index, *, tol, stamps=None):
     return _reports("interlacing", tol, _lowest(margins), stamps, drop_index=drop_index, d_A=da, d_B=db)
 
 
-def check_interlacing(A: np.ndarray, drop_index: int, tol: float | None = None) -> TheoremReport:
+def check_interlacing(A: np.ndarray, drop_index: int) -> TheoremReport:
     """Cauchy-type interlacing for the s-principal submatrix obtained by
     deleting one index pair: d_j(A) <= d_j(B) <= d_{j+2}(A), with the
     convention that d_{n+1}(A) is infinite."""
-    tol = _tolerance("interlacing", tol)
     n = _half(A)
     if n < 2:
         raise InputError("interlacing needs half-order n >= 2")
     drop_index = require_index(drop_index, "drop index", 0, n - 1)
-    return _interlacing(_one(A), [drop_index], tol=tol)[0]
+    return _interlacing(_one(A), [drop_index], tol=DEFAULT_TOLERANCES["interlacing"])[0]
 
 
 def _elementary_symmetric(x: np.ndarray) -> np.ndarray:
@@ -484,15 +476,14 @@ def _pinching(A, sizes, *, tol, stamps=None):
     return _reports("pinching", tol, _lowest(*margins), stamps, sizes=[list(s) for s in sizes], d_pinched=dc, d_A=da)
 
 
-def check_pinching(A: np.ndarray, sizes, tol: float | None = None) -> TheoremReport:
+def check_pinching(A: np.ndarray, sizes) -> TheoremReport:
     """An s-pinching shifts the doubled spectrum upward in the
     supermajorization order, and every permutation-invariant concave
     increasing function of the plain spectrum does not decrease (elementary
     symmetric polynomials and their roots, sum of x/(1+x), sum of logs,
     power means with exponent below 1)."""
-    tol = _tolerance("pinching", tol)
     sizes = sops.validate_partition(sizes, _half(A))
-    return _pinching(_one(A), [sizes], tol=tol)[0]
+    return _pinching(_one(A), [sizes], tol=DEFAULT_TOLERANCES["pinching"])[0]
 
 
 def _theorem11(A, *, tol, stamps=None):
@@ -504,17 +495,17 @@ def _theorem11(A, *, tol, stamps=None):
     return _reports("11", tol, margins, stamps, d=d, eigenvalues=lam)
 
 
-def check_theorem11(A: np.ndarray, tol: float | None = None) -> TheoremReport:
+def check_theorem11(A: np.ndarray) -> TheoremReport:
     """Symplectic versus ordinary eigenvalues: the doubled symplectic spectrum
     is log-majorized by the eigenvalue vector, and each d_j is bracketed by
     the j-th and (n+j)-th smallest eigenvalues."""
-    return _theorem11(_one(A), tol=_tolerance("11", tol))[0]
+    return _theorem11(_one(A), tol=DEFAULT_TOLERANCES["11"])[0]
 
 
 def _corollary8(A, B, t, *, tol, stamps=None):
     (A, LA), (B, LB) = _gate(A, B)
     for which, L in (("first", LA), ("second", LB)):
-        if np.any(_factor_spectrum(L)[:, 0] < 0.5 - tol):
+        if not _gaussian(_factor_spectrum(L)[:, 0]).all():
             raise InputError(f"{which} input is not Gaussian (d_1 < 1/2)")
     tt = np.array(t, dtype=float)[:, None]
     w, Q = _eigh(A)
@@ -526,14 +517,15 @@ def _corollary8(A, B, t, *, tol, stamps=None):
     return _reports("corollary8", tol, margins, stamps, t=t, d1_power=d1_pow, d1_geodesic=d1_geo, d1_mean=d1_mean)
 
 
-def check_corollary8(A: np.ndarray, B: np.ndarray, t: float, tol: float | None = None) -> TheoremReport:
+def check_corollary8(A: np.ndarray, B: np.ndarray, t: float) -> TheoremReport:
     """Geodesic convexity of Gaussian covariance matrices: powers A^t for
     t in [0, 1], geodesic points, and the Karcher mean of Gaussian matrices
     stay Gaussian (smallest symplectic eigenvalue >= 1/2). The mean of the
-    two inputs is their geodesic midpoint A #_{1/2} B."""
-    tol = _tolerance("corollary8", tol)
+    two inputs is their geodesic midpoint A #_{1/2} B. Each input must be
+    Gaussian by the rule of :func:`williamson.is_gaussian`,
+    d_1 >= 1/2 - GAUSSIAN_TOL; InputError otherwise."""
     require_between(t, "power/geodesic parameter", 0, 1)
-    return _corollary8(_one(A), _one(B), [t], tol=tol)[0]
+    return _corollary8(_one(A), _one(B), [t], tol=DEFAULT_TOLERANCES["corollary8"])[0]
 
 
 def _minmax(A, *, tol, stamps=None):
@@ -546,10 +538,10 @@ def _minmax(A, *, tol, stamps=None):
     return _reports("minmax", tol, margins, stamps, observed=observed, expected=expected)
 
 
-def check_minmax(A: np.ndarray, tol: float | None = None) -> TheoremReport:
+def check_minmax(A: np.ndarray) -> TheoremReport:
     """Minmax principle, verified through the equivalent eigenvalue statement:
     the spectrum of i A^{-1} J must equal {+-1/d_j(A)} as a multiset."""
-    return _minmax(_one(A), tol=_tolerance("minmax", tol))[0]
+    return _minmax(_one(A), tol=DEFAULT_TOLERANCES["minmax"])[0]
 
 
 class _Draw(NamedTuple):

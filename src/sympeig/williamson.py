@@ -29,11 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .matfun import _cholesky, _lapack, _one, _posdef, _same_order, _svd, require_nonnegative, require_square
+from .matfun import _cholesky, _lapack, _one, _posdef, _same_order, _svd, require_square
 from .symplectic import _hermitian_pairs, standard_J
 
 # Consecutive d_j closer than this fraction of d_n are paired as one cluster.
 CLUSTER_RELGAP = 1e-3
+# The slack of the one Gaussian rule d_1 >= 1/2 - GAUSSIAN_TOL (see _gaussian).
+GAUSSIAN_TOL = 1e-9
 
 
 def _even_order(A: np.ndarray) -> np.ndarray:
@@ -225,8 +227,14 @@ def _sharp(S: np.ndarray) -> np.ndarray:
     return np.sort(ev.real, axis=-1)[..., ::-1]
 
 
-def is_gaussian(A: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when d_1(A) >= 1/2 - tol (tol finite, >= 0), i.e. A is a valid
+def _gaussian(d1):
+    """The one Gaussian rule, d_1 >= 1/2 - GAUSSIAN_TOL, of a d_1 or of each
+    entry of an array of them: of ``is_gaussian``, the ``gaussian`` command and
+    corollary 8's inputs."""
+    return d1 >= 0.5 - GAUSSIAN_TOL
+
+
+def is_gaussian(A: np.ndarray) -> bool:
+    """True when d_1(A) >= 1/2 - GAUSSIAN_TOL (1e-9), i.e. A is a valid
     Gaussian-state covariance matrix (equivalently A + (i/2) J >= 0)."""
-    require_nonnegative(tol, "tol")
-    return bool(symplectic_spectrum(A).d[0] >= 0.5 - tol)
+    return bool(_gaussian(symplectic_spectrum(A).d[0]))

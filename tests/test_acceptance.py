@@ -209,7 +209,7 @@ def test_criterion_7_theorem6_both_directions():
             if trial % 4 == 0
             else _squeezed(rng, n, floor=0.0)
         )
-        check = is_doubly_superstochastic(associated_matrix(M), tol=1e-9)
+        check = is_doubly_superstochastic(associated_matrix(M))
         valid_witness = check.ok and _doubly_stochastic(check.witness, 1e-6)
         all_super = all_super and valid_witness
     all_stochastic = True

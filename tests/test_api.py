@@ -70,31 +70,11 @@ PUBLIC_NAMES = [
 
 KNOB = re.compile(r"^(tol|symtol|samples|.*_tol)$")
 
-# Each entry is set by a library caller or a CLI flag. Every other threshold
-# is a fixed module constant (SYMPLECTIC_TOL, majorization.DEFAULT_TOL,
+# Each entry is set by a library caller or a CLI flag (``mean --tol``). Every
+# other threshold is a fixed module constant (SYMPLECTIC_TOL, GAUSSIAN_TOL,
+# SUPERSTOCHASTIC_TOL, DEFAULT_TOLERANCES, majorization.DEFAULT_TOL,
 # matfun.SYMTOL, THEOREM5_SAMPLES, ...).
-ALLOWED = {
-    "sympeig.means.karcher_mean": {"tol"},
-    "sympeig.symplectic.is_doubly_superstochastic": {"tol"},
-    "sympeig.williamson.is_gaussian": {"tol"},
-    **{
-        f"sympeig.theorems.check_{name}": {"tol"}
-        for name in (
-            "theorem1",
-            "theorem3",
-            "theorem4",
-            "theorem5",
-            "superadditivity",
-            "theorem6",
-            "theorem7",
-            "interlacing",
-            "pinching",
-            "theorem11",
-            "corollary8",
-            "minmax",
-        )
-    },
-}
+ALLOWED = {"sympeig.means.karcher_mean": {"tol"}}
 
 
 def _public_functions():
@@ -152,7 +132,7 @@ def test_tolerance_knobs_only_on_allow_list():
 def test_theorem5_keeps_explicit_restriction_and_rng():
     # The sample count stays the module constant THEOREM5_SAMPLES.
     params = list(inspect.signature(sympeig.check_theorem5).parameters)
-    assert params == ["A", "k", "M", "tol", "rng"]
+    assert params == ["A", "k", "M", "rng"]
 
 
 def test_version_matches_pyproject():

@@ -11,7 +11,16 @@ import numpy as np
 import pytest
 
 import sympeig
-from sympeig import geodesic, karcher_mean, random_posdef, random_symplectic, symplectic_spectrum
+from sympeig import (
+    InputError,
+    check_corollary8,
+    geodesic,
+    is_gaussian,
+    karcher_mean,
+    random_posdef,
+    random_symplectic,
+    symplectic_spectrum,
+)
 from sympeig.cli import _build_parser, main
 from sympeig.matio import load_matrix, save_matrix
 from sympeig.symplectic import convention_permutation
@@ -284,6 +293,22 @@ class TestGaussianCommand:
         path = write(workdir, "h.json", 0.5 * np.eye(4))
         code, _ = run(capsys, "gaussian", path)
         assert code == 0
+
+
+@pytest.mark.parametrize("gap, gaussian", [(3e-9, False), (5e-10, True)])
+def test_one_gaussian_rule(workdir, capsys, gap, gaussian):
+    # d_1 = 1/2 - gap against the one rule d_1 >= 1/2 - GAUSSIAN_TOL (1e-9):
+    # is_gaussian, the gaussian command and corollary 8's input check agree.
+    A, d = random_posdef(np.random.default_rng(39), 3, d=[0.5 - gap, 1.0, 2.0])
+    assert abs(symplectic_spectrum(A).d[0] - d[0]) <= 1e-12
+    assert is_gaussian(A) is gaussian
+    code, out = run(capsys, "gaussian", write(workdir, "a.json", A), "--json")
+    assert (code, json.loads(out)["gaussian"]) == (0 if gaussian else 1, gaussian)
+    if gaussian:
+        assert check_corollary8(A, A, 0.5).holds
+    else:
+        with pytest.raises(InputError, match="first input is not Gaussian"):
+            check_corollary8(A, A, 0.5)
 
 
 class TestStructuralCommands:
@@ -581,6 +606,7 @@ def test_unwritable_output_exits_2(workdir, capsys, command, count, flags):
         (["spinch", "--partition", "x"], 1, 2, "argument --partition: expected comma-separated integers, got 'x'"),
         (["williamson", "--output", "m.json"], 1, 3, "error: --output stores the congruence matrix and needs --form"),
         (["mean"], 1, 3, "error: mean needs at least two input files"),
+        (["gaussian", "--tol", "0"], 1, 2, "unrecognized arguments: --tol 0"),
     ],
 )
 def test_rejected_flags_and_file_counts(workdir, capsys, monkeypatch, argv, files, expected, message):
@@ -605,32 +631,29 @@ def test_rejected_flags_and_file_counts(workdir, capsys, monkeypatch, argv, file
         (["mean", "--tol", "-1"], 3),
         (["mean", "--max-iter", "-3"], 3),
         (["mean", "--tol", "0", "--max-iter", "0"], 5),
-        (["gaussian", "--tol", "nan"], 3),
-        (["gaussian", "--tol", "inf"], 3),
-        (["gaussian", "--tol", "0"], 0),
         (["verify", "--tol", "nan"], 3),
         (["verify", "--tol", "-1"], 3),
         (["verify", "--tol", "-1e-9"], 3),
         (["verify", "--tol=-1e-9"], 3),
         (["mean", "--tol", "-1e-9"], 3),
-        (["gaussian", "--tol", "-1E-3"], 3),
+        (["mean", "--tol", "-1E-3"], 3),
         (["verify", "--seed", "-1"], 3),
     ],
 )
 def test_tolerance_and_budget_validated(workdir, capsys, argv, expected):
     # A negative exponent-form value must reach the library check (exit 3),
     # not stop in argparse as a missing argument (exit 2).
-    inputs = {"mean": 3, "gaussian": 1, "verify": 0}[argv[0]]
+    inputs = {"mean": 3, "verify": 0}[argv[0]]
     paths = [write(workdir, f"m{i}.json", random_posdef(18 + i, 2, 1.5)[0] + np.eye(4)) for i in range(inputs)]
     code, out = run(capsys, argv[0], *paths, *argv[1:])
     assert code == expected
     assert (out == "") == (expected == 3)
 
 
-@pytest.mark.parametrize("command", ["mean", "gaussian", "verify"])
+@pytest.mark.parametrize("command", ["mean", "verify"])
 @pytest.mark.parametrize("value, shown", [("-1", "-1.0"), ("nan", "nan")])
 def test_bad_tolerance_names_the_flag(workdir, capsys, command, value, shown):
-    inputs = {"mean": 2, "gaussian": 1, "verify": 0}[command]
+    inputs = {"mean": 2, "verify": 0}[command]
     paths = [write(workdir, f"m{i}.json", random_posdef(18 + i, 2, 1.5)[0] + np.eye(4)) for i in range(inputs)]
     assert main([command, *paths, "--tol", value]) == 3
     assert capsys.readouterr().err == f"error: tol must be finite and >= 0, got {shown}\n"

@@ -18,6 +18,7 @@ from sympeig import (
     standard_J,
 )
 from sympeig.symplectic import (
+    SUPERSTOCHASTIC_TOL,
     SYMPLECTIC_TOL,
     _doubly_stochastic,
     _orthosymplectic,
@@ -200,14 +201,6 @@ class TestDoublySuperstochastic:
             is_doubly_superstochastic(np.zeros((0, 0)))
 
 
-@pytest.mark.parametrize("test", [is_doubly_superstochastic])
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
-def test_stochastic_tests_need_a_finite_nonnegative_tol(test, tol):
-    with pytest.raises(InputError) as info:
-        test(0.1 * np.ones((2, 2)), tol=tol)
-    assert str(info.value) == f"tol must be finite and >= 0, got {tol}"
-
-
 def _brute_force_min_cut(B, tol):
     """Least capacity over every source side {source} + rows X + columns Y."""
     n = B.shape[0]
@@ -239,7 +232,7 @@ class TestMaxFlowOracle:
     def test_flow_value_is_min_cut(self, tol):
         outcomes = set()
         for B in _oracle_instances():
-            check = is_doubly_superstochastic(B, tol=tol)
+            check = _superstochastic(B[None], tol)[0]
             assert abs(check.flow_value - _brute_force_min_cut(B, tol)) <= 1e-12
             assert (check.witness is None) == (not check.ok)
             outcomes.add(check.ok)
@@ -249,7 +242,7 @@ class TestMaxFlowOracle:
         tol = 1e-9
         feasible = 0
         for B in _oracle_instances():
-            check = is_doubly_superstochastic(B, tol=tol)
+            check = _superstochastic(B[None], tol)[0]
             if not check.ok:
                 continue
             feasible += 1
@@ -263,7 +256,7 @@ class TestMaxFlowOracle:
     @pytest.mark.parametrize("seed,n", [(71, 1), (72, 3), (73, 6)])
     def test_permutation_witness(self, seed, n):
         P = np.eye(n)[np.random.default_rng(seed).permutation(n)]
-        exact = is_doubly_superstochastic(P, tol=0.0)
+        exact = _superstochastic(P[None], 0.0)[0]
         assert exact.ok
         assert exact.flow_value == n
         assert np.array_equal(exact.witness, P)
@@ -484,7 +477,7 @@ class TestTheoremSixCharacterization:
             o2 = random_orthosymplectic_rng(rng, 3)
             M = (o1 * np.concatenate([gamma, 1.0 / gamma])) @ o2.T
             assert not _doubly_stochastic(associated_matrix(M), 1e-8)
-            assert is_doubly_superstochastic(associated_matrix(M), tol=1e-9).ok
+            assert is_doubly_superstochastic(associated_matrix(M)).ok
 
 
 class TestStackedSymplecticGate:
@@ -537,8 +530,8 @@ def _min_cut(B, tol):
 def test_max_flow_kernel_equals_the_public_test(B):
     # The kernel behind the public test against an independent oracle: max-flow
     # equals min-cut, and a witness is a doubly stochastic matrix under B + tol.
-    tol, n = 1e-9, B.shape[0]
-    [kernel], public = _superstochastic(B[None], tol), is_doubly_superstochastic(B, tol)
+    tol, n = SUPERSTOCHASTIC_TOL, B.shape[0]
+    [kernel], public = _superstochastic(B[None], tol), is_doubly_superstochastic(B)
     assert (kernel.ok, kernel.flow_value) == (public.ok, public.flow_value)
     cut = _min_cut(B, tol)
     assert abs(public.flow_value - cut) <= 1e-9

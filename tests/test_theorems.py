@@ -36,6 +36,7 @@ from sympeig import (
 )
 from sympeig.cli import main
 from sympeig.means import KarcherResult
+from sympeig.symplectic import SYMPLECTIC_TOL
 from sympeig.theorems import THEOREM5_SAMPLES, THEOREM5_STEP, _near_minimizer
 from sympeig.williamson import WilliamsonForm
 
@@ -272,6 +273,22 @@ class TestTheorem5:
             with pytest.raises(InputError, match="fails the restriction condition"):
                 check_theorem5(A, 1, M=scale * R)
 
+    @pytest.mark.parametrize("relative", [3e-9, 5e-10])
+    def test_restriction_is_judged_by_the_one_symplecticity_rule(self, relative):
+        # Scaling one column of a restriction by 1 + delta leaves
+        # M^T J_6 M - J_2 = [[0, delta], [-delta, 0]]: a relative residual
+        # above SYMPLECTIC_TOL (1e-9) is refused, one below it accepted.
+        A = random_posdef(0, 3)[0]
+        M = random_symplectic(1, 3, 0.5)[:, [0, 3]]
+        M[:, 0] *= 1.0 + relative * (1.0 + np.sum(M * M)) / math.sqrt(2.0)
+        residual = np.linalg.norm(M.T @ standard_J(3) @ M - standard_J(1)) / (1.0 + np.sum(M * M))
+        assert residual == pytest.approx(relative, rel=0.02)
+        if relative < SYMPLECTIC_TOL:
+            assert check_theorem5(A, 1, M=M).holds
+        else:
+            with pytest.raises(InputError, match="fails the restriction condition"):
+                check_theorem5(A, 1, M=M)
+
     def test_rejects_bad_k(self):
         with pytest.raises(InputError, match="k must lie"):
             check_theorem5(spd(27), k=5)
@@ -507,6 +524,14 @@ class TestCorollary8:
         with pytest.raises(InputError, match="not Gaussian"):
             check_corollary8(0.1 * np.eye(2), np.eye(2), 0.5)
 
+    def test_suite_tolerance_does_not_move_the_gaussian_rule(self):
+        # The suite's tol judges margins only: the inputs are Gaussian by the
+        # one rule d_1 >= 1/2 - GAUSSIAN_TOL whatever it is.
+        A = random_posdef(np.random.default_rng(39), 3, d=[0.5 - 3e-9, 1.0, 2.0])[0][None]
+        for tol in (0.0, 1e-8, 0.5):
+            with pytest.raises(InputError, match="first input is not Gaussian"):
+                sympeig.theorems._corollary8(A, A, [0.5], tol=tol)
+
 
 class TestMinmax:
     def test_identity(self):
@@ -579,11 +604,13 @@ class TestReports:
         assert [r.holds for r in reports] == [True, False, False, False]
 
     def test_zero_tolerance_boundary_behavior(self):
-        # Equality cases sit on the boundary at tolerance 0: the verdict is
-        # exactly margin >= 0, so roundoff may flip it either way.
-        A = diagonal([1.0, 3.0])
-        rep = check_theorem1(A, 0.5, tol=0.0)
-        assert rep.holds == (rep.margin >= 0.0)
+        # Equality cases sit on the boundary at tolerance 0, which only the
+        # suite's tol sets: the verdict is exactly margin >= 0, so roundoff may
+        # flip it either way. A public checker judges at its default.
+        rep = check_theorem1(diagonal([1.0, 3.0]), 0.5)
+        assert rep.tolerance == 1e-9 and rep.holds == (rep.margin >= -1e-9)
+        for rep in run_suite(SuiteConfig(trials=10, theorems=("1",), tol=0.0)):
+            assert rep.tolerance == 0.0 and rep.holds == (rep.margin >= 0.0)
 
 
 class TestRunSuite:

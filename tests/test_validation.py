@@ -20,7 +20,6 @@ from sympeig import (
     euler_decompose,
     geodesic,
     is_doubly_superstochastic,
-    is_gaussian,
     is_symplectic,
     karcher_mean,
     karcher_residual,
@@ -365,7 +364,7 @@ BAD_SCALARS = {
         lambda: geodesic(_A, _B, True),
         "geodesic parameter must lie in [0, 1], got True",
     ),
-    "Gaussian tol as a bool": (lambda: is_gaussian(_A, True), "tol must be finite and >= 0, got True"),
+    "Karcher tol as a bool": (lambda: karcher_mean([_A, _B], tol=True), "tol must be finite and >= 0, got True"),
     "theorem 3 parameter as an array": (
         lambda: check_theorem3(_A, _B, np.array([0.5])),
         "geodesic parameter must lie in [0, 1], got [0.5]",

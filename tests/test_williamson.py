@@ -240,12 +240,7 @@ class TestIsGaussian:
         assert not is_gaussian(np.diag([1 / 16, 1 / 16]))
 
     def test_boundary(self):
-        assert is_gaussian(0.5 * np.eye(4), tol=0.0)
-
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
-    def test_bad_tol_rejected(self, tol):
-        with pytest.raises(InputError, match="tol must be finite and >= 0"):
-            is_gaussian(np.eye(4), tol=tol)
+        assert is_gaussian(0.5 * np.eye(4))
 
 
 EPS = np.finfo(float).eps
