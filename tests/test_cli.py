@@ -631,6 +631,9 @@ def test_rejected_flags_and_file_counts(workdir, capsys, monkeypatch, argv, file
         (["mean", "--tol", "-1"], 3),
         (["mean", "--max-iter", "-3"], 3),
         (["mean", "--tol", "0", "--max-iter", "0"], 5),
+        (["mean", "--tol=-inf"], 3),
+        (["verify", "--tol", "inf"], 3),
+        (["mean", "--tol", "1e-6"], 0),
         (["verify", "--tol", "nan"], 3),
         (["verify", "--tol", "-1"], 3),
         (["verify", "--tol", "-1e-9"], 3),
